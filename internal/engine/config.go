@@ -125,8 +125,9 @@ type AdaptiveDepthConfig struct {
 // and are committed together when the batch reaches MaxBatch transactions or
 // Window elapses, whichever comes first. The modeled log-write cost
 // (Costs.LogWrite) is charged once per batch instead of once per transaction.
-// Group commit applies to single-container commits; multi-container
-// transactions keep the eager two-phase commit path.
+// The prepare and decision records of two-phase commits ride the same
+// batches. Disabled, every commit runs the same pipeline
+// (Container.commitBatch) inline as a batch of one.
 type GroupCommitConfig struct {
 	Enabled  bool
 	MaxBatch int           // flush when this many transactions accumulated (default 32)

@@ -7,6 +7,7 @@ import (
 
 	"reactdb/internal/occ"
 	"reactdb/internal/rel"
+	"reactdb/internal/vclock"
 	"reactdb/internal/wal"
 )
 
@@ -139,37 +140,147 @@ func walRecordPrepared(txn *occ.Txn) (wal.Record, error) {
 	return rec, nil
 }
 
-// appendCommitRecord appends the prepared transaction's commit record to the
-// container's WAL without fsyncing, reporting whether anything was appended
-// (read-only transactions append nothing). It is the unbatched durability
-// path, used when group commit is disabled and for two-phase commit
-// participants; the group committer batches its appends instead. The caller
-// must fsync (wal.Sync) after the write phase and before acknowledging the
-// commit — including for read-only transactions, whose antecedents' records
-// may still await their fsync.
-func (c *Container) appendCommitRecord(txn *occ.Txn) (bool, error) {
-	if c.wal == nil {
-		return false, nil
-	}
-	rec, err := walRecordPrepared(txn)
-	if err != nil {
-		return false, err
-	}
-	if len(rec.Writes) == 0 {
-		return false, nil
-	}
-	if _, err := c.wal.Append(rec); err != nil {
-		return false, err
-	}
-	return true, nil
+// gcEntry is one unit of work for the commit pipeline: a prepared
+// single-container transaction (txn), a pre-built WAL record to append with
+// the batch (rec: a 2PC prepare or decision record), or — with both nil — a
+// pure durability barrier, acknowledged once everything appended before it is
+// durable (read-only 2PC participants use it to force their antecedents).
+type gcEntry struct {
+	txn  *occ.Txn
+	rec  *wal.Record
+	done chan error
 }
 
-// forceRecord makes rec durable in the container's log before the returned
-// channel delivers nil: through the group committer when one is running —
-// amortizing the fsync with the container's commit batches — or with a
-// direct append+fsync otherwise (the eager ablation). A nil rec is a pure
-// durability barrier: nothing is appended, and the acknowledgment means
-// everything appended to this log before the call is durable (read-only 2PC
+// submit hands one entry to the commit pipeline and returns the channel its
+// outcome arrives on: with the group committer's next batch when one is
+// running, as a batch of one run right here on the caller's goroutine
+// otherwise (no committer goroutine, no window timer). The wait is log
+// latency, not CPU work, so a caller holding an executor core releases it:
+// before the call when the batch of one runs inline, after it — once the
+// entry is in the batch — when a committer takes it (see rootTxn.commit).
+//
+// A false return means the committer has been stopped and did not accept the
+// entry; the caller still owns its transaction (prepared, holding its locks)
+// and must abort it. Failing fast closes the shutdown race in which an entry
+// appended concurrently with stop, after the loop's final drain, would never
+// be flushed and its waiter would block forever.
+func (c *Container) submit(e gcEntry) (<-chan error, bool) {
+	e.done = make(chan error, 1)
+	if gc := c.committer; gc != nil {
+		return e.done, gc.enqueue(e)
+	}
+	c.commitBatch([]gcEntry{e})
+	return e.done, true
+}
+
+// commitBatch is the commit pipeline — every commit of every deployment runs
+// these five stages, and nothing else acknowledges one:
+//
+//  1. Stage: serialize each prepared transaction's write set into a commit
+//     record; pre-built 2PC records ride along (their transactions stay
+//     prepared — the coordinator owns their write phase).
+//  2. Append the batch's records as one buffer, one write, *before* the write
+//     phase makes the writes visible (see walRecordPrepared). If the append
+//     fails nothing was installed yet and the whole batch aborts cleanly.
+//  3. Write phase: install every transaction's writes and release its locks.
+//  4. Force: one fsync for the batch (the modeled Costs.LogWrite without a
+//     WAL). It runs even for an all-read-only or barrier-only batch — the
+//     antecedent records its members read are already appended, and an
+//     already-durable log absorbs the call.
+//  5. Ship-wait: withhold the acknowledgments until every attached semi-sync
+//     replica durably mirrors the batch; fails on a fenced primary.
+//
+// Then every entry learns its outcome. Record and barrier entries are
+// acknowledged by the force and ship-wait outcome alone; transactions
+// additionally carry their write-phase error. A transaction whose write phase
+// installed in memory but whose force or ship-wait failed is not
+// acknowledged: survivors of a crash or failover at that point are exactly
+// the fsynced, shipped prefix of the log.
+func (c *Container) commitBatch(batch []gcEntry) {
+	w := c.wal
+	txns := make([]*occ.Txn, 0, len(batch))
+	var recs []wal.Record
+	if w != nil {
+		recs = make([]wal.Record, 0, len(batch))
+	}
+	for _, e := range batch {
+		switch {
+		case e.txn != nil:
+			txns = append(txns, e.txn)
+			if w != nil {
+				// AssignTID fails only for transactions that are not prepared;
+				// CommitPreparedBatch reports ErrTxnClosed for those slots.
+				if rec, err := walRecordPrepared(e.txn); err == nil && len(rec.Writes) > 0 {
+					recs = append(recs, rec)
+				}
+			}
+		case e.rec != nil:
+			// Only forceRecord submits records, and only to a container with
+			// a WAL.
+			recs = append(recs, *e.rec)
+		}
+	}
+	if len(recs) > 0 {
+		if _, err := w.AppendBatch(recs); err != nil {
+			// Abort the batch's own transactions; 2PC record owners learn the
+			// failure through their channel and abort their participants
+			// themselves (the log has already retracted or wedged the batch's
+			// frames, see wal.Log.AppendBatch).
+			for _, t := range txns {
+				_ = t.AbortPrepared()
+			}
+			for _, e := range batch {
+				e.done <- err
+			}
+			return
+		}
+	}
+	var errs []error
+	if len(txns) > 0 {
+		errs = c.domain.CommitPreparedBatch(txns)
+	}
+	var ackErr error
+	if w == nil {
+		vclock.Work(c.db.cfg.Costs.LogWrite)
+	} else if ackErr = c.appendSync(); ackErr == nil {
+		// One wait covers the batch — the amortization that makes semi-sync
+		// affordable under group commit. Prepare records are held here too,
+		// which keeps the mirror-safety ordering (prepares mirrored before
+		// their decision is appended) live under semi-sync 2PC.
+		ackErr = c.db.repl.waitShipped(c.id, w.DurableLSN())
+	}
+	next := 0 // index into errs of the next transaction entry
+	for _, e := range batch {
+		err := ackErr
+		if e.txn != nil {
+			if errs[next] != nil {
+				err = errs[next]
+			}
+			next++
+		}
+		e.done <- err
+	}
+}
+
+// appendSync appends recs to the container's log as one write and fsyncs the
+// log; with no records it is the bare force. It is the one place the engine
+// forces its log: the commit pipeline's force stage, and — with no window and
+// no ship-wait — abort tombstones and heartbeats, which must not block behind
+// a batch or a stuck replica.
+func (c *Container) appendSync(recs ...wal.Record) error {
+	if len(recs) > 0 {
+		if _, err := c.wal.AppendBatch(recs); err != nil {
+			return err
+		}
+	}
+	return c.wal.Sync()
+}
+
+// forceRecord makes rec durable in the container's log — and mirrored by
+// semi-sync replicas — before the returned channel delivers nil, by
+// submitting it to the commit pipeline. A nil rec is a pure durability
+// barrier: nothing is appended, and the acknowledgment means everything
+// appended to this log before the call is durable (read-only 2PC
 // participants use it so their antecedents are durable before the decision).
 // A nil channel with a nil error means the container has no WAL and there is
 // nothing to force.
@@ -177,32 +288,13 @@ func (c *Container) forceRecord(rec *wal.Record) (<-chan error, error) {
 	if c.wal == nil {
 		return nil, nil
 	}
-	if gc := c.committer; gc != nil {
-		ch, ok := gc.submitRecord(rec)
-		if !ok {
-			// The committer stopped (shutdown racing the tail of an in-flight
-			// commit); the caller aborts rather than blocking forever.
-			return nil, errDatabaseClosed
-		}
-		return ch, nil
+	ch, ok := c.submit(gcEntry{rec: rec})
+	if !ok {
+		// The committer stopped (shutdown racing the tail of an in-flight
+		// commit); the caller aborts rather than blocking forever.
+		return nil, errDatabaseClosed
 	}
-	done := make(chan error, 1)
-	if rec != nil {
-		if _, err := c.wal.Append(*rec); err != nil {
-			return nil, err
-		}
-	}
-	err := c.wal.Sync()
-	if err == nil {
-		// Semi-sync hook for the eager (committer-less) force path: prepare
-		// and decision records are acknowledged only once semi-sync replicas
-		// durably hold them — which also keeps the mirror-safety ordering
-		// (prepares mirrored before their decision is appended) live under
-		// pure semi-sync 2PC.
-		c.waitShipped(c.wal.DurableLSN())
-	}
-	done <- err
-	return done, nil
+	return ch, nil
 }
 
 // retractRecord appends an abort record for tid and fsyncs it, best-effort.
@@ -214,11 +306,8 @@ func (c *Container) forceRecord(rec *wal.Record) (<-chan error, error) {
 // presumed-abort pass. If this append fails the log wedges, which keeps any
 // un-retracted record from ever being fsynced by this process.
 func (c *Container) retractRecord(tid uint64) {
-	if c.wal == nil {
-		return
-	}
-	if _, err := c.wal.Append(wal.Record{TID: tid, Kind: wal.KindAbort}); err == nil {
-		_ = c.wal.Sync()
+	if c.wal != nil {
+		_ = c.appendSync(wal.Record{TID: tid, Kind: wal.KindAbort})
 	}
 }
 
@@ -283,15 +372,14 @@ func (c *Container) recover(decided map[uint64]bool) (int, error) {
 		return n, err
 	}
 	// Tombstone the presumed aborts after replay finished (the log must not
-	// grow mid-Replay), then make the tombstones durable with one fsync.
-	for _, tid := range presumedAborted {
-		if _, err := c.wal.Append(wal.Record{TID: tid, Kind: wal.KindAbort}); err != nil {
-			return n, fmt.Errorf("engine: recovery: tombstoning presumed abort in container %d: %w", c.id, err)
-		}
-	}
+	// grow mid-Replay) and make the tombstones durable: one write, one fsync.
 	if len(presumedAborted) > 0 {
-		if err := c.wal.Sync(); err != nil {
-			return n, err
+		tombstones := make([]wal.Record, len(presumedAborted))
+		for i, tid := range presumedAborted {
+			tombstones[i] = wal.Record{TID: tid, Kind: wal.KindAbort}
+		}
+		if err := c.appendSync(tombstones...); err != nil {
+			return n, fmt.Errorf("engine: recovery: tombstoning presumed aborts in container %d: %w", c.id, err)
 		}
 	}
 	return n, nil

@@ -63,6 +63,7 @@ func TestCrashFailoverPrimaryKillMatrix(t *testing.T) {
 		return ctr.ops.Load()
 	}
 	total := calibrate()
+	t.Logf("calibration: %d primary IO boundaries", total)
 	if total < 10 {
 		t.Fatalf("calibration produced only %d primary IO boundaries", total)
 	}

@@ -225,6 +225,7 @@ func TestCrashReplReplicaKillMatrix(t *testing.T) {
 		}
 	}
 	total := calCtr.ops.Load()
+	t.Logf("calibration: %d IO boundaries", total)
 	if total < 10 {
 		t.Fatalf("calibration produced only %d mirror IO boundaries", total)
 	}
@@ -273,6 +274,7 @@ func TestCrashReplPrimaryKillSemiSync(t *testing.T) {
 		}
 	}
 	total := calCtr.ops.Load()
+	t.Logf("calibration: %d IO boundaries", total)
 	if total < 10 {
 		t.Fatalf("calibration produced only %d primary IO boundaries", total)
 	}

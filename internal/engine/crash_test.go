@@ -239,6 +239,7 @@ func TestCrashMatrixMultiContainerAtomicity(t *testing.T) {
 			}
 			db.Close()
 			total := calCtr.ops.Load()
+			t.Logf("calibration: %d IO boundaries", total)
 			if total < 8 {
 				t.Fatalf("calibration run produced only %d IO boundaries", total)
 			}
@@ -406,6 +407,7 @@ func TestCrashMatrixCheckpoint(t *testing.T) {
 			}
 			db.Close()
 			total := calCtr.ops.Load()
+			t.Logf("calibration: %d IO boundaries", total)
 			if total < 12 {
 				t.Fatalf("calibration run produced only %d IO boundaries", total)
 			}
@@ -471,6 +473,7 @@ func TestCrashDuringRecoveryTombstoning(t *testing.T) {
 	}
 	db.Close()
 	total := ctr.ops.Load()
+	t.Logf("calibration: %d IO boundaries", total)
 
 	for crashAt := int64(0); crashAt < total; crashAt++ {
 		mem := wal.NewMemStorage()

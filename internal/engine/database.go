@@ -89,8 +89,8 @@ func Open(def *core.DatabaseDef, cfg Config) (*Database, error) {
 		epochStop: make(chan struct{}),
 		ckptStop:  make(chan struct{}),
 		adaptStop: make(chan struct{}),
-		repl:      newReplicationHub(),
 	}
+	db.repl = newReplicationHub(db.Fenced)
 	if cfg.Durability.Mode == DurabilityWAL {
 		// Load the node's failover term before any container log opens so the
 		// very first append already carries the right epoch — and a fenced
@@ -420,6 +420,9 @@ func (db *Database) runTask(t *task, session *coreSession) {
 	if !t.isRoot && !db.cfg.DisableActiveSetCheck {
 		t.root.activeSet.Exit(t.reactor)
 	}
+	// Before the caller can observe completion: a client that resubmits the
+	// moment its result arrives must find the slot free.
+	t.releaseToken()
 	t.future.Resolve(res, err)
 }
 

@@ -118,10 +118,7 @@ func (db *Database) Heartbeat() error {
 		}
 		// An empty commit at TID 0: no writes to install, invisible to
 		// recovery and replicas beyond advancing their shipped watermark.
-		if _, err := c.wal.Append(wal.Record{Kind: wal.KindCommit}); err != nil {
-			return fmt.Errorf("engine: heartbeat container %d: %w", c.id, err)
-		}
-		if err := c.wal.Sync(); err != nil {
+		if err := c.appendSync(wal.Record{Kind: wal.KindCommit}); err != nil {
 			return fmt.Errorf("engine: heartbeat container %d: %w", c.id, err)
 		}
 	}

@@ -4,26 +4,24 @@ import (
 	"sync"
 	"time"
 
-	"reactdb/internal/occ"
 	"reactdb/internal/stats"
-	"reactdb/internal/vclock"
-	"reactdb/internal/wal"
 )
 
-// groupCommitter batches validated (prepared) single-container transactions
-// — plus the pre-built prepare/decision records and durability barriers of
-// two-phase commits touching this container — and commits them together. The
-// motivation is the classic one: the durable
-// log write — a real WAL append + fsync under DurabilityWAL, the modeled
-// Costs.LogWrite ablation otherwise — is paid once per batch instead of once
-// per transaction, so under concurrent load commit cost amortizes across the
-// batch. Prepared transactions hold their OCC locks while waiting, so the
-// Window also bounds the extra conflict exposure group commit introduces.
+// groupCommitter decides *when* the commit pipeline (Container.commitBatch)
+// runs and over how many entries: it accumulates validated (prepared)
+// single-container transactions — plus the pre-built prepare/decision records
+// and durability barriers of two-phase commits touching this container — and
+// hands them to the pipeline together. The motivation is the classic one: the
+// durable log write — a real WAL append + fsync under DurabilityWAL, the
+// modeled Costs.LogWrite ablation otherwise — is paid once per batch instead
+// of once per transaction, so under concurrent load commit cost amortizes
+// across the batch. Prepared transactions hold their OCC locks while waiting,
+// so the Window also bounds the extra conflict exposure group commit
+// introduces.
 type groupCommitter struct {
 	container *Container
 	window    time.Duration
 	maxBatch  int
-	logWrite  time.Duration
 
 	// mu guards the accumulating batch and its generation. gen identifies
 	// the batch currently accumulating; it bumps every time flush takes a
@@ -42,21 +40,10 @@ type groupCommitter struct {
 	done    chan struct{}
 
 	batchSize *stats.Histogram
-	// records counts pre-built records (2PC prepares and decisions) flushed
-	// through this committer — the amortized participant logging the ROADMAP
-	// asked for, observable next to the batch-size histogram.
+	// records counts pre-built records (2PC prepares and decisions) accepted
+	// by this committer — the amortized participant logging, observable next
+	// to the batch-size histogram. Guarded by mu.
 	records uint64
-}
-
-// gcEntry is one unit of work accumulated for the next flush: a prepared
-// single-container transaction (txn), a pre-built WAL record to append with
-// the batch (rec: a 2PC prepare or decision record), or — with both nil — a
-// pure durability barrier, acknowledged once everything appended before it is
-// durable (read-only 2PC participants use it to force their antecedents).
-type gcEntry struct {
-	txn  *occ.Txn
-	rec  *wal.Record
-	done chan error
 }
 
 func newGroupCommitter(c *Container) *groupCommitter {
@@ -65,7 +52,6 @@ func newGroupCommitter(c *Container) *groupCommitter {
 		container: c,
 		window:    cfg.GroupCommit.Window,
 		maxBatch:  cfg.GroupCommit.MaxBatch,
-		logWrite:  cfg.Costs.LogWrite,
 		flushCh:   make(chan struct{}, 1),
 		stopCh:    make(chan struct{}),
 		done:      make(chan struct{}),
@@ -75,40 +61,20 @@ func newGroupCommitter(c *Container) *groupCommitter {
 	return g
 }
 
-// submit hands a prepared transaction to the committer and returns the
-// channel on which the commit outcome will be delivered. The caller should
-// release its executor core while waiting: the wait is the group-commit
-// window, not CPU work. The first entry of a fresh batch arms a one-shot
-// window timer, so an idle committer costs nothing.
-//
-// A false return means the committer has been stopped and did not accept the
-// transaction; the caller still owns it (prepared, holding its locks) and
-// must abort or commit it itself. Failing fast here closes the shutdown race
-// in which an entry appended concurrently with stop, after the loop's final
-// drain, would never be flushed and its waiter would block forever.
-func (g *groupCommitter) submit(txn *occ.Txn) (<-chan error, bool) {
-	return g.enqueue(gcEntry{txn: txn})
-}
-
-// submitRecord hands a pre-built WAL record — a two-phase-commit prepare or
-// decision record — to the committer: it is appended with the next batch and
-// acknowledged once the batch fsync covers it, so 2PC log writes amortize
-// with the container's single-container commits. A nil rec is a pure
-// durability barrier (nothing is appended; the acknowledgment means
-// everything appended before submission is durable). The same stopped
-// semantics as submit apply.
-func (g *groupCommitter) submitRecord(rec *wal.Record) (<-chan error, bool) {
-	return g.enqueue(gcEntry{rec: rec})
-}
-
-func (g *groupCommitter) enqueue(e gcEntry) (<-chan error, bool) {
-	e.done = make(chan error, 1)
+// enqueue adds an entry to the accumulating batch (see Container.submit),
+// reporting false if the committer has been stopped. The first entry of a
+// fresh batch arms a one-shot window timer, so an idle committer costs
+// nothing.
+func (g *groupCommitter) enqueue(e gcEntry) bool {
 	g.mu.Lock()
 	if g.stopped {
 		g.mu.Unlock()
-		return nil, false
+		return false
 	}
 	g.batch = append(g.batch, e)
+	if e.rec != nil {
+		g.records++
+	}
 	n := len(g.batch)
 	gen := g.gen
 	g.mu.Unlock()
@@ -117,7 +83,7 @@ func (g *groupCommitter) enqueue(e gcEntry) (<-chan error, bool) {
 	} else if n == 1 {
 		time.AfterFunc(g.window, func() { g.requestFlush(gen) })
 	}
-	return e.done, true
+	return true
 }
 
 // requestFlush records that the batch of generation gen is due to flush and
@@ -163,15 +129,11 @@ func (g *groupCommitter) loop() {
 	}
 }
 
-// flush commits up to maxBatch accumulated transactions: the write phase of
-// every prepared transaction runs back to back, then the batch's commit
-// records are made durable once — a single WAL append+fsync under
-// DurabilityWAL, one modeled log write otherwise — before any waiter learns
-// its outcome (a commit is not acknowledged before it is durable). Anything
-// beyond maxBatch stays queued: a further full batch flushes immediately, a
-// partial remainder gets a fresh window timer. Unless forced (shutdown
-// drain), a flush whose batch generation was never requested is a spurious
-// wakeup and is skipped.
+// flush runs the commit pipeline over up to maxBatch accumulated entries.
+// Anything beyond maxBatch stays queued: a further full batch flushes
+// immediately, a partial remainder gets a fresh window timer. Unless forced
+// (shutdown drain), a flush whose batch generation was never requested is a
+// spurious wakeup and is skipped.
 func (g *groupCommitter) flush(force bool) {
 	g.mu.Lock()
 	if !force && g.flushGen < g.gen {
@@ -201,92 +163,7 @@ func (g *groupCommitter) flush(force bool) {
 		time.AfterFunc(g.window, func() { g.requestFlush(gen) })
 	}
 	g.batchSize.Observe(float64(len(batch)))
-
-	txns := make([]*occ.Txn, 0, len(batch))
-	txnSlot := make([]int, len(batch)) // entry index -> index into errs, -1 for none
-	var recordEntries uint64
-	// Append the batch's commit records *before* the write phase makes the
-	// writes visible (see walRecordPrepared): one buffer, one write. Pre-built
-	// 2PC records ride in the same buffer; their transactions stay prepared —
-	// the coordinator owns their write phase. If the append itself fails
-	// nothing was installed yet, so the whole batch can abort cleanly.
-	w := g.container.wal
-	recs := make([]wal.Record, 0, len(batch))
-	for i, e := range batch {
-		txnSlot[i] = -1
-		switch {
-		case e.txn != nil:
-			txnSlot[i] = len(txns)
-			txns = append(txns, e.txn)
-			if w != nil {
-				// AssignTID fails only for transactions that are not prepared;
-				// CommitPreparedBatch reports ErrTxnClosed for those slots.
-				if rec, err := walRecordPrepared(e.txn); err == nil && len(rec.Writes) > 0 {
-					recs = append(recs, rec)
-				}
-			}
-		case e.rec != nil:
-			recordEntries++
-			if w != nil {
-				recs = append(recs, *e.rec)
-			}
-		}
-	}
-	if w != nil && len(recs) > 0 {
-		if _, err := w.AppendBatch(recs); err != nil {
-			// Abort the batch's own transactions; 2PC record owners learn the
-			// failure through their channel and abort their participants
-			// themselves (the log has already retracted or wedged the batch's
-			// frames, see wal.Log.AppendBatch).
-			for _, t := range txns {
-				_ = t.AbortPrepared()
-			}
-			for _, e := range batch {
-				e.done <- err
-			}
-			for i := range batch {
-				batch[i] = gcEntry{}
-			}
-			return
-		}
-	}
-	var errs []error
-	if len(txns) > 0 {
-		errs = g.container.domain.CommitPreparedBatch(txns)
-	}
-	var logErr error
-	if w != nil {
-		// Sync even for an all-read-only or barrier-only batch: antecedent
-		// records its members read are already appended, and an
-		// already-durable log absorbs the call.
-		logErr = w.Sync()
-		if logErr == nil {
-			// Semi-sync hook: withhold the whole batch's acknowledgments until
-			// every attached semi-sync replica has durably mirrored the
-			// batch's records. One wait covers the batch — the amortization
-			// that makes semi-sync affordable under group commit.
-			g.container.waitShipped(w.DurableLSN())
-		}
-	} else if g.logWrite > 0 {
-		vclock.Work(g.logWrite)
-	}
-	if recordEntries > 0 {
-		g.mu.Lock()
-		g.records += recordEntries
-		g.mu.Unlock()
-	}
-	for i, e := range batch {
-		// Record and barrier entries are acknowledged by the fsync outcome
-		// alone; transactions additionally carry their write-phase error. A
-		// transaction whose write phase installed in memory but whose fsync
-		// failed must not be acknowledged: survivors of a crash at this point
-		// are exactly the fsynced prefix of the log.
-		err := logErr
-		if s := txnSlot[i]; s >= 0 && errs[s] != nil {
-			err = errs[s]
-		}
-		e.done <- err
-	}
+	g.container.commitBatch(batch)
 	// Zero the flushed slots so the shared backing array does not pin the
 	// committed transactions' read/write sets until append reallocates.
 	for i := range batch {
@@ -335,13 +212,14 @@ type GroupCommitStats struct {
 }
 
 // GroupCommitStats returns per-container group-commit statistics. Containers
-// without group commit enabled report zeros.
+// without group commit enabled report zeros (their batches of one are not
+// group commits).
 func (db *Database) GroupCommitStats() []GroupCommitStats {
 	out := make([]GroupCommitStats, 0, len(db.containers))
 	for _, c := range db.containers {
 		s := GroupCommitStats{Container: c.id}
-		s.Batches, s.Txns, s.Largest = c.domain.GroupCommitStats()
 		if c.committer != nil {
+			s.Batches, s.Txns, s.Largest = c.domain.GroupCommitStats()
 			s.BatchSize = c.committer.batchSize.Snapshot()
 			c.committer.mu.Lock()
 			s.Records = c.committer.records

@@ -75,7 +75,7 @@ func TestGroupCommitSubmitStopRace(t *testing.T) {
 						t.Errorf("Prepare: %v", err)
 						return
 					}
-					done, ok := gc.submit(txn)
+					done, ok := c.submit(gcEntry{txn: txn})
 					if !ok {
 						// Committer stopped: the caller keeps ownership.
 						if err := txn.AbortPrepared(); err != nil {
@@ -117,7 +117,7 @@ func TestGroupCommitterStopIsIdempotent(t *testing.T) {
 	gc := db.containers[0].committer
 	gc.stop()
 	gc.stop()
-	if _, ok := gc.submit(db.containers[0].domain.Begin()); ok {
+	if _, ok := db.containers[0].submit(gcEntry{txn: db.containers[0].domain.Begin()}); ok {
 		t.Fatal("submit accepted a transaction after stop")
 	}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 )
@@ -27,16 +28,24 @@ const (
 	// recovery will find the records in its mirror. Like MySQL's semi-sync,
 	// the mode degrades to async when no semi-sync replica is attached (a
 	// failed replica detaches itself), so a dead replica cannot wedge the
-	// primary forever.
+	// primary forever. That holds only while the primary is healthy: once the
+	// primary is fenced (a failover is promoting one of its replicas), a
+	// commit whose ship-wait is released — by the promoted replica detaching,
+	// or by a survivor confirming a record the promoted one never received —
+	// fails with ErrFenced, outcome unknown, instead of being acknowledged.
 	AckSemiSync AckMode = "semi-sync"
 )
 
 // replicationHub lives on a primary Database and tracks the durably-mirrored
-// LSN of every attached replica, per container. Commit paths consult it in
-// two ways: waitShipped blocks a semi-sync acknowledgment until the batch is
-// mirrored, and floor clamps checkpoint truncation so the primary never
-// deletes segments an attached replica still has to ship.
+// LSN of every attached replica, per container. It is consulted in two ways:
+// waitShipped is the commit pipeline's ship-wait stage, and floor clamps
+// checkpoint truncation so the primary never deletes segments an attached
+// replica still has to ship.
 type replicationHub struct {
+	// fenced reports whether the owning database has been fenced behind a
+	// newer primary epoch (Database.Fenced).
+	fenced func() bool
+
 	mu   sync.Mutex
 	cond *sync.Cond
 	// replicas maps each attached replica to its per-container mirrored-LSN
@@ -44,8 +53,7 @@ type replicationHub struct {
 	// touched from here.
 	replicas map[*Replica]*replAttachment
 	// semiSync counts attached semi-sync replicas, read without the lock on
-	// the commit fast path: with zero attached, waitShipped is a single
-	// atomic load.
+	// the commit fast path: with zero attached, waitShipped takes no lock.
 	semiSync atomic.Int32
 }
 
@@ -54,8 +62,8 @@ type replAttachment struct {
 	shipped []uint64 // per-container durably mirrored LSN
 }
 
-func newReplicationHub() *replicationHub {
-	h := &replicationHub{replicas: make(map[*Replica]*replAttachment)}
+func newReplicationHub(fenced func() bool) *replicationHub {
+	h := &replicationHub{fenced: fenced, replicas: make(map[*Replica]*replAttachment)}
 	h.cond = sync.NewCond(&h.mu)
 	return h
 }
@@ -98,33 +106,43 @@ func (h *replicationHub) advance(r *Replica, container int, lsn uint64) {
 	h.mu.Unlock()
 }
 
-// waitShipped blocks until every attached semi-sync replica has durably
-// mirrored container's log through lsn. With no semi-sync replica attached it
-// returns immediately (one atomic load — async deployments and replica-free
-// primaries pay nothing). A replica that detaches mid-wait stops being
-// waited for: its durability promise is withdrawn along with it.
-func (h *replicationHub) waitShipped(container int, lsn uint64) {
-	if h.semiSync.Load() == 0 {
-		return
-	}
-	h.mu.Lock()
-	for {
-		waiting := false
-		for _, a := range h.replicas {
-			if a.mode != AckSemiSync {
-				continue
-			}
-			if container < len(a.shipped) && a.shipped[container] < lsn {
-				waiting = true
-				break
-			}
+// waitShipped is the commit pipeline's ship-wait stage: it blocks until every
+// attached semi-sync replica has durably mirrored container's log through
+// lsn, and reports whether the records may then be acknowledged. With no
+// semi-sync replica attached it does not block (one atomic load — async
+// deployments and replica-free primaries pay nothing). A replica that
+// detaches mid-wait stops being waited for: its durability promise is
+// withdrawn along with it.
+//
+// That release is a success only on a healthy primary. Supervisor.Failover
+// fences the old primary before PromoteReplica closes the candidate, and
+// detach publishes under mu, so a waiter released by a promotion-driven
+// detach — or by a survivor mirroring a record the promoted candidate never
+// received — observes the fence here and must not acknowledge: the new
+// primary may not hold the record.
+func (h *replicationHub) waitShipped(container int, lsn uint64) error {
+	if h.semiSync.Load() > 0 {
+		h.mu.Lock()
+		for h.behind(container, lsn) {
+			h.cond.Wait()
 		}
-		if !waiting {
-			break
-		}
-		h.cond.Wait()
+		h.mu.Unlock()
 	}
-	h.mu.Unlock()
+	if h.fenced() {
+		return fmt.Errorf("engine: commit outcome unknown: %w before replicas confirmed LSN %d of container %d", ErrFenced, lsn, container)
+	}
+	return nil
+}
+
+// behind reports whether some attached semi-sync replica has not yet durably
+// mirrored container's log through lsn. The caller holds mu.
+func (h *replicationHub) behind(container int, lsn uint64) bool {
+	for _, a := range h.replicas {
+		if a.mode == AckSemiSync && container < len(a.shipped) && a.shipped[container] < lsn {
+			return true
+		}
+	}
+	return false
 }
 
 // floor returns the minimum durably-mirrored LSN across every attached
@@ -145,11 +163,4 @@ func (h *replicationHub) floor(container int) (uint64, bool) {
 		}
 	}
 	return min, any
-}
-
-// waitShipped blocks until every attached semi-sync replica has durably
-// mirrored this container's log through lsn: the commit-path hook of
-// AckSemiSync. It is a no-op with no semi-sync replica attached.
-func (c *Container) waitShipped(lsn uint64) {
-	c.db.repl.waitShipped(c.id, lsn)
 }

@@ -167,60 +167,55 @@ func mapCommitErr(err error) error {
 }
 
 // commit runs the commitment protocol over every container the transaction
-// touched: the container's native OCC commit (or group commit when enabled)
-// when a single container is involved, two-phase commit with OCC validation
-// as the vote otherwise (§3.2.2). It returns ErrConflict on validation
-// failure. session is the executor core session of the committing task; the
-// group-commit path yields it while waiting for the batch window, since the
-// wait is log latency, not CPU work.
+// touched: validate and submit to the container's commit pipeline when a
+// single container is involved, two-phase commit with OCC validation as the
+// vote otherwise (§3.2.2). It returns ErrConflict on validation failure.
+// session is the executor core session of the committing task.
 func (r *rootTxn) commit(session *coreSession) error {
 	if r.db.cfg.DisableCC {
 		return nil
 	}
 	containers := r.touchedContainers()
-	switch len(containers) {
-	case 0:
-		return nil
-	case 1:
-		c := containers[0]
-		txn := r.txns[c]
-		if gc := c.committer; gc != nil {
-			return r.groupCommit(gc, txn, session)
-		}
-		// Without group commit every transaction pays the full durable log
-		// write on its own: a real WAL append+fsync under DurabilityWAL, the
-		// modeled cost on its executor core otherwise. The append happens
-		// between prepare and the write phase so log order respects read
-		// dependencies (see walRecordPrepared).
-		if err := txn.Prepare(); err != nil {
-			return mapCommitErr(err)
-		}
-		if _, err := c.appendCommitRecord(txn); err != nil {
-			_ = txn.AbortPrepared()
-			return err
-		}
-		if _, err := txn.CommitPrepared(); err != nil {
-			return err
-		}
-		if c.wal != nil {
-			// Sync even when this transaction appended nothing (read-only):
-			// the records of the commits it read are already in the log, so
-			// the fsync makes every antecedent durable before this result is
-			// externalized. An already-durable log absorbs the call.
-			if err := c.wal.Sync(); err != nil {
-				return err
-			}
-			// Semi-sync hook for the unbatched commit path: the result is
-			// externalized only after semi-sync replicas durably hold it.
-			c.waitShipped(c.wal.DurableLSN())
-		}
-		if lw := r.db.cfg.Costs.LogWrite; lw > 0 && c.wal == nil {
-			vclock.Spin(lw)
-		}
+	if len(containers) == 0 {
 		return nil
 	}
-
-	return r.commitTwoPhase(containers, session)
+	if len(containers) > 1 {
+		return r.commitTwoPhase(containers, session)
+	}
+	c := containers[0]
+	txn := r.txns[c]
+	if err := txn.Prepare(); err != nil {
+		return mapCommitErr(err)
+	}
+	// Same core rule as commitTwoPhase: the core is released while the commit
+	// waits on a real log force or a group-commit window and re-acquired only
+	// after the pipeline ran the write phase. The prepared transaction keeps
+	// its OCC locks meanwhile. A modeled log write without a committer is CPU
+	// work charged on this core, so the core stays held.
+	yield := (c.wal != nil || c.committer != nil) && session != nil && !r.db.cfg.DisableCooperativeMultitasking
+	if yield && c.committer == nil {
+		// The batch of one is forced right here, inside submit.
+		session.release()
+		defer session.acquire()
+	}
+	done, ok := c.submit(gcEntry{txn: txn})
+	if !ok {
+		// The committer stopped before accepting the transaction (shutdown
+		// racing the tail of an in-flight commit); release its locks and
+		// report the closure instead of blocking on a flush that will never
+		// happen.
+		_ = txn.AbortPrepared()
+		return errDatabaseClosed
+	}
+	if yield && c.committer != nil {
+		// A committer has the entry — and its window timer armed — before the
+		// executor moves on: entries join the batch in the order their
+		// transactions ran, and the goroutine cannot lose the CPU to the next
+		// request while it holds OCC locks that no window is timing yet.
+		session.release()
+		defer session.acquire()
+	}
+	return mapCommitErr(<-done)
 }
 
 // commitTwoPhase runs the atomic commit protocol for a multi-container
@@ -302,9 +297,8 @@ func (r *rootTxn) commitTwoPhase(containers []*Container, session *coreSession) 
 	// and, crucially, the write phase of phase four must run *before* the
 	// core is re-acquired. A request running on this executor may be
 	// spinning on one of our prepared record latches while holding the core;
-	// re-acquiring first would deadlock the two (the single-container group
-	// committer avoids the same cycle by running its write phase on the
-	// committer goroutine).
+	// re-acquiring first would deadlock the two (single-container commits
+	// follow the same rule, see commit).
 	useWAL := false
 	for _, c := range containers {
 		if c.wal != nil {
@@ -428,35 +422,6 @@ func (r *rootTxn) retractPrepares(containers []*Container, recs []*wal.Record) {
 			containers[i].retractRecord(rec.TID)
 		}
 	}
-}
-
-// groupCommit validates the transaction on its executor core, then hands it
-// to the container's group committer and waits for the batch to flush. The
-// executor core is released during the wait (unless cooperative multitasking
-// is disabled) so queued requests can run; the prepared transaction keeps its
-// OCC locks until the flush, bounding the wait by the configured window.
-func (r *rootTxn) groupCommit(gc *groupCommitter, txn *occ.Txn, session *coreSession) error {
-	if err := txn.Prepare(); err != nil {
-		return mapCommitErr(err)
-	}
-	done, ok := gc.submit(txn)
-	if !ok {
-		// The committer stopped before accepting the transaction (shutdown
-		// racing the tail of an in-flight commit); release its locks and
-		// report the closure instead of blocking on a flush that will never
-		// happen.
-		_ = txn.AbortPrepared()
-		return errDatabaseClosed
-	}
-	yield := session != nil && !r.db.cfg.DisableCooperativeMultitasking
-	if yield {
-		session.release()
-	}
-	err := <-done
-	if yield {
-		session.acquire()
-	}
-	return mapCommitErr(err)
 }
 
 // abortAll aborts every per-container transaction that is still active, used
