@@ -22,8 +22,12 @@ build:
 test:
 	$(GO) test ./...
 
+# The concurrency core, the log and the network front-end under the race
+# detector. The front-end recycles every buffer on the request path (calls,
+# requests, coalescing write buffers, read buffers, published hints), and its
+# pipelining tests check each reply against the in-process answer.
 race:
-	$(GO) test -race ./internal/engine/... ./internal/occ/... ./internal/wal/...
+	$(GO) test -race ./internal/engine/... ./internal/occ/... ./internal/wal/... ./internal/server/...
 
 # Steal/admission stress under the race detector, run twice: the steal
 # correctness stress (affine tasks never stolen, serializable histories under
@@ -70,12 +74,19 @@ crash-failover:
 	$(GO) test -race -run CrashFailover -count=1 ./internal/engine/...
 	$(GO) test -race -run TestCrashFailoverPrimaryKillMatrix -count=50 ./internal/engine/
 
-# Fuzz smoke for WAL record and checkpoint decoding (corrupt frames must be
-# ErrCorrupt — forcing checkpoint fallback to full replay — never a panic or
-# a silent mis-decode).
+# Fuzz smoke for the decoders of untrusted bytes. WAL record and checkpoint
+# decoding: corrupt frames must be ErrCorrupt — forcing checkpoint fallback to
+# full replay — never a panic or a silent mis-decode. The wire codec (frame
+# reader, execute, query and result bodies): never a panic, never more
+# allocated than a small multiple of the input, and what decodes survives
+# encode and decode unchanged.
 fuzz:
 	$(GO) test -fuzz=FuzzDecodeRecord -fuzztime=10s ./internal/wal
 	$(GO) test -fuzz=FuzzDecodeCheckpoint -fuzztime=10s ./internal/wal
+	$(GO) test -run='^$$' -fuzz='^FuzzReadFrame$$' -fuzztime=10s ./internal/server
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeExecuteReq$$' -fuzztime=10s ./internal/server
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeResultMsg$$' -fuzztime=10s ./internal/server
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeQueryReq$$' -fuzztime=10s ./internal/server
 
 bench:
 	$(GO) test -run=XXX -bench=. -benchtime=1x ./...

@@ -14,14 +14,25 @@ import (
 //
 // One ActiveSet exists per root transaction; its methods are safe for
 // concurrent use by the executors running the transaction's sub-transactions.
+// The zero value is an empty set, so a root transaction embeds it by value. A
+// transaction is rarely active on more than a handful of reactors at once:
+// those live in an inline array, and only a wider fan-out spills into a map.
 type ActiveSet struct {
 	mu     sync.Mutex
-	active map[string]int // reactor name -> number of active execution contexts
+	inline [4]string
+	n      int                 // reactors held in inline[:n]
+	spill  map[string]struct{} // reactors beyond the inline array; nil until needed
 }
 
-// NewActiveSet returns an empty active set.
-func NewActiveSet() *ActiveSet {
-	return &ActiveSet{active: make(map[string]int)}
+// has reports membership. The caller holds a.mu.
+func (a *ActiveSet) has(reactor string) bool {
+	for _, r := range a.inline[:a.n] {
+		if r == reactor {
+			return true
+		}
+	}
+	_, ok := a.spill[reactor]
+	return ok
 }
 
 // Enter registers a new sub-transaction execution context on the reactor. It
@@ -30,10 +41,18 @@ func NewActiveSet() *ActiveSet {
 func (a *ActiveSet) Enter(reactor string) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.active[reactor] > 0 {
+	if a.has(reactor) {
 		return fmt.Errorf("%w: reactor %s", ErrDangerousStructure, reactor)
 	}
-	a.active[reactor]++
+	if a.n < len(a.inline) {
+		a.inline[a.n] = reactor
+		a.n++
+		return nil
+	}
+	if a.spill == nil {
+		a.spill = make(map[string]struct{})
+	}
+	a.spill[reactor] = struct{}{}
 	return nil
 }
 
@@ -41,9 +60,15 @@ func (a *ActiveSet) Enter(reactor string) error {
 func (a *ActiveSet) Exit(reactor string) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.active[reactor] > 0 {
-		a.active[reactor]--
+	for i, r := range a.inline[:a.n] {
+		if r == reactor {
+			a.n--
+			a.inline[i] = a.inline[a.n]
+			a.inline[a.n] = ""
+			return
+		}
 	}
+	delete(a.spill, reactor)
 }
 
 // ActiveOn reports whether the reactor currently has an active execution
@@ -51,19 +76,12 @@ func (a *ActiveSet) Exit(reactor string) {
 func (a *ActiveSet) ActiveOn(reactor string) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.active[reactor] > 0
+	return a.has(reactor)
 }
 
-// Size returns the number of reactors with at least one active execution
-// context.
+// Size returns the number of reactors with an active execution context.
 func (a *ActiveSet) Size() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	n := 0
-	for _, c := range a.active {
-		if c > 0 {
-			n++
-		}
-	}
-	return n
+	return a.n + len(a.spill)
 }

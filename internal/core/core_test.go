@@ -74,6 +74,33 @@ func TestFutureGetBlocksUntilResolve(t *testing.T) {
 	}
 }
 
+// TestFutureZeroValueWakesEveryWaiter: the runtime embeds a root transaction's
+// future in the transaction's own state, so the zero value must be a working
+// unresolved future — including with several goroutines blocked in Get.
+func TestFutureZeroValueWakesEveryWaiter(t *testing.T) {
+	var f Future
+	const waiters = 8
+	got := make(chan any, waiters)
+	for i := 0; i < waiters; i++ {
+		go func() {
+			v, _ := f.Get()
+			got <- v
+		}()
+	}
+	time.Sleep(5 * time.Millisecond) // let most of them block first
+	f.Resolve("done", nil)
+	for i := 0; i < waiters; i++ {
+		select {
+		case v := <-got:
+			if v != "done" {
+				t.Fatalf("waiter got %v", v)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of %d waiters never woke", waiters-i, waiters)
+		}
+	}
+}
+
 func TestFutureDoubleResolveIsNoop(t *testing.T) {
 	f := NewFuture()
 	f.Resolve(1, nil)
@@ -235,8 +262,36 @@ func TestDatabaseDefDeclarations(t *testing.T) {
 	}
 }
 
+// TestInternReturnsTheDefinitionsOwnStrings: a wire decoder turns the names it
+// holds as bytes into strings through Intern, which must not allocate for
+// anything the definition declares and must still spell what it does not.
+func TestInternReturnsTheDefinitionsOwnStrings(t *testing.T) {
+	schema := rel.MustSchema("t", []rel.Column{{Name: "k", Type: rel.Int64}}, "k")
+	noop := func(Context, Args) (any, error) { return nil, nil }
+	def := NewDatabaseDef().MustAddType(NewType("T").AddRelation(schema).AddProcedure("read", noop))
+	def.MustDeclareReactors("T", "alpha", "beta")
+
+	reactor, procedure := []byte("beta"), []byte("read")
+	var r, p string
+	if allocs := testing.AllocsPerRun(100, func() { r, p = def.Intern(reactor, procedure) }); allocs != 0 {
+		t.Fatalf("Intern of declared names allocated %.0f times", allocs)
+	}
+	if r != "beta" || p != "read" {
+		t.Fatalf("Intern = (%q, %q)", r, p)
+	}
+	if r, p := def.Intern([]byte("beta"), []byte("nosuch")); r != "beta" || p != "nosuch" {
+		t.Fatalf("unknown procedure: Intern = (%q, %q)", r, p)
+	}
+	if r, p := def.Intern([]byte("gamma"), []byte("read")); r != "gamma" || p != "read" {
+		t.Fatalf("unknown reactor: Intern = (%q, %q)", r, p)
+	}
+	if def.TypeOf("alpha") != def.Type("T") || def.TypeOf("gamma") != nil {
+		t.Fatalf("TypeOf disagrees with the declarations")
+	}
+}
+
 func TestActiveSetSafetyCondition(t *testing.T) {
-	as := NewActiveSet()
+	as := new(ActiveSet)
 	if err := as.Enter("A"); err != nil {
 		t.Fatalf("first Enter failed: %v", err)
 	}
@@ -258,10 +313,39 @@ func TestActiveSetSafetyCondition(t *testing.T) {
 	}
 	// Exit of a reactor that is not active is a no-op.
 	as.Exit("never-entered")
+
+	// A fan-out wider than the inline array spills into the map and obeys the
+	// same rules there, wherever Exit leaves the holes.
+	wide := []string{"C", "D", "E", "F", "G"}
+	for _, r := range wide {
+		if err := as.Enter(r); err != nil {
+			t.Fatalf("Enter(%s) failed: %v", r, err)
+		}
+	}
+	if as.Size() != 2+len(wide) {
+		t.Fatalf("Size = %d, want %d", as.Size(), 2+len(wide))
+	}
+	for _, r := range append([]string{"A", "B"}, wide...) {
+		if err := as.Enter(r); !errors.Is(err, ErrDangerousStructure) {
+			t.Fatalf("second Enter(%s) should be dangerous, got %v", r, err)
+		}
+	}
+	for _, r := range []string{"G", "A", "D"} {
+		as.Exit(r)
+		if as.ActiveOn(r) {
+			t.Fatalf("%s still active after Exit", r)
+		}
+		if err := as.Enter(r); err != nil {
+			t.Fatalf("Enter(%s) after Exit failed: %v", r, err)
+		}
+	}
+	if as.Size() != 2+len(wide) {
+		t.Fatalf("Size after churn = %d, want %d", as.Size(), 2+len(wide))
+	}
 }
 
 func TestActiveSetConcurrentEnterSingleWinner(t *testing.T) {
-	as := NewActiveSet()
+	as := new(ActiveSet)
 	const goroutines = 16
 	var wins atomic.Int32
 	var wg sync.WaitGroup

@@ -12,7 +12,7 @@ import (
 // context have completed.
 type Future struct {
 	mu       sync.Mutex
-	done     chan struct{}
+	wake     sync.Cond // signalled by Resolve; its Locker is set by the first Get that blocks
 	resolved bool
 	value    any
 	err      error
@@ -29,18 +29,17 @@ type Future struct {
 	delivered bool
 }
 
-// NewFuture returns an unresolved future.
+// NewFuture returns an unresolved future. The zero value is one too, so the
+// runtime embeds a root transaction's future in the transaction's own state.
 func NewFuture() *Future {
-	return &Future{done: make(chan struct{})}
+	return new(Future)
 }
 
 // ResolvedFuture returns a future that already carries a result; it is used
 // for synchronously inlined sub-transaction calls, whose "future results are
 // immediately available" (§2.2.4).
 func ResolvedFuture(value any, err error) *Future {
-	f := NewFuture()
-	f.Resolve(value, err)
-	return f
+	return &Future{resolved: true, value: value, err: err}
 }
 
 // SetWaitHooks installs callbacks invoked around a blocking Get. The runtime
@@ -74,8 +73,8 @@ func (f *Future) Resolve(value any, err error) {
 	f.value = value
 	f.err = err
 	f.resolved = true
-	close(f.done)
 	f.mu.Unlock()
+	f.wake.Broadcast()
 }
 
 // Resolved reports whether the future already carries a result.
@@ -88,25 +87,25 @@ func (f *Future) Resolved() bool {
 // Get blocks until the future is resolved and returns its value and error.
 func (f *Future) Get() (any, error) {
 	f.mu.Lock()
-	if f.resolved {
-		v, err := f.value, f.err
-		deliver := f.takeDeliverLocked()
+	if !f.resolved {
+		onWait, onResume := f.onWait, f.onResume
 		f.mu.Unlock()
-		if deliver != nil {
-			deliver()
+		if onWait != nil {
+			onWait()
 		}
-		return v, err
+		f.mu.Lock()
+		if f.wake.L == nil {
+			f.wake.L = &f.mu
+		}
+		for !f.resolved {
+			f.wake.Wait()
+		}
+		f.mu.Unlock()
+		if onResume != nil {
+			onResume()
+		}
+		f.mu.Lock()
 	}
-	onWait, onResume := f.onWait, f.onResume
-	f.mu.Unlock()
-	if onWait != nil {
-		onWait()
-	}
-	<-f.done
-	if onResume != nil {
-		onResume()
-	}
-	f.mu.Lock()
 	v, err := f.value, f.err
 	deliver := f.takeDeliverLocked()
 	f.mu.Unlock()

@@ -21,12 +21,19 @@ type Procedure func(ctx Context, args Args) (any, error)
 type Type struct {
 	name       string
 	schemas    []*rel.Schema
-	procedures map[string]Procedure
+	procedures map[string]procDecl
+}
+
+// procDecl is a registered procedure together with the type's own copy of its
+// name (see DatabaseDef.Intern).
+type procDecl struct {
+	name string
+	run  Procedure
 }
 
 // NewType creates an empty reactor type with the given name.
 func NewType(name string) *Type {
-	return &Type{name: name, procedures: make(map[string]Procedure)}
+	return &Type{name: name, procedures: make(map[string]procDecl)}
 }
 
 // Name returns the type name.
@@ -50,7 +57,7 @@ func (t *Type) AddRelation(schema *rel.Schema) *Type {
 // AddProcedure registers a procedure under the given name. It returns the
 // type for chaining.
 func (t *Type) AddProcedure(name string, p Procedure) *Type {
-	t.procedures[name] = p
+	t.procedures[name] = procDecl{name: name, run: p}
 	return t
 }
 
@@ -58,7 +65,7 @@ func (t *Type) AddProcedure(name string, p Procedure) *Type {
 func (t *Type) Relations() []*rel.Schema { return t.schemas }
 
 // Procedure returns the named procedure, or nil.
-func (t *Type) Procedure(name string) Procedure { return t.procedures[name] }
+func (t *Type) Procedure(name string) Procedure { return t.procedures[name].run }
 
 // ProcedureNames returns the names of all registered procedures, sorted.
 func (t *Type) ProcedureNames() []string {
@@ -99,13 +106,14 @@ func (t *Type) Validate() error {
 // (§2.2.1).
 type DatabaseDef struct {
 	types    map[string]*Type
-	reactors map[string]string // reactor name -> type name
-	order    []string          // declaration order of reactor names
+	reactors map[string]int // reactor name -> index into order and typeOf
+	order    []string       // declaration order of reactor names
+	typeOf   []*Type        // the type of order[i]
 }
 
 // NewDatabaseDef returns an empty database declaration.
 func NewDatabaseDef() *DatabaseDef {
-	return &DatabaseDef{types: make(map[string]*Type), reactors: make(map[string]string)}
+	return &DatabaseDef{types: make(map[string]*Type), reactors: make(map[string]int)}
 }
 
 // AddType registers a reactor type. It fails on duplicates or invalid types.
@@ -133,14 +141,16 @@ func (d *DatabaseDef) DeclareReactor(name, typeName string) error {
 	if name == "" {
 		return fmt.Errorf("reactor: reactor needs a name")
 	}
-	if _, ok := d.types[typeName]; !ok {
+	typ, ok := d.types[typeName]
+	if !ok {
 		return fmt.Errorf("reactor: reactor %q references undeclared type %q", name, typeName)
 	}
 	if _, dup := d.reactors[name]; dup {
 		return fmt.Errorf("reactor: reactor %q already declared", name)
 	}
-	d.reactors[name] = typeName
+	d.reactors[name] = len(d.order)
 	d.order = append(d.order, name)
+	d.typeOf = append(d.typeOf, typ)
 	return nil
 }
 
@@ -166,11 +176,27 @@ func (d *DatabaseDef) Type(name string) *Type { return d.types[name] }
 // TypeOf returns the type of the named reactor, or nil if the reactor is not
 // declared.
 func (d *DatabaseDef) TypeOf(reactor string) *Type {
-	tn, ok := d.reactors[reactor]
+	i, ok := d.reactors[reactor]
 	if !ok {
 		return nil
 	}
-	return d.types[tn]
+	return d.typeOf[i]
+}
+
+// Intern turns a reactor and a procedure name held as bytes — what a wire
+// decoder has — into strings without allocating: declared names come back as
+// the definition's own copies. A name the definition does not know is copied,
+// so that the caller's "unknown reactor" error can still spell it.
+func (d *DatabaseDef) Intern(reactor, procedure []byte) (string, string) {
+	i, ok := d.reactors[string(reactor)]
+	if !ok {
+		return string(reactor), string(procedure)
+	}
+	p, ok := d.typeOf[i].procedures[string(procedure)]
+	if !ok {
+		return d.order[i], string(procedure)
+	}
+	return d.order[i], p.name
 }
 
 // HasReactor reports whether the reactor name is declared.

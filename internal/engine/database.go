@@ -302,38 +302,48 @@ func (db *Database) ExecuteProfiled(reactor, procedure string, args ...any) (any
 	if proc == nil {
 		return nil, Profile{}, fmt.Errorf("%w: %s.%s", core.ErrUnknownProcedure, reactor, procedure)
 	}
-	container := db.containerOf(reactor)
-	root := newRootTxn(db, db.nextTxnID.Add(1))
-	if !db.cfg.DisableActiveSetCheck {
-		// The root transaction itself occupies its reactor.
-		if err := root.activeSet.Enter(reactor); err != nil {
-			return nil, Profile{}, err
-		}
-	}
-	fut := core.NewFuture()
-	t := &task{
-		root:     root,
-		reactor:  reactor,
-		procName: procedure,
-		proc:     proc,
-		args:     core.Args(args),
-		executor: container.router.Route(reactor),
-		future:   fut,
-		isRoot:   true,
-		affine:   db.cfg.pinnedAffinity(),
-	}
-	db.inflight.Add(1)
-	if err := db.dispatch(t); err != nil {
-		db.inflight.Done()
+	res, root, err := db.runRoot(db.containerOf(reactor), reactor, procedure, proc, core.Args(args))
+	if root == nil {
 		return nil, Profile{}, err
 	}
-	res, err := fut.Get()
-	db.inflight.Done()
-
 	profile := root.snapshotProfile()
 	profile.Total = time.Since(start)
 	profile.Aborted = err != nil
 	return res, profile, err
+}
+
+// runRoot runs proc as a new root transaction hosted on the reactor and blocks
+// until it has committed or aborted. The transaction's whole bookkeeping —
+// active set, touched containers, the root task, its future, execution context
+// and core session — is the one rootTxn allocated here. A nil rootTxn means
+// the transaction was never dispatched.
+func (db *Database) runRoot(container *Container, reactor, procName string, proc core.Procedure, args core.Args) (any, *rootTxn, error) {
+	root := &rootTxn{db: db, id: db.nextTxnID.Add(1)}
+	if !db.cfg.DisableActiveSetCheck {
+		// The root transaction itself occupies its reactor.
+		if err := root.activeSet.Enter(reactor); err != nil {
+			return nil, nil, err
+		}
+	}
+	root.task = task{
+		root:     root,
+		reactor:  reactor,
+		procName: procName,
+		proc:     proc,
+		args:     args,
+		executor: container.router.Route(reactor),
+		future:   &root.future,
+		isRoot:   true,
+		affine:   db.cfg.pinnedAffinity(),
+	}
+	db.inflight.Add(1)
+	if err := db.dispatch(&root.task); err != nil {
+		db.inflight.Done()
+		return nil, nil, err
+	}
+	res, err := root.future.Get()
+	db.inflight.Done()
+	return res, root, err
 }
 
 // dispatch hands a task to its executor. Under DispatchQueued the task joins
@@ -347,7 +357,7 @@ func (db *Database) ExecuteProfiled(reactor, procedure string, args ...any) (any
 func (db *Database) dispatch(t *task) error {
 	if db.cfg.Dispatch == DispatchDirect {
 		go func() {
-			session := &coreSession{exec: t.executor}
+			session := t.newSession(coreSession{exec: t.executor})
 			session.acquire()
 			db.runTask(t, session)
 		}()
@@ -369,7 +379,13 @@ func (db *Database) runTask(t *task, session *coreSession) {
 	defer t.releaseToken()
 	t.executor.chargeEntry(t.reactor)
 
-	ctx := &execContext{
+	// The root request's context lives in its rootTxn; a dispatched
+	// sub-transaction's is its own.
+	ctx := &t.root.ctx
+	if !t.isRoot {
+		ctx = new(execContext)
+	}
+	*ctx = execContext{
 		db:        db,
 		root:      t.root,
 		container: t.executor.container,

@@ -34,32 +34,9 @@ func (db *Database) Query(q *rel.Query) (*rel.Result, error) {
 	if container == nil {
 		return nil, fmt.Errorf("%w: %s", core.ErrUnknownReactor, home)
 	}
-	root := newRootTxn(db, db.nextTxnID.Add(1))
-	if !db.cfg.DisableActiveSetCheck {
-		if err := root.activeSet.Enter(home); err != nil {
-			return nil, err
-		}
-	}
-	fut := core.NewFuture()
-	t := &task{
-		root:     root,
-		reactor:  home,
-		procName: "query",
-		proc: func(ctx core.Context, _ core.Args) (any, error) {
-			return ctx.Query(q)
-		},
-		executor: container.router.Route(home),
-		future:   fut,
-		isRoot:   true,
-		affine:   db.cfg.pinnedAffinity(),
-	}
-	db.inflight.Add(1)
-	if err := db.dispatch(t); err != nil {
-		db.inflight.Done()
-		return nil, err
-	}
-	res, err := fut.Get()
-	db.inflight.Done()
+	res, _, err := db.runRoot(container, home, "query", func(ctx core.Context, _ core.Args) (any, error) {
+		return ctx.Query(q)
+	}, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -80,6 +80,18 @@ type task struct {
 	enqueuedAt time.Time
 }
 
+// newSession places the core session a task is about to run under: in the
+// root transaction's own state for the root task, on the heap for a
+// dispatched sub-transaction.
+func (t *task) newSession(s coreSession) *coreSession {
+	session := &t.root.session
+	if !t.isRoot {
+		session = new(coreSession)
+	}
+	*session = s
+	return session
+}
+
 // releaseToken returns the task's admission token, if it holds one, exactly
 // once.
 func (t *task) releaseToken() {
@@ -91,27 +103,38 @@ func (t *task) releaseToken() {
 
 // rootTxn is the runtime state of a root transaction: its active set (§2.2.4
 // safety condition), the per-container OCC transactions it has touched, and
-// its latency profile.
+// its latency profile. It also holds, by value, everything the root request
+// itself runs with — its task, the future its caller waits on, its execution
+// context and its core session — so that starting a root transaction is one
+// allocation. The lifetime is the garbage collector's: sub-transactions and
+// wait hooks keep pointers into it for as long as they need.
 type rootTxn struct {
 	db        *Database
 	id        uint64
-	activeSet *core.ActiveSet
+	activeSet core.ActiveSet
 
-	mu    sync.Mutex
-	txns  map[*Container]*occ.Txn
-	order []*Container // touch order, for deterministic 2PC iteration
+	mu sync.Mutex
+	// touched lists the containers accessed and the OCC transaction on each,
+	// in touch order (which fixes the iteration order of two-phase commit).
+	// It starts out backed by inline; a transaction spanning more than two
+	// containers outgrows that through append.
+	touched []touch
+	inline  [2]touch
 
 	profMu  sync.Mutex
 	profile Profile
+
+	task    task
+	future  core.Future
+	ctx     execContext
+	session coreSession
 }
 
-func newRootTxn(db *Database, id uint64) *rootTxn {
-	return &rootTxn{
-		db:        db,
-		id:        id,
-		activeSet: core.NewActiveSet(),
-		txns:      make(map[*Container]*occ.Txn),
-	}
+// touch is one container a root transaction accessed and its OCC transaction
+// there.
+type touch struct {
+	c   *Container
+	txn *occ.Txn
 }
 
 // txnFor returns the OCC transaction of this root on the given container,
@@ -119,23 +142,27 @@ func newRootTxn(db *Database, id uint64) *rootTxn {
 func (r *rootTxn) txnFor(c *Container) *occ.Txn {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if t, ok := r.txns[c]; ok {
-		return t
+	for _, t := range r.touched {
+		if t.c == c {
+			return t.txn
+		}
 	}
-	t := c.domain.Begin()
-	r.txns[c] = t
-	r.order = append(r.order, c)
-	return t
+	if r.touched == nil {
+		r.touched = r.inline[:0]
+	}
+	txn := c.domain.Begin()
+	r.touched = append(r.touched, touch{c: c, txn: txn})
+	return txn
 }
 
-// touchedContainers returns the containers this transaction accessed, in touch
-// order.
-func (r *rootTxn) touchedContainers() []*Container {
+// touchedContainers returns the containers this transaction accessed, with
+// their transactions, in touch order. The slice is the transaction's own:
+// callers run after every sub-transaction has completed (commit, abort,
+// release), when nothing appends to it any more, and must not modify it.
+func (r *rootTxn) touchedContainers() []touch {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]*Container, len(r.order))
-	copy(out, r.order)
-	return out
+	return r.touched
 }
 
 func (r *rootTxn) addCs(d time.Duration) {
@@ -175,15 +202,14 @@ func (r *rootTxn) commit(session *coreSession) error {
 	if r.db.cfg.DisableCC {
 		return nil
 	}
-	containers := r.touchedContainers()
-	if len(containers) == 0 {
+	touched := r.touchedContainers()
+	if len(touched) == 0 {
 		return nil
 	}
-	if len(containers) > 1 {
-		return r.commitTwoPhase(containers, session)
+	if len(touched) > 1 {
+		return r.commitTwoPhase(touched, session)
 	}
-	c := containers[0]
-	txn := r.txns[c]
+	c, txn := touched[0].c, touched[0].txn
 	if err := txn.Prepare(); err != nil {
 		return mapCommitErr(err)
 	}
@@ -239,7 +265,7 @@ func (r *rootTxn) commit(session *coreSession) error {
 // transaction is committed and step 4 must run on every participant —
 // returning early would leave the remaining prepared participants holding
 // their OCC locks forever.
-func (r *rootTxn) commitTwoPhase(containers []*Container, session *coreSession) error {
+func (r *rootTxn) commitTwoPhase(touched []touch, session *coreSession) error {
 	// Prepare participants in ascending container order, not touch order:
 	// two transactions touching the same containers in opposite orders would
 	// otherwise each hold one container's record latches while spinning on
@@ -247,25 +273,28 @@ func (r *rootTxn) commitTwoPhase(containers []*Container, session *coreSession) 
 	// sorting cannot see. A deterministic global order makes the latch
 	// acquisition graph cycle-free; it also fixes the coordinator (the
 	// lowest-numbered participant) independently of touch order.
-	containers = append([]*Container(nil), containers...)
-	sort.Slice(containers, func(i, j int) bool { return containers[i].id < containers[j].id })
+	touched = append([]touch(nil), touched...)
+	sort.Slice(touched, func(i, j int) bool { return touched[i].c.id < touched[j].c.id })
+	containers := make([]*Container, len(touched))
+	for i, t := range touched {
+		containers[i] = t.c
+	}
 
 	// Phase one: prepare (lock + validate) every participant — the vote.
-	prepared := make([]*occ.Txn, 0, len(containers))
-	for _, c := range containers {
-		txn := r.txns[c]
-		if err := txn.Prepare(); err != nil {
+	prepared := make([]*occ.Txn, 0, len(touched))
+	for _, t := range touched {
+		if err := t.txn.Prepare(); err != nil {
 			for _, p := range prepared {
 				_ = p.AbortPrepared()
 			}
 			// Participants after the failing one never prepared; abort them so
 			// their domains count the abort.
-			for _, later := range containers[len(prepared)+1:] {
-				r.txns[later].Abort()
+			for _, later := range touched[len(prepared)+1:] {
+				later.txn.Abort()
 			}
 			return mapCommitErr(err)
 		}
-		prepared = append(prepared, txn)
+		prepared = append(prepared, t.txn)
 	}
 
 	// Build every participant's prepare record before appending anywhere: an
@@ -428,8 +457,8 @@ func (r *rootTxn) retractPrepares(containers []*Container, recs []*wal.Record) {
 // when the procedure logic itself failed (user abort, dangerous structure,
 // runtime error).
 func (r *rootTxn) abortAll() {
-	for _, c := range r.touchedContainers() {
-		r.txns[c].Abort()
+	for _, t := range r.touchedContainers() {
+		t.txn.Abort()
 	}
 }
 
@@ -440,10 +469,8 @@ func (r *rootTxn) abortAll() {
 // can touch the transactions again; Txn.Release itself refuses transactions
 // that still hold locks.
 func (r *rootTxn) release() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, c := range r.order {
-		r.txns[c].Release()
+	for _, t := range r.touchedContainers() {
+		t.txn.Release()
 	}
 }
 
@@ -452,6 +479,6 @@ func (r *rootTxn) snapshotProfile() Profile {
 	r.profMu.Lock()
 	defer r.profMu.Unlock()
 	p := r.profile
-	p.Containers = len(r.order)
+	p.Containers = len(r.touchedContainers())
 	return p
 }

@@ -175,8 +175,7 @@ func (e *Executor) runLoop() {
 		wait := acquiredAt.Sub(t.enqueuedAt)
 		e.waitHist.ObserveDuration(wait)
 		e.waitWindow.Observe(float64(wait))
-		session := &coreSession{exec: e, acquiredAt: acquiredAt, held: true}
-		go e.container.db.runTask(t, session)
+		go e.container.db.runTask(t, t.newSession(coreSession{exec: e, acquiredAt: acquiredAt, held: true}))
 	}
 }
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -56,19 +57,51 @@ type Conn struct {
 	role   Role
 	redial RedialPolicy
 
-	wmu sync.Mutex // serializes frame writes
-
 	mu      sync.Mutex
-	cond    *sync.Cond // broadcast when c changes or the Conn dies
-	c       net.Conn   // nil while disconnected
-	gen     uint64     // socket generation; guards double-teardown
+	cond    *sync.Cond // broadcast when sock changes or the Conn dies
+	sock    *socket    // nil while disconnected
 	dialing bool
-	pending map[uint64]chan resultMsg
+	pending map[uint64]*call
 	dead    error
 
 	nextID  atomic.Uint64
 	redials atomic.Uint64
-	hints   atomic.Pointer[LoadHints]
+	hints   atomic.Pointer[LoadHints] // what it points to is never modified
+}
+
+// socket is one established connection of a Conn: a redial replaces the whole
+// value, so a pointer comparison tells whether a failure is news.
+type socket struct {
+	nc net.Conn
+	w  frameWriter
+}
+
+// call is one request in flight: the frame being sent, the decoded reply and
+// the channel its caller sleeps on. Calls are recycled through callPool, so a
+// round trip allocates neither a reply channel nor buffers.
+//
+// A registered call is delivered to exactly once — by whoever removes it from
+// Conn.pending, the read loop with a result or a teardown with an error — and
+// its caller always takes that delivery before recycling it, which is why a
+// recycled call can never see a stale response.
+type call struct {
+	frame []byte     // the request frame, encoded before any lock is taken
+	res   resultMsg  // the reply, decoded in place by the read loop
+	done  chan error // nil: res holds the reply; capacity 1, one send per registration
+}
+
+var callPool = sync.Pool{New: func() any { return &call{done: make(chan error, 1)} }}
+
+func getCall() *call { return callPool.Get().(*call) }
+
+// putCall recycles a call whose delivery has been taken, dropping what the
+// reply referenced.
+func putCall(cl *call) {
+	cl.res = resultMsg{}
+	if cap(cl.frame) > ioBufSize {
+		cl.frame = nil
+	}
+	callPool.Put(cl)
 }
 
 // Dial connects to a server, performs the connect/hello handshake and starts
@@ -80,7 +113,7 @@ func Dial(addr string) (*Conn, error) {
 
 // DialRedial is Dial with automatic reconnection under the given policy.
 func DialRedial(addr string, policy RedialPolicy) (*Conn, error) {
-	nc, role, err := dialSocket(addr)
+	sock, fr, role, err := dialSocket(addr)
 	if err != nil {
 		return nil, err
 	}
@@ -88,35 +121,39 @@ func DialRedial(addr string, policy RedialPolicy) (*Conn, error) {
 		addr:    addr,
 		role:    role,
 		redial:  policy.withDefaults(),
-		c:       nc,
-		pending: make(map[uint64]chan resultMsg),
+		sock:    sock,
+		pending: make(map[uint64]*call),
 	}
 	c.cond = sync.NewCond(&c.mu)
-	go c.readLoop(nc, c.gen)
+	go c.readLoop(sock, fr)
 	return c, nil
 }
 
 // dialSocket establishes one socket: TCP dial plus the connect/hello
-// handshake.
-func dialSocket(addr string) (net.Conn, Role, error) {
+// handshake. The frame reader it returns may already hold bytes that followed
+// the hello, so the read loop must go on with it.
+func dialSocket(addr string) (*socket, *frameReader, Role, error) {
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, 0, err
 	}
-	if err := writeFrame(nc, frameConnect, appendUvarint(nil, protocolVersion)); err != nil {
+	sock := &socket{nc: nc}
+	sock.w.init(nc)
+	if err := sock.w.write(appendIDFrame(nil, frameConnect, protocolVersion)); err != nil {
 		nc.Close()
-		return nil, 0, err
+		return nil, nil, 0, err
 	}
-	typ, body, err := readFrame(nc)
+	fr := newFrameReader(nc)
+	typ, body, err := fr.next()
 	if err != nil {
 		nc.Close()
-		return nil, 0, err
+		return nil, nil, 0, err
 	}
 	if typ != frameHello || len(body) < 1 {
 		nc.Close()
-		return nil, 0, errCorruptFrame
+		return nil, nil, 0, errCorruptFrame
 	}
-	return nc, Role(body[0]), nil
+	return sock, fr, Role(body[0]), nil
 }
 
 // Role reports the server's role from the most recent hello frame. After a
@@ -151,68 +188,95 @@ func (c *Conn) Close() error {
 	if c.dead == nil {
 		c.dead = ErrConnClosed
 	}
-	nc := c.c
-	c.c = nil
-	c.gen++
-	pending := c.pending
-	c.pending = make(map[uint64]chan resultMsg)
+	sock := c.sock
+	c.sock = nil
+	failed := c.takePending()
 	c.cond.Broadcast()
 	c.mu.Unlock()
 	var err error
-	if nc != nil {
-		err = nc.Close()
+	if sock != nil {
+		err = sock.nc.Close()
 	}
-	for _, ch := range pending {
-		close(ch)
+	for _, cl := range failed {
+		cl.done <- ErrConnClosed
 	}
 	return err
 }
 
-func (c *Conn) readLoop(nc net.Conn, gen uint64) {
+// takePending empties the pending table and returns what was in it; the
+// caller, which holds c.mu, now owes every one of those calls its delivery.
+func (c *Conn) takePending() map[uint64]*call {
+	failed := c.pending
+	c.pending = make(map[uint64]*call)
+	return failed
+}
+
+// readLoop delivers the results arriving on one socket to the calls waiting
+// for them, and publishes the load hints each result carries.
+func (c *Conn) readLoop(sock *socket, fr *frameReader) {
+	// Hints are decoded into scratch; published is their encoding as of the
+	// last time a copy went out through c.hints, which only happens when they
+	// changed: a server re-collects them every HintRefresh, not per response.
+	var scratch LoadHints
+	var published []byte
 	for {
-		typ, body, err := readFrame(nc)
+		typ, body, err := fr.next()
 		if err != nil {
-			c.dropSocket(nc, gen, fmt.Errorf("%w: %v", ErrConnClosed, err))
+			c.dropSocket(sock, err)
 			return
 		}
 		if typ != frameResult {
 			continue
 		}
-		m, err := decodeResultMsg(body)
-		if err != nil {
-			c.dropSocket(nc, gen, fmt.Errorf("%w: %v", ErrConnClosed, err))
+		r := reader{buf: body}
+		id := r.uvarint()
+		c.mu.Lock()
+		cl := c.pending[id]
+		delete(c.pending, id)
+		c.mu.Unlock()
+		// From here on this loop owns the call (if one was waiting): nobody
+		// else can find it, so the reply is decoded straight into it.
+		var unclaimed resultMsg
+		m := &unclaimed
+		if cl != nil {
+			m = &cl.res
+			m.ID = id
+		}
+		raw := r.result(m, &scratch)
+		if r.err != nil {
+			if cl != nil {
+				cl.done <- fmt.Errorf("%w: %v", ErrConnClosed, r.err)
+			}
+			c.dropSocket(sock, r.err)
 			return
 		}
-		h := m.Hints
-		c.hints.Store(&h)
-		c.mu.Lock()
-		ch, ok := c.pending[m.ID]
-		if ok {
-			delete(c.pending, m.ID)
+		if !bytes.Equal(raw, published) {
+			h := scratch
+			h.Executors = append([]ExecutorHint(nil), scratch.Executors...)
+			c.hints.Store(&h)
+			published = append(published[:0], raw...)
 		}
-		c.mu.Unlock()
-		if ok {
-			ch <- m
+		if cl != nil {
+			cl.done <- nil
 		}
 	}
 }
 
-// dropSocket tears down one broken socket generation: requests in flight on
-// it fail (their frames are lost with it), and — under a redial policy — a
-// background dial loop starts unless one is already running or the Conn is
-// dead. A stale generation (the socket was already replaced or Close ran) is
-// a no-op.
-func (c *Conn) dropSocket(nc net.Conn, gen uint64, err error) {
-	nc.Close()
+// dropSocket tears down one broken socket: requests in flight on it fail with
+// ErrConnClosed wrapping the cause (their frames are lost with it), and —
+// under a redial policy — a background dial loop starts unless one is already
+// running or the Conn is dead. A socket that was already replaced, or a Conn
+// that Close got to first, makes it a no-op.
+func (c *Conn) dropSocket(sock *socket, cause error) {
+	sock.nc.Close()
+	err := fmt.Errorf("%w: %v", ErrConnClosed, cause)
 	c.mu.Lock()
-	if c.gen != gen || c.dead != nil {
+	if c.sock != sock || c.dead != nil {
 		c.mu.Unlock()
 		return
 	}
-	c.c = nil
-	c.gen++
-	pending := c.pending
-	c.pending = make(map[uint64]chan resultMsg)
+	c.sock = nil
+	failed := c.takePending()
 	if c.redial.Attempts <= 0 {
 		c.dead = err
 	} else if !c.dialing {
@@ -221,8 +285,8 @@ func (c *Conn) dropSocket(nc net.Conn, gen uint64, err error) {
 	}
 	c.cond.Broadcast()
 	c.mu.Unlock()
-	for _, ch := range pending {
-		close(ch)
+	for _, cl := range failed {
+		cl.done <- err
 	}
 }
 
@@ -238,22 +302,21 @@ func (c *Conn) redialLoop() {
 			return
 		}
 		c.mu.Unlock()
-		nc, role, err := dialSocket(c.addr)
+		sock, fr, role, err := dialSocket(c.addr)
 		if err == nil {
 			c.mu.Lock()
 			if c.dead != nil {
 				c.mu.Unlock()
-				nc.Close()
+				sock.nc.Close()
 				return
 			}
 			c.role = role
-			c.c = nc
-			gen := c.gen
+			c.sock = sock
 			c.dialing = false
 			c.redials.Add(1)
 			c.cond.Broadcast()
 			c.mu.Unlock()
-			go c.readLoop(nc, gen)
+			go c.readLoop(sock, fr)
 			return
 		}
 		if attempt >= c.redial.Attempts {
@@ -272,52 +335,44 @@ func (c *Conn) redialLoop() {
 	}
 }
 
-// socket blocks until a live socket is available (or returns the Conn's
-// permanent error). Without a redial policy this never blocks: the socket is
-// either live or the Conn is dead.
-func (c *Conn) socket(id uint64, ch chan resultMsg) (net.Conn, uint64, error) {
+// register blocks until a live socket is available (or returns the Conn's
+// permanent error) and enters the call in the pending table under id. Without
+// a redial policy this never blocks: the socket is either live or the Conn is
+// dead.
+func (c *Conn) register(id uint64, cl *call) (*socket, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for {
 		if c.dead != nil {
-			return nil, 0, c.dead
+			return nil, c.dead
 		}
-		if c.c != nil {
-			c.pending[id] = ch
-			return c.c, c.gen, nil
+		if c.sock != nil {
+			c.pending[id] = cl
+			return c.sock, nil
 		}
 		c.cond.Wait()
 	}
 }
 
-func (c *Conn) roundTrip(typ uint8, id uint64, body []byte) (resultMsg, error) {
-	ch := make(chan resultMsg, 1)
-	nc, gen, err := c.socket(id, ch)
+// roundTrip sends cl.frame, the already encoded request id, and waits for its
+// reply to land in cl.res. A reply with a non-OK status is returned as the
+// error it stands for.
+func (c *Conn) roundTrip(id uint64, cl *call) error {
+	sock, err := c.register(id, cl)
 	if err != nil {
-		return resultMsg{}, err
+		return err
 	}
-
-	c.wmu.Lock()
-	err = writeFrame(nc, typ, body)
-	c.wmu.Unlock()
-	if err != nil {
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-		c.dropSocket(nc, gen, fmt.Errorf("%w: %v", ErrConnClosed, err))
-		return resultMsg{}, fmt.Errorf("%w: %v", ErrConnClosed, err)
+	if err := sock.w.write(cl.frame); err != nil {
+		// This socket is broken: fail everything in flight on it. That
+		// includes this call — it was registered while the socket was current,
+		// so either this teardown or the one that beat it to it delivers the
+		// error below.
+		c.dropSocket(sock, err)
 	}
-	m, ok := <-ch
-	if !ok {
-		c.mu.Lock()
-		err := c.dead
-		c.mu.Unlock()
-		if err == nil {
-			err = ErrConnClosed
-		}
-		return resultMsg{}, err
+	if err := <-cl.done; err != nil {
+		return err
 	}
-	return m, nil
+	return statusErr(&cl.res)
 }
 
 // Execute runs a procedure on the server and returns its result, exactly as
@@ -330,6 +385,8 @@ func (c *Conn) Execute(reactor, procedure string, args ...any) (any, error) {
 // whose lag exceeds maxLag records (or is degraded), it answers Stale without
 // running and the call returns ErrStale. maxLag 0 means unbounded.
 func (c *Conn) ExecuteFresh(maxLag uint64, reactor, procedure string, args ...any) (any, error) {
+	cl := getCall()
+	defer putCall(cl)
 	req := executeReq{
 		ID:            c.nextID.Add(1),
 		MaxLagRecords: maxLag,
@@ -337,18 +394,14 @@ func (c *Conn) ExecuteFresh(maxLag uint64, reactor, procedure string, args ...an
 		Procedure:     procedure,
 		Args:          args,
 	}
-	body, err := req.encode(make([]byte, 0, 128))
-	if err != nil {
+	var err error
+	if cl.frame, err = req.appendFrame(cl.frame[:0]); err != nil {
 		return nil, err
 	}
-	m, err := c.roundTrip(frameExecute, req.ID, body)
-	if err != nil {
+	if err := c.roundTrip(req.ID, cl); err != nil {
 		return nil, err
 	}
-	if err := statusErr(&m); err != nil {
-		return nil, err
-	}
-	return m.Value, nil
+	return cl.res.Value, nil
 }
 
 // Query runs a declarative query on the server, exactly as
@@ -359,30 +412,31 @@ func (c *Conn) Query(q *rel.Query) (*rel.Result, error) {
 
 // QueryFresh is Query with a freshness bound (see ExecuteFresh).
 func (c *Conn) QueryFresh(maxLag uint64, q *rel.Query) (*rel.Result, error) {
+	cl := getCall()
+	defer putCall(cl)
 	req := queryReq{ID: c.nextID.Add(1), MaxLagRecords: maxLag, Query: q}
-	body, err := req.encode(make([]byte, 0, 128))
-	if err != nil {
+	var err error
+	if cl.frame, err = req.appendFrame(cl.frame[:0]); err != nil {
 		return nil, err
 	}
-	m, err := c.roundTrip(frameQuery, req.ID, body)
-	if err != nil {
+	if err := c.roundTrip(req.ID, cl); err != nil {
 		return nil, err
 	}
-	if err := statusErr(&m); err != nil {
-		return nil, err
-	}
-	return m.Result, nil
+	return cl.res.Result, nil
 }
 
 // Stats fetches fresh load hints with an explicit stats frame (normal traffic
 // gets them for free on every response).
 func (c *Conn) Stats() (LoadHints, error) {
+	cl := getCall()
+	defer putCall(cl)
 	id := c.nextID.Add(1)
-	m, err := c.roundTrip(frameStats, id, appendUvarint(nil, id))
-	if err != nil {
+	cl.frame = appendIDFrame(cl.frame[:0], frameStats, id)
+	if err := c.roundTrip(id, cl); err != nil {
 		return LoadHints{}, err
 	}
-	return m.Hints, nil
+	// The read loop published the reply's hints before it woke this call.
+	return c.Hints(), nil
 }
 
 // statusErr maps a result's wire status back to an error. Statuses carrying a

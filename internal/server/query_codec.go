@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 
 	"reactdb/internal/rel"
 )
@@ -34,7 +35,7 @@ func appendQuery(dst []byte, q *rel.Query) ([]byte, error) {
 		dst = appendString(dst, f.Alias)
 		dst = appendString(dst, f.Col)
 		dst = append(dst, uint8(f.Op))
-		if dst, err = appendValue(dst, f.Value); err != nil {
+		if dst, err = appendValue(dst, f.Value, 0); err != nil {
 			return nil, fmt.Errorf("server: encode filter %s.%s: %w", f.Alias, f.Col, err)
 		}
 	}
@@ -76,56 +77,22 @@ func appendQuery(dst []byte, q *rel.Query) ([]byte, error) {
 
 func (r *reader) query() *rel.Query {
 	q := rel.NewQuery()
-	nSources := int(r.uvarint())
-	if r.err != nil || nSources > len(r.buf) {
-		r.fail()
-		return q
-	}
-	for i := 0; i < nSources; i++ {
+	for i, n := 0, r.count(); i < n && r.err == nil; i++ {
 		alias, relation := r.string(), r.string()
-		nReactors := int(r.uvarint())
-		if r.err != nil || nReactors > len(r.buf) {
-			r.fail()
-			return q
-		}
-		reactors := make([]string, nReactors)
-		for j := range reactors {
-			reactors[j] = r.string()
-		}
-		q.From(alias, relation, reactors...)
+		q.From(alias, relation, r.strings()...)
 	}
-	nFilters := int(r.uvarint())
-	if r.err != nil || nFilters > len(r.buf) {
-		r.fail()
-		return q
-	}
-	for i := 0; i < nFilters; i++ {
+	for i, n := 0, r.count(); i < n && r.err == nil; i++ {
 		alias, col := r.string(), r.string()
 		op := rel.CmpOp(r.byte())
 		q.Where(alias, col, op, r.value())
 	}
-	nJoins := int(r.uvarint())
-	if r.err != nil || nJoins > len(r.buf) {
-		r.fail()
-		return q
-	}
-	for i := 0; i < nJoins; i++ {
+	for i, n := 0, r.count(); i < n && r.err == nil; i++ {
 		q.Join(r.string(), r.string(), r.string(), r.string())
 	}
-	nGroup := int(r.uvarint())
-	if r.err != nil || nGroup > len(r.buf) {
-		r.fail()
-		return q
-	}
-	for i := 0; i < nGroup; i++ {
+	for i, n := 0, r.count(); i < n && r.err == nil; i++ {
 		q.GroupBy(r.string())
 	}
-	nAggs := int(r.uvarint())
-	if r.err != nil || nAggs > len(r.buf) {
-		r.fail()
-		return q
-	}
-	for i := 0; i < nAggs; i++ {
+	for i, n := 0, r.count(); i < n && r.err == nil; i++ {
 		fn := rel.AggFunc(r.byte())
 		col, as := r.string(), r.string()
 		switch fn {
@@ -141,28 +108,17 @@ func (r *reader) query() *rel.Query {
 			q.Avg(col, as)
 		default:
 			r.fail()
-			return q
 		}
 	}
-	nProject := int(r.uvarint())
-	if r.err != nil || nProject > len(r.buf) {
-		r.fail()
-		return q
-	}
-	for i := 0; i < nProject; i++ {
+	for i, n := 0, r.count(); i < n && r.err == nil; i++ {
 		q.Select(r.string())
 	}
-	nOrder := int(r.uvarint())
-	if r.err != nil || nOrder > len(r.buf) {
-		r.fail()
-		return q
-	}
-	for i := 0; i < nOrder; i++ {
+	for i, n := 0, r.count(); i < n && r.err == nil; i++ {
 		col := r.string()
 		q.OrderBy(col, r.bool())
 	}
-	if limit := int(r.uvarint()); limit > 0 {
-		q.Limit(limit)
+	if limit := r.uvarint(); limit > 0 && limit <= math.MaxInt {
+		q.Limit(int(limit))
 	}
 	if r.bool() {
 		q.Naive()

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"reactdb/internal/core"
 	"reactdb/internal/engine"
 	"reactdb/internal/rel"
 )
@@ -41,6 +42,7 @@ func (o Options) withDefaults() Options {
 // request observes one coherent node, never a half-switched one.
 type backend struct {
 	role    Role
+	def     *core.DatabaseDef
 	exec    func(reactor, procedure string, args ...any) (any, error)
 	query   func(q *rel.Query) (*rel.Result, error)
 	loads   func() []engine.ExecutorLoad
@@ -71,7 +73,7 @@ type Server struct {
 
 	hintMu sync.Mutex
 	hintAt time.Time
-	hint   LoadHints
+	hint   []byte // appendHints of the last collection; replaced, never modified
 
 	mu        sync.Mutex
 	listeners []net.Listener
@@ -83,6 +85,7 @@ type Server struct {
 func primaryBackend(db *engine.Database) *backend {
 	return &backend{
 		role:   RolePrimary,
+		def:    db.Definition(),
 		exec:   db.Execute,
 		query:  db.Query,
 		loads:  db.ExecutorLoads,
@@ -94,6 +97,7 @@ func primaryBackend(db *engine.Database) *backend {
 func replicaBackend(rep *engine.Replica) *backend {
 	return &backend{
 		role:  RoleReplica,
+		def:   rep.Database().Definition(),
 		exec:  rep.Execute,
 		query: rep.Query,
 		loads: rep.Database().ExecutorLoads,
@@ -227,63 +231,134 @@ func (s *Server) forget(c net.Conn) {
 // session is one connection's lifecycle: the connect/hello handshake, then a
 // read loop that dispatches each pipelined request on its own goroutine.
 // Responses may complete out of order; the client matches them by request id.
-// The slots channel is the pipelining window — when it is full the loop stops
-// reading the socket, which propagates as TCP backpressure to the client.
+// The read loop takes a recycled request from the free list for every frame;
+// the list is the pipelining window — once MaxInFlight requests are out it
+// stops reading the socket, which propagates as TCP backpressure to the client.
+// A request is out until its response has been written, or queued within the
+// frameWriter's bound: a client that does not read its responses stalls the
+// session after MaxInFlight of them instead of filling the server's memory.
 func (s *Server) session(c net.Conn) {
 	defer s.wg.Done()
 	defer s.forget(c)
-	typ, body, err := readFrame(c)
+	fr := newFrameReader(c)
+	typ, body, err := fr.next()
 	if err != nil || typ != frameConnect {
 		return
 	}
-	r := &reader{buf: body}
+	r := reader{buf: body}
 	if v := r.uvarint(); r.err != nil || v != protocolVersion {
 		return
 	}
-	hello := appendUvarint([]byte{uint8(s.backend.Load().role)}, protocolVersion)
-	if err := writeFrame(c, frameHello, hello); err != nil {
+	sess := &session{srv: s, conn: c, free: make(chan *request, s.opts.MaxInFlight)}
+	sess.w.init(c)
+	if err := sess.w.write(appendHelloFrame(nil, s.backend.Load().role)); err != nil {
 		return
 	}
 
-	var wmu sync.Mutex
-	slots := make(chan struct{}, s.opts.MaxInFlight)
-	var pending sync.WaitGroup
-	defer pending.Wait()
+	made := 0 // requests created so far; each is in flight or on the free list
+	defer func() {
+		for ; made > 0; made-- {
+			<-sess.free // wait for the requests still in flight
+		}
+	}()
 	for {
-		typ, body, err := readFrame(c)
+		typ, body, err := fr.next()
 		if err != nil {
 			return
 		}
-		slots <- struct{}{}
-		pending.Add(1)
-		go func(typ uint8, body []byte) {
-			defer pending.Done()
-			defer func() { <-slots }()
-			m := s.handle(typ, body)
-			buf, err := m.encode(make([]byte, 0, 256))
-			if err != nil {
-				// The payload was not wire-encodable (e.g. a procedure returned
-				// an unsupported type); degrade to an error result so the
-				// session — and the requests pipelined behind this one — live.
-				fallback := resultMsg{ID: m.ID, Status: statusError, ErrMsg: err.Error(), Hints: m.Hints}
-				buf, _ = fallback.encode(nil)
+		var q *request
+		select {
+		case q = <-sess.free:
+		default:
+			if made < cap(sess.free) {
+				q = &request{sess: sess}
+				q.run = q.serve
+				made++
+			} else {
+				q = <-sess.free
 			}
-			wmu.Lock()
-			_ = writeFrame(c, frameResult, buf)
-			wmu.Unlock()
-		}(typ, body)
+		}
+		q.typ = typ
+		q.in = append(q.in[:0], body...)
+		go q.run()
 	}
 }
 
-func (s *Server) handle(typ uint8, body []byte) resultMsg {
-	b := s.backend.Load()
-	switch typ {
-	case frameExecute:
-		req, err := decodeExecuteReq(body)
-		if err != nil {
-			return resultMsg{Status: statusError, ErrMsg: err.Error(), Hints: s.currentHints()}
+// session is the state the requests of one connection share.
+type session struct {
+	srv  *Server
+	conn net.Conn
+	w    frameWriter
+	free chan *request // requests not in flight; capacity is the window
+}
+
+// request is one pipelined request from socket to executor and back: the
+// frame body as it arrived, what it decodes to, the result and the response
+// frame. A session recycles its requests, so a request in the steady state
+// allocates only what its arguments and its result need.
+type request struct {
+	sess *session
+	run  func() // q.serve, bound once so that starting the goroutine allocates nothing
+	typ  uint8
+	in   []byte // the request body, copied out of the session's read buffer
+	exec executeReq
+	res  resultMsg
+	out  []byte // the response frame
+}
+
+// serve runs the request and sends its response, then returns the request to
+// the session's free list.
+func (q *request) serve() {
+	s := q.sess.srv
+	s.handle(q)
+	hints := s.currentHints()
+	out, err := q.res.appendFrame(q.out[:0], hints)
+	if err != nil {
+		// The payload was not wire-encodable (a procedure returned an
+		// unsupported type) or does not fit a frame; degrade to an error
+		// result so the session — and the requests pipelined behind this one
+		// — live.
+		msg := err.Error()
+		if errors.Is(err, errFrameTooLarge) {
+			msg = "server: result too large: " + msg
 		}
-		m := resultMsg{ID: req.ID}
+		q.res = resultMsg{ID: q.res.ID, Status: statusError, ErrMsg: msg}
+		out, _ = q.res.appendFrame(q.out[:0], hints)
+	}
+	if err := q.sess.w.write(out); err != nil {
+		q.sess.conn.Close() // the stream is torn; stop reading requests from it
+	}
+	// Drop what the request referenced, and any buffer a single large frame
+	// grew beyond what the next request is likely to need.
+	clear(q.exec.Args)
+	if cap(q.exec.Args) > maxPrealloc {
+		q.exec.Args = nil
+	}
+	q.res = resultMsg{}
+	q.out = out[:0]
+	if cap(q.in) > ioBufSize {
+		q.in = nil
+	}
+	if cap(q.out) > ioBufSize {
+		q.out = nil
+	}
+	q.sess.free <- q
+}
+
+// handle decodes the request and runs it against the current backend, leaving
+// the outcome in q.res.
+func (s *Server) handle(q *request) {
+	b := s.backend.Load()
+	m := &q.res
+	switch q.typ {
+	case frameExecute:
+		req := &q.exec
+		err := req.decode(q.in, b.def)
+		m.ID = req.ID // the id comes first: a body that fails further in still names its caller
+		if err != nil {
+			m.Status, m.ErrMsg = statusError, err.Error()
+			return
+		}
 		switch {
 		case b.deposed():
 			m.Status, m.ErrMsg = statusNotPrimary, ErrNotPrimary.Error()
@@ -296,14 +371,14 @@ func (s *Server) handle(typ uint8, body []byte) resultMsg {
 				m.Kind, m.Value = payloadValue, v
 			}
 		}
-		m.Hints = s.currentHints()
-		return m
 	case frameQuery:
-		req, err := decodeQueryReq(body)
+		var req queryReq
+		err := req.decode(q.in)
+		m.ID = req.ID
 		if err != nil {
-			return resultMsg{Status: statusError, ErrMsg: err.Error(), Hints: s.currentHints()}
+			m.Status, m.ErrMsg = statusError, err.Error()
+			return
 		}
-		m := resultMsg{ID: req.ID}
 		switch {
 		case b.deposed():
 			m.Status, m.ErrMsg = statusNotPrimary, ErrNotPrimary.Error()
@@ -316,13 +391,11 @@ func (s *Server) handle(typ uint8, body []byte) resultMsg {
 				m.Kind, m.Result = payloadQuery, res
 			}
 		}
-		m.Hints = s.currentHints()
-		return m
 	case frameStats:
-		r := &reader{buf: body}
-		return resultMsg{ID: r.uvarint(), Status: statusOK, Hints: s.currentHints()}
+		r := reader{buf: q.in}
+		m.ID, m.Status = r.uvarint(), statusOK
 	default:
-		return resultMsg{Status: statusError, ErrMsg: "server: unknown frame type", Hints: s.currentHints()}
+		m.Status, m.ErrMsg = statusError, "server: unknown frame type"
 	}
 }
 
@@ -359,16 +432,19 @@ func statusOf(err error) (uint8, string) {
 	}
 }
 
-// currentHints returns the load hints, recollected at most every HintRefresh.
-func (s *Server) currentHints() LoadHints {
+// currentHints returns the encoded load hints, recollected — and re-encoded —
+// at most every HintRefresh. The slice is shared by every response of that
+// interval and must not be modified.
+func (s *Server) currentHints() []byte {
 	s.hintMu.Lock()
 	defer s.hintMu.Unlock()
 	if !s.hintAt.IsZero() && time.Since(s.hintAt) < s.opts.HintRefresh {
 		return s.hint
 	}
 	b := s.backend.Load()
-	h := LoadHints{Role: b.role}
-	for _, l := range b.loads() {
+	loads := b.loads()
+	h := LoadHints{Role: b.role, Executors: make([]ExecutorHint, 0, len(loads))}
+	for _, l := range loads {
 		h.Executors = append(h.Executors, ExecutorHint{
 			Container:      l.Container,
 			Executor:       l.Executor,
@@ -387,6 +463,8 @@ func (s *Server) currentHints() LoadHints {
 	if b.lastErr != nil {
 		h.Err = b.lastErr()
 	}
-	s.hint, s.hintAt = h, time.Now()
-	return h
+	// Sized for the common case, small counters: two bytes a field.
+	s.hint = appendHints(make([]byte, 0, 16+len(h.Err)+12*len(h.Executors)), &h)
+	s.hintAt = time.Now()
+	return s.hint
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"errors"
+	"io"
 	"reflect"
 	"testing"
 	"time"
@@ -15,7 +16,9 @@ import (
 
 // kvType is the wire-test workload: a keyed store with a read procedure that
 // returns a payload (so execute results cross the wire), a write procedure,
-// and a gated procedure for overload tests.
+// a gated procedure for overload tests, an echo whose result is as large as
+// its arguments, a procedure returning a byte string of any size asked, and
+// one returning a list nested as deep as asked.
 func kvType(gate chan struct{}) *core.Type {
 	schema := rel.MustSchema("store",
 		[]rel.Column{{Name: "k", Type: rel.Int64}, {Name: "v", Type: rel.Int64}}, "k")
@@ -41,6 +44,15 @@ func kvType(gate chan struct{}) *core.Type {
 	t.AddProcedure("boom", func(ctx core.Context, args core.Args) (any, error) {
 		return nil, core.Abortf("no key %d", args.Int64(0))
 	})
+	t.AddProcedure("echo", func(ctx core.Context, args core.Args) (any, error) {
+		return []any(args), nil
+	})
+	t.AddProcedure("big", func(ctx core.Context, args core.Args) (any, error) {
+		return make([]byte, args.Int64(0)), nil
+	})
+	t.AddProcedure("nest", func(ctx core.Context, args core.Args) (any, error) {
+		return nestedList(int(args.Int64(0))), nil
+	})
 	t.AddProcedure("wait", func(ctx core.Context, args core.Args) (any, error) {
 		if gate != nil {
 			<-gate
@@ -48,6 +60,15 @@ func kvType(gate chan struct{}) *core.Type {
 		return nil, nil
 	})
 	return t
+}
+
+// nestedList returns one-element lists nested levels deep around a nil.
+func nestedList(levels int) any {
+	var v any
+	for ; levels > 0; levels-- {
+		v = []any{v}
+	}
+	return v
 }
 
 func kvDef(gate chan struct{}, reactors ...string) *core.DatabaseDef {
@@ -101,13 +122,13 @@ func dial(t *testing.T, addr string) *Conn {
 // --- codec unit tests --------------------------------------------------------
 
 func TestFrameCorruptionDetected(t *testing.T) {
-	var buf bytes.Buffer
-	if err := writeFrame(&buf, frameExecute, []byte("payload")); err != nil {
-		t.Fatalf("writeFrame: %v", err)
+	clean, err := endFrame(append(beginFrame(nil, frameExecute), "payload"...), 0)
+	if err != nil {
+		t.Fatalf("endFrame: %v", err)
 	}
-	clean := append([]byte(nil), buf.Bytes()...)
+	readFrame := func(b []byte) (uint8, []byte, error) { return newFrameReader(bytes.NewReader(b)).next() }
 
-	typ, body, err := readFrame(bytes.NewReader(clean))
+	typ, body, err := readFrame(clean)
 	if err != nil || typ != frameExecute || string(body) != "payload" {
 		t.Fatalf("clean frame = (%d, %q, %v), want (execute, payload, nil)", typ, body, err)
 	}
@@ -115,15 +136,23 @@ func TestFrameCorruptionDetected(t *testing.T) {
 	// Flip one payload byte: the CRC must catch it.
 	corrupt := append([]byte(nil), clean...)
 	corrupt[len(corrupt)-1] ^= 0x40
-	if _, _, err := readFrame(bytes.NewReader(corrupt)); !errors.Is(err, errCorruptFrame) {
+	if _, _, err := readFrame(corrupt); !errors.Is(err, errCorruptFrame) {
 		t.Fatalf("corrupted payload error = %v, want errCorruptFrame", err)
 	}
 
 	// Corrupt the length prefix to an absurd value: refused before allocating.
 	huge := append([]byte(nil), clean...)
 	huge[3] = 0xff
-	if _, _, err := readFrame(bytes.NewReader(huge)); !errors.Is(err, errCorruptFrame) {
+	if _, _, err := readFrame(huge); !errors.Is(err, errCorruptFrame) {
 		t.Fatalf("huge length error = %v, want errCorruptFrame", err)
+	}
+
+	// A stream that ends inside a frame is an error, not a clean end.
+	if _, _, err := readFrame(clean[:len(clean)-2]); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("truncated frame error = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if _, _, err := readFrame(nil); err != io.EOF {
+		t.Fatalf("empty stream error = %v, want io.EOF", err)
 	}
 }
 
@@ -143,7 +172,7 @@ func TestValueCodecRoundTrip(t *testing.T) {
 		[]any{int64(9), "mix", nil},
 	}
 	for _, v := range values {
-		buf, err := appendValue(nil, v)
+		buf, err := appendValue(nil, v, 0)
 		if err != nil {
 			t.Fatalf("encode %#v: %v", v, err)
 		}
@@ -156,7 +185,7 @@ func TestValueCodecRoundTrip(t *testing.T) {
 			t.Fatalf("round trip %#v = %#v", v, got)
 		}
 	}
-	if _, err := appendValue(nil, struct{}{}); err == nil {
+	if _, err := appendValue(nil, struct{}{}, 0); err == nil {
 		t.Fatalf("encoding an unsupported type should fail")
 	}
 }
@@ -213,20 +242,20 @@ func TestQueryCodecRoundTrip(t *testing.T) {
 }
 
 func TestResultMsgRoundTrip(t *testing.T) {
+	hints := LoadHints{
+		Role:       RoleReplica,
+		Degraded:   true,
+		LagRecords: 17,
+		Epoch:      3,
+		Err:        "engine: replica: mirror write: disk on fire",
+		Executors: []ExecutorHint{
+			{Container: 0, Executor: 1, Depth: 3, InFlight: 2, EffectiveDepth: 8, WaitP99Micros: 950},
+		},
+	}
 	m := resultMsg{
 		ID:     42,
 		Status: statusOK,
-		Hints: LoadHints{
-			Role:       RoleReplica,
-			Degraded:   true,
-			LagRecords: 17,
-			Epoch:      3,
-			Err:        "engine: replica: mirror write: disk on fire",
-			Executors: []ExecutorHint{
-				{Container: 0, Executor: 1, Depth: 3, InFlight: 2, EffectiveDepth: 8, WaitP99Micros: 950},
-			},
-		},
-		Kind: payloadQuery,
+		Kind:   payloadQuery,
 		Result: &rel.Result{
 			Columns:     []string{"k", "v"},
 			Rows:        []rel.Row{{int64(1), "a"}, {int64(2), "b"}},
@@ -234,17 +263,43 @@ func TestResultMsgRoundTrip(t *testing.T) {
 			AccessPaths: map[string]string{"s": "scan"},
 		},
 	}
-	buf, err := m.encode(nil)
+	frame, err := m.appendFrame(nil, appendHints(nil, &hints))
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	got, err := decodeResultMsg(buf)
+	got, gotHints, err := decodeResultFrame(frame)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	if !reflect.DeepEqual(got, m) {
 		t.Fatalf("round trip mismatch:\n got  %#v\n want %#v", got, m)
 	}
+	if !reflect.DeepEqual(gotHints, hints) {
+		t.Fatalf("hints round trip mismatch:\n got  %#v\n want %#v", gotHints, hints)
+	}
+}
+
+// decodeResultFrame reads one result frame the way the client's read loop
+// does: frame, id, then the rest.
+func decodeResultFrame(frame []byte) (resultMsg, LoadHints, error) {
+	var m resultMsg
+	var h LoadHints
+	typ, body, err := newFrameReader(bytes.NewReader(frame)).next()
+	if err != nil {
+		return m, h, err
+	}
+	if typ != frameResult {
+		return m, h, errCorruptFrame
+	}
+	return decodeResultBody(body)
+}
+
+// decodeResultBody decodes a result frame's body: the id, then the rest.
+func decodeResultBody(body []byte) (m resultMsg, h LoadHints, err error) {
+	r := reader{buf: body}
+	m.ID = r.uvarint()
+	r.result(&m, &h)
+	return m, h, r.err
 }
 
 // --- end-to-end tests --------------------------------------------------------
