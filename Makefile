@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all fmt fmt-check vet build test race race-sched crash crash-ckpt crash-repl crash-failover fuzz bench bench-wal bench-2pc bench-ckpt bench-sched bench-sched-check bench-query bench-query-check bench-storage bench-storage-check bench-repl bench-repl-check bench-server bench-server-check
+.PHONY: all fmt fmt-check vet build test race race-sched crash crash-ckpt crash-repl crash-failover fuzz bench bench-paper bench-smoke
 
 all: fmt-check vet build test
 
@@ -88,79 +88,20 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeResultMsg$$' -fuzztime=10s ./internal/server
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeQueryReq$$' -fuzztime=10s ./internal/server
 
+# The repository's one benchmark: five wire workloads on the real profile
+# (zero modeled costs, WAL on files with real fsync, loopback TCP), judged by
+# BENCHMARK.json.
 bench:
-	$(GO) test -run=XXX -bench=. -benchtime=1x ./...
+	$(GO) run ./benchmark
 
-# Smoke-run the durability sweep (modeled vs WAL, window x batch) in its
-# quick configuration.
-bench-wal:
-	$(GO) run ./cmd/reactdb-bench -experiment durability
+# The paper's figures and tables on the modeled profile (virtual-core costs,
+# in-memory storage); every throughput/latency pair comes from one run.
+bench-paper:
+	$(GO) run ./cmd/reactdb-bench -all
 
-# Smoke-run the 2PC durability sweep (eager vs group-committed participant
-# logging) in its quick configuration.
-bench-2pc:
-	$(GO) run ./cmd/reactdb-bench -experiment twopc
-
-# Smoke-run the checkpoint sweep (log growth + recovery time vs checkpoint
-# interval) in its quick configuration.
-bench-ckpt:
-	$(GO) run ./cmd/reactdb-bench -experiment checkpoint
-
-# Run the scheduler sweep (load skew x work stealing x static/adaptive depth)
-# and append a dated entry to the bench history.
-bench-sched:
-	$(GO) run ./cmd/reactdb-bench -experiment scheduler -json-history BENCH_sched.json
-
-# Gate on the scheduler bench history: fail if any sweep point's mean
-# per-transaction cost regressed >35% against the previous entry (throughput
-# sweeps are noisier than the storage micro-bench, hence the wider band).
-bench-sched-check:
-	$(GO) run ./cmd/reactdb-bench -compare BENCH_sched.json -max-regression 0.35
-
-# Run the declarative-query sweep (join fan-out x secondary index x greedy vs
-# naive planning) and append a dated entry to the bench history.
-bench-query:
-	$(GO) run ./cmd/reactdb-bench -experiment query -json-history BENCH_query.json
-
-# Gate on the query bench history: fail if any sweep point's per-query latency
-# regressed >35% against the previous entry.
-bench-query-check:
-	$(GO) run ./cmd/reactdb-bench -compare BENCH_query.json -max-regression 0.35
-
-# Run the storage hot-path sweep (point read / scan / RMW, ns + allocs +
-# bytes per logical row op) and append a dated entry to the bench history.
-bench-storage:
-	$(GO) run ./cmd/reactdb-bench -experiment storage -json-history BENCH_storage.json
-
-# Gate on the storage bench history: fail if the newest entry regressed >20%
-# in ns/op or allocs/op against the previous one.
-bench-storage-check:
-	$(GO) run ./cmd/reactdb-bench -compare BENCH_storage.json
-
-# Run the replication sweep (ack mode x replica count: commit latency
-# quantiles, freshness lag, catch-up time) and append a dated entry to the
-# bench history.
-bench-repl:
-	$(GO) run ./cmd/reactdb-bench -experiment replication -json-history BENCH_repl.json
-
-# Gate on the replication bench history: fail if any sweep point's mean
-# per-transaction wall time regressed >50% against the previous entry. Only
-# the throughput-derived mean is gated — commit quantiles and catch-up ride
-# the replica's poll timing and stay trend-only — and the band is the widest
-# of the gated sweeps because semi-sync points still breathe with scheduling.
-bench-repl-check:
-	$(GO) run ./cmd/reactdb-bench -compare BENCH_repl.json -max-regression 0.50
-
-# Run the network front-end sweep (routing policy x key skew x client count
-# over a primary + fresh replica + lagging replica fleet) and append a dated
-# entry to the bench history.
-bench-server:
-	$(GO) run ./cmd/reactdb-bench -experiment server -json-history BENCH_server.json
-
-# Gate on the server bench history: fail if any sweep point's mean per-op
-# latency regressed >60% against the previous dated entry. The band is the
-# widest of the gates — end-to-end latency over loopback TCP rides kernel
-# scheduling and replica poll timing. Entries from the trend-only era carry
-# ns_per_op 0 and re-baseline instead of failing.
-bench-server-check:
-	$(GO) run ./cmd/reactdb-bench -compare BENCH_server.json -max-regression 0.60
+# Smoke of everything that measures: a short pass of the benchmark, one
+# iteration of every Go benchmark, and the smallest paper figure.
+bench-smoke:
+	$(GO) run ./benchmark -short
+	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
+	$(GO) run ./cmd/reactdb-bench -experiment fig5

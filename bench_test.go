@@ -1,5 +1,5 @@
 // Benchmarks: one per table and figure of the paper's evaluation, plus
-// ablation benchmarks for the design decisions listed in DESIGN.md §6.
+// ablation benchmarks for the engine's design decisions.
 //
 // Each benchmark drives the workload/deployment combination of its figure with
 // a single client and reports per-transaction latency (ns/op); the full
@@ -21,7 +21,6 @@ import (
 	"reactdb/internal/core"
 	"reactdb/internal/costmodel"
 	"reactdb/internal/engine"
-	"reactdb/internal/experiments"
 	"reactdb/internal/randutil"
 	"reactdb/internal/workload/exchange"
 	"reactdb/internal/workload/smallbank"
@@ -512,6 +511,37 @@ func BenchmarkSchedulerQueuedVsDirect(b *testing.B) {
 	}
 }
 
+// rankedCustomers orders the smallbank reactor names by Zipf rank for a
+// container with the given number of hash-affinity executors: clustered puts
+// every name whose hash affinity is executor 0 first (then executor 1's, and
+// so on), so the Zipf head lands on a single executor — the skew stealing
+// repairs; balanced cycles ranks across the executors so uniform load stays
+// uniform per executor.
+func rankedCustomers(customers, executors int, clustered bool) []string {
+	buckets := make([][]string, executors)
+	for i := 0; i < customers; i++ {
+		name := smallbank.ReactorName(i)
+		e := engine.DefaultAffinity(name, executors)
+		buckets[e] = append(buckets[e], name)
+	}
+	ranked := make([]string, 0, customers)
+	if clustered {
+		for _, b := range buckets {
+			ranked = append(ranked, b...)
+		}
+		return ranked
+	}
+	for len(ranked) < customers {
+		for e := 0; e < executors; e++ {
+			if len(buckets[e]) > 0 {
+				ranked = append(ranked, buckets[e][0])
+				buckets[e] = buckets[e][1:]
+			}
+		}
+	}
+	return ranked
+}
+
 // BenchmarkSchedulerSkewedSteal measures the work-stealing scheduler against
 // the steal-off baseline under Zipf-skewed and uniform read-only load
 // (smallbank balance checks with a modeled per-transaction processing cost).
@@ -545,7 +575,7 @@ func BenchmarkSchedulerSkewedSteal(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.Cleanup(db.Close)
-				ranked := experiments.RankedCustomers(customers, executors, load.clustered)
+				ranked := rankedCustomers(customers, executors, load.clustered)
 				zipf := randutil.NewZipfian(customers, load.theta)
 				if gomaxprocs := runtime.GOMAXPROCS(0); gomaxprocs < 16 {
 					b.SetParallelism((16 + gomaxprocs - 1) / gomaxprocs)
@@ -574,7 +604,7 @@ func BenchmarkSchedulerSkewedSteal(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md §6) --------------------------------------------------
+// --- Ablations -----------------------------------------------------------------
 
 // BenchmarkAblationInlining compares same-container sub-transaction inlining
 // (the paper's §3.2.1 rule) against forcing every call through asynchronous

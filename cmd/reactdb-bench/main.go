@@ -1,17 +1,18 @@
 // Command reactdb-bench regenerates the tables and figures of the paper's
-// evaluation. Each experiment prints the rows/series the paper reports; see
-// DESIGN.md for the experiment index and EXPERIMENTS.md for recorded results.
+// evaluation on the modeled profile (virtual-core costs, in-memory storage).
+// Each experiment prints the rows/series the paper reports; a throughput
+// figure and its latency twin come from one execution. README "Benchmarks"
+// sets this tool next to the repository's real-profile benchmark,
+// `go run ./benchmark`.
 //
 // Usage:
 //
 //	reactdb-bench -list
 //	reactdb-bench -experiment fig5
-//	reactdb-bench -experiment scheduler -json BENCH_sched.json
 //	reactdb-bench -all [-full]
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -20,107 +21,48 @@ import (
 	"reactdb/internal/experiments"
 )
 
-// jsonReport is the envelope written by -json: the experiment's
-// machine-readable payload plus enough provenance to compare runs.
-type jsonReport struct {
-	Experiment  string `json:"experiment"`
-	Title       string `json:"title"`
-	Full        bool   `json:"full"`
-	GeneratedAt string `json:"generated_at"`
-	Payload     any    `json:"payload"`
-}
-
 func main() {
 	var (
 		list       = flag.Bool("list", false, "list available experiment ids and exit")
 		experiment = flag.String("experiment", "", "run a single experiment (e.g. fig5, tab1)")
 		all        = flag.Bool("all", false, "run every experiment")
 		full       = flag.Bool("full", false, "use the full (paper-sized) sweeps instead of the quick ones")
-		jsonPath   = flag.String("json", "", "write the experiment's machine-readable payload to this file (single -experiment runs only)")
-		historyP   = flag.String("json-history", "", "append a dated entry to this JSON-array history file (single -experiment runs only)")
-		compareP   = flag.String("compare", "", "compare the last two entries of this history file and exit 1 on regression; skips running experiments")
-		maxRegress = flag.Float64("max-regression", 0.20, "fractional ns/op or allocs/op regression tolerated by -compare")
 	)
 	flag.Parse()
+	opts := experiments.Options{Full: *full}
 
-	if *compareP != "" {
-		if err := compareHistory(*compareP, *maxRegress); err != nil {
+	// run executes e once and prints the tables it owns, or only the one
+	// named by only.
+	run := func(e experiments.Experiment, only string) {
+		start := time.Now()
+		tables, err := e.Run(opts)
+		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		return
-	}
-
-	if *list {
-		for _, id := range experiments.IDs() {
-			fmt.Println(id)
+		for _, t := range tables {
+			if only == "" || t.ID == only {
+				t.Fprint(os.Stdout)
+			}
 		}
-		return
-	}
-
-	opts := experiments.Options{Full: *full}
-	registry := experiments.Registry()
-
-	runOne := func(id string) error {
-		runner, ok := registry[id]
-		if !ok {
-			return fmt.Errorf("unknown experiment %q (use -list)", id)
-		}
-		start := time.Now()
-		table, err := runner(opts)
-		if err != nil {
-			return fmt.Errorf("experiment %s: %w", id, err)
-		}
-		table.Fprint(os.Stdout)
 		fmt.Printf("  (completed in %v)\n\n", time.Since(start).Round(time.Millisecond))
-		if *jsonPath != "" || *historyP != "" {
-			if table.Machine == nil {
-				return fmt.Errorf("experiment %s has no machine-readable payload for -json", id)
-			}
-			report := jsonReport{
-				Experiment:  table.ID,
-				Title:       table.Title,
-				Full:        *full,
-				GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-				Payload:     table.Machine,
-			}
-			if *jsonPath != "" {
-				buf, err := json.MarshalIndent(report, "", "  ")
-				if err != nil {
-					return fmt.Errorf("marshal %s payload: %w", id, err)
-				}
-				buf = append(buf, '\n')
-				if err := os.WriteFile(*jsonPath, buf, 0o644); err != nil {
-					return fmt.Errorf("write %s: %w", *jsonPath, err)
-				}
-				fmt.Printf("  wrote %s\n\n", *jsonPath)
-			}
-			if *historyP != "" {
-				if err := appendHistory(*historyP, report); err != nil {
-					return err
-				}
-				fmt.Printf("  appended to %s\n\n", *historyP)
-			}
-		}
-		return nil
 	}
 
 	switch {
+	case *list:
+		for _, id := range experiments.IDs() {
+			fmt.Println(id)
+		}
 	case *experiment != "":
-		if err := runOne(*experiment); err != nil {
-			fmt.Fprintln(os.Stderr, err)
+		e, ok := experiments.Lookup(*experiment)
+		if !ok {
+			fmt.Fprintf(os.Stderr, "unknown experiment %q (use -list)\n", *experiment)
 			os.Exit(1)
 		}
+		run(e, *experiment)
 	case *all:
-		if *jsonPath != "" || *historyP != "" {
-			fmt.Fprintln(os.Stderr, "-json/-json-history require a single -experiment run")
-			os.Exit(2)
-		}
-		for _, id := range experiments.IDs() {
-			if err := runOne(id); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
+		for _, e := range experiments.Registry() {
+			run(e, "")
 		}
 	default:
 		flag.Usage()

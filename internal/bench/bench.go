@@ -129,16 +129,20 @@ func Run(db *engine.Database, opts Options, newGenerator func(worker int) Genera
 		mu.Lock()
 		lat.Reset()
 		committed, aborted, rejected = 0, 0, 0
+		start := time.Now()
 		mu.Unlock()
 		time.Sleep(opts.EpochDuration)
 		mu.Lock()
+		// The epoch lasted as long as the sleep really took, which under a
+		// saturating load is longer than asked for.
+		elapsed := time.Since(start)
 		epoch := stats.EpochResult{
-			Duration:   opts.EpochDuration,
+			Duration:   elapsed,
 			Committed:  committed,
 			Aborted:    aborted,
 			Rejected:   rejected,
 			MeanLat:    lat.Mean(),
-			Throughput: float64(committed) / opts.EpochDuration.Seconds(),
+			Throughput: float64(committed) / elapsed.Seconds(),
 		}
 		mu.Unlock()
 		run.AddEpoch(epoch)

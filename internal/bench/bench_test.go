@@ -2,6 +2,7 @@ package bench
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -60,6 +61,16 @@ func TestRunCollectsEpochs(t *testing.T) {
 	lat, _ := result.Latency()
 	if lat <= 0 {
 		t.Fatalf("latency should be positive")
+	}
+	// Throughput is computed over the time the epoch really lasted, which is
+	// never shorter than the sleep that bounds it.
+	for i, e := range result.Epochs {
+		if e.Duration < opts.EpochDuration {
+			t.Fatalf("epoch %d lasted %v, shorter than the %v asked for", i, e.Duration, opts.EpochDuration)
+		}
+		if got := e.Throughput * e.Duration.Seconds(); math.Abs(got-float64(e.Committed)) > 1e-6 {
+			t.Fatalf("epoch %d: throughput x duration = %v, want %d committed", i, got, e.Committed)
+		}
 	}
 	// The committed count matches the database state (no lost transactions in
 	// accounting): counter values >= total committed during measurement.

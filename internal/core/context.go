@@ -81,7 +81,7 @@ type Context interface {
 	CallSync(reactor, procedure string, args ...any) (any, error)
 
 	// Work simulates CPU-bound processing of the given duration on the
-	// executor's virtual core (see DESIGN.md §5). Benchmarks use it to model
+	// executor's virtual core (package vclock). Benchmarks use it to model
 	// computation such as the paper's sim_risk or stock replenishment logic.
 	Work(d time.Duration)
 

@@ -11,9 +11,9 @@ import (
 // public engine surface: point reads, prefix scans and read-modify-writes
 // issued by procedures against a single container with zeroed cost modeling,
 // so the numbers isolate key encoding, index lookup, OCC bookkeeping and row
-// codec work. bench-storage (internal/experiments/storage.go) records the
-// same shapes in BENCH_storage.json; these exist for quick `go test -bench`
-// comparisons during development.
+// codec work. The repository's benchmark reports the same layers on the real
+// profile (kv.get_ns, occ.txn_ro_ns, occ.txn_rw_ns); these exist for quick
+// `go test -bench` comparisons during development.
 
 const (
 	benchRows       = 4096

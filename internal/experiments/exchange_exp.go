@@ -46,16 +46,9 @@ func Fig19(opts Options) (*Table, error) {
 		return db, nil
 	}
 
-	t := &Table{
-		ID:     "fig19",
-		Title:  "Latency [ms] of query- vs. procedure-level parallelism (auth_pay, 15 providers)",
-		Header: []string{"random numbers per provider", "query-parallelism", "procedure-parallelism", "sequential"},
-	}
-	results := make(map[int64][]string)
-	for _, load := range simLoads {
-		results[load] = []string{fmt.Sprintf("%d", load)}
-	}
-	for _, strategy := range []exchange.Strategy{exchange.QueryParallelism, exchange.ProcedureParallelism, exchange.Sequential} {
+	strategies := []exchange.Strategy{exchange.QueryParallelism, exchange.ProcedureParallelism, exchange.Sequential}
+	results := make([][]string, len(strategies))
+	for i, strategy := range strategies {
 		db, err := openFor(strategy)
 		if err != nil {
 			return nil, err
@@ -81,14 +74,16 @@ func Fig19(opts Options) (*Table, error) {
 				db.Close()
 				return nil, err
 			}
-			results[load] = append(results[load], formatDuration(summary.MeanTotal))
+			results[i] = append(results[i], formatDuration(summary.MeanTotal))
 		}
 		db.Close()
 	}
-	for _, load := range simLoads {
-		t.AddRow(results[load]...)
+	labels := make([]string, len(simLoads))
+	for i, load := range simLoads {
+		labels[i] = fmt.Sprintf("%d", load)
 	}
-	t.Notes = append(t.Notes,
-		"expected shape: procedure-parallelism stays nearly flat in provider count terms and wins by a growing factor as sim_risk load rises; sequential and query-parallelism grow with providers × load (paper Figure 19)")
-	return t, nil
+	return seriesTable("fig19", "Latency [ms] of query- vs. procedure-level parallelism (auth_pay, 15 providers)",
+		"random numbers per provider", []string{"query-parallelism", "procedure-parallelism", "sequential"}, labels,
+		"expected shape: procedure-parallelism stays nearly flat in provider count terms and wins by a growing factor as sim_risk load rises; sequential and query-parallelism grow with providers × load (paper Figure 19)",
+		func(row, col int) string { return results[col][row] }), nil
 }

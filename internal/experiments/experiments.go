@@ -1,20 +1,22 @@
-// Package experiments contains one runner per table and figure of the paper's
-// evaluation (§4 and Appendices B–G). Each runner deploys the relevant
+// Package experiments reproduces the tables and figures of the paper's
+// evaluation (§4 and Appendices B–G). Each experiment deploys the relevant
 // workload under the relevant database architecture(s), drives it with the
-// measurement harness of package bench, and returns a printable table whose
-// rows correspond to the series the paper plots.
+// measurement harness of package bench, and returns printable tables whose
+// rows correspond to the series the paper plots. The load experiments that the
+// paper reports as a throughput figure and a latency figure are loadSweep
+// definitions: one execution yields both tables.
 //
-// Runners accept Options; the zero value produces a quick run sized for test
-// suites and CI, while Full enlarges sweeps and epochs for report-quality
-// numbers. Absolute magnitudes differ from the paper (the substrate is the
-// virtual-core simulation described in DESIGN.md §5); EXPERIMENTS.md records
-// the measured shapes next to the paper's.
+// Experiments accept Options; the zero value produces a quick run sized for
+// test suites and CI, while Full enlarges sweeps and epochs for report-quality
+// numbers. Every number is on the modeled profile: the substrate is the
+// virtual-core simulation of package vclock, so absolute magnitudes differ
+// from the paper and only the shapes are comparable. The repository's
+// real-profile instrument is `go run ./benchmark` (README "Benchmarks").
 package experiments
 
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"time"
 
@@ -30,10 +32,6 @@ type Options struct {
 	// (quick: 3 × 150ms, full: 10 × 500ms).
 	Epochs        int
 	EpochDuration time.Duration
-	// Costs override the virtual-core cost parameters; the zero value selects
-	// vclock.DefaultExperimentCosts for load experiments and a
-	// communication-only variant for the latency-control experiments.
-	Costs *vclock.Costs
 }
 
 func (o Options) epochs() int {
@@ -61,21 +59,13 @@ func (o Options) epochDuration() time.Duration {
 // per-transaction processing or affinity modeling, preserving the Cr > Cs
 // asymmetry the paper reports.
 func (o Options) commCosts() vclock.Costs {
-	if o.Costs != nil {
-		return *o.Costs
-	}
 	return vclock.Costs{Send: 40 * time.Microsecond, Receive: 80 * time.Microsecond}
 }
 
 // loadCosts are the cost parameters for the multi-worker load experiments
 // (§4.3, Appendices D–F): communication, affinity-miss and per-transaction
 // processing costs.
-func (o Options) loadCosts() vclock.Costs {
-	if o.Costs != nil {
-		return *o.Costs
-	}
-	return vclock.DefaultExperimentCosts()
-}
+func (o Options) loadCosts() vclock.Costs { return vclock.DefaultExperimentCosts() }
 
 // Table is a printable experiment result.
 type Table struct {
@@ -84,10 +74,6 @@ type Table struct {
 	Header []string
 	Rows   [][]string
 	Notes  []string
-	// Machine, when non-nil, is a machine-readable payload of the same
-	// results; reactdb-bench -json serializes it so sweeps can be recorded in
-	// the bench history (e.g. BENCH_sched.json).
-	Machine any
 }
 
 // AddRow appends a row of cells.
@@ -135,51 +121,81 @@ func (t *Table) String() string {
 	return sb.String()
 }
 
-// Runner executes one experiment.
-type Runner func(Options) (*Table, error)
+// ProfileNote is carried by every table an Experiment returns, so that no
+// number printed by this package can be read as a real-profile measurement.
+const ProfileNote = "profile: modeled (vclock costs, MemStorage, no fsync)"
 
-// Registry returns the experiment runners keyed by experiment id (figure or
-// table number as used in DESIGN.md and EXPERIMENTS.md).
-func Registry() map[string]Runner {
-	return map[string]Runner{
-		"fig5":        Fig5,
-		"fig6":        Fig6,
-		"fig7":        Fig7,
-		"fig8":        Fig8,
-		"fig9":        Fig9,
-		"fig10":       Fig10,
-		"fig11":       Fig11,
-		"fig12":       Fig12,
-		"fig13":       Fig13,
-		"fig14":       Fig14,
-		"tab1":        Tab1,
-		"fig15":       Fig15,
-		"fig16":       Fig16,
-		"fig17":       Fig17,
-		"fig18":       Fig18,
-		"fig19":       Fig19,
-		"affinity":    Affinity,
-		"overhead":    Overhead,
-		"durability":  Durability,
-		"twopc":       TwoPC,
-		"checkpoint":  Checkpoint,
-		"scheduler":   Scheduler,
-		"query":       Query,
-		"storage":     Storage,
-		"replication": Replication,
-		"server":      Server,
-	}
+// Experiment is one execution that yields the paper tables named by IDs.
+type Experiment struct {
+	// IDs are the figure or table numbers this experiment owns, in paper
+	// order: two for a load sweep (throughput and latency), one otherwise.
+	IDs []string
+	run func(Options) ([]*Table, error)
 }
 
-// IDs returns all experiment ids in a stable order.
-func IDs() []string {
-	reg := Registry()
-	ids := make([]string, 0, len(reg))
-	for id := range reg {
-		ids = append(ids, id)
+// Run executes the experiment once and returns one table per owned id.
+func (e Experiment) Run(opts Options) ([]*Table, error) {
+	tables, err := e.run(opts)
+	if err != nil {
+		return nil, fmt.Errorf("experiment %s: %w", strings.Join(e.IDs, "/"), err)
 	}
-	sort.Strings(ids)
+	for _, t := range tables {
+		t.Notes = append(t.Notes, ProfileNote)
+	}
+	return tables, nil
+}
+
+// single adapts a one-table experiment to the registry.
+func single(id string, run func(Options) (*Table, error)) Experiment {
+	return Experiment{IDs: []string{id}, run: func(opts Options) ([]*Table, error) {
+		t, err := run(opts)
+		if err != nil {
+			return nil, err
+		}
+		return []*Table{t}, nil
+	}}
+}
+
+// registry lists the experiments in paper order; every table id has exactly
+// one owner, so a figure and its twin are never run twice.
+var registry = []Experiment{
+	single("fig5", Fig5),
+	single("fig6", Fig6),
+	tpccLoad.experiment(),
+	newOrderDelay.experiment(),
+	single("fig11", Fig11),
+	single("fig12", Fig12),
+	ycsbSkew.experiment(),
+	crossReactor.experiment(),
+	scaleUp.experiment(),
+	single("fig19", Fig19),
+	single("tab1", Tab1),
+	single("affinity", Affinity),
+	single("overhead", Overhead),
+}
+
+// Registry returns every experiment of the paper's evaluation, in paper order.
+func Registry() []Experiment { return registry }
+
+// IDs returns all table ids in paper order.
+func IDs() []string {
+	var ids []string
+	for _, e := range registry {
+		ids = append(ids, e.IDs...)
+	}
 	return ids
+}
+
+// Lookup returns the experiment that owns the given table id.
+func Lookup(id string) (Experiment, bool) {
+	for _, e := range registry {
+		for _, owned := range e.IDs {
+			if owned == id {
+				return e, true
+			}
+		}
+	}
+	return Experiment{}, false
 }
 
 // formatDuration renders a duration in milliseconds with fixed precision, the

@@ -2,9 +2,15 @@ package experiments
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"reactdb/internal/bench"
+	"reactdb/internal/engine"
+	"reactdb/internal/workload/smallbank"
 )
 
 // fmtSscan parses a single float from a table cell.
@@ -15,118 +21,166 @@ func tinyOptions() Options {
 	return Options{Epochs: 2, EpochDuration: 60 * time.Millisecond}
 }
 
+// TestRegistryCoversAllExperimentIDs pins the registry to the paper's 18
+// tables in paper order, each owned by exactly one experiment.
 func TestRegistryCoversAllExperimentIDs(t *testing.T) {
-	reg := Registry()
 	want := []string{
 		"fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
-		"fig13", "fig14", "tab1", "fig15", "fig16", "fig17", "fig18", "fig19",
-		"affinity", "overhead", "durability", "twopc", "checkpoint", "scheduler",
-		"query", "storage", "replication", "server",
+		"fig13", "fig14", "fig15", "fig16", "fig17", "fig18", "fig19",
+		"tab1", "affinity", "overhead",
 	}
-	if len(reg) != len(want) {
-		t.Fatalf("registry has %d entries, want %d", len(reg), len(want))
+	if got := IDs(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("IDs() = %v, want paper order %v", got, want)
+	}
+	owners := map[string]int{}
+	for _, e := range Registry() {
+		if len(e.IDs) < 1 || len(e.IDs) > 2 {
+			t.Fatalf("experiment owns %d ids: %v", len(e.IDs), e.IDs)
+		}
+		for _, id := range e.IDs {
+			owners[id]++
+		}
 	}
 	for _, id := range want {
-		if reg[id] == nil {
-			t.Fatalf("registry missing %s", id)
+		if owners[id] != 1 {
+			t.Fatalf("%s is owned by %d experiments, want 1", id, owners[id])
+		}
+		if e, ok := Lookup(id); !ok || !slices.Contains(e.IDs, id) {
+			t.Fatalf("Lookup(%s) = %v, %v", id, e.IDs, ok)
 		}
 	}
-	ids := IDs()
-	if len(ids) != len(want) {
-		t.Fatalf("IDs() returned %d entries", len(ids))
-	}
-	for i := 1; i < len(ids); i++ {
-		if ids[i] <= ids[i-1] {
-			t.Fatalf("IDs() not sorted")
-		}
+	if _, ok := Lookup("durability"); ok {
+		t.Fatal("Lookup found an experiment that is not in the paper")
 	}
 }
 
-func TestDurabilitySweepReportsFsyncAmortization(t *testing.T) {
-	tbl, err := Durability(tinyOptions())
-	if err != nil {
-		t.Fatalf("Durability: %v", err)
-	}
-	if len(tbl.Rows) != len(durabilityConfigs(tinyOptions())) {
-		t.Fatalf("sweep produced %d rows, want %d", len(tbl.Rows), len(durabilityConfigs(tinyOptions())))
-	}
-	for _, row := range tbl.Rows {
-		name, txnsPerFsync := row[0], row[3]
-		switch {
-		case name == "wal":
-			// Unbatched WAL still reports fsync stats; the ratio itself
-			// depends on how much concurrent sync absorption the scheduler
-			// happens to produce, so only sanity-check it.
-			var v float64
-			if _, err := fmtSscan(txnsPerFsync, &v); err != nil || v < 1 {
-				t.Fatalf("unbatched wal txns/fsync = %q, want a ratio >= 1", txnsPerFsync)
-			}
-		case strings.HasPrefix(name, "wal+gc"):
-			var v float64
-			if _, err := fmtSscan(txnsPerFsync, &v); err != nil || v <= 1.0 {
-				t.Fatalf("%s txns/fsync = %q, want > 1 (group fsync must amortize)", name, txnsPerFsync)
-			}
-		default:
-			if txnsPerFsync != "-" {
-				t.Fatalf("%s reports WAL stats %q without a WAL", name, txnsPerFsync)
-			}
-		}
-	}
-}
-
-// TestSchedulerSweepShowsStealAndDepthEffects runs the scheduler sweep in
-// its tiny configuration and checks the acceptance shapes: the skewed
-// steal-on point steals and out-throughputs the skewed steal-off point, and
-// under the highest client pressure the adaptive-depth point holds a lower
-// queue-wait p99 than the static bound while actually shrinking its depth.
-func TestSchedulerSweepShowsStealAndDepthEffects(t *testing.T) {
+// TestEveryExperimentRunsTiny runs every experiment of the registry in its
+// smallest configuration and checks the shape of every table it owns.
+func TestEveryExperimentRunsTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment run in -short mode")
 	}
-	tbl, err := Scheduler(tinyOptions())
-	if err != nil {
-		t.Fatalf("Scheduler: %v", err)
+	opts := tinyOptions()
+	// Rows per table: the length of the x-axis.
+	wantRows := map[string]int{
+		"fig5": 7, "fig6": 6, "fig11": 7, "fig12": 7, "fig19": 3,
+		"tab1": 4, "affinity": 4, "overhead": 3,
 	}
-	pts := schedulerPoints(tinyOptions())
-	if len(tbl.Rows) != len(pts) {
-		t.Fatalf("sweep produced %d rows, want %d", len(tbl.Rows), len(pts))
+	for _, s := range []*loadSweep{tpccLoad, newOrderDelay, ycsbSkew, crossReactor, scaleUp} {
+		wantRows[s.throughput.id] = len(s.xs(opts))
+		wantRows[s.latency.id] = len(s.xs(opts))
 	}
-	payload, ok := tbl.Machine.(*SchedulerBench)
-	if !ok || len(payload.Rows) != len(pts) {
-		t.Fatalf("machine payload missing or wrong shape: %#v", tbl.Machine)
-	}
-	find := func(load string, steal, adaptive bool, workers int) *SchedulerBenchRow {
-		for i := range payload.Rows {
-			r := &payload.Rows[i]
-			if r.Load == load && r.Steal == steal && r.AdaptiveDepth == adaptive && r.Workers == workers {
-				return r
+	// Leading columns that label the row instead of reporting a measurement.
+	labelCols := map[string]int{"fig6": 2}
+	for _, e := range Registry() {
+		t.Run(strings.Join(e.IDs, "+"), func(t *testing.T) {
+			tables, err := e.Run(opts)
+			if err != nil {
+				t.Fatalf("Run: %v", err)
 			}
+			if len(tables) != len(e.IDs) {
+				t.Fatalf("got %d tables for ids %v", len(tables), e.IDs)
+			}
+			for i, tbl := range tables {
+				if tbl.ID != e.IDs[i] {
+					t.Fatalf("table %d has id %s, want %s", i, tbl.ID, e.IDs[i])
+				}
+				if len(tbl.Rows) != wantRows[tbl.ID] {
+					t.Fatalf("%s has %d rows, want %d", tbl.ID, len(tbl.Rows), wantRows[tbl.ID])
+				}
+				if !slices.Contains(tbl.Notes, ProfileNote) {
+					t.Fatalf("%s does not say which profile it ran on: %v", tbl.ID, tbl.Notes)
+				}
+				labels := labelCols[tbl.ID]
+				if labels == 0 {
+					labels = 1
+				}
+				for _, row := range tbl.Rows {
+					if len(row) != len(tbl.Header) {
+						t.Fatalf("%s row %v has %d cells, header has %d", tbl.ID, row, len(row), len(tbl.Header))
+					}
+					for c, cell := range row[labels:] {
+						if cell == "-" && tbl.ID == "tab1" {
+							continue // no prediction for multi-worker rows
+						}
+						var v float64
+						if _, err := fmtSscan(strings.TrimSuffix(cell, "%"), &v); err != nil {
+							t.Fatalf("%s %q = %q does not parse: %v", tbl.ID, tbl.Header[labels+c], cell, err)
+						}
+						// fig6 reports components that are zero by construction
+						// (a fully-sync transfer has no async execution).
+						if v < 0 || (v == 0 && tbl.ID != "fig6") {
+							t.Fatalf("%s %q = %q, want > 0", tbl.ID, tbl.Header[labels+c], cell)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestPairedFiguresRunOnce pins what makes a throughput/latency pair cost one
+// run: a load sweep opens each deployment once and fills both tables from it.
+func TestPairedFiguresRunOnce(t *testing.T) {
+	const customers = 4
+	opens := map[string]int{}
+	sweep := &loadSweep{
+		throughput: tableHead{"tp", "throughput"},
+		latency:    tableHead{"lat", "latency"},
+		xHeader:    "workers",
+		xFormat:    "%.0f",
+		note:       "a note",
+		deployments: []deployment{
+			{name: "shared-nothing", cfg: engine.NewSharedNothing},
+			{name: "shared-everything", cfg: engine.NewSharedEverythingWithAffinity},
+		},
+		xs: func(Options) []float64 { return []float64{1, 2} },
+		open: func(_ Options, d deployment, _ float64) (*engine.Database, error) {
+			opens[d.name]++
+			db, err := engine.Open(smallbank.NewDefinition(customers), d.cfg(2))
+			if err != nil {
+				return nil, err
+			}
+			return db, smallbank.Load(db, customers, 100, 100)
+		},
+		workers: workersFromX,
+		generator: func(_ Options, _ deployment, _ float64, worker int) bench.Generator {
+			return func() bench.Request {
+				return bench.Request{Reactor: smallbank.ReactorName(worker), Procedure: smallbank.ProcBalance}
+			}
+		},
+	}
+	e := sweep.experiment()
+	if !reflect.DeepEqual(e.IDs, []string{"tp", "lat"}) {
+		t.Fatalf("sweep owns %v", e.IDs)
+	}
+	tables, err := e.Run(Options{Epochs: 1, EpochDuration: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if len(tables) != 2 || tables[0].ID != "tp" || tables[1].ID != "lat" {
+		t.Fatalf("sweep returned %v", tables)
+	}
+	for _, tbl := range tables {
+		wantHeader := []string{"workers", "shared-nothing", "shared-everything"}
+		if !reflect.DeepEqual(tbl.Header, wantHeader) || len(tbl.Rows) != 2 ||
+			tbl.Rows[0][0] != "1" || tbl.Rows[1][0] != "2" {
+			t.Fatalf("%s has the wrong shape:\n%s", tbl.ID, tbl)
 		}
-		t.Fatalf("row %s/steal=%v/adaptive=%v/w=%d missing", load, steal, adaptive, workers)
-		return nil
 	}
-	stealW := pts[0].workers
-	zipfOff := find("zipf", false, false, stealW)
-	zipfOn := find("zipf", true, false, stealW)
-	if zipfOn.Steals == 0 {
-		t.Fatal("skewed steal-on point recorded no steals")
+	for _, d := range sweep.deployments {
+		if opens[d.name] != 1 {
+			t.Fatalf("%s was opened %d times for two tables, want once", d.name, opens[d.name])
+		}
 	}
-	if zipfOff.Steals != 0 {
-		t.Fatalf("steal-off point recorded %d steals", zipfOff.Steals)
+	sweep.perPoint = true
+	if _, err := e.Run(Options{Epochs: 1, EpochDuration: 20 * time.Millisecond}); err != nil {
+		t.Fatalf("Run per point: %v", err)
 	}
-	if zipfOn.ThroughputTxnS <= zipfOff.ThroughputTxnS {
-		t.Fatalf("stealing should lift skewed throughput: %v vs %v",
-			zipfOn.ThroughputTxnS, zipfOff.ThroughputTxnS)
-	}
-	overloadW := pts[len(pts)-1].workers
-	static := find("zipf", true, false, overloadW)
-	adaptive := find("zipf", true, true, overloadW)
-	if adaptive.MinEffectiveDepth >= 256 {
-		t.Fatalf("adaptive depth never shrank: %+v", adaptive)
-	}
-	if adaptive.QueueWaitP99Ms >= static.QueueWaitP99Ms {
-		t.Fatalf("adaptive p99 %.3fms should undercut static p99 %.3fms under overload",
-			adaptive.QueueWaitP99Ms, static.QueueWaitP99Ms)
+	for _, d := range sweep.deployments {
+		if opens[d.name] != 3 {
+			t.Fatalf("%s: a per-point sweep of two points should reopen twice, saw %d opens in total", d.name, opens[d.name])
+		}
 	}
 }
 
@@ -223,205 +277,5 @@ func TestOverheadQuickRun(t *testing.T) {
 	}
 	if len(tbl.Rows) != 3 {
 		t.Fatalf("expected 3 rows, got %d", len(tbl.Rows))
-	}
-}
-
-// TestCheckpointSweepBoundsLogAndRecovery runs the checkpoint sweep in its
-// tiny configuration and checks the acceptance criterion of the
-// checkpointing work: a checkpointed run takes checkpoints, and both its
-// on-disk log and its replayed suffix come out smaller than the
-// no-checkpoint baseline's full history.
-func TestCheckpointSweepBoundsLogAndRecovery(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment run in -short mode")
-	}
-	tbl, err := Checkpoint(tinyOptions())
-	if err != nil {
-		t.Fatalf("Checkpoint: %v", err)
-	}
-	if len(tbl.Rows) != len(checkpointConfigs(tinyOptions())) {
-		t.Fatalf("sweep produced %d rows, want %d", len(tbl.Rows), len(checkpointConfigs(tinyOptions())))
-	}
-	parse := func(cell, what string) float64 {
-		var v float64
-		if _, err := fmtSscan(cell, &v); err != nil {
-			t.Fatalf("parse %s %q: %v", what, cell, err)
-		}
-		return v
-	}
-	baseline := tbl.Rows[0]
-	if baseline[0] != "off" || parse(baseline[3], "ckpts") != 0 {
-		t.Fatalf("first row should be the no-checkpoint baseline, got %v", baseline)
-	}
-	baseReplayed := parse(baseline[7], "replayed")
-	if baseReplayed == 0 {
-		t.Fatal("baseline replayed nothing; the workload wrote no log")
-	}
-	for _, row := range tbl.Rows[1:] {
-		if parse(row[3], "ckpts") == 0 {
-			t.Fatalf("config %s took no checkpoints", row[0])
-		}
-		if replayed := parse(row[7], "replayed"); replayed >= baseReplayed {
-			t.Fatalf("config %s replayed %v transactions, want fewer than the baseline's %v",
-				row[0], replayed, baseReplayed)
-		}
-	}
-}
-
-// TestTwoPCSweepRoutesRecordsThroughGroupCommitter runs the 2PC durability
-// sweep in its tiny configuration and checks the acceptance criterion of the
-// atomic-commit work: under group commit, participant prepare records and
-// coordinator decision records flush through the containers' group
-// committers (a positive Records count), while the eager baseline bypasses
-// them entirely.
-func TestTwoPCSweepRoutesRecordsThroughGroupCommitter(t *testing.T) {
-	tbl, err := TwoPC(tinyOptions())
-	if err != nil {
-		t.Fatalf("TwoPC: %v", err)
-	}
-	if len(tbl.Rows) != len(twoPCConfigs(tinyOptions())) {
-		t.Fatalf("sweep produced %d rows, want %d", len(tbl.Rows), len(twoPCConfigs(tinyOptions())))
-	}
-	for _, row := range tbl.Rows {
-		name, recs := row[0], row[4]
-		if name == "eager" {
-			if recs != "-" {
-				t.Fatalf("eager config reports %s 2PC records via group commit, want '-'", recs)
-			}
-			continue
-		}
-		var n float64
-		if _, err := fmtSscan(recs, &n); err != nil || n <= 0 {
-			t.Fatalf("config %s flushed %s 2PC records through the group committer, want > 0", name, recs)
-		}
-	}
-}
-
-func TestQuerySweepShowsPlannerAndIndexEffects(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment run in -short mode")
-	}
-	tbl, err := Query(tinyOptions())
-	if err != nil {
-		t.Fatalf("Query: %v", err)
-	}
-	payload, ok := tbl.Machine.(*QueryBench)
-	if !ok || len(payload.Rows) == 0 {
-		t.Fatalf("machine payload missing or empty: %#v", tbl.Machine)
-	}
-	find := func(shape string, fanout int, indexed bool, planner string) *QueryBenchRow {
-		for i := range payload.Rows {
-			r := &payload.Rows[i]
-			if r.Shape == shape && r.Fanout == fanout && r.Indexed == indexed && r.Planner == planner {
-				return r
-			}
-		}
-		t.Fatalf("row %s/fanout=%d/indexed=%v/%s missing", shape, fanout, indexed, planner)
-		return nil
-	}
-	top := 16
-	greedy := find("join", top, true, "greedy")
-	naive := find("join", top, true, "naive")
-	if greedy.JoinOrder != "c,o,l" {
-		t.Fatalf("greedy did not reorder the declared l,c,o join: %q", greedy.JoinOrder)
-	}
-	if naive.JoinOrder != "l,c,o" {
-		t.Fatalf("naive should keep declaration order: %q", naive.JoinOrder)
-	}
-	if greedy.RowsOut != naive.RowsOut {
-		t.Fatalf("planners disagree on results: %d vs %d rows", greedy.RowsOut, naive.RowsOut)
-	}
-	if greedy.MicrosPerQ >= naive.MicrosPerQ {
-		t.Fatalf("greedy (%.1fus) should beat naive (%.1fus) on the skewed fan-out",
-			greedy.MicrosPerQ, naive.MicrosPerQ)
-	}
-	scan := find("point", top, false, "-")
-	indexed := find("point", top, true, "-")
-	if indexed.AccessPath != "index:by_cust" || scan.AccessPath != "scan" {
-		t.Fatalf("access paths wrong: indexed=%q scan=%q", indexed.AccessPath, scan.AccessPath)
-	}
-	if indexed.MicrosPerQ*2 > scan.MicrosPerQ {
-		t.Fatalf("indexed lookup (%.1fus) should be at least 2x faster than the scan (%.1fus)",
-			indexed.MicrosPerQ, scan.MicrosPerQ)
-	}
-}
-
-func TestReplicationSweepReportsAckModeAndLag(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment run in -short mode")
-	}
-	tbl, err := Replication(tinyOptions())
-	if err != nil {
-		t.Fatalf("Replication: %v", err)
-	}
-	payload, ok := tbl.Machine.(*ReplicationBench)
-	if !ok || len(payload.Rows) == 0 {
-		t.Fatalf("machine payload missing or empty: %#v", tbl.Machine)
-	}
-	if len(payload.Rows) != len(replicationPoints(tinyOptions())) {
-		t.Fatalf("sweep produced %d rows, want %d",
-			len(payload.Rows), len(replicationPoints(tinyOptions())))
-	}
-	seen := map[string]bool{}
-	for _, r := range payload.Rows {
-		if seen[r.Name] {
-			t.Fatalf("duplicate row name %q (the bench-history gate matches by name)", r.Name)
-		}
-		seen[r.Name] = true
-		if r.Throughput <= 0 {
-			t.Fatalf("%s: no committed transactions", r.Name)
-		}
-		if r.CommitP99Ms < r.CommitP50Ms {
-			t.Fatalf("%s: p99 %.3fms below p50 %.3fms", r.Name, r.CommitP99Ms, r.CommitP50Ms)
-		}
-		if r.Replicas == 0 && (r.MaxLagRecords != 0 || r.CatchupMs != 0) {
-			t.Fatalf("%s: baseline without replicas reported lag/catch-up", r.Name)
-		}
-		// Noise-proof structural check only: latency comparisons between ack
-		// modes are asserted by TestSemiSync* in internal/engine, not here.
-	}
-	if !seen["ack=async r=0"] || !seen["ack=semisync r=2"] {
-		t.Fatalf("expected sweep endpoints missing: %v", seen)
-	}
-}
-
-func TestServerSweepReportsRoutingModes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment run in -short mode")
-	}
-	tbl, err := Server(tinyOptions())
-	if err != nil {
-		t.Fatalf("Server: %v", err)
-	}
-	payload, ok := tbl.Machine.(*ServerBench)
-	if !ok || len(payload.Rows) == 0 {
-		t.Fatalf("machine payload missing or empty: %#v", tbl.Machine)
-	}
-	if len(payload.Rows) != len(serverPoints(tinyOptions())) {
-		t.Fatalf("sweep produced %d rows, want %d",
-			len(payload.Rows), len(serverPoints(tinyOptions())))
-	}
-	seen := map[string]bool{}
-	modes := map[string]bool{}
-	for _, r := range payload.Rows {
-		if seen[r.Name] {
-			t.Fatalf("duplicate row name %q (the bench-history gate matches by name)", r.Name)
-		}
-		seen[r.Name] = true
-		modes[r.Mode] = true
-		if r.Throughput <= 0 {
-			t.Fatalf("%s: no completed operations", r.Name)
-		}
-		if r.ReadP99Ms < r.ReadP50Ms {
-			t.Fatalf("%s: read p99 %.3fms below p50 %.3fms", r.Name, r.ReadP99Ms, r.ReadP50Ms)
-		}
-		// Latency comparisons between routing policies are asserted by the
-		// router unit tests and observed in the full sweep, not gated here:
-		// tiny loopback-TCP runs are too noisy.
-	}
-	for _, m := range []string{"inproc", "roundrobin", "aware"} {
-		if !modes[m] {
-			t.Fatalf("mode %s missing from sweep", m)
-		}
 	}
 }

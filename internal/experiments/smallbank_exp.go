@@ -118,35 +118,54 @@ func (o Options) profileCount() int {
 	return 25
 }
 
-// Fig5 reproduces Figure 5: average multi-transfer latency versus transaction
-// size for the four program formulations, on the shared-nothing deployment.
-func Fig5(opts Options) (*Table, error) {
+// transferSeries is one column of a multi-transfer latency table: a program
+// formulation and how its destination accounts are chosen at each x.
+type transferSeries struct {
+	name string
+	f    smallbank.Formulation
+	dsts func(d *smallbankDeployment, x int) []string
+}
+
+// multiTransferLatencies measures, on one Smallbank deployment and with one
+// worker, the mean multi-transfer latency of every series at x = 1..7 (the
+// transaction size, or the number of executors spanned).
+func multiTransferLatencies(opts Options, id, title, xHeader string, series []transferSeries, note string) (*Table, error) {
 	d, err := openSmallbank(opts)
 	if err != nil {
 		return nil, err
 	}
 	defer d.db.Close()
 
-	sizes := []int{1, 2, 3, 4, 5, 6, 7}
-	t := &Table{
-		ID:     "fig5",
-		Title:  "Latency vs. size and user program formulations (Smallbank multi-transfer, shared-nothing, 1 worker)",
-		Header: []string{"txn size", "fully-sync [ms]", "partially-async [ms]", "fully-async [ms]", "opt [ms]"},
-	}
-	for _, size := range sizes {
-		dsts := d.remoteDestinations(size)
-		row := []string{fmt.Sprintf("%d", size)}
-		for _, f := range smallbank.Formulations() {
-			s, err := d.measureMultiTransfer(f, dsts, opts.profileCount())
+	const points = 7
+	names := make([]string, len(series))
+	labels := make([]string, points)
+	cells := make([][]string, points)
+	for x := 1; x <= points; x++ {
+		labels[x-1] = fmt.Sprintf("%d", x)
+		for i, s := range series {
+			names[i] = s.name
+			sum, err := d.measureMultiTransfer(s.f, s.dsts(d, x), opts.profileCount())
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, formatDuration(s.MeanTotal))
+			cells[x-1] = append(cells[x-1], formatDuration(sum.MeanTotal))
 		}
-		t.AddRow(row...)
 	}
-	t.Notes = append(t.Notes, "expected shape: latency grows with size; fully-sync slowest, opt fastest (paper Figure 5)")
-	return t, nil
+	return seriesTable(id, title, xHeader, names, labels, note,
+		func(row, col int) string { return cells[row][col] }), nil
+}
+
+// Fig5 reproduces Figure 5: average multi-transfer latency versus transaction
+// size for the four program formulations, on the shared-nothing deployment.
+func Fig5(opts Options) (*Table, error) {
+	var series []transferSeries
+	for _, f := range smallbank.Formulations() {
+		series = append(series, transferSeries{string(f) + " [ms]", f, (*smallbankDeployment).remoteDestinations})
+	}
+	return multiTransferLatencies(opts, "fig5",
+		"Latency vs. size and user program formulations (Smallbank multi-transfer, shared-nothing, 1 worker)",
+		"txn size", series,
+		"expected shape: latency grows with size; fully-sync slowest, opt fastest (paper Figure 5)")
 }
 
 // Fig6 reproduces Figure 6: the latency breakdown of fully-sync and opt into
@@ -230,64 +249,31 @@ func Fig6(opts Options) (*Table, error) {
 // when destinations are remote (span all containers) versus local (same
 // container as the source).
 func Fig11(opts Options) (*Table, error) {
-	d, err := openSmallbank(opts)
-	if err != nil {
-		return nil, err
-	}
-	defer d.db.Close()
-
-	t := &Table{
-		ID:     "fig11",
-		Title:  "Latency vs. size for local vs. remote destination reactors",
-		Header: []string{"txn size", "fully-sync-remote [ms]", "fully-sync-local [ms]", "opt-remote [ms]", "opt-local [ms]"},
-	}
-	for _, size := range []int{1, 2, 3, 4, 5, 6, 7} {
-		remote := d.remoteDestinations(size)
-		local := d.localDestinations(size)
-		row := []string{fmt.Sprintf("%d", size)}
-		for _, f := range []smallbank.Formulation{smallbank.FullySync, smallbank.Opt} {
-			for _, dsts := range [][]string{remote, local} {
-				s, err := d.measureMultiTransfer(f, dsts, opts.profileCount())
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, formatDuration(s.MeanTotal))
-			}
-		}
-		t.AddRow(row...)
-	}
-	t.Notes = append(t.Notes, "expected shape: fully-sync-remote rises sharply; local variants grow only with processing (paper Figure 11)")
-	return t, nil
+	remote, local := (*smallbankDeployment).remoteDestinations, (*smallbankDeployment).localDestinations
+	return multiTransferLatencies(opts, "fig11",
+		"Latency vs. size for local vs. remote destination reactors", "txn size",
+		[]transferSeries{
+			{"fully-sync-remote [ms]", smallbank.FullySync, remote},
+			{"fully-sync-local [ms]", smallbank.FullySync, local},
+			{"opt-remote [ms]", smallbank.Opt, remote},
+			{"opt-local [ms]", smallbank.Opt, local},
+		},
+		"expected shape: fully-sync-remote rises sharply; local variants grow only with processing (paper Figure 11)")
 }
 
 // Fig12 reproduces Figure 12 (Appendix B.2): latency of a size-7 fully-sync
 // multi-transfer as the destinations span a varying number of transaction
 // executors, for the three destination-selection variants.
 func Fig12(opts Options) (*Table, error) {
-	d, err := openSmallbank(opts)
-	if err != nil {
-		return nil, err
+	var series []transferSeries
+	for _, variant := range []string{"round-robin remote", "round-robin all", "random"} {
+		series = append(series, transferSeries{variant + " [ms]", smallbank.FullySync,
+			func(d *smallbankDeployment, spanned int) []string {
+				return d.spannedDestinations(spanned, variant, int64(spanned))
+			}})
 	}
-	defer d.db.Close()
-
-	variants := []string{"round-robin remote", "round-robin all", "random"}
-	t := &Table{
-		ID:     "fig12",
-		Title:  "Latency vs. number of transaction executors spanned (fully-sync, size 7)",
-		Header: []string{"executors spanned", "round-robin remote [ms]", "round-robin all [ms]", "random [ms]"},
-	}
-	for spanned := 1; spanned <= 7; spanned++ {
-		row := []string{fmt.Sprintf("%d", spanned)}
-		for _, variant := range variants {
-			dsts := d.spannedDestinations(spanned, variant, int64(spanned))
-			s, err := d.measureMultiTransfer(smallbank.FullySync, dsts, opts.profileCount())
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, formatDuration(s.MeanTotal))
-		}
-		t.AddRow(row...)
-	}
-	t.Notes = append(t.Notes, "expected shape: latency grows with the number of remote calls implied by each selection variant (paper Figure 12)")
-	return t, nil
+	return multiTransferLatencies(opts, "fig12",
+		"Latency vs. number of transaction executors spanned (fully-sync, size 7)",
+		"executors spanned", series,
+		"expected shape: latency grows with the number of remote calls implied by each selection variant (paper Figure 12)")
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"reactdb/internal/bench"
 	"reactdb/internal/core"
@@ -13,27 +12,27 @@ import (
 	"reactdb/internal/workload/tpcc"
 )
 
-// tpccDeployment names a database architecture evaluated on TPC-C.
-type tpccDeployment struct {
-	name string
-	cfg  func(executors int) engine.Config
+// tpccDeployments are the three database architectures of §3.3 that the TPC-C
+// load experiments compare.
+var tpccDeployments = []deployment{
+	{name: "shared-everything-without-affinity", cfg: engine.NewSharedEverythingWithoutAffinity},
+	{name: "shared-nothing-async", cfg: engine.NewSharedNothing},
+	{name: "shared-everything-with-affinity", cfg: engine.NewSharedEverythingWithAffinity},
 }
 
-func tpccDeployments() []tpccDeployment {
-	return []tpccDeployment{
-		{"shared-everything-without-affinity", engine.NewSharedEverythingWithoutAffinity},
-		{"shared-nothing-async", engine.NewSharedNothing},
-		{"shared-everything-with-affinity", engine.NewSharedEverythingWithAffinity},
-	}
-}
-
-// openTPCC deploys a TPC-C database of the given scale factor under cfg.
-func openTPCC(opts Options, cfg engine.Config, scale int) (*engine.Database, tpcc.Params, error) {
+// tpccParams sizes a TPC-C database of the given scale factor.
+func tpccParams(opts Options, scale int) tpcc.Params {
 	params := tpcc.DefaultParams(scale)
 	if !opts.Full {
 		params.CustomersPerDistrict = 60
 		params.Items = 200
 	}
+	return params
+}
+
+// openTPCC deploys a TPC-C database of the given scale factor under cfg.
+func openTPCC(opts Options, cfg engine.Config, scale int) (*engine.Database, error) {
+	params := tpccParams(opts, scale)
 	cfg.Placement = tpcc.Placement
 	cfg.Affinity = func(reactor string) int {
 		if w := tpcc.WarehouseID(reactor); w > 0 {
@@ -44,194 +43,147 @@ func openTPCC(opts Options, cfg engine.Config, scale int) (*engine.Database, tpc
 	cfg.Costs = opts.loadCosts()
 	db, err := engine.Open(tpcc.NewDefinition(params), cfg)
 	if err != nil {
-		return nil, params, err
+		return nil, err
 	}
 	if err := tpcc.Load(db, params); err != nil {
 		db.Close()
-		return nil, params, err
+		return nil, err
 	}
-	return db, params, nil
+	return db, nil
 }
 
-// runTPCC drives the database with the given number of client workers, each
-// with affinity to warehouse (worker mod scale)+1.
-func runTPCC(db *engine.Database, opts Options, params tpcc.Params, workers int, genCfg func(worker int) tpcc.GeneratorConfig) (throughput float64, latency time.Duration, abortRate float64, err error) {
-	benchOpts := bench.Options{
-		Workers:       workers,
-		Epochs:        opts.epochs(),
-		EpochDuration: opts.epochDuration(),
-		Warmup:        50 * time.Millisecond,
+// tpccGenerator returns the request stream of one client worker, with
+// affinity to warehouse (worker mod scale)+1; cfg carries the mix and the
+// probabilities that distinguish the experiments.
+func tpccGenerator(opts Options, scale, worker int, cfg tpcc.GeneratorConfig) bench.Generator {
+	cfg.Params = tpccParams(opts, scale)
+	cfg.HomeWarehouse = worker%scale + 1
+	cfg.Seed = int64(worker + 1)
+	g := tpcc.NewGenerator(cfg)
+	return func() bench.Request {
+		req := g.Next()
+		return bench.Request{Reactor: req.Reactor, Procedure: req.Procedure, Args: req.Args}
 	}
-	result, err := bench.Run(db, benchOpts, func(worker int) bench.Generator {
-		g := tpcc.NewGenerator(genCfg(worker))
-		return func() bench.Request {
-			req := g.Next()
-			return bench.Request{Reactor: req.Reactor, Procedure: req.Procedure, Args: req.Args}
-		}
-	})
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	tp, _ := result.Throughput()
-	lat, _ := result.Latency()
-	return tp, lat, result.AbortRate(), nil
 }
 
-func (o Options) tpccWorkerCounts() []int {
+// standardMix is the TPC-C standard transaction mix with its standard remote
+// access probabilities.
+func standardMix() tpcc.GeneratorConfig {
+	return tpcc.GeneratorConfig{Mix: tpcc.StandardMix(), RemoteItemProbability: 0.01, RemotePaymentProbability: 0.15}
+}
+
+func (o Options) tpccWorkerCounts() []float64 {
 	if o.Full {
-		return []int{1, 2, 3, 4, 5, 6, 7, 8}
+		return []float64{1, 2, 3, 4, 5, 6, 7, 8}
 	}
-	return []int{1, 2, 4, 8}
+	return []float64{1, 2, 4, 8}
 }
 
-// fig7and8 runs the §4.3.1 experiment once and produces both the throughput
-// and latency tables.
-func fig7and8(opts Options) (*Table, *Table, error) {
-	const scale = 4
-	throughputTable := &Table{
-		ID:     "fig7",
-		Title:  "TPC-C throughput [txn/s] with varying load at scale factor 4 (standard mix)",
-		Header: []string{"workers"},
+// openTPCCAt returns a sweep's open function for a fixed scale factor.
+func openTPCCAt(scale int) func(Options, deployment, float64) (*engine.Database, error) {
+	return func(opts Options, d deployment, _ float64) (*engine.Database, error) {
+		return openTPCC(opts, d.cfg(scale), scale)
 	}
-	latencyTable := &Table{
-		ID:     "fig8",
-		Title:  "TPC-C avg latency [ms] with varying load at scale factor 4 (standard mix)",
-		Header: []string{"workers"},
-	}
-	for _, d := range tpccDeployments() {
-		throughputTable.Header = append(throughputTable.Header, d.name)
-		latencyTable.Header = append(latencyTable.Header, d.name)
-	}
-	rowsTP := map[int][]string{}
-	rowsLat := map[int][]string{}
-	workerCounts := opts.tpccWorkerCounts()
-	for _, w := range workerCounts {
-		rowsTP[w] = []string{fmt.Sprintf("%d", w)}
-		rowsLat[w] = []string{fmt.Sprintf("%d", w)}
-	}
-	for _, d := range tpccDeployments() {
-		db, params, err := openTPCC(opts, d.cfg(scale), scale)
-		if err != nil {
-			return nil, nil, err
+}
+
+// tpccLoad is the §4.3.1 experiment (Figures 7/8): the standard mix at scale
+// factor 4 under varying load.
+var tpccLoad = &loadSweep{
+	throughput:  tableHead{"fig7", "TPC-C throughput [txn/s] with varying load at scale factor 4 (standard mix)"},
+	latency:     tableHead{"fig8", "TPC-C avg latency [ms] with varying load at scale factor 4 (standard mix)"},
+	xHeader:     "workers",
+	xFormat:     "%.0f",
+	note:        "expected shape: shared-everything-with-affinity best, shared-everything-without-affinity worst (paper Figures 7/8)",
+	deployments: tpccDeployments,
+	xs:          Options.tpccWorkerCounts,
+	open:        openTPCCAt(4),
+	workers:     workersFromX,
+	generator: func(opts Options, _ deployment, _ float64, worker int) bench.Generator {
+		return tpccGenerator(opts, 4, worker, standardMix())
+	},
+}
+
+// newOrderDelay is the §4.3.2 asynchronicity trade-off experiment (Figures
+// 9/10): 100% new-order with an artificial 300–400µs stock replenishment
+// delay and 100% remote item probability, scale factor 8.
+var newOrderDelay = &loadSweep{
+	throughput: tableHead{"fig9", "Throughput [txn/s] of new-order-delay transactions with varying load (scale factor 8)"},
+	latency:    tableHead{"fig10", "Avg latency [ms] of new-order-delay transactions with varying load (scale factor 8)"},
+	xHeader:    "workers",
+	xFormat:    "%.0f",
+	note:       "expected shape: shared-nothing-async wins at low load (overlapped stock updates), shared-everything-with-affinity catches up or wins at high load (paper Figures 9/10)",
+	deployments: []deployment{
+		{name: "shared-nothing-async", cfg: engine.NewSharedNothing},
+		{name: "shared-everything-with-affinity", cfg: engine.NewSharedEverythingWithAffinity},
+	},
+	xs:      Options.tpccWorkerCounts,
+	open:    openTPCCAt(8),
+	workers: workersFromX,
+	generator: func(opts Options, _ deployment, _ float64, worker int) bench.Generator {
+		return tpccGenerator(opts, 8, worker, tpcc.GeneratorConfig{
+			Mix:                    tpcc.NewOrderOnlyMix(),
+			RemoteItemProbability:  1.0,
+			NewOrderDelayMinMicros: 300,
+			NewOrderDelayMicros:    400,
+		})
+	},
+}
+
+// crossReactor is the Appendix E experiment (Figures 15/16): 100% new-order
+// at scale factor 8 under peak load, varying the probability of cross-reactor
+// item accesses, for four deployments (including shared-nothing-sync).
+var crossReactor = &loadSweep{
+	throughput: tableHead{"fig15", "Throughput [txn/s] of cross-reactor TPC-C new-order (scale factor 8, 8 workers)"},
+	latency:    tableHead{"fig16", "Avg latency [ms] of cross-reactor TPC-C new-order (scale factor 8, 8 workers)"},
+	xHeader:    "% cross-reactor",
+	xFormat:    "%.0f",
+	note:       "expected shape: shared-nothing deployments degrade as cross-reactor % grows, async degrades less than sync (paper Figures 15/16)",
+	deployments: []deployment{
+		{name: "shared-everything-without-affinity", cfg: engine.NewSharedEverythingWithoutAffinity},
+		{name: "shared-nothing-async", cfg: engine.NewSharedNothing},
+		{name: "shared-everything-with-affinity", cfg: engine.NewSharedEverythingWithAffinity},
+		{name: "shared-nothing-sync", cfg: engine.NewSharedNothing, sync: true},
+	},
+	xs: func(opts Options) []float64 {
+		if opts.Full {
+			return []float64{0, 10, 20, 30, 40, 50, 100}
 		}
-		for _, workers := range workerCounts {
-			tp, lat, _, err := runTPCC(db, opts, params, workers, func(worker int) tpcc.GeneratorConfig {
-				return tpcc.GeneratorConfig{
-					Params:                   params,
-					HomeWarehouse:            worker%scale + 1,
-					Mix:                      tpcc.StandardMix(),
-					RemoteItemProbability:    0.01,
-					RemotePaymentProbability: 0.15,
-					Seed:                     int64(worker + 1),
-				}
-			})
-			if err != nil {
-				db.Close()
-				return nil, nil, err
-			}
-			rowsTP[workers] = append(rowsTP[workers], formatThroughput(tp))
-			rowsLat[workers] = append(rowsLat[workers], formatDuration(lat))
+		return []float64{0, 10, 50, 100}
+	},
+	open:    openTPCCAt(8),
+	workers: func(deployment, float64) int { return 8 },
+	generator: func(opts Options, d deployment, crossPct float64, worker int) bench.Generator {
+		return tpccGenerator(opts, 8, worker, tpcc.GeneratorConfig{
+			Mix:                   tpcc.NewOrderOnlyMix(),
+			RemoteItemProbability: crossPct / 100,
+			SyncStockUpdates:      d.sync,
+		})
+	},
+}
+
+// scaleUp is the Appendix F.1 experiment (Figures 17/18): the standard mix
+// with as many executors and workers as warehouses.
+var scaleUp = &loadSweep{
+	throughput:  tableHead{"fig17", "TPC-C throughput [txn/s] with varying deployments (scale-up, workers = warehouses)"},
+	latency:     tableHead{"fig18", "TPC-C avg latency [ms] with varying deployments (scale-up, workers = warehouses)"},
+	xHeader:     "scale factor",
+	xFormat:     "%.0f",
+	note:        "expected shape: throughput grows with scale for affinity-preserving deployments; shared-everything-without-affinity scales worst (paper Figures 17/18); absolute scale-up is capped by the single host core",
+	deployments: tpccDeployments,
+	xs: func(opts Options) []float64 {
+		if opts.Full {
+			return []float64{1, 2, 4, 8, 16}
 		}
-		db.Close()
-	}
-	for _, w := range workerCounts {
-		throughputTable.AddRow(rowsTP[w]...)
-		latencyTable.AddRow(rowsLat[w]...)
-	}
-	note := "expected shape: shared-everything-with-affinity best, shared-everything-without-affinity worst (paper Figures 7/8)"
-	throughputTable.Notes = append(throughputTable.Notes, note)
-	latencyTable.Notes = append(latencyTable.Notes, note)
-	return throughputTable, latencyTable, nil
-}
-
-// Fig7 reproduces Figure 7 (TPC-C throughput under varying load).
-func Fig7(opts Options) (*Table, error) {
-	t, _, err := fig7and8(opts)
-	return t, err
-}
-
-// Fig8 reproduces Figure 8 (TPC-C latency under varying load).
-func Fig8(opts Options) (*Table, error) {
-	_, t, err := fig7and8(opts)
-	return t, err
-}
-
-// fig9and10 runs the §4.3.2 asynchronicity trade-off experiment: 100%
-// new-order with an artificial 300–400µs stock replenishment delay and 100%
-// remote item probability, scale factor 8.
-func fig9and10(opts Options) (*Table, *Table, error) {
-	const scale = 8
-	deployments := []tpccDeployment{
-		{"shared-nothing-async", engine.NewSharedNothing},
-		{"shared-everything-with-affinity", engine.NewSharedEverythingWithAffinity},
-	}
-	throughputTable := &Table{
-		ID:     "fig9",
-		Title:  "Throughput [txn/s] of new-order-delay transactions with varying load (scale factor 8)",
-		Header: []string{"workers"},
-	}
-	latencyTable := &Table{
-		ID:     "fig10",
-		Title:  "Avg latency [ms] of new-order-delay transactions with varying load (scale factor 8)",
-		Header: []string{"workers"},
-	}
-	for _, d := range deployments {
-		throughputTable.Header = append(throughputTable.Header, d.name)
-		latencyTable.Header = append(latencyTable.Header, d.name)
-	}
-	workerCounts := opts.tpccWorkerCounts()
-	rowsTP := map[int][]string{}
-	rowsLat := map[int][]string{}
-	for _, w := range workerCounts {
-		rowsTP[w] = []string{fmt.Sprintf("%d", w)}
-		rowsLat[w] = []string{fmt.Sprintf("%d", w)}
-	}
-	for _, d := range deployments {
-		db, params, err := openTPCC(opts, d.cfg(scale), scale)
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, workers := range workerCounts {
-			tp, lat, _, err := runTPCC(db, opts, params, workers, func(worker int) tpcc.GeneratorConfig {
-				return tpcc.GeneratorConfig{
-					Params:                 params,
-					HomeWarehouse:          worker%scale + 1,
-					Mix:                    tpcc.NewOrderOnlyMix(),
-					RemoteItemProbability:  1.0,
-					NewOrderDelayMinMicros: 300,
-					NewOrderDelayMicros:    400,
-					Seed:                   int64(worker + 1),
-				}
-			})
-			if err != nil {
-				db.Close()
-				return nil, nil, err
-			}
-			rowsTP[workers] = append(rowsTP[workers], formatThroughput(tp))
-			rowsLat[workers] = append(rowsLat[workers], formatDuration(lat))
-		}
-		db.Close()
-	}
-	for _, w := range workerCounts {
-		throughputTable.AddRow(rowsTP[w]...)
-		latencyTable.AddRow(rowsLat[w]...)
-	}
-	note := "expected shape: shared-nothing-async wins at low load (overlapped stock updates), shared-everything-with-affinity catches up or wins at high load (paper Figures 9/10)"
-	throughputTable.Notes = append(throughputTable.Notes, note)
-	latencyTable.Notes = append(latencyTable.Notes, note)
-	return throughputTable, latencyTable, nil
-}
-
-// Fig9 reproduces Figure 9.
-func Fig9(opts Options) (*Table, error) {
-	t, _, err := fig9and10(opts)
-	return t, err
-}
-
-// Fig10 reproduces Figure 10.
-func Fig10(opts Options) (*Table, error) {
-	_, t, err := fig9and10(opts)
-	return t, err
+		return []float64{1, 2, 4, 8}
+	},
+	open: func(opts Options, d deployment, scale float64) (*engine.Database, error) {
+		return openTPCC(opts, d.cfg(int(scale)), int(scale))
+	},
+	perPoint: true,
+	workers:  workersFromX,
+	generator: func(opts Options, _ deployment, scale float64, worker int) bench.Generator {
+		return tpccGenerator(opts, int(scale), worker, standardMix())
+	},
 }
 
 // Tab1 reproduces Table 1 (Appendix D): TPC-C new-order performance at scale
@@ -244,7 +196,7 @@ func Tab1(opts Options) (*Table, error) {
 		Title:  "TPC-C new-order performance at scale factor 4 (observed vs. predicted)",
 		Header: []string{"cross-reactor %", "workers", "TPS obs", "latency obs [ms]", "latency pred [ms]"},
 	}
-	db, params, err := openTPCC(opts, engine.NewSharedNothing(scale), scale)
+	db, err := openTPCC(opts, engine.NewSharedNothing(scale), scale)
 	if err != nil {
 		return nil, err
 	}
@@ -255,7 +207,8 @@ func Tab1(opts Options) (*Table, error) {
 
 	// Calibrate the local processing cost of a new-order from a profiled run
 	// with no remote accesses.
-	calib, err := bench.MeasureProfiles(db, opts.profileCount(), newOrderGenerator(params, 1, 0, false))
+	calib, err := bench.MeasureProfiles(db, opts.profileCount(),
+		tpccGenerator(opts, scale, 0, tpcc.GeneratorConfig{Mix: tpcc.NewOrderOnlyMix()}))
 	if err != nil {
 		return nil, err
 	}
@@ -263,14 +216,11 @@ func Tab1(opts Options) (*Table, error) {
 
 	for _, crossPct := range []float64{0.01, 1.0} {
 		for _, workers := range []int{1, 4} {
-			tp, lat, _, err := runTPCC(db, opts, params, workers, func(worker int) tpcc.GeneratorConfig {
-				return tpcc.GeneratorConfig{
-					Params:                params,
-					HomeWarehouse:         worker%scale + 1,
+			tp, lat, err := runLoad(db, opts, workers, func(worker int) bench.Generator {
+				return tpccGenerator(opts, scale, worker, tpcc.GeneratorConfig{
 					Mix:                   tpcc.NewOrderOnlyMix(),
 					RemoteItemProbability: crossPct,
-					Seed:                  int64(worker + 1),
-				}
+				})
 			})
 			if err != nil {
 				return nil, err
@@ -318,183 +268,6 @@ func expectedDistinctRemote(n, w int, p float64) int {
 	return result
 }
 
-// newOrderGenerator returns a bench generator issuing new-order transactions
-// for warehouse home with the given remote probability.
-func newOrderGenerator(params tpcc.Params, home int, remoteProb float64, sync bool) bench.Generator {
-	g := tpcc.NewGenerator(tpcc.GeneratorConfig{
-		Params:                params,
-		HomeWarehouse:         home,
-		Mix:                   tpcc.NewOrderOnlyMix(),
-		RemoteItemProbability: remoteProb,
-		SyncStockUpdates:      sync,
-		Seed:                  int64(home) * 17,
-	})
-	return func() bench.Request {
-		req := g.NewOrder()
-		return bench.Request{Reactor: req.Reactor, Procedure: req.Procedure, Args: req.Args}
-	}
-}
-
-// fig15and16 runs the Appendix E experiment: 100% new-order at scale factor 8
-// under peak load, varying the probability of cross-reactor item accesses,
-// for four deployments (including shared-nothing-sync).
-func fig15and16(opts Options) (*Table, *Table, error) {
-	const scale = 8
-	type deployment struct {
-		name string
-		cfg  func(int) engine.Config
-		sync bool
-	}
-	deployments := []deployment{
-		{"shared-everything-without-affinity", engine.NewSharedEverythingWithoutAffinity, false},
-		{"shared-nothing-async", engine.NewSharedNothing, false},
-		{"shared-everything-with-affinity", engine.NewSharedEverythingWithAffinity, false},
-		{"shared-nothing-sync", engine.NewSharedNothing, true},
-	}
-	crossPcts := []float64{0, 0.1, 0.5, 1.0}
-	if opts.Full {
-		crossPcts = []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5, 1.0}
-	}
-	throughputTable := &Table{
-		ID:     "fig15",
-		Title:  "Throughput [txn/s] of cross-reactor TPC-C new-order (scale factor 8, 8 workers)",
-		Header: []string{"% cross-reactor"},
-	}
-	latencyTable := &Table{
-		ID:     "fig16",
-		Title:  "Avg latency [ms] of cross-reactor TPC-C new-order (scale factor 8, 8 workers)",
-		Header: []string{"% cross-reactor"},
-	}
-	for _, d := range deployments {
-		throughputTable.Header = append(throughputTable.Header, d.name)
-		latencyTable.Header = append(latencyTable.Header, d.name)
-	}
-	rowsTP := map[float64][]string{}
-	rowsLat := map[float64][]string{}
-	for _, c := range crossPcts {
-		rowsTP[c] = []string{fmt.Sprintf("%.0f", c*100)}
-		rowsLat[c] = []string{fmt.Sprintf("%.0f", c*100)}
-	}
-	for _, d := range deployments {
-		db, params, err := openTPCC(opts, d.cfg(scale), scale)
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, cross := range crossPcts {
-			tp, lat, _, err := runTPCC(db, opts, params, 8, func(worker int) tpcc.GeneratorConfig {
-				return tpcc.GeneratorConfig{
-					Params:                params,
-					HomeWarehouse:         worker%scale + 1,
-					Mix:                   tpcc.NewOrderOnlyMix(),
-					RemoteItemProbability: cross,
-					SyncStockUpdates:      d.sync,
-					Seed:                  int64(worker + 1),
-				}
-			})
-			if err != nil {
-				db.Close()
-				return nil, nil, err
-			}
-			rowsTP[cross] = append(rowsTP[cross], formatThroughput(tp))
-			rowsLat[cross] = append(rowsLat[cross], formatDuration(lat))
-		}
-		db.Close()
-	}
-	for _, c := range crossPcts {
-		throughputTable.AddRow(rowsTP[c]...)
-		latencyTable.AddRow(rowsLat[c]...)
-	}
-	note := "expected shape: shared-nothing deployments degrade as cross-reactor % grows, async degrades less than sync (paper Figures 15/16)"
-	throughputTable.Notes = append(throughputTable.Notes, note)
-	latencyTable.Notes = append(latencyTable.Notes, note)
-	return throughputTable, latencyTable, nil
-}
-
-// Fig15 reproduces Figure 15.
-func Fig15(opts Options) (*Table, error) {
-	t, _, err := fig15and16(opts)
-	return t, err
-}
-
-// Fig16 reproduces Figure 16.
-func Fig16(opts Options) (*Table, error) {
-	_, t, err := fig15and16(opts)
-	return t, err
-}
-
-// fig17and18 runs the Appendix F.1 scale-up experiment: the standard TPC-C mix
-// with as many executors and workers as warehouses.
-func fig17and18(opts Options) (*Table, *Table, error) {
-	scales := []int{1, 2, 4, 8}
-	if opts.Full {
-		scales = []int{1, 2, 4, 8, 16}
-	}
-	throughputTable := &Table{
-		ID:     "fig17",
-		Title:  "TPC-C throughput [txn/s] with varying deployments (scale-up, workers = warehouses)",
-		Header: []string{"scale factor"},
-	}
-	latencyTable := &Table{
-		ID:     "fig18",
-		Title:  "TPC-C avg latency [ms] with varying deployments (scale-up, workers = warehouses)",
-		Header: []string{"scale factor"},
-	}
-	for _, d := range tpccDeployments() {
-		throughputTable.Header = append(throughputTable.Header, d.name)
-		latencyTable.Header = append(latencyTable.Header, d.name)
-	}
-	rowsTP := map[int][]string{}
-	rowsLat := map[int][]string{}
-	for _, s := range scales {
-		rowsTP[s] = []string{fmt.Sprintf("%d", s)}
-		rowsLat[s] = []string{fmt.Sprintf("%d", s)}
-	}
-	for _, d := range tpccDeployments() {
-		for _, scale := range scales {
-			db, params, err := openTPCC(opts, d.cfg(scale), scale)
-			if err != nil {
-				return nil, nil, err
-			}
-			tp, lat, _, err := runTPCC(db, opts, params, scale, func(worker int) tpcc.GeneratorConfig {
-				return tpcc.GeneratorConfig{
-					Params:                   params,
-					HomeWarehouse:            worker%scale + 1,
-					Mix:                      tpcc.StandardMix(),
-					RemoteItemProbability:    0.01,
-					RemotePaymentProbability: 0.15,
-					Seed:                     int64(worker + 1),
-				}
-			})
-			db.Close()
-			if err != nil {
-				return nil, nil, err
-			}
-			rowsTP[scale] = append(rowsTP[scale], formatThroughput(tp))
-			rowsLat[scale] = append(rowsLat[scale], formatDuration(lat))
-		}
-	}
-	for _, s := range scales {
-		throughputTable.AddRow(rowsTP[s]...)
-		latencyTable.AddRow(rowsLat[s]...)
-	}
-	note := "expected shape: throughput grows with scale for affinity-preserving deployments; shared-everything-without-affinity scales worst (paper Figures 17/18); absolute scale-up is capped by the single host core"
-	throughputTable.Notes = append(throughputTable.Notes, note)
-	latencyTable.Notes = append(latencyTable.Notes, note)
-	return throughputTable, latencyTable, nil
-}
-
-// Fig17 reproduces Figure 17.
-func Fig17(opts Options) (*Table, error) {
-	t, _, err := fig17and18(opts)
-	return t, err
-}
-
-// Fig18 reproduces Figure 18.
-func Fig18(opts Options) (*Table, error) {
-	_, t, err := fig17and18(opts)
-	return t, err
-}
-
 // Affinity reproduces the Appendix F.2 observation: keeping TPC-C at scale
 // factor 1 with a single worker, adding executors to the
 // shared-everything-without-affinity deployment destroys locality and lowers
@@ -511,19 +284,12 @@ func Affinity(opts Options) (*Table, error) {
 	}
 	var base float64
 	for _, execs := range executorCounts {
-		db, params, err := openTPCC(opts, engine.NewSharedEverythingWithoutAffinity(execs), 1)
+		db, err := openTPCC(opts, engine.NewSharedEverythingWithoutAffinity(execs), 1)
 		if err != nil {
 			return nil, err
 		}
-		tp, _, _, err := runTPCC(db, opts, params, 1, func(worker int) tpcc.GeneratorConfig {
-			return tpcc.GeneratorConfig{
-				Params:                   params,
-				HomeWarehouse:            1,
-				Mix:                      tpcc.StandardMix(),
-				RemoteItemProbability:    0.01,
-				RemotePaymentProbability: 0.15,
-				Seed:                     int64(execs),
-			}
+		tp, _, err := runLoad(db, opts, 1, func(worker int) bench.Generator {
+			return tpccGenerator(opts, 1, worker, standardMix())
 		})
 		db.Close()
 		if err != nil {

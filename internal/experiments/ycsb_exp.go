@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
@@ -12,24 +11,21 @@ import (
 	"reactdb/internal/workload/ycsb"
 )
 
-// ycsbSetup mirrors Appendix C: four containers, one executor each, each
-// holding a contiguous range of key reactors; multi_update touches 10 keys
-// drawn from a zipfian distribution, invoked on one of the chosen keys with
-// remote keys ordered before local ones.
-type ycsbSetup struct {
-	db      *engine.Database
-	keys    int
-	perCont int
+// ycsbContainers and ycsbKeysPerContainer mirror Appendix C: four containers,
+// one executor each, each holding a contiguous range of key reactors.
+const ycsbContainers = 4
+
+func ycsbKeysPerContainer(opts Options) int {
+	if opts.Full {
+		return 10000
+	}
+	return 250
 }
 
-func openYCSB(opts Options) (*ycsbSetup, error) {
-	perCont := 250
-	if opts.Full {
-		perCont = 10000
-	}
-	const containers = 4
-	keys := containers * perCont
-	cfg := engine.NewSharedNothing(containers)
+func openYCSB(opts Options) (*engine.Database, error) {
+	perCont := ycsbKeysPerContainer(opts)
+	keys := ycsbContainers * perCont
+	cfg := engine.NewSharedNothing(ycsbContainers)
 	cfg.Placement = ycsb.RangePlacement(perCont)
 	cfg.Costs = opts.commCosts()
 	db, err := engine.Open(ycsb.NewDefinition(keys), cfg)
@@ -40,16 +36,18 @@ func openYCSB(opts Options) (*ycsbSetup, error) {
 		db.Close()
 		return nil, err
 	}
-	return &ycsbSetup{db: db, keys: keys, perCont: perCont}, nil
+	return db, nil
 }
 
-// multiUpdateGenerator draws key sets from a zipfian distribution with the
-// given skew, deduplicates them (the §2.2.4 safety condition forbids two
-// sub-transactions on the same reactor), sorts remote keys before the local
-// home key, and issues multi_update on the home key.
-func (s *ycsbSetup) multiUpdateGenerator(skew float64, seed int64) bench.Generator {
+// multiUpdateGenerator issues multi_update on 10 keys drawn from a zipfian
+// distribution with the given skew: it deduplicates them (the §2.2.4 safety
+// condition forbids two sub-transactions on the same reactor), invokes the
+// procedure on one of the chosen keys, and orders remote keys before the
+// local home key.
+func multiUpdateGenerator(opts Options, skew float64, seed int64) bench.Generator {
+	perCont := ycsbKeysPerContainer(opts)
 	rng := randutil.New(seed)
-	z := randutil.NewZipfian(s.keys, skew)
+	z := randutil.NewZipfian(ycsbContainers*perCont, skew)
 	return func() bench.Request {
 		seen := make(map[int]bool, ycsb.KeysPerMultiUpdate)
 		var ids []int
@@ -63,10 +61,10 @@ func (s *ycsbSetup) multiUpdateGenerator(skew float64, seed int64) bench.Generat
 		// Invoke on a randomly chosen key of the set; its container hosts the
 		// "local" sub-transactions.
 		home := ids[randutil.UniformInt(rng, 0, len(ids)-1)]
-		homeContainer := home / s.perCont
+		homeContainer := home / perCont
 		sort.Slice(ids, func(i, j int) bool {
-			ri := ids[i]/s.perCont != homeContainer
-			rj := ids[j]/s.perCont != homeContainer
+			ri := ids[i]/perCont != homeContainer
+			rj := ids[j]/perCont != homeContainer
 			if ri != rj {
 				return ri // remote keys first
 			}
@@ -91,113 +89,70 @@ func (o Options) ycsbSkews() []float64 {
 	return []float64{0.01, 0.99, 5}
 }
 
-// fig13and14 runs the Appendix C experiment once for latency (with the cost
-// model prediction at one worker) and throughput.
-func fig13and14(opts Options) (*Table, *Table, error) {
-	s, err := openYCSB(opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer s.db.Close()
+// ycsbSkew is the Appendix C experiment (Figures 13/14): multi_update latency
+// and throughput under varying skew, observed with one and with four client
+// workers, next to the cost model's single-worker prediction.
+var ycsbSkew = &loadSweep{
+	latency:      tableHead{"fig13", "Effect of skew and queuing on YCSB multi_update latency [ms]"},
+	throughput:   tableHead{"fig14", "Effect of skew and queuing on YCSB multi_update throughput [txn/s]"},
+	latencyFirst: true,
+	xHeader:      "zipfian constant",
+	xFormat:      "%.2f",
+	note:         "expected shape: single-worker latency decreases with skew (more sub-transactions become local); queueing with 4 workers raises latency, which the cost model deliberately does not capture (paper Appendix C)",
+	deployments: []deployment{
+		{name: "1 worker obs", workers: 1},
+		{name: "4 workers obs", workers: 4},
+	},
+	xs: Options.ycsbSkews,
+	open: func(opts Options, _ deployment, _ float64) (*engine.Database, error) {
+		return openYCSB(opts)
+	},
+	workers: func(d deployment, _ float64) int { return d.workers },
+	generator: func(opts Options, _ deployment, skew float64, worker int) bench.Generator {
+		return multiUpdateGenerator(opts, skew, int64(worker+1))
+	},
+	predictHeader: "1 worker pred",
+	predict:       predictMultiUpdate,
+}
 
-	latencyTable := &Table{
-		ID:     "fig13",
-		Title:  "Effect of skew and queuing on YCSB multi_update latency [ms]",
-		Header: []string{"zipfian constant", "1 worker obs", "4 workers obs", "1 worker pred"},
-	}
-	throughputTable := &Table{
-		ID:     "fig14",
-		Title:  "Effect of skew and queuing on YCSB multi_update throughput [txn/s]",
-		Header: []string{"zipfian constant", "1 worker obs", "4 workers obs"},
-	}
-
-	costs := s.db.Config().Costs
-	cmParams := costmodel.Params{Cs: costs.Send, Cr: costs.Receive}
+// predictMultiUpdate evaluates the cost equation for a multi_update at the
+// given skew.
+func predictMultiUpdate(opts Options, db *engine.Database, skew float64) (time.Duration, error) {
+	costs := db.Config().Costs
 	// Calibrate the per-update processing cost from single-key updates chosen
 	// uniformly, as the appendix describes.
-	calib, err := bench.MeasureProfiles(s.db, opts.profileCount(), func() bench.Request {
-		id := randutil.UniformInt(randutil.New(11), 0, s.keys-1)
+	rng := randutil.New(11)
+	keys := ycsbContainers * ycsbKeysPerContainer(opts)
+	calib, err := bench.MeasureProfiles(db, opts.profileCount(), func() bench.Request {
+		id := randutil.UniformInt(rng, 0, keys-1)
 		return bench.Request{Reactor: ycsb.ReactorName(id), Procedure: ycsb.ProcReadModifyWrite}
 	})
 	if err != nil {
-		return nil, nil, err
+		return 0, err
 	}
-	perUpdate := calib.MeanSync
-
-	for _, skew := range opts.ycsbSkews() {
-		// Observed, single worker.
-		single, err := bench.MeasureProfiles(s.db, opts.profileCount(), s.multiUpdateGenerator(skew, 1))
-		if err != nil {
-			return nil, nil, err
-		}
-		// Observed, four workers.
-		benchOpts := bench.Options{Workers: 4, Epochs: opts.epochs(), EpochDuration: opts.epochDuration(), Warmup: 30 * time.Millisecond}
-		multi, err := bench.Run(s.db, benchOpts, func(worker int) bench.Generator {
-			return s.multiUpdateGenerator(skew, int64(worker+2))
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		multiLat, _ := multi.Latency()
-		multiTP, _ := multi.Throughput()
-
-		// Prediction: measure the realized sizes of the remote (async) and
-		// local (sync) sub-transaction sequences by sampling the generator,
-		// then evaluate the cost equation.
-		gen := s.multiUpdateGenerator(skew, 99)
-		var remoteSum, localSum, samples float64
-		for i := 0; i < 50; i++ {
-			req := gen()
-			names := req.Args[0].([]string)
-			homeContainer, _ := s.db.ContainerIndexOf(req.Reactor)
-			for _, name := range names {
-				if name == req.Reactor {
-					localSum++
-					continue
-				}
-				c, _ := s.db.ContainerIndexOf(name)
-				if c == homeContainer {
-					localSum++
-				} else {
-					remoteSum++
-				}
+	// Measure the realized sizes of the remote (async) and local (sync)
+	// sub-transaction sequences by sampling the generator.
+	gen := multiUpdateGenerator(opts, skew, 99)
+	const samples = 50
+	var remote, local float64
+	for i := 0; i < samples; i++ {
+		req := gen()
+		homeContainer, _ := db.ContainerIndexOf(req.Reactor)
+		for _, name := range req.Args[0].([]string) {
+			if c, _ := db.ContainerIndexOf(name); c == homeContainer {
+				local++
+			} else {
+				remote++
 			}
-			samples++
 		}
-		avgRemote := remoteSum / samples
-		avgLocal := localSum / samples
-		root := &costmodel.SubTxn{Container: 0}
-		for i := 0; i < int(avgRemote+0.5); i++ {
-			root.Async = append(root.Async, costmodel.Leaf(i+1, perUpdate))
-		}
-		for i := 0; i < int(avgLocal+0.5); i++ {
-			root.SyncOvp = append(root.SyncOvp, costmodel.Leaf(0, perUpdate))
-		}
-		pred := costmodel.Predict(root, cmParams).Total() + calib.MeanCommit
-
-		singleTP := 0.0
-		if single.MeanTotal > 0 {
-			singleTP = float64(time.Second) / float64(single.MeanTotal)
-		}
-		latencyTable.AddRow(fmt.Sprintf("%.2f", skew),
-			formatDuration(single.MeanTotal), formatDuration(multiLat), formatDuration(pred))
-		throughputTable.AddRow(fmt.Sprintf("%.2f", skew),
-			formatThroughput(singleTP), formatThroughput(multiTP))
 	}
-	note := "expected shape: single-worker latency decreases with skew (more sub-transactions become local); queueing with 4 workers raises latency, which the cost model deliberately does not capture (paper Appendix C)"
-	latencyTable.Notes = append(latencyTable.Notes, note)
-	throughputTable.Notes = append(throughputTable.Notes, note)
-	return latencyTable, throughputTable, nil
-}
-
-// Fig13 reproduces Figure 13 (latency under skew and queuing, with prediction).
-func Fig13(opts Options) (*Table, error) {
-	t, _, err := fig13and14(opts)
-	return t, err
-}
-
-// Fig14 reproduces Figure 14 (throughput under skew and queuing).
-func Fig14(opts Options) (*Table, error) {
-	_, t, err := fig13and14(opts)
-	return t, err
+	root := &costmodel.SubTxn{Container: 0}
+	for i := 0; i < int(remote/samples+0.5); i++ {
+		root.Async = append(root.Async, costmodel.Leaf(i+1, calib.MeanSync))
+	}
+	for i := 0; i < int(local/samples+0.5); i++ {
+		root.SyncOvp = append(root.SyncOvp, costmodel.Leaf(0, calib.MeanSync))
+	}
+	params := costmodel.Params{Cs: costs.Send, Cr: costs.Receive}
+	return costmodel.Predict(root, params).Total() + calib.MeanCommit, nil
 }

@@ -1,8 +1,9 @@
 // Package vclock implements the virtual-core layer that substitutes for the
-// paper's multi-core hardware (see DESIGN.md §5). The paper evaluates ReactDB
-// on machines with 8 and 32 hardware threads and pins each transaction
-// executor to its own core; this reproduction may run on a host with a single
-// physical CPU, so processing costs are modeled in virtual time:
+// paper's multi-core hardware (the modeled profile of README "Benchmarks").
+// The paper evaluates ReactDB on machines with 8 and 32 hardware threads and
+// pins each transaction executor to its own core; this reproduction may run on
+// a host with a single physical CPU, so processing costs are modeled in
+// virtual time:
 //
 //   - every transaction executor owns a Core, a token that serializes
 //     "CPU-bound" work on that executor;
@@ -17,8 +18,7 @@
 //
 // With this layer the asynchronicity, queueing and affinity effects the paper
 // measures are expressed in wall-clock time even on a single-core host;
-// absolute magnitudes differ (sleep granularity is ~0.1 ms), which
-// EXPERIMENTS.md documents per experiment.
+// absolute magnitudes differ (sleep granularity is ~0.1 ms).
 package vclock
 
 import (

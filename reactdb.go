@@ -27,8 +27,8 @@
 //	db := reactdb.MustOpen(def, reactdb.SharedNothing(2))
 //	defer db.Close()
 //
-// See the examples directory for complete programs and DESIGN.md for the
-// mapping between the paper's sections and the implementation.
+// See the examples directory for complete programs and README.md
+// ("Architecture") for the mapping between the paper and the implementation.
 package reactdb
 
 import (
@@ -317,7 +317,7 @@ func SharedEverythingWithAffinity(executors int) Config {
 func SharedNothing(containers int) Config { return engine.NewSharedNothing(containers) }
 
 // DefaultExperimentCosts returns the virtual-core cost parameters used by the
-// experiment drivers (see DESIGN.md §5).
+// experiment drivers (the modeled profile of README "Benchmarks").
 func DefaultExperimentCosts() Costs { return vclock.DefaultExperimentCosts() }
 
 // DefaultAffinity returns the executor index the hash-defaulted affinity
