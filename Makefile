@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all fmt fmt-check vet build test race race-sched crash crash-ckpt crash-repl crash-failover fuzz bench bench-paper bench-smoke
+.PHONY: all fmt fmt-check vet build test loc race race-sched crash crash-ckpt crash-repl crash-failover fuzz bench bench-paper bench-smoke
 
 all: fmt-check vet build test
 
@@ -21,6 +21,13 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Non-test Go lines per package directory and for the repository: the number
+# every simplicity PR and ROADMAP quote. Reported, never gated.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 # The concurrency core, the log and the network front-end under the race
 # detector. The front-end recycles every buffer on the request path (calls,
@@ -56,9 +63,10 @@ crash-ckpt:
 # promote the surviving mirror bytes and assert a consistent committed prefix
 # with atomic 2PC groups, through a double restart. The primary-kill matrix
 # additionally proves semi-sync never acknowledged a commit the promoted
-# replica lost.
+# replica lost. The ship layer's own tests ride along: the seeded
+# cursor-to-mirror property test and the AppendShipped unit cases.
 crash-repl:
-	$(GO) test -race -run CrashRepl -count=1 ./internal/engine/...
+	$(GO) test -race -run 'CrashRepl|Ship' -count=1 ./internal/engine/... ./internal/wal/...
 
 # Supervised-failover crash matrix under the race detector: kill the primary
 # at every commit/ship boundary, let the supervisor detect + fence + promote

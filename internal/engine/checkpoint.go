@@ -225,19 +225,10 @@ func (c *Container) snapshotRows() []wal.CheckpointRow {
 // only the suffix.
 func (c *Container) installCheckpoint(cp *wal.Checkpoint) error {
 	for _, row := range cp.Rows {
-		reactor, relation, key, ok := splitWALKey(row.Key)
-		if !ok {
-			return fmt.Errorf("engine: checkpoint: malformed key %q in container %d", row.Key, c.id)
+		r, tbl, err := c.recordFor(row.Key)
+		if err != nil {
+			return fmt.Errorf("engine: checkpoint: %w", err)
 		}
-		cat := c.catalogs[reactor]
-		if cat == nil {
-			return fmt.Errorf("engine: checkpoint: reactor %q not mapped to container %d (placement changed since the checkpoint was taken?)", reactor, c.id)
-		}
-		tbl := cat.Table(relation)
-		if tbl == nil {
-			return fmt.Errorf("engine: checkpoint: unknown relation %s.%s in container %d", reactor, relation, c.id)
-		}
-		r, _ := tbl.GetOrInsert([]byte(key))
 		c.domain.InstallCheckpointRow(r, tbl, row.TID, row.Data, row.Deleted)
 	}
 	c.domain.ObserveRecoveredTID(cp.MaxTID)

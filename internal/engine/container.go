@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 
+	"reactdb/internal/kv"
 	"reactdb/internal/occ"
 	"reactdb/internal/rel"
 	"reactdb/internal/vclock"
@@ -348,23 +349,9 @@ func (c *Container) recover(decided map[uint64]bool) (int, error) {
 				return nil
 			}
 		}
-		for _, w := range rec.Writes {
-			reactor, relation, key, ok := splitWALKey(w.Key)
-			if !ok {
-				return fmt.Errorf("engine: recovery: malformed WAL key %q in container %d", w.Key, c.id)
-			}
-			cat := c.catalogs[reactor]
-			if cat == nil {
-				return fmt.Errorf("engine: recovery: reactor %q not mapped to container %d (placement changed since the log was written?)", reactor, c.id)
-			}
-			tbl := cat.Table(relation)
-			if tbl == nil {
-				return fmt.Errorf("engine: recovery: unknown relation %s.%s in container %d", reactor, relation, c.id)
-			}
-			r, _ := tbl.GetOrInsert([]byte(key))
-			c.domain.ApplyReplayedWrite(r, tbl, rec.TID, w.Data, w.Delete)
+		if err := c.installRecord(&rec); err != nil {
+			return fmt.Errorf("engine: recovery: %w", err)
 		}
-		c.domain.ObserveRecoveredTID(rec.TID)
 		n++
 		return nil
 	})
@@ -383,6 +370,50 @@ func (c *Container) recover(decided map[uint64]bool) (int, error) {
 		}
 	}
 	return n, nil
+}
+
+// recordFor resolves a fully-qualified write key (see splitWALKey) to its
+// record, indexing the key if it is new, and the record's table. It is the one
+// place a logged or checkpointed key meets the catalogs.
+func (c *Container) recordFor(walKey string) (*kv.Record, *rel.Table, error) {
+	reactor, relation, key, ok := splitWALKey(walKey)
+	if !ok {
+		return nil, nil, fmt.Errorf("engine: malformed WAL key %q in container %d", walKey, c.id)
+	}
+	cat := c.catalogs[reactor]
+	if cat == nil {
+		return nil, nil, fmt.Errorf("engine: reactor %q not mapped to container %d (placement changed since the key was written?)", reactor, c.id)
+	}
+	tbl := cat.Table(relation)
+	if tbl == nil {
+		return nil, nil, fmt.Errorf("engine: unknown relation %s.%s in container %d", reactor, relation, c.id)
+	}
+	r, _ := tbl.GetOrInsert([]byte(key))
+	return r, tbl, nil
+}
+
+// installRecord installs one log record's writes — newest TID wins on each
+// primary record, secondary indexes maintained under the structural guard —
+// and advances the domain's TID space past the record, so TIDs generated
+// afterwards (after recovery, or on a promoted replica) are strictly newer. It
+// is what recovery does with a replayed record and what a replica does with a
+// shipped one. A write whose key does not resolve is skipped and the first
+// such error returned after the rest are installed: recovery fails on it, a
+// replica records it and keeps serving.
+func (c *Container) installRecord(rec *wal.Record) error {
+	var first error
+	for _, w := range rec.Writes {
+		r, tbl, err := c.recordFor(w.Key)
+		if err != nil {
+			if first == nil {
+				first = err
+			}
+			continue
+		}
+		c.domain.ApplyShippedWrite(r, tbl, rec.TID, w.Data, w.Delete)
+	}
+	c.domain.ObserveRecoveredTID(rec.TID)
+	return first
 }
 
 // splitWALKey decomposes the engine's fully-qualified write key

@@ -288,7 +288,6 @@ func Repoint(rep *Replica, newPrimary *Database, opts ReplicaOptions) (*Replica,
 	if opts.SegmentSize <= 0 {
 		opts.SegmentSize = rep.segSize
 	}
-	opts.Storage = rep.storage
 	rep.Close()
 	return ReattachStorage(rep.storage, newPrimary, opts)
 }

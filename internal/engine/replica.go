@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -10,13 +11,19 @@ import (
 	"reactdb/internal/wal"
 )
 
-// This file is the replica role: a read-only database that bootstraps from
-// the primary's newest checkpoint blob, tails its live WAL segments through
-// the wal.Storage abstraction (wal.ShipCursor), re-appends the shipped frames
-// into its own mirror log (wal.MirrorWriter), and applies the records through
-// the same install paths recovery uses — so base relations AND secondary
-// indexes stay maintained, and a replica can be promoted by simply opening
-// its mirror storage as a normal database and running Recover.
+// This file is the replica role: a read-only database whose every shard keeps
+// a mirror of one primary container's log. The mirror is a log — a wal.Log on
+// the replica's own storage, beside a byte-for-byte copy of a primary
+// checkpoint blob — so "replay the log", "mirror the log" and "promote the
+// mirror" are one object seen three ways: a shard opens by installing its blob
+// and replaying its mirror exactly as recovery would, tails by appending the
+// frames a wal.ShipCursor reads off the primary's segments
+// (wal.Log.AppendShipped) and installing their records through the function
+// recovery uses (Container.installRecord) — so base relations AND secondary
+// indexes stay maintained — and is promoted by opening its storage as a
+// normal database and running Recover. Every route to a tailing shard (first
+// bootstrap, restart on an old mirror, re-point, re-attach, a shipping gap in
+// mid-run) is openShard or its second half, fastForward.
 //
 // Correctness rests on four rules:
 //
@@ -119,7 +126,7 @@ type replicaShard struct {
 	local   *Container // replica-side container (catalogs + domain)
 	sub     wal.Storage
 	cursor  *wal.ShipCursor
-	mirror  *wal.MirrorWriter
+	mirror  *wal.Log
 	scratch []wal.ShippedRecord
 
 	// queue holds shipped commit and prepare records awaiting apply, in
@@ -127,7 +134,7 @@ type replicaShard struct {
 	// mirrored (a decision frame may wait here for its participants'
 	// prepares — rule four above).
 	queue  []wal.Record
-	staged []stagedFrame
+	staged []wal.ShippedRecord
 
 	// retracted maps a TID to the highest abort LSN seen for it: a record is
 	// void iff an abort with a higher LSN carries its TID (the log's
@@ -141,11 +148,6 @@ type replicaShard struct {
 	polledDurable uint64 // primary durable LSN whose full prefix has been shipped
 	appliedTo     uint64 // watermark: state reflects every LSN at or below this
 	appliedRecs   uint64
-}
-
-type stagedFrame struct {
-	rec   wal.Record
-	frame []byte
 }
 
 // groupDecision tracks one 2PC group from the moment its decision record is
@@ -248,24 +250,14 @@ func OpenReplica(primary *Database, opts ReplicaOptions) (*Replica, error) {
 	return r, nil
 }
 
-// openShard bootstraps one shard: install the newest checkpoint (local if the
-// mirror has one, otherwise copied from the primary), replay the local mirror
-// into the catalogs and the pending queue, and position cursor and mirror for
-// tailing.
+// openShard brings one shard from whatever its storage holds to tailing:
+// install the local checkpoint blob if there is one, open the mirror log,
+// replay it into the pending queue, seat the cursor after it, and fast-forward
+// through the primary's newest checkpoint where that is needed.
 func (r *Replica) openShard(s *replicaShard) error {
-	cpLocal, _, err := wal.LatestCheckpoint(s.sub)
+	cp, _, err := wal.LatestCheckpoint(s.sub)
 	if err != nil {
 		return err
-	}
-	cp := cpLocal
-	if cp == nil {
-		// Fresh bootstrap: copy the primary's newest checkpoint blob verbatim
-		// (same sequence number, so a promoted recovery finds it where a
-		// primary's would). nil means the primary has never checkpointed and
-		// the whole log is still available.
-		if cp, err = wal.CopyLatestCheckpoint(s.primary.walStorage, s.sub); err != nil {
-			return err
-		}
 	}
 	if cp != nil {
 		if err := s.local.installCheckpoint(cp); err != nil {
@@ -273,80 +265,70 @@ func (r *Replica) openShard(s *replicaShard) error {
 		}
 		s.floor = cp.LowLSN
 	}
+	if s.mirror, err = wal.Open(s.sub, wal.Options{SegmentSize: r.segSize}); err != nil {
+		return err
+	}
 	if err := r.replayMirror(s); err != nil {
 		return err
 	}
-	m, err := wal.OpenMirror(s.sub, r.segSize)
-	if err != nil {
+	// Blob and mirror cover every record up to the log's last LSN (wal.Open
+	// starts it no lower than the blob's low-water mark). A shard without a
+	// blob takes whatever checkpoint the primary has. A shard with one needs
+	// the primary's only if that reaches further: while this replica was down
+	// the primary may have checkpointed and truncated past it. (While attached
+	// it cannot — truncation is clamped to the replication floor.)
+	s.lastShipped = s.mirror.LastLSN()
+	s.cursor = wal.NewShipCursor(s.primary.walStorage, s.lastShipped)
+	minLowLSN := s.lastShipped + 1
+	if cp == nil {
+		minLowLSN = 0
+	}
+	if _, err := r.fastForward(s, minLowLSN); err != nil {
 		return err
 	}
-	s.mirror = m
-	resume := m.LastLSN()
-	if cpLocal != nil {
-		// While this replica was down the primary may have checkpointed and
-		// truncated past our mirror: records in (resume, LowLSN] can be gone
-		// from the log. Fast-forward through the primary's newest checkpoint
-		// instead of tailing into the hole. (While attached this cannot
-		// happen — truncation is clamped to the replication floor.)
-		cpPrim, _, err := wal.LatestCheckpoint(s.primary.walStorage)
-		if err != nil {
-			return err
-		}
-		if cpPrim != nil && cpPrim.LowLSN > resume {
-			cpPrim, err = wal.CopyLatestCheckpoint(s.primary.walStorage, s.sub)
-			if err != nil {
-				return err
-			}
-			if cpPrim != nil {
-				if err := s.local.installCheckpoint(cpPrim); err != nil {
-					return err
-				}
-				if cpPrim.LowLSN > s.floor {
-					s.floor = cpPrim.LowLSN
-				}
-			}
-		}
-	}
-	s.lastShipped = resume
-	// Bootstrap itself ships a full prefix: the installed checkpoint covers
-	// every record at or below the floor and the replayed mirror every record
-	// at or below resume. Record that coverage so a freshly bootstrapped
-	// shard with no newer primary traffic is caught up before its first poll
-	// (both LSNs are durable on the primary, so the polledDurable invariant —
-	// a durable LSN whose full prefix has been shipped — holds).
-	s.polledDurable = s.floor
-	if resume > s.polledDurable {
-		s.polledDurable = resume
-	}
-	s.cursor = wal.NewShipCursor(s.primary.walStorage, resume)
+	// Opening ships a full prefix by itself — the blob up to the floor, the
+	// replayed mirror up to lastShipped, both durable on the primary — so a
+	// shard with no newer primary traffic is caught up before its first poll.
+	s.polledDurable = max(s.floor, s.lastShipped)
 	return nil
 }
 
-// replayMirror rebuilds shipping state from the local mirror after a replica
-// restart: aborts re-populate the retraction map, decisions re-register
-// (fence-free — the mirror-safety invariant guarantees their prepares are
-// local too), and commits and prepares above the floor re-enter the apply
-// queue in LSN order. Nothing is applied here; the caller runs an apply round
-// once every shard is replayed.
+// fastForward is the one place a primary checkpoint enters a shard: if the
+// primary's newest reaches at least minLowLSN, copy the blob into the shard's
+// storage, install it over the current state under the commit gate (checkpoint
+// rows carry tombstones and install is newest-TID-wins, so installing over
+// stale state is exact), raise the floor and the applied watermark to its
+// low-water mark, and seat a new cursor after the last shipped LSN — whatever a
+// hole swallowed is at or below the new floor. It reports whether it did; if
+// not, nothing changed.
+func (r *Replica) fastForward(s *replicaShard, minLowLSN uint64) (bool, error) {
+	cp, err := wal.CopyLatestCheckpoint(s.primary.walStorage, s.sub, minLowLSN)
+	if cp == nil || err != nil {
+		return false, err
+	}
+	r.db.commitGate.Lock()
+	defer r.db.commitGate.Unlock()
+	if err := s.local.installCheckpoint(cp); err != nil {
+		return false, err
+	}
+	// A stale applied watermark would overstate Stats' Lag by the width of the
+	// hole until the next apply round with pending work.
+	s.floor = max(s.floor, cp.LowLSN)
+	s.appliedTo = max(s.appliedTo, s.floor)
+	s.cursor = wal.NewShipCursor(s.primary.walStorage, s.lastShipped)
+	return true, nil
+}
+
+// replayMirror rebuilds shipping state from the shard's mirror, before
+// anything is appended to it: decisions re-register (fence-free — the
+// mirror-safety invariant guarantees their prepares are local too), and
+// commits and prepares above the floor re-enter the apply queue in LSN order.
+// Abort records and what they retract never reach the callback (wal.Log.Replay
+// drops both). Nothing is applied here; the caller runs an apply round once
+// every shard is replayed.
 func (r *Replica) replayMirror(s *replicaShard) error {
-	indexes, err := s.sub.List()
-	if err != nil {
-		return err
-	}
-	if len(indexes) == 0 {
-		return nil
-	}
-	lg, err := wal.Open(s.sub, wal.Options{SegmentSize: r.segSize})
-	if err != nil {
-		return err
-	}
-	defer lg.Close()
-	return lg.Replay(func(rec wal.Record) error {
+	return s.mirror.Replay(func(rec wal.Record) error {
 		switch rec.Kind {
-		case wal.KindAbort:
-			if rec.LSN > s.retracted[rec.TID] {
-				s.retracted[rec.TID] = rec.LSN
-			}
 		case wal.KindDecision:
 			if _, ok := r.decisions[rec.GlobalID]; !ok {
 				r.decisions[rec.GlobalID] = &groupDecision{
@@ -357,15 +339,12 @@ func (r *Replica) replayMirror(s *replicaShard) error {
 					mirrored:     true,
 				}
 			}
+			return nil
 		case wal.KindPrepare:
 			s.preparedMirrored[rec.GlobalID] = true
-			if rec.LSN > s.floor {
-				s.queue = append(s.queue, rec)
-			}
-		default:
-			if rec.LSN > s.floor {
-				s.queue = append(s.queue, rec)
-			}
+		}
+		if rec.LSN > s.floor {
+			s.queue = append(s.queue, rec)
 		}
 		return nil
 	})
@@ -408,10 +387,15 @@ func (r *Replica) pollOnce() {
 			s.polledDurable = durable
 		case errors.Is(err, wal.ErrShipGap):
 			// Truncation outran this cursor (the replica fell behind while
-			// detached, or raced a checkpoint before its floor registered):
-			// re-bootstrap the shard from the newest primary checkpoint.
-			if rbErr := r.rebootstrapShard(s); rbErr != nil {
-				r.lastErr = rbErr
+			// detached, or raced a checkpoint before its floor registered).
+			// What it deleted lies below a checkpoint; fast-forward through it.
+			switch moved, ffErr := r.fastForward(s, s.lastShipped+1); {
+			case ffErr != nil:
+				r.lastErr = ffErr
+			case !moved:
+				r.lastErr = fmt.Errorf("engine: replica: shipping gap on container %d that no primary checkpoint covers", s.id)
+			default:
+				r.rebootstraps++
 			}
 		default:
 			r.lastErr = err
@@ -429,7 +413,7 @@ func (r *Replica) pollOnce() {
 // freshly captured fence, commits and prepares join the shard's apply queue.
 func (r *Replica) registerShipped(s *replicaShard, sr *wal.ShippedRecord) {
 	s.lastShipped = sr.LSN
-	s.staged = append(s.staged, stagedFrame{rec: sr.Record, frame: sr.Frame})
+	s.staged = append(s.staged, *sr)
 	switch sr.Kind {
 	case wal.KindAbort:
 		if sr.LSN > s.retracted[sr.TID] {
@@ -476,7 +460,7 @@ func (r *Replica) mirrorPass() {
 			n := 0
 			for n < len(s.staged) {
 				sf := &s.staged[n]
-				if sf.rec.Kind == wal.KindDecision && !r.decisionMirrorSafe(s, sf) {
+				if sf.Kind == wal.KindDecision && !r.decisionMirrorSafe(s, sf) {
 					break
 				}
 				n++
@@ -486,7 +470,7 @@ func (r *Replica) mirrorPass() {
 			}
 			var err error
 			for i := 0; i < n; i++ {
-				if err = s.mirror.Append(s.staged[i].rec.LSN, s.staged[i].frame); err != nil {
+				if err = s.mirror.AppendShipped(s.staged[i].LSN, s.staged[i].Frame); err != nil {
 					break
 				}
 			}
@@ -511,22 +495,17 @@ func (r *Replica) mirrorPass() {
 			}
 			for i := 0; i < n; i++ {
 				sf := &s.staged[i]
-				switch sf.rec.Kind {
+				switch sf.Kind {
 				case wal.KindPrepare:
-					s.preparedMirrored[sf.rec.GlobalID] = true
+					s.preparedMirrored[sf.GlobalID] = true
 				case wal.KindDecision:
-					if d, ok := r.decisions[sf.rec.GlobalID]; ok {
+					if d, ok := r.decisions[sf.GlobalID]; ok {
 						d.mirrored = true
-						r.maybeReleaseGroup(sf.rec.GlobalID, d)
+						r.maybeReleaseGroup(sf.GlobalID, d)
 					}
 				}
 			}
-			rest := len(s.staged) - n
-			copy(s.staged, s.staged[n:])
-			for i := rest; i < len(s.staged); i++ {
-				s.staged[i] = stagedFrame{}
-			}
-			s.staged = s.staged[:rest]
+			s.staged = slices.Delete(s.staged, 0, n) // zeroes the vacated tail
 			r.primary.repl.advance(r, s.id, s.mirror.DurableLSN())
 			progressed = true
 		}
@@ -543,18 +522,18 @@ func (r *Replica) mirrorPass() {
 // covers it. A participant with no prepare anywhere is read-only or
 // checkpoint-covered — provable once that shard's shipped prefix passes the
 // group's fence.
-func (r *Replica) decisionMirrorSafe(s *replicaShard, sf *stagedFrame) bool {
-	d := r.decisions[sf.rec.GlobalID]
-	for _, p := range sf.rec.Participants {
+func (r *Replica) decisionMirrorSafe(s *replicaShard, sf *wal.ShippedRecord) bool {
+	d := r.decisions[sf.GlobalID]
+	for _, p := range sf.Participants {
 		pi := int(p)
 		if pi < 0 || pi >= len(r.shards) || pi == s.id {
 			continue
 		}
 		ps := r.shards[pi]
-		if ps.preparedMirrored[sf.rec.GlobalID] {
+		if ps.preparedMirrored[sf.GlobalID] {
 			continue
 		}
-		if stagedHasPrepare(ps, sf.rec.GlobalID) {
+		if stagedHasPrepare(ps, sf.GlobalID) {
 			return false // its prepare mirrors this pass; retry next iteration
 		}
 		if d == nil || d.fence == nil || ps.polledDurable >= d.fence[pi] {
@@ -567,7 +546,7 @@ func (r *Replica) decisionMirrorSafe(s *replicaShard, sf *stagedFrame) bool {
 
 func stagedHasPrepare(s *replicaShard, gid uint64) bool {
 	for i := range s.staged {
-		if s.staged[i].rec.Kind == wal.KindPrepare && s.staged[i].rec.GlobalID == gid {
+		if s.staged[i].Kind == wal.KindPrepare && s.staged[i].GlobalID == gid {
 			return true
 		}
 	}
@@ -715,31 +694,14 @@ func (r *Replica) maybeReleaseGroup(gid uint64, d *groupDecision) {
 	}
 }
 
-// applyWrites installs one record's writes through the shipped-write install
-// path: newest-TID-wins on the primary record, secondary indexes maintained
-// under the structural guard, and the domain's TID space advanced past the
-// record (so a promoted replica generates strictly newer TIDs).
+// applyWrites installs one shipped record the way recovery installs a
+// replayed one. A write that does not resolve (a placement or schema mismatch
+// with the primary) is recorded for Stats and skipped; the replica keeps
+// serving what it can.
 func (r *Replica) applyWrites(s *replicaShard, rec *wal.Record) {
-	for _, w := range rec.Writes {
-		reactor, relation, key, ok := splitWALKey(w.Key)
-		if !ok {
-			r.lastErr = fmt.Errorf("engine: replica: malformed WAL key %q on container %d", w.Key, s.id)
-			continue
-		}
-		cat := s.local.catalogs[reactor]
-		if cat == nil {
-			r.lastErr = fmt.Errorf("engine: replica: reactor %q not mapped to container %d", reactor, s.id)
-			continue
-		}
-		tbl := cat.Table(relation)
-		if tbl == nil {
-			r.lastErr = fmt.Errorf("engine: replica: unknown relation %s.%s on container %d", reactor, relation, s.id)
-			continue
-		}
-		kr, _ := tbl.GetOrInsert([]byte(key))
-		s.local.domain.ApplyShippedWrite(kr, tbl, rec.TID, w.Data, w.Delete)
+	if err := s.local.installRecord(rec); err != nil {
+		r.lastErr = fmt.Errorf("engine: replica: %w", err)
 	}
-	s.local.domain.ObserveRecoveredTID(rec.TID)
 	s.appliedRecs++
 	r.applied++
 }
@@ -752,41 +714,6 @@ func (s *replicaShard) removeAt(i int) {
 	if len(s.queue) == 0 {
 		s.queue = nil
 	}
-}
-
-// rebootstrapShard recovers a shard whose cursor hit truncated log segments:
-// install the primary's newest checkpoint over the current state (checkpoint
-// rows carry tombstones for absorbed deletions and newest-TID-wins install
-// converges live rows, so installing over stale state is exact) and resume
-// shipping from where the cursor stopped — everything in the hole is at or
-// below the new floor.
-func (r *Replica) rebootstrapShard(s *replicaShard) error {
-	cp, err := wal.CopyLatestCheckpoint(s.primary.walStorage, s.sub)
-	if err != nil {
-		return err
-	}
-	if cp == nil {
-		return fmt.Errorf("engine: replica: shipping gap on container %d with no primary checkpoint to re-bootstrap from", s.id)
-	}
-	r.db.commitGate.Lock()
-	err = s.local.installCheckpoint(cp)
-	if err == nil && cp.LowLSN > s.floor {
-		s.floor = cp.LowLSN
-	}
-	if err == nil && s.appliedTo < s.floor {
-		// The installed checkpoint covers everything at or below the new
-		// floor. Without this the applied watermark stays stale until the next
-		// apply round with pending work, and Stats would overstate Lag by the
-		// width of the truncation hole.
-		s.appliedTo = s.floor
-	}
-	r.db.commitGate.Unlock()
-	if err != nil {
-		return err
-	}
-	s.cursor = wal.NewShipCursor(s.primary.walStorage, s.lastShipped)
-	r.rebootstraps++
-	return nil
 }
 
 // pendingWork reports whether an apply round could make progress.
@@ -820,12 +747,10 @@ func (r *Replica) Close() {
 	close(r.stopCh)
 	<-r.doneCh
 	for _, s := range r.shards {
-		if s.mirror != nil {
-			if err := s.mirror.Close(); err != nil {
-				r.mu.Lock()
-				r.lastErr = fmt.Errorf("engine: replica: close mirror container %d: %w", s.id, err)
-				r.mu.Unlock()
-			}
+		if err := s.mirror.Close(); err != nil {
+			r.mu.Lock()
+			r.lastErr = fmt.Errorf("engine: replica: close mirror container %d: %w", s.id, err)
+			r.mu.Unlock()
 		}
 	}
 	r.db.Close()
@@ -960,14 +885,6 @@ func lagRecords(durable, applied uint64) uint64 {
 	return durable - applied
 }
 
-// floorClamp reports a shipping watermark no lower than the checkpoint floor.
-func floorClamp(lsn, floor uint64) uint64 {
-	if lsn < floor {
-		return floor
-	}
-	return lsn
-}
-
 // pendingCount is the number of queued records that will actually install:
 // sub-floor and retracted entries drain without applying, so counting them
 // would overstate the backlog after a fast-forward.
@@ -1001,14 +918,12 @@ func (r *Replica) Stats() ReplicaStats {
 		sh := ReplicaShardStats{
 			Container:      s.id,
 			PrimaryDurable: durable,
-			Shipped:        floorClamp(s.lastShipped, s.floor),
+			Shipped:        max(s.lastShipped, s.floor),
+			Mirrored:       max(s.mirror.DurableLSN(), s.floor),
 			Applied:        s.appliedTo,
 			Lag:            lagRecords(durable, s.appliedTo),
 			Pending:        s.pendingCount(),
 			Floor:          s.floor,
-		}
-		if s.mirror != nil {
-			sh.Mirrored = floorClamp(s.mirror.DurableLSN(), s.floor)
 		}
 		st.Shards = append(st.Shards, sh)
 	}

@@ -562,7 +562,7 @@ func TestDegradedReplicaSurfacesMirrorFailureCause(t *testing.T) {
 }
 
 // TestRebootstrapAdvancesAppliedWatermark pins the fast-forward half of the
-// Lag fix at the unit level: rebootstrapShard installs a checkpoint whose
+// Lag fix at the unit level: fastForward installs a checkpoint whose
 // floor is beyond everything the shard has applied, and must move the applied
 // watermark up with the floor. Before the fix the watermark stayed stale until
 // the next apply round with pending work, so Stats overstated Lag by the
@@ -594,9 +594,9 @@ func TestRebootstrapAdvancesAppliedWatermark(t *testing.T) {
 		rep.mu.Unlock()
 		t.Fatalf("shard applied %d before any poll, want 0", s.appliedTo)
 	}
-	if err := rep.rebootstrapShard(s); err != nil {
+	if _, err := rep.fastForward(s, s.lastShipped+1); err != nil {
 		rep.mu.Unlock()
-		t.Fatalf("rebootstrapShard: %v", err)
+		t.Fatalf("fastForward: %v", err)
 	}
 	floor, applied := s.floor, s.appliedTo
 	rep.mu.Unlock()
@@ -717,5 +717,42 @@ func TestReplicaDifferentialQueryWorkload(t *testing.T) {
 	}
 	if res.AccessPaths["o"] != "index:by_branch" {
 		t.Fatalf("replica chose %q for branch equality, want index:by_branch", res.AccessPaths["o"])
+	}
+}
+
+// TestInstallRecordInstallsWhatResolves pins the one policy recovery and the
+// replica share a function for: a record carrying a write whose key does not
+// resolve here (a reactor placed elsewhere) still has its other writes
+// installed and its TID observed, and the error comes back — recovery fails on
+// it, a replica records it in Stats and keeps serving.
+func TestInstallRecordInstallsWhatResolves(t *testing.T) {
+	storage := wal.NewMemStorage()
+	src := MustOpen(kvDef("kv0"), walCfg(storage))
+	if _, err := src.Execute("kv0", "put", int64(7), int64(70)); err != nil {
+		t.Fatalf("put: %v", err)
+	}
+	src.Close()
+	buf, err := storage.Sub("container-0").ReadSegment(0)
+	if err != nil {
+		t.Fatalf("ReadSegment: %v", err)
+	}
+	recs, _ := wal.DecodeAll(buf)
+	if len(recs) != 1 || len(recs[0].Writes) != 1 {
+		t.Fatalf("primary log holds %+v, want the one put", recs)
+	}
+	rec := recs[0]
+	rec.Writes = append([]wal.Write{{Key: "elsewhere\x00store\x00k", Data: []byte("x")}}, rec.Writes...)
+
+	db := MustOpen(kvDef("kv0"), walCfg(wal.NewMemStorage()))
+	t.Cleanup(db.Close)
+	err = db.containers[0].installRecord(&rec)
+	if err == nil || !strings.Contains(err.Error(), `reactor "elsewhere" not mapped`) {
+		t.Fatalf("installRecord = %v, want the unmapped-reactor error", err)
+	}
+	if v, present := readV(t, db, "kv0", 7); !present || v != 70 {
+		t.Fatalf("kv0[7] = (%d, %v) after a partly unresolvable record, want 70", v, present)
+	}
+	if w := db.containers[0].domain.TIDWatermark(); w <= rec.TID {
+		t.Fatalf("TID watermark %d not past the installed record's TID %d", w, rec.TID)
 	}
 }

@@ -23,7 +23,7 @@ func TestApplyReplayedWriteInstallsNewerVersions(t *testing.T) {
 	g := &guardStub{}
 
 	rec := kv.NewRecord() // absent: the row exists only in the log
-	d.ApplyReplayedWrite(rec, g, 100, []byte("v1"), false)
+	d.ApplyShippedWrite(rec, g, 100, []byte("v1"), false)
 	data, tid, present := rec.StableRead()
 	if !present || string(data) != "v1" || tid != 100 {
 		t.Fatalf("after replay: data=%q tid=%d present=%v", data, tid, present)
@@ -33,13 +33,13 @@ func TestApplyReplayedWriteInstallsNewerVersions(t *testing.T) {
 	}
 
 	// An older TID must not overwrite a newer installed version.
-	d.ApplyReplayedWrite(rec, g, 50, []byte("stale"), false)
+	d.ApplyShippedWrite(rec, g, 50, []byte("stale"), false)
 	if data, _, _ := rec.StableRead(); string(data) != "v1" {
 		t.Fatalf("stale replay overwrote newer version: %q", data)
 	}
 
 	// A newer update replaces data without a structural bump.
-	d.ApplyReplayedWrite(rec, g, 200, []byte("v2"), false)
+	d.ApplyShippedWrite(rec, g, 200, []byte("v2"), false)
 	if data, tid, _ := rec.StableRead(); string(data) != "v2" || tid != 200 {
 		t.Fatalf("newer replay not applied: data=%q tid=%d", data, tid)
 	}
@@ -48,7 +48,7 @@ func TestApplyReplayedWriteInstallsNewerVersions(t *testing.T) {
 	}
 
 	// A replayed delete hides the row and bumps structure.
-	d.ApplyReplayedWrite(rec, g, 300, nil, true)
+	d.ApplyShippedWrite(rec, g, 300, nil, true)
 	if _, _, present := rec.StableRead(); present {
 		t.Fatal("replayed delete left the row visible")
 	}

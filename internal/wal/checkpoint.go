@@ -46,8 +46,8 @@ type Checkpoint struct {
 	// corrects), and of nothing above it. Failover divergence repair uses it:
 	// truncating the log above some LSN T is sound against this checkpoint
 	// only when T >= HighLSN, otherwise the blob may carry an effect whose
-	// record was just cut. 0 means the checkpoint predates this field and its
-	// horizon is unknown (treat as unbounded).
+	// record was just cut. 0 (a checkpoint taken over an empty log) is read as
+	// an unknown horizon: treat as unbounded.
 	HighLSN uint64
 	// Rows is the snapshot: one entry per indexed row, carrying the engine's
 	// fully-qualified key, the row's committed version, and either its
@@ -68,20 +68,15 @@ type CheckpointRow struct {
 	Deleted bool
 }
 
-// Checkpoint format versions. Version 1 predates the HighLSN capture
-// horizon; version 2 appends it after MaxGlobalID. Decoding accepts both —
-// a v1 blob simply has an unknown (zero) horizon — and encoding always
-// writes the newest version.
-const (
-	checkpointVersion1 = 1
-	checkpointVersion  = 2
-)
+// checkpointVersion is the blob format version byte. Any other value is
+// corruption: LatestCheckpoint falls back to an older blob or to full replay.
+const checkpointVersion = 2
 
 // EncodeCheckpoint encodes cp as a single CRC-framed blob: the same 4-byte
 // length + 4-byte CRC32 header the log's record frames use, then
 //
 //	1 version byte | uvarint Seq | uvarint LowLSN | uvarint MaxTID |
-//	uvarint MaxGlobalID | uvarint HighLSN (version >= 2) | uvarint #rows |
+//	uvarint MaxGlobalID | uvarint HighLSN | uvarint #rows |
 //	  per row: 1 flag byte (bit0 = deleted) | uvarint keyLen | key |
 //	           uvarint TID | uvarint dataLen | data
 //
@@ -138,10 +133,9 @@ func DecodeCheckpoint(buf []byte) (*Checkpoint, error) {
 	}
 
 	p := payload
-	if len(p) == 0 || (p[0] != checkpointVersion1 && p[0] != checkpointVersion) {
-		return nil, fmt.Errorf("%w: unknown checkpoint version", ErrCorrupt)
+	if p[0] != checkpointVersion {
+		return nil, fmt.Errorf("%w: unknown checkpoint version %d", ErrCorrupt, p[0])
 	}
-	version := p[0]
 	p = p[1:]
 	var cp Checkpoint
 	var err error
@@ -157,10 +151,8 @@ func DecodeCheckpoint(buf []byte) (*Checkpoint, error) {
 	if cp.MaxGlobalID, p, err = readUvarint(p); err != nil {
 		return nil, err
 	}
-	if version >= 2 {
-		if cp.HighLSN, p, err = readUvarint(p); err != nil {
-			return nil, err
-		}
+	if cp.HighLSN, p, err = readUvarint(p); err != nil {
+		return nil, err
 	}
 	var n uint64
 	if n, p, err = readUvarint(p); err != nil {

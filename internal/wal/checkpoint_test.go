@@ -214,6 +214,36 @@ func TestTruncateBelowIdleLogKeepsWatermark(t *testing.T) {
 	_ = l3.Close()
 }
 
+// unlistableCheckpoints is a storage whose checkpoint listing fails, as a
+// directory read can.
+type unlistableCheckpoints struct {
+	Storage
+	err error
+}
+
+func (s unlistableCheckpoints) ListCheckpoints() ([]uint64, error) { return nil, s.err }
+
+// TestOpenFailsWhenCheckpointsCannotBeListed: the log's truncated history is
+// known only through the newest checkpoint's LowLSN. If the listing fails,
+// Open must fail — treating the error as "no checkpoint" would restart the LSN
+// sequence underneath LowLSN, and recovery would then skip every commit made
+// after the restart as already captured.
+func TestOpenFailsWhenCheckpointsCannotBeListed(t *testing.T) {
+	storage := NewMemStorage()
+	if err := storage.WriteCheckpoint(1, EncodeCheckpoint(&Checkpoint{Seq: 1, LowLSN: 40, HighLSN: 40})); err != nil {
+		t.Fatal(err)
+	}
+	if l := Open2(t, storage); l.LastLSN() != 40 {
+		t.Fatalf("LastLSN over a checkpoint at LowLSN 40 and no segments = %d, want 40", l.LastLSN())
+	}
+	cause := errors.New("injected directory read failure")
+	if l, err := Open(unlistableCheckpoints{storage, cause}, Options{}); err == nil {
+		t.Fatalf("Open swallowed the listing error and restarted at LSN %d, below LowLSN 40", l.LastLSN())
+	} else if !errors.Is(err, cause) {
+		t.Fatalf("Open = %v, want the listing error", err)
+	}
+}
+
 // TestFileStorageCheckpoints runs the checkpoint sidecar API against real
 // files: blobs round-trip, listing is ordered and segregated from segments,
 // deletion is durable, and segment deletion works.

@@ -10,7 +10,7 @@ import (
 // This file is the durable side of failover fencing: a per-node epoch/term
 // record stored next to the log, plus the log-surgery helpers a supervisor
 // needs to re-point or re-attach a node whose log diverged from the new
-// primary (tail scan, suffix truncation, full wipe).
+// primary (suffix truncation, full wipe; the tail scan is TailLSN in log.go).
 //
 // The epoch state lives in a reserved "epoch" sub-storage as a single
 // CRC-framed blob, reusing the Storage checkpoint-blob machinery (durable
@@ -121,39 +121,6 @@ func decodeEpochState(buf []byte) (EpochState, error) {
 	return st, nil
 }
 
-// TailLSN returns the highest decodable LSN across a log's segments (0 for an
-// empty or missing log). LSNs ascend across segments, so the scan walks
-// backwards and stops at the first segment holding any valid record. A torn
-// tail ends that segment's valid prefix, matching Open's adoption rule.
-func TailLSN(s Storage) (uint64, error) {
-	indexes, err := s.List()
-	if err != nil {
-		return 0, err
-	}
-	for i := len(indexes) - 1; i >= 0; i-- {
-		buf, err := s.ReadSegment(indexes[i])
-		if err != nil {
-			return 0, err
-		}
-		var tail uint64
-		off := 0
-		for off < len(buf) {
-			rec, n, err := decodeRecord(buf, off)
-			if err != nil {
-				break
-			}
-			if rec.LSN > tail {
-				tail = rec.LSN
-			}
-			off = n
-		}
-		if tail > 0 {
-			return tail, nil
-		}
-	}
-	return 0, nil
-}
-
 // TruncateAbove removes every record with LSN > lsn from a log's segments:
 // segments whose every record is above the cut are deleted, and the segment
 // containing the boundary is rewritten to its kept prefix (torn tail bytes
@@ -174,28 +141,24 @@ func TruncateAbove(s Storage, lsn uint64) (int, error) {
 		if err != nil {
 			return removed, err
 		}
-		cut, total, above := 0, 0, 0
-		off := 0
-		for off < len(buf) {
-			rec, n, err := decodeRecord(buf, off)
-			if err != nil {
-				break // torn tail: drop it along with anything above the cut
-			}
-			total++
-			if rec.LSN > lsn {
-				above++
-				if above == 1 {
-					cut = off
+		// cut is where the first record above lsn starts; past the loop it.end
+		// is where the decodable prefix stops (a torn tail follows if that is
+		// short of the segment's length).
+		cut, above := 0, 0
+		it := frames(buf, 0)
+		for it.next() {
+			if it.rec.LSN > lsn {
+				if above == 0 {
+					cut = it.start
 				}
+				above++
 			}
-			off = n
 		}
-		torn := off < len(buf)
 		if above == 0 {
-			if !torn {
+			if it.end == len(buf) {
 				continue
 			}
-			cut = off // keep every whole record, shed the torn tail
+			cut = it.end // keep every whole record, shed the torn tail
 		}
 		removed += above
 		if cut == 0 {

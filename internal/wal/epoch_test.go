@@ -320,13 +320,16 @@ func TestWipeLogClearsSegmentsAndBlobs(t *testing.T) {
 	}
 }
 
-// TestCheckpointVersionCompatibility: a version-1 blob (no HighLSN field, the
-// pre-failover format) still decodes, reading HighLSN as 0-unknown; the
-// current writer emits version 2 and round-trips HighLSN.
+// TestCheckpointVersionCompatibility: the writer emits version 2 and
+// round-trips HighLSN; a blob of any other version — including a well-formed,
+// CRC-valid version-1 frame, the pre-failover layout without HighLSN that no
+// stored data uses — is ErrCorrupt, so LatestCheckpoint skips it and falls back
+// to an older blob exactly as for a torn one.
 func TestCheckpointVersionCompatibility(t *testing.T) {
 	cp := &Checkpoint{Seq: 4, LowLSN: 17, MaxTID: 99, MaxGlobalID: 12, HighLSN: 23,
 		Rows: []CheckpointRow{{Key: "k", TID: 9, Data: []byte("v")}}}
-	got, err := DecodeCheckpoint(EncodeCheckpoint(cp))
+	v2 := EncodeCheckpoint(cp)
+	got, err := DecodeCheckpoint(v2)
 	if err != nil {
 		t.Fatalf("decode v2: %v", err)
 	}
@@ -334,18 +337,13 @@ func TestCheckpointVersionCompatibility(t *testing.T) {
 		t.Fatalf("v2 roundtrip = %+v", got)
 	}
 
-	// Hand-build the v1 frame: same layout minus the HighLSN uvarint.
-	v2 := EncodeCheckpoint(&Checkpoint{Seq: 4, LowLSN: 17, MaxTID: 99, MaxGlobalID: 12,
-		Rows: []CheckpointRow{{Key: "k", TID: 9, Data: []byte("v")}}})
+	// Hand-build the v1 frame: same layout minus the HighLSN uvarint, which
+	// follows the version byte, Seq, LowLSN, MaxTID and MaxGlobalID.
 	payload := append([]byte(nil), v2[frameHeaderSize:]...)
-	payload[0] = checkpointVersion1
-	// Locate and excise the HighLSN uvarint: it follows version byte + Seq +
-	// LowLSN + MaxTID + MaxGlobalID, all single-byte uvarints here except
-	// LowLSN/MaxTID which are still < 128, so offsets are fixed.
+	payload[0] = 1
 	p := payload[1:]
-	for i := 0; i < 4; i++ { // Seq, LowLSN, MaxTID, MaxGlobalID
-		_, p, err = readUvarint(p)
-		if err != nil {
+	for i := 0; i < 4; i++ {
+		if _, p, err = readUvarint(p); err != nil {
 			t.Fatalf("walk v2 payload: %v", err)
 		}
 	}
@@ -354,15 +352,24 @@ func TestCheckpointVersionCompatibility(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read HighLSN: %v", err)
 	}
-	v1payload := append(payload[:highStart:highStart], rest...)
-	v1, err := DecodeCheckpoint(frameBlob(v1payload))
-	if err != nil {
-		t.Fatalf("decode v1: %v", err)
+	v1 := frameBlob(append(payload[:highStart:highStart], rest...))
+	future := append([]byte(nil), v2[frameHeaderSize:]...)
+	future[0] = checkpointVersion + 1
+	for name, blob := range map[string][]byte{"v1": v1, "v3": frameBlob(future)} {
+		if cp, err := DecodeCheckpoint(blob); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("decode %s = (%+v, %v), want ErrCorrupt", name, cp, err)
+		}
 	}
-	if v1.HighLSN != 0 {
-		t.Fatalf("v1 checkpoint HighLSN = %d, want 0 (unknown)", v1.HighLSN)
+
+	s := NewMemStorage()
+	if err := s.WriteCheckpoint(4, v2); err != nil {
+		t.Fatal(err)
 	}
-	if v1.Seq != 4 || v1.LowLSN != 17 || v1.MaxTID != 99 || v1.MaxGlobalID != 12 || len(v1.Rows) != 1 {
-		t.Fatalf("v1 decode = %+v", v1)
+	if err := s.WriteCheckpoint(5, v1); err != nil {
+		t.Fatal(err)
+	}
+	latest, skipped, err := LatestCheckpoint(s)
+	if err != nil || latest == nil || latest.Seq != 4 || skipped != 1 {
+		t.Fatalf("LatestCheckpoint = (%+v, %d, %v), want the v2 blob with one skipped", latest, skipped, err)
 	}
 }

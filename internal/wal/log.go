@@ -62,10 +62,11 @@ type Log struct {
 	flushBytes      *stats.Histogram
 }
 
-// Open opens a log on the given storage: it scans existing segments to find
-// the last assigned LSN (so new appends continue the sequence). The active
-// segment is created lazily on first append, so an idle restart does not
-// accumulate empty segment files.
+// Open opens a log on the given storage: it finds the last assigned LSN (the
+// tail of the existing segments, or the newest checkpoint's low-water mark if
+// that is higher) so new appends continue the sequence. The active segment is
+// created lazily on first append, so an idle restart does not accumulate empty
+// segment files.
 func Open(storage Storage, opts Options) (*Log, error) {
 	segSize := opts.SegmentSize
 	if segSize <= 0 {
@@ -81,54 +82,82 @@ func Open(storage Storage, opts Options) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	next := uint64(0)
 	if len(indexes) > 0 {
-		next = indexes[len(indexes)-1] + 1
+		last := indexes[len(indexes)-1]
+		l.nextIdx = last + 1
 		// A predecessor killed mid-run may have left its final segment's
 		// tail in the page cache, never fsynced; make it durable before
 		// treating recovered records as such, or a later machine crash could
 		// erase records that post-restart commits were built on. Segments
 		// before the last were fsynced at rotation.
-		if err := storage.SyncSegment(indexes[len(indexes)-1]); err != nil {
+		if err := storage.SyncSegment(last); err != nil {
 			return nil, err
 		}
 	}
-	// LSNs ascend across segments, so the last segment holding any valid
-	// record carries the maximum; scan backwards and stop at the first hit
-	// instead of reading the whole log.
-	for i := len(indexes) - 1; i >= 0; i-- {
-		buf, err := storage.ReadSegment(indexes[i])
-		if err != nil {
-			return nil, err
-		}
-		off := 0
-		for off < len(buf) {
-			rec, n, err := decodeRecord(buf, off)
-			if err != nil {
-				break // torn tail of a crashed append; valid prefix ends here
-			}
-			if rec.LSN > l.appended {
-				l.appended = rec.LSN
-			}
-			off = n
-		}
-		if l.appended > 0 {
-			break
-		}
+	if _, l.appended, err = tailSegment(storage, indexes); err != nil {
+		return nil, err
 	}
 	// A checkpoint may cover — and truncation may have deleted — every record
-	// the scan above could find, yet new LSNs must still ascend past whatever
+	// the tail scan could find, yet new LSNs must still ascend past whatever
 	// the newest durable checkpoint claims covered: recovery skips records at
-	// or below the checkpoint's low-water mark, so restarting the sequence
-	// underneath it would silently drop post-restart commits. Promoting a
-	// replica mirror hits exactly this shape — a transferred blob alongside a
-	// still-empty log.
-	if cp, _, err := LatestCheckpoint(storage); err == nil && cp != nil && cp.LowLSN > l.appended {
+	// or below its low-water mark, so restarting the sequence underneath it
+	// would silently drop post-restart commits — which is why a failure to
+	// list or read the checkpoints fails Open instead of reading as "none". A
+	// replica mirror has exactly this shape, a copied blob beside a log that
+	// holds nothing above it yet: promoted, it appends above LowLSN; reopened
+	// by a replica, it resumes shipping there, not below what the blob covers.
+	cp, _, err := LatestCheckpoint(storage)
+	if err != nil {
+		return nil, fmt.Errorf("wal: open: newest checkpoint: %w", err)
+	}
+	if cp != nil && cp.LowLSN > l.appended {
 		l.appended = cp.LowLSN
 	}
 	l.durable = l.appended // everything recovered from storage is durable
-	l.nextIdx = next
 	return l, nil
+}
+
+// tailSegment is the one backward scan, and so the one statement of what a
+// log's tail means: LSNs ascend across segments, so the newest segment holding
+// any decodable record carries the highest LSN, and a torn frame ends that
+// segment's valid prefix. Given the log's segment indexes (Storage.List) it
+// returns that segment's index and that LSN, or a zero LSN (none is ever
+// assigned) for a log holding no record at all.
+func tailSegment(s Storage, indexes []uint64) (idx, lsn uint64, err error) {
+	for i := len(indexes) - 1; i >= 0 && lsn == 0; i-- {
+		buf, err := s.ReadSegment(indexes[i])
+		if err != nil {
+			return 0, 0, err
+		}
+		for it := frames(buf, 0); it.next(); {
+			idx, lsn = indexes[i], max(lsn, it.rec.LSN)
+		}
+	}
+	return idx, lsn, nil
+}
+
+// TailLSN returns the highest decodable LSN physically present in a log's
+// segments (0 for an empty or missing log), without opening the log: what
+// Open starts from, and what failover compares two nodes' logs by.
+func TailLSN(s Storage) (uint64, error) {
+	indexes, err := s.List()
+	if err != nil {
+		return 0, err
+	}
+	_, lsn, err := tailSegment(s, indexes)
+	return lsn, err
+}
+
+// usableLocked refuses a closed log, and one wedged by a failed write: its
+// tail may hold torn or retraction-less frames.
+func (l *Log) usableLocked() error {
+	if l.closed {
+		return fmt.Errorf("wal: log is closed")
+	}
+	if l.broken != nil {
+		return fmt.Errorf("wal: log wedged after failed write: %w", l.broken)
+	}
+	return nil
 }
 
 // ensureActiveLocked lazily creates the active segment.
@@ -151,8 +180,7 @@ func (l *Log) ensureActiveLocked() error {
 // Append appends one commit record, assigning its LSN. The record is durable
 // only after a subsequent Sync returns nil.
 func (l *Log) Append(rec Record) (uint64, error) {
-	lsns, err := l.AppendBatch([]Record{rec})
-	return lsns, err
+	return l.AppendBatch([]Record{rec})
 }
 
 // AppendBatch appends a batch of commit records with consecutive LSNs and
@@ -164,11 +192,8 @@ func (l *Log) AppendBatch(recs []Record) (uint64, error) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return 0, fmt.Errorf("wal: log is closed")
-	}
-	if l.broken != nil {
-		return 0, fmt.Errorf("wal: log wedged after failed write: %w", l.broken)
+	if err := l.usableLocked(); err != nil {
+		return 0, err
 	}
 	if l.fenceBelow > l.epoch {
 		return 0, fmt.Errorf("%w (appending at epoch %d, fenced below %d)", ErrFenced, l.epoch, l.fenceBelow)
@@ -270,11 +295,8 @@ func (l *Log) retractBatchLocked(recs []Record) error {
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return fmt.Errorf("wal: log is closed")
-	}
-	if l.broken != nil {
-		return fmt.Errorf("wal: log wedged after failed write: %w", l.broken)
+	if err := l.usableLocked(); err != nil {
+		return err
 	}
 	if l.fenceBelow > l.epoch {
 		// A fenced log refuses to make its tail durable: the unsynced suffix
@@ -369,9 +391,6 @@ func (l *Log) DurableLSN() uint64 {
 	return l.durable
 }
 
-// Empty reports whether the log holds no records at all.
-func (l *Log) Empty() bool { return l.LastLSN() == 0 }
-
 // Replay iterates every decodable committed record in LSN order. A torn or
 // corrupt frame ends that *segment's* valid prefix but not the whole
 // iteration: a crash leaves a torn tail in what was then the final segment,
@@ -403,16 +422,10 @@ func (l *Log) Replay(fn func(Record) error) error {
 			if err != nil {
 				return err
 			}
-			off := 0
-			for off < len(buf) {
-				rec, n, decErr := decodeRecord(buf, off)
-				if decErr != nil {
-					break // end of this segment's valid prefix
-				}
-				if err := visit(rec); err != nil {
+			for it := frames(buf, 0); it.next(); {
+				if err := visit(it.rec); err != nil {
 					return err
 				}
-				off = n
 			}
 		}
 		return nil
@@ -457,16 +470,12 @@ func (l *Log) Replay(fn func(Record) error) error {
 // segment).
 func (l *Log) TruncateBelow(lsn uint64) (int, error) {
 	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return 0, fmt.Errorf("wal: log is closed")
-	}
-	if l.broken != nil {
-		l.mu.Unlock()
-		return 0, fmt.Errorf("wal: log wedged after failed write: %w", l.broken)
-	}
+	err := l.usableLocked()
 	hasActive, activeIdx := l.active != nil, l.activeIdx
 	l.mu.Unlock()
+	if err != nil {
+		return 0, err
+	}
 
 	indexes, err := l.storage.List()
 	if err != nil {
@@ -482,15 +491,12 @@ func (l *Log) TruncateBelow(lsn uint64) (int, error) {
 	} else if !hasActive {
 		// No active segment (nothing appended since Open): keep the newest
 		// segment with a decodable record, which carries the LSN watermark.
-		for i := len(indexes) - 1; i >= 0; i-- {
-			buf, err := l.storage.ReadSegment(indexes[i])
-			if err != nil {
-				return 0, err
-			}
-			if _, _, decErr := decodeRecord(buf, 0); decErr == nil {
-				keep = indexes[i]
-				break
-			}
+		idx, tail, err := tailSegment(l.storage, indexes)
+		if err != nil {
+			return 0, err
+		}
+		if tail > 0 {
+			keep = idx
 		}
 	}
 
@@ -503,18 +509,11 @@ func (l *Log) TruncateBelow(lsn uint64) (int, error) {
 		if err != nil {
 			return deleted, err
 		}
+		// A torn tail of a crashed predecessor ends the scan of this segment;
+		// its frames never committed.
 		above := false
-		off := 0
-		for off < len(buf) {
-			rec, n, decErr := decodeRecord(buf, off)
-			if decErr != nil {
-				break // torn tail of a crashed predecessor; its frames never committed
-			}
-			if rec.LSN > lsn {
-				above = true
-				break
-			}
-			off = n
+		for it := frames(buf, 0); !above && it.next(); {
+			above = it.rec.LSN > lsn
 		}
 		if above {
 			break

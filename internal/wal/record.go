@@ -306,22 +306,43 @@ func decodeRecord(buf []byte, off int) (Record, int, error) {
 	return rec, end, nil
 }
 
+// frameIter walks the decodable prefix of one segment's bytes, frame by frame.
+// It is the only caller of decodeRecord outside tests, so "where does a
+// segment's valid prefix end" has one answer: at the first frame that does not
+// decode — the torn tail of a crashed append, or a frame still being written.
+// After next returns false, end is the offset at which decoding stopped.
+type frameIter struct {
+	buf        []byte
+	rec        Record // the current frame's record
+	start, end int    // the current frame is buf[start:end]
+}
+
+// frames iterates buf's frames from offset off (0 for a whole segment).
+func frames(buf []byte, off int) frameIter { return frameIter{buf: buf, end: off} }
+
+func (it *frameIter) next() bool {
+	if it.end >= len(it.buf) {
+		return false // clean end of segment; not worth decodeRecord's error value
+	}
+	rec, end, err := decodeRecord(it.buf, it.end)
+	if err != nil {
+		return false
+	}
+	it.rec, it.start, it.end = rec, it.end, end
+	return true
+}
+
 // DecodeAll decodes the valid record prefix of one segment's raw contents,
 // returning the records and the offset at which decoding stopped (equal to
 // len(buf) when the whole segment decoded). Crash audits and experiments use
 // it to inspect segments without opening a Log.
 func DecodeAll(buf []byte) ([]Record, int) {
 	var recs []Record
-	off := 0
-	for off < len(buf) {
-		rec, n, err := decodeRecord(buf, off)
-		if err != nil {
-			break
-		}
-		recs = append(recs, rec)
-		off = n
+	it := frames(buf, 0)
+	for it.next() {
+		recs = append(recs, it.rec)
 	}
-	return recs, off
+	return recs, it.end
 }
 
 func readUvarint(p []byte) (uint64, []byte, error) {

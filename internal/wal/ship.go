@@ -1,18 +1,21 @@
 package wal
 
-import "errors"
+import (
+	"errors"
+	"slices"
+)
 
-// This file is the log-shipping side of replication: a ShipCursor tails a
-// primary log's segments read-only through the Storage interface, and a
-// MirrorWriter re-appends the shipped frames into the replica's own storage
-// with the same rotation and durability discipline a primary Log has. Both
-// deal in raw CRC-framed bytes, so the mirrored log is byte-for-byte a valid
-// log: a replica can be promoted by simply opening it with Open and running
-// ordinary recovery.
+// This file is log shipping: a ShipCursor tails a primary log's segments
+// read-only through the Storage interface, and Log.AppendShipped appends the
+// frames it yields, verbatim, to a second Log on the replica's own storage.
+// The mirror is a log — the same Open, rotation, fsync watermark, Replay,
+// TruncateBelow, Close and Stats as the primary's — holding byte-identical
+// CRC-framed records, so promoting a replica is opening its storage and
+// running ordinary recovery.
 
 // ShippedRecord is one record pulled off a primary log: the decoded record
 // plus the raw frame bytes exactly as they appear in the primary's segment,
-// ready to be re-appended verbatim by a MirrorWriter.
+// ready to be appended verbatim by Log.AppendShipped.
 type ShippedRecord struct {
 	Record
 	// Frame is the CRC-framed encoding of Record (header + payload). It
@@ -45,7 +48,6 @@ var ErrShipGap = errors.New("wal: shipping gap: segment truncated under cursor")
 type ShipCursor struct {
 	storage Storage
 	seg     uint64 // current segment index
-	haveSeg bool   // false until the first segment is found
 	off     int    // byte offset of the next undecoded frame in seg
 	lastLSN uint64 // highest LSN shipped (or skipped as already-shipped)
 	gated   bool   // last stop was the durable gate, not end-of-prefix
@@ -57,9 +59,6 @@ type ShipCursor struct {
 func NewShipCursor(storage Storage, afterLSN uint64) *ShipCursor {
 	return &ShipCursor{storage: storage, lastLSN: afterLSN}
 }
-
-// LastLSN returns the highest LSN the cursor has shipped or skipped.
-func (c *ShipCursor) LastLSN() uint64 { return c.lastLSN }
 
 // Poll ships every not-yet-shipped record with LSN <= durable, appending to
 // dst (pass nil or a reused slice). It never blocks: when the log has no new
@@ -79,58 +78,35 @@ func (c *ShipCursor) Poll(durable uint64, dst []ShippedRecord) ([]ShippedRecord,
 	if len(indexes) == 0 {
 		return out, nil
 	}
-	pos := -1
-	if !c.haveSeg {
-		c.seg, c.haveSeg, c.off, pos = indexes[0], true, 0, 0
-	} else {
-		for i, idx := range indexes {
-			if idx == c.seg {
-				pos = i
-				break
-			}
+	pos, found := slices.BinarySearch(indexes, c.seg)
+	if !found {
+		// Our segment (for a new cursor, segment 0) was truncated away. If the
+		// last stop drained the segment's decodable prefix, everything it held
+		// was shipped (the engine's truncation floor guarantees this in steady
+		// state) and the cursor resumes on the oldest surviving segment; if
+		// the durable gate stopped us mid-segment, or segments older than ours
+		// outlived it, records are lost.
+		if c.gated || pos > 0 {
+			return out, ErrShipGap
 		}
-		if pos < 0 {
-			// Our segment was truncated away. If the last stop drained the
-			// segment's decodable prefix, everything it held was shipped (the
-			// engine's truncation floor guarantees this in steady state) and
-			// the cursor can resume on the next surviving segment; if the
-			// durable gate stopped us mid-segment, records are lost.
-			if c.gated || indexes[0] < c.seg {
-				return out, ErrShipGap
-			}
-			for i, idx := range indexes {
-				if idx > c.seg {
-					pos = i
-					break
-				}
-			}
-			if pos < 0 {
-				return out, nil
-			}
-			c.seg, c.off = indexes[pos], 0
-		}
+		c.seg, c.off = indexes[0], 0
 	}
 	for {
 		buf, err := c.storage.ReadSegment(c.seg)
 		if err != nil {
 			return out, err
 		}
-		for c.off < len(buf) {
-			rec, end, decErr := decodeRecord(buf, c.off)
-			if decErr != nil {
-				break // torn tail, or a frame still being written
-			}
-			if rec.LSN > durable {
+		// A torn tail, or a frame still being written, ends the iteration.
+		for it := frames(buf, c.off); it.next(); c.off = it.end {
+			if it.rec.LSN > durable {
 				c.gated = true
 				return out, nil
 			}
-			frame := buf[c.off:end]
-			c.off = end
-			if rec.LSN <= c.lastLSN {
+			if it.rec.LSN <= c.lastLSN {
 				continue // resume skip: already shipped before a restart
 			}
-			c.lastLSN = rec.LSN
-			out = append(out, ShippedRecord{Record: rec, Frame: frame})
+			c.lastLSN = it.rec.LSN
+			out = append(out, ShippedRecord{Record: it.rec, Frame: buf[it.start:it.end]})
 		}
 		c.gated = false
 		if pos+1 >= len(indexes) {
@@ -141,167 +117,66 @@ func (c *ShipCursor) Poll(durable uint64, dst []ShippedRecord) ([]ShippedRecord,
 	}
 }
 
-// MirrorWriter appends shipped frames into the replica's own storage, giving
-// the mirror the same shape as a primary log: CRC-framed records in
-// ascending-LSN order, segments sealed (fsynced, closed) before a successor
-// is created, so every segment below the newest is fully durable. The mirror
-// keeps its own segment indexes — they need not match the primary's, because
-// recovery and replay order by LSN, never by segment boundary.
-type MirrorWriter struct {
-	storage   Storage
-	segSize   int
-	active    SegmentFile // nil until the first append after open/rotate
-	activeLen int
-	nextIdx   uint64
-	lastLSN   uint64 // highest LSN written (durable or not)
-	durable   uint64 // highest LSN covered by a successful Sync
-	unsynced  bool
-}
-
-// OpenMirror opens (or creates) a mirror on storage. It scans existing
-// segments for the highest decodable LSN — the resume point a ShipCursor
-// should be created after — and always starts a fresh segment for new
-// appends, so a torn tail left by a crash is never appended into.
-func OpenMirror(storage Storage, segSize int) (*MirrorWriter, error) {
-	if segSize <= 0 {
-		segSize = DefaultSegmentSize
+// AppendShipped appends one already-encoded frame — a ShippedRecord's Frame,
+// whose record carries lsn — to a log that mirrors another. The bytes go in
+// verbatim: the LSN and epoch the primary stamped are kept, and this log's own
+// epoch and fence play no part (a mirror is written by its replica alone).
+// Frames must arrive in ascending LSN order; one at or below the log's last
+// LSN is skipped silently — the resume overlap after a restart, or a record
+// the local checkpoint covers (see Open). Rotation, Sync and the durable
+// watermark, Close and Stats are the log's own.
+//
+// A failed write wedges the log: the tail may be torn, and where AppendBatch
+// would retract its batch with abort records, a mirror must not invent records
+// — its records are the primary's or nothing. The next Open ends the log at
+// its last whole record and shipping resumes from there.
+func (l *Log) AppendShipped(lsn uint64, frame []byte) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err := l.usableLocked(); err != nil {
+		return err
 	}
-	m := &MirrorWriter{storage: storage, segSize: segSize}
-	indexes, err := storage.List()
-	if err != nil {
-		return nil, err
-	}
-	if len(indexes) > 0 {
-		m.nextIdx = indexes[len(indexes)-1] + 1
-		// Same tail-adoption rule as Log.Open: fsync the final segment before
-		// trusting its decodable records as durable.
-		if err := storage.SyncSegment(indexes[len(indexes)-1]); err != nil {
-			return nil, err
-		}
-	}
-	for i := len(indexes) - 1; i >= 0; i-- {
-		buf, err := storage.ReadSegment(indexes[i])
-		if err != nil {
-			return nil, err
-		}
-		off := 0
-		for off < len(buf) {
-			rec, n, decErr := decodeRecord(buf, off)
-			if decErr != nil {
-				break
-			}
-			if rec.LSN > m.lastLSN {
-				m.lastLSN = rec.LSN
-			}
-			off = n
-		}
-		if m.lastLSN > 0 {
-			break
-		}
-	}
-	m.durable = m.lastLSN
-	return m, nil
-}
-
-// LastLSN returns the highest LSN written to the mirror, durable or not.
-func (m *MirrorWriter) LastLSN() uint64 { return m.lastLSN }
-
-// DurableLSN returns the highest LSN the mirror has made durable. This is the
-// watermark a semi-sync primary waits on: everything at or below it survives
-// a replica crash.
-func (m *MirrorWriter) DurableLSN() uint64 { return m.durable }
-
-// Append writes one shipped frame. Frames must arrive in ascending LSN order;
-// a frame at or below the mirror's watermark is skipped silently (the resume
-// overlap after a restart). The frame is durable only after Sync.
-func (m *MirrorWriter) Append(lsn uint64, frame []byte) error {
-	if lsn <= m.lastLSN {
+	if lsn <= l.appended {
 		return nil
 	}
-	if m.active != nil && m.activeLen > 0 && m.activeLen+len(frame) > m.segSize {
-		if err := m.rotate(); err != nil {
+	if err := l.ensureActiveLocked(); err != nil {
+		return err
+	}
+	if l.activeLen > 0 && l.activeLen+len(frame) > l.segSize {
+		if err := l.rotateLocked(); err != nil {
 			return err
 		}
 	}
-	if m.active == nil {
-		active, err := m.storage.Create(m.nextIdx)
-		if err != nil {
-			return err
-		}
-		m.active = active
-		m.nextIdx++
-		m.activeLen = 0
-	}
-	if _, err := m.active.Write(frame); err != nil {
+	if _, err := l.active.Write(frame); err != nil {
+		l.broken = err
 		return err
 	}
-	m.activeLen += len(frame)
-	m.lastLSN = lsn
-	m.unsynced = true
+	l.appended = lsn
+	l.activeLen += len(frame)
+	l.unsynced += len(frame)
+	l.appends++
+	l.appendedBytes += uint64(len(frame))
 	return nil
-}
-
-// rotate seals the active segment — fsync then close, so sealed mirror
-// segments are always fully durable, as on a primary.
-func (m *MirrorWriter) rotate() error {
-	if err := m.syncActive(); err != nil {
-		return err
-	}
-	if err := m.active.Close(); err != nil {
-		return err
-	}
-	m.active = nil
-	return nil
-}
-
-func (m *MirrorWriter) syncActive() error {
-	if m.unsynced {
-		if err := m.active.Sync(); err != nil {
-			return err
-		}
-		m.unsynced = false
-	}
-	m.durable = m.lastLSN
-	return nil
-}
-
-// Sync makes every appended frame durable and advances the mirror watermark.
-func (m *MirrorWriter) Sync() error {
-	if m.active == nil {
-		m.durable = m.lastLSN
-		return nil
-	}
-	return m.syncActive()
-}
-
-// Close fsyncs and closes the active segment.
-func (m *MirrorWriter) Close() error {
-	if m.active == nil {
-		return nil
-	}
-	err := m.syncActive()
-	if cerr := m.active.Close(); err == nil {
-		err = cerr
-	}
-	m.active = nil
-	return err
 }
 
 // CopyLatestCheckpoint copies the newest decodable checkpoint blob from src
 // to dst byte-for-byte (same sequence number, so a promoted replica's
-// recovery finds it exactly where a primary's would), returning the decoded
-// checkpoint. (nil, nil) means src holds no usable checkpoint and the replica
-// must ship the log from the beginning. The primary may complete a checkpoint
-// round and prune older blobs between our listing and read; the copy retries
-// against the then-newest blob.
-func CopyLatestCheckpoint(src, dst Storage) (*Checkpoint, error) {
+// recovery finds it exactly where a primary's would) if its LowLSN is at
+// least minLowLSN, returning the decoded checkpoint. A replica passes one past
+// the last LSN it has shipped — the blob is wanted only when it covers records
+// the replica lacks — or 0 when it has no checkpoint of its own and wants
+// whatever exists. (nil, nil) means src holds no such checkpoint and nothing
+// was copied. The primary may complete a checkpoint round and prune older
+// blobs between our listing and read; the copy retries against the
+// then-newest blob.
+func CopyLatestCheckpoint(src, dst Storage, minLowLSN uint64) (*Checkpoint, error) {
 	var lastErr error
 	for attempt := 0; attempt < 3; attempt++ {
 		cp, _, err := LatestCheckpoint(src)
 		if err != nil {
 			return nil, err
 		}
-		if cp == nil {
+		if cp == nil || cp.LowLSN < minLowLSN {
 			return nil, nil
 		}
 		buf, err := src.ReadCheckpoint(cp.Seq)
