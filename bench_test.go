@@ -1,5 +1,6 @@
-// Benchmarks: one per table and figure of the paper's evaluation, plus
-// ablation benchmarks for the engine's design decisions.
+// Benchmarks: one per table and figure of the paper's evaluation, plus the
+// work-stealing scheduler and the single-container vs two-phase commit
+// comparison.
 //
 // Each benchmark drives the workload/deployment combination of its figure with
 // a single client and reports per-transaction latency (ns/op); the full
@@ -445,71 +446,7 @@ func BenchmarkFig19AuthPay(b *testing.B) {
 	}
 }
 
-// --- Scheduler: request queue + group commit ----------------------------------
-
-// BenchmarkSchedulerQueuedVsDirect compares the executor request-queue
-// scheduler with batched group commit against direct goroutine dispatch under
-// concurrent clients (ns/op is inversely proportional to sustained
-// throughput). Both sides pay the same modeled per-transaction processing and
-// log-write costs; direct dispatch pays the log write on the executor core
-// for every commit, while the queued scheduler amortizes it across each
-// group-commit batch.
-func BenchmarkSchedulerQueuedVsDirect(b *testing.B) {
-	const customers = 16
-	configs := map[string]func() reactdb.Config{
-		"direct": func() reactdb.Config {
-			cfg := reactdb.SharedEverythingWithAffinity(2)
-			cfg.Dispatch = reactdb.DispatchDirect
-			return cfg
-		},
-		"queued-group-commit": func() reactdb.Config {
-			cfg := reactdb.SharedEverythingWithAffinity(2)
-			cfg.GroupCommit = reactdb.GroupCommitConfig{Enabled: true, MaxBatch: 32, Window: 300 * time.Microsecond}
-			return cfg
-		},
-	}
-	for name, mk := range configs {
-		b.Run(name, func(b *testing.B) {
-			cfg := mk()
-			cfg.Costs = reactdb.Costs{Processing: 20 * time.Microsecond, LogWrite: 400 * time.Microsecond}
-			db, err := engine.Open(smallbank.NewDefinition(customers), cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := smallbank.Load(db, customers, 1e9, 1e9); err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(db.Close)
-			// Spread client goroutines across distinct customers so the
-			// comparison measures scheduling and commit costs, not OCC
-			// conflicts. SetParallelism keeps >= 8 concurrent clients even on
-			// small hosts.
-			if gomaxprocs := runtime.GOMAXPROCS(0); gomaxprocs < 8 {
-				b.SetParallelism((8 + gomaxprocs - 1) / gomaxprocs)
-			}
-			var clientSeq atomic.Int64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				client := int(clientSeq.Add(1))
-				reactor := smallbank.ReactorName(client % customers)
-				for pb.Next() {
-					mustExecute(b, db, reactor, smallbank.ProcDepositChecking, 1.0)
-				}
-			})
-			if qs := db.QueueStats(); len(qs) > 0 {
-				var wait time.Duration
-				var n int64
-				for _, s := range qs {
-					n += s.Wait.Count
-					wait += time.Duration(s.Wait.Mean() * float64(s.Wait.Count))
-				}
-				if n > 0 {
-					b.ReportMetric(float64(wait.Nanoseconds())/float64(n), "queue-wait-ns")
-				}
-			}
-		})
-	}
-}
+// --- Scheduler: work stealing ---------------------------------------------------
 
 // rankedCustomers orders the smallbank reactor names by Zipf rank for a
 // container with the given number of hash-affinity executors: clustered puts
@@ -604,100 +541,7 @@ func BenchmarkSchedulerSkewedSteal(b *testing.B) {
 	}
 }
 
-// --- Ablations -----------------------------------------------------------------
-
-// BenchmarkAblationInlining compares same-container sub-transaction inlining
-// (the paper's §3.2.1 rule) against forcing every call through asynchronous
-// dispatch.
-func BenchmarkAblationInlining(b *testing.B) {
-	for _, disable := range []bool{false, true} {
-		name := "inlined"
-		if disable {
-			name = "always-dispatch"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := engine.NewSharedEverythingWithAffinity(2)
-			cfg.DisableSameContainerInlining = disable
-			cfg.Costs = commCosts()
-			db, err := engine.Open(smallbank.NewDefinition(8), cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := smallbank.Load(db, 8, 1e9, 1e9); err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(db.Close)
-			src := smallbank.ReactorName(0)
-			dsts := []string{smallbank.ReactorName(3), smallbank.ReactorName(5)}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				mustExecute(b, db, src, smallbank.ProcMultiTransferOpt, src, dsts, 1.0)
-			}
-		})
-	}
-}
-
-// BenchmarkAblationActiveSet measures the overhead of the §2.2.4 safety check.
-func BenchmarkAblationActiveSet(b *testing.B) {
-	for _, disable := range []bool{false, true} {
-		name := "check-on"
-		if disable {
-			name = "check-off"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := engine.NewSharedNothing(4)
-			cfg.DisableActiveSetCheck = disable
-			cfg.Placement = smallbank.RangePlacement(2)
-			db, err := engine.Open(smallbank.NewDefinition(8), cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := smallbank.Load(db, 8, 1e9, 1e9); err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(db.Close)
-			src := smallbank.ReactorName(0)
-			dsts := []string{smallbank.ReactorName(3), smallbank.ReactorName(5), smallbank.ReactorName(7)}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				mustExecute(b, db, src, smallbank.ProcMultiTransferOpt, src, dsts, 1.0)
-			}
-		})
-	}
-}
-
-// BenchmarkAblationCooperativeMultitasking compares releasing the executor
-// core while blocked on remote sub-transactions (§3.2.3) against holding it.
-func BenchmarkAblationCooperativeMultitasking(b *testing.B) {
-	for _, disable := range []bool{false, true} {
-		name := "cooperative"
-		if disable {
-			name = "blocking"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := engine.NewSharedNothing(4)
-			cfg.DisableCooperativeMultitasking = disable
-			cfg.Placement = tpcc.Placement
-			cfg.Costs = reactdb.DefaultExperimentCosts()
-			params := tpcc.Params{Warehouses: 4, CustomersPerDistrict: 30, Items: 100}
-			db, err := engine.Open(tpcc.NewDefinition(params), cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := tpcc.Load(db, params); err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(db.Close)
-			g := tpcc.NewGenerator(tpcc.GeneratorConfig{Params: params, HomeWarehouse: 1,
-				Mix: tpcc.NewOrderOnlyMix(), RemoteItemProbability: 1.0, Seed: 11})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				req := g.NewOrder()
-				mustExecute(b, db, req.Reactor, req.Procedure, req.Args...)
-			}
-		})
-	}
-}
+// --- Ablation: single-container commit vs two-phase commit ---------------------
 
 // BenchmarkAblationSingle2PC compares single-container commits (which bypass
 // two-phase commit) against multi-container commits of the same logical work.

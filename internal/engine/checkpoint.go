@@ -253,14 +253,11 @@ func (db *Database) acquireCommitGate(session *coreSession) {
 	if db.commitGate.TryRLock() {
 		return
 	}
-	yield := session != nil && !db.cfg.DisableCooperativeMultitasking
-	if yield {
+	if session != nil {
 		session.release()
+		defer session.acquire()
 	}
 	db.commitGate.RLock()
-	if yield {
-		session.acquire()
-	}
 }
 
 // checkpointLoop is the background checkpointer, started by Open when

@@ -40,22 +40,6 @@ const (
 	RouterAffinity   RouterKind = "affinity"
 )
 
-// DispatchMode selects how routed requests reach their executor.
-type DispatchMode string
-
-// Dispatch modes.
-const (
-	// DispatchQueued (the default) enqueues every request on the target
-	// executor's bounded request queue; a per-executor run loop admits one
-	// request at a time onto the executor's virtual core (paper §3.2.3:
-	// executors queue requests and cooperatively multitask).
-	DispatchQueued DispatchMode = "queued"
-	// DispatchDirect runs every request on a fresh goroutine contending
-	// directly for the executor core — the pre-scheduler behaviour, kept for
-	// ablation benchmarks.
-	DispatchDirect DispatchMode = "direct"
-)
-
 // AdmissionPolicy decides what happens to a root transaction arriving at an
 // executor whose request queue is full.
 type AdmissionPolicy string
@@ -200,11 +184,6 @@ type Config struct {
 	// executors.
 	Router RouterKind
 
-	// Dispatch selects how routed requests reach their executor: through the
-	// executor's bounded request queue (DispatchQueued, the default) or on a
-	// goroutine per request (DispatchDirect, the pre-scheduler behaviour).
-	Dispatch DispatchMode
-
 	// QueueDepth bounds the number of root transactions in flight on each
 	// executor (default 256): an admission token is taken when a root is
 	// admitted, held across cooperative yields, and released only at
@@ -254,31 +233,11 @@ type Config struct {
 	// costs, leaving only the real cost of executing Go code.
 	Costs vclock.Costs
 
-	// EpochInterval is how often each container advances its OCC epoch. Zero
-	// disables epoch advancement (fine without durability).
-	EpochInterval time.Duration
-
 	// DisableCC disables the commit protocol (validation, locking, TID
 	// generation). It exists only to measure containerization overhead with
 	// empty transactions, as in Appendix F.3, and must not be used with
 	// workloads that write data.
 	DisableCC bool
-
-	// DisableActiveSetCheck turns off the dynamic safety condition of §2.2.4.
-	// Used by the ablation benchmarks.
-	DisableActiveSetCheck bool
-
-	// DisableSameContainerInlining forces sub-transaction calls to reactors in
-	// the same container through the asynchronous dispatch path instead of
-	// executing them synchronously on the calling executor. Used by the
-	// ablation benchmarks; the default (false) matches the paper (§3.2.1).
-	DisableSameContainerInlining bool
-
-	// DisableCooperativeMultitasking keeps the executor core held while a
-	// request waits for a remote sub-transaction result, i.e. the executor
-	// cannot pick up other work during the wait. Used by ablation benchmarks;
-	// the default (false) matches §3.2.3.
-	DisableCooperativeMultitasking bool
 
 	// replica marks the inner database of a Replica: procedures run read-only
 	// (Insert/Update/Delete fail with ErrReplicaRead) while the replica's
@@ -301,12 +260,6 @@ func (c *Config) Validate() error {
 	if c.Router != RouterRoundRobin && c.Router != RouterAffinity {
 		return fmt.Errorf("engine: unknown router kind %q", c.Router)
 	}
-	if c.Dispatch == "" {
-		c.Dispatch = DispatchQueued
-	}
-	if c.Dispatch != DispatchQueued && c.Dispatch != DispatchDirect {
-		return fmt.Errorf("engine: unknown dispatch mode %q", c.Dispatch)
-	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256
 	}
@@ -317,9 +270,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("engine: unknown admission policy %q", c.Admission)
 	}
 	if c.Steal.Enabled {
-		if c.Dispatch != DispatchQueued {
-			return fmt.Errorf("engine: work stealing requires Dispatch == DispatchQueued")
-		}
 		if c.Steal.Ratio <= 0 {
 			c.Steal.Ratio = 2
 		}
@@ -328,9 +278,6 @@ func (c *Config) Validate() error {
 		}
 	}
 	if c.AdaptiveDepth.Enabled {
-		if c.Dispatch != DispatchQueued {
-			return fmt.Errorf("engine: adaptive queue depth requires Dispatch == DispatchQueued")
-		}
 		if c.AdaptiveDepth.TargetP99 <= 0 {
 			c.AdaptiveDepth.TargetP99 = 2 * time.Millisecond
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"reactdb/internal/kv"
 	"reactdb/internal/occ"
@@ -22,9 +23,10 @@ type Container struct {
 	id        int
 	domain    *occ.Domain
 	executors []*Executor
-	router    Router
-	committer *groupCommitter // nil unless group commit is enabled
-	wal       *wal.Log        // nil unless Durability.Mode == DurabilityWAL
+	// nextExecutor is the round-robin router's cursor (see route).
+	nextExecutor atomic.Uint64
+	committer    *groupCommitter // nil unless group commit is enabled
+	wal          *wal.Log        // nil unless Durability.Mode == DurabilityWAL
 
 	// walStorage is the container's segment + checkpoint store (nil without a
 	// WAL); the checkpointer writes snapshot blobs to it and recovery loads
@@ -94,7 +96,6 @@ func newContainer(db *Database, id int) (*Container, error) {
 	for _, e := range c.executors {
 		e.start()
 	}
-	c.router = newRouter(db.cfg.Router, c)
 	if db.cfg.GroupCommit.Enabled {
 		c.committer = newGroupCommitter(c)
 	}

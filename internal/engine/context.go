@@ -374,52 +374,49 @@ func (c *execContext) CallSync(reactor, procedure string, args ...any) (any, err
 }
 
 // Call implements core.Context: the asynchronous procedure call of the
-// programming model (§2.2.2). Calls to the current reactor are inlined; calls
-// to reactors hosted in the same container execute synchronously on the
-// calling executor (§3.2.1); calls to reactors in other containers are routed
-// to the destination container and executed asynchronously, returning an
-// unresolved future.
+// programming model (§2.2.2), routed by call.
 func (c *execContext) Call(reactor, procedure string, args ...any) (*core.Future, error) {
-	typ := c.db.def.TypeOf(reactor)
-	if typ == nil {
-		return nil, fmt.Errorf("%w: %s", core.ErrUnknownReactor, reactor)
+	proc, err := c.db.procedure(reactor, procedure)
+	if err != nil {
+		return nil, err
 	}
-	proc := typ.Procedure(procedure)
-	if proc == nil {
-		return nil, fmt.Errorf("%w: %s.%s", core.ErrUnknownProcedure, reactor, procedure)
-	}
-	callArgs := core.Args(args)
+	return c.call(reactor, procedure, proc, core.Args(args))
+}
 
-	// Direct self-call: inline synchronously (§2.2.4), sharing this context's
+// call runs proc on reactor as a sub-transaction of this context. It is the
+// one place a call chooses how it reaches the code that runs it: calls to the
+// current reactor are inlined; calls to reactors hosted in the same container
+// execute synchronously on the calling executor (§3.2.1); calls to reactors in
+// other containers are routed to an executor of the destination container and
+// executed asynchronously, returning an unresolved future. Every call but the
+// self-call enters its reactor into the root's active set first, the safety
+// condition of §2.2.4.
+func (c *execContext) call(reactor, procName string, proc core.Procedure, args core.Args) (*core.Future, error) {
+	// Direct self-call: inline synchronously, sharing this context's
 	// execution state.
 	if reactor == c.reactor {
-		res, err := c.runInline(c.container, reactor, proc, callArgs)
+		res, err := c.runInline(c.container, reactor, proc, args)
 		return c.trackChild(core.ResolvedFuture(res, err)), nil
 	}
-
 	target := c.db.containerOf(reactor)
-	cfg := &c.db.cfg
+	if target == nil {
+		return nil, fmt.Errorf("%w: %s", core.ErrUnknownReactor, reactor)
+	}
+	if err := c.root.activeSet.Enter(reactor); err != nil {
+		return nil, err
+	}
 
 	// Same-container call: execute synchronously within the same transaction
-	// executor to avoid migration of control (§3.2.1).
-	if target == c.container && !cfg.DisableSameContainerInlining {
-		if !cfg.DisableActiveSetCheck {
-			if err := c.root.activeSet.Enter(reactor); err != nil {
-				return nil, err
-			}
-			defer c.root.activeSet.Exit(reactor)
-		}
-		res, err := c.runInline(target, reactor, proc, callArgs)
+	// executor to avoid migration of control.
+	if target == c.container {
+		defer c.root.activeSet.Exit(reactor)
+		res, err := c.runInline(target, reactor, proc, args)
 		return c.trackChild(core.ResolvedFuture(res, err)), nil
 	}
 
-	// Cross-container call: enforce the safety condition, charge the send
-	// cost, and dispatch to the destination container's router.
-	if !cfg.DisableActiveSetCheck {
-		if err := c.root.activeSet.Enter(reactor); err != nil {
-			return nil, err
-		}
-	}
+	// Cross-container call: charge the send cost and queue a task on the
+	// executor the destination container routes it to.
+	cfg := &c.db.cfg
 	if cfg.Costs.Send > 0 {
 		vclock.Spin(cfg.Costs.Send)
 	}
@@ -430,22 +427,19 @@ func (c *execContext) Call(reactor, procedure string, args ...any) (*core.Future
 	t := &task{
 		root:     c.root,
 		reactor:  reactor,
-		procName: procedure,
+		procName: procName,
 		proc:     proc,
-		args:     callArgs,
-		executor: target.router.Route(reactor),
+		args:     args,
+		executor: target.route(reactor),
 		future:   fut,
-		isRoot:   false,
 	}
 	c.trackChild(fut)
-	if err := c.db.dispatch(t); err != nil {
+	if err := t.executor.submit(t); err != nil {
 		// The request never reached an executor (queue closed mid-shutdown).
 		// Resolve the tracked future so waitChildren observes the failure
 		// instead of hanging, and undo the active-set entry the task's
 		// completion would have removed.
-		if !cfg.DisableActiveSetCheck {
-			c.root.activeSet.Exit(reactor)
-		}
+		c.root.activeSet.Exit(reactor)
 		fut.Resolve(nil, err)
 		return nil, err
 	}
@@ -470,20 +464,18 @@ func (c *execContext) trackChild(fut *core.Future) *core.Future {
 func (c *execContext) installWaitHooks(fut *core.Future) {
 	cfg := &c.db.cfg
 	blocked := false
-	if !cfg.DisableCooperativeMultitasking {
-		var blockedAt time.Time
-		fut.SetWaitHooks(
-			func() {
-				blocked = true
-				blockedAt = time.Now()
-				c.session.release()
-			},
-			func() {
-				c.session.acquire()
-				c.root.addBlocked(time.Since(blockedAt))
-			},
-		)
-	}
+	var blockedAt time.Time
+	fut.SetWaitHooks(
+		func() {
+			blocked = true
+			blockedAt = time.Now()
+			c.session.release()
+		},
+		func() {
+			c.session.acquire()
+			c.root.addBlocked(time.Since(blockedAt))
+		},
+	)
 	fut.SetDeliverHook(func() {
 		if !blocked {
 			return

@@ -41,13 +41,10 @@ type Database struct {
 	ckptStop chan struct{}
 	ckptWG   sync.WaitGroup
 
-	epochStop chan struct{}
-	epochWG   sync.WaitGroup
-
 	// walEpoch and walFence mirror the durable failover EpochState loaded at
 	// Open (wal.ReadEpochState): the primary term this node's logs append
 	// under, and the term below which appends are fenced. Distinct from the
-	// storage-reclamation epochs of epochLoop. See failover.go.
+	// OCC domains' TID epochs. See failover.go.
 	walEpoch atomic.Uint64
 	walFence atomic.Uint64
 
@@ -86,7 +83,6 @@ func Open(def *core.DatabaseDef, cfg Config) (*Database, error) {
 		def:       def,
 		cfg:       cfg,
 		placement: make(map[string]*Container),
-		epochStop: make(chan struct{}),
 		ckptStop:  make(chan struct{}),
 		adaptStop: make(chan struct{}),
 	}
@@ -125,10 +121,6 @@ func Open(def *core.DatabaseDef, cfg Config) (*Database, error) {
 		}
 		db.placement[reactor] = c
 	}
-	if cfg.EpochInterval > 0 {
-		db.epochWG.Add(1)
-		go db.epochLoop()
-	}
 	if cfg.Durability.CheckpointInterval > 0 {
 		db.ckptWG.Add(1)
 		go db.checkpointLoop()
@@ -166,24 +158,6 @@ func (db *Database) Close() {
 		for _, c := range db.containers {
 			c.shutdown()
 		}
-		close(db.epochStop)
-		db.epochWG.Wait()
-	}
-}
-
-func (db *Database) epochLoop() {
-	defer db.epochWG.Done()
-	ticker := time.NewTicker(db.cfg.EpochInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-db.epochStop:
-			return
-		case <-ticker.C:
-			for _, c := range db.containers {
-				c.domain.AdvanceEpoch()
-			}
-		}
 	}
 }
 
@@ -216,9 +190,6 @@ func (db *Database) adaptLoop() {
 		case <-ticker.C:
 			for _, c := range db.containers {
 				for _, e := range c.executors {
-					if e.gate == nil {
-						continue
-					}
 					win := e.waitWindow.Rotate()
 					if win.Count == 0 {
 						continue
@@ -294,13 +265,9 @@ func (db *Database) Execute(reactor, procedure string, args ...any) (any, error)
 // by the cost-model experiments.
 func (db *Database) ExecuteProfiled(reactor, procedure string, args ...any) (any, Profile, error) {
 	start := time.Now()
-	typ := db.def.TypeOf(reactor)
-	if typ == nil {
-		return nil, Profile{}, fmt.Errorf("%w: %s", core.ErrUnknownReactor, reactor)
-	}
-	proc := typ.Procedure(procedure)
-	if proc == nil {
-		return nil, Profile{}, fmt.Errorf("%w: %s.%s", core.ErrUnknownProcedure, reactor, procedure)
+	proc, err := db.procedure(reactor, procedure)
+	if err != nil {
+		return nil, Profile{}, err
 	}
 	res, root, err := db.runRoot(db.containerOf(reactor), reactor, procedure, proc, core.Args(args))
 	if root == nil {
@@ -312,18 +279,31 @@ func (db *Database) ExecuteProfiled(reactor, procedure string, args ...any) (any
 	return res, profile, err
 }
 
+// procedure resolves the named procedure of a reactor's type.
+func (db *Database) procedure(reactor, name string) (core.Procedure, error) {
+	typ := db.def.TypeOf(reactor)
+	if typ == nil {
+		return nil, fmt.Errorf("%w: %s", core.ErrUnknownReactor, reactor)
+	}
+	proc := typ.Procedure(name)
+	if proc == nil {
+		return nil, fmt.Errorf("%w: %s.%s", core.ErrUnknownProcedure, reactor, name)
+	}
+	return proc, nil
+}
+
 // runRoot runs proc as a new root transaction hosted on the reactor and blocks
 // until it has committed or aborted. The transaction's whole bookkeeping —
 // active set, touched containers, the root task, its future, execution context
-// and core session — is the one rootTxn allocated here. A nil rootTxn means
-// the transaction was never dispatched.
+// and core session — is the one rootTxn allocated here. The task joins its
+// executor's request queue (admission control may block here or return
+// ErrOverloaded) and the executor's run loop starts it in FIFO order. A nil
+// rootTxn means the transaction was never dispatched.
 func (db *Database) runRoot(container *Container, reactor, procName string, proc core.Procedure, args core.Args) (any, *rootTxn, error) {
 	root := &rootTxn{db: db, id: db.nextTxnID.Add(1)}
-	if !db.cfg.DisableActiveSetCheck {
-		// The root transaction itself occupies its reactor.
-		if err := root.activeSet.Enter(reactor); err != nil {
-			return nil, nil, err
-		}
+	// The root transaction itself occupies its reactor.
+	if err := root.activeSet.Enter(reactor); err != nil {
+		return nil, nil, err
 	}
 	root.task = task{
 		root:     root,
@@ -331,39 +311,19 @@ func (db *Database) runRoot(container *Container, reactor, procName string, proc
 		procName: procName,
 		proc:     proc,
 		args:     args,
-		executor: container.router.Route(reactor),
+		executor: container.route(reactor),
 		future:   &root.future,
 		isRoot:   true,
 		affine:   db.cfg.pinnedAffinity(),
 	}
 	db.inflight.Add(1)
-	if err := db.dispatch(&root.task); err != nil {
+	if err := root.task.executor.submit(&root.task); err != nil {
 		db.inflight.Done()
 		return nil, nil, err
 	}
 	res, err := root.future.Get()
 	db.inflight.Done()
 	return res, root, err
-}
-
-// dispatch hands a task to its executor. Under DispatchQueued the task joins
-// the executor's bounded request queue (admission control may block the
-// caller or return ErrOverloaded) and the executor's run loop starts it in
-// FIFO order. Under DispatchDirect the task runs on a fresh goroutine
-// contending directly for the executor core, the pre-scheduler behaviour. In
-// both modes the executor's virtual core serializes processing, and
-// cooperative multitasking releases the core while a task waits for remote
-// results.
-func (db *Database) dispatch(t *task) error {
-	if db.cfg.Dispatch == DispatchDirect {
-		go func() {
-			session := t.newSession(coreSession{exec: t.executor})
-			session.acquire()
-			db.runTask(t, session)
-		}()
-		return nil
-	}
-	return t.executor.submit(t)
 }
 
 // runTask executes one (sub-)transaction request on its executor. The caller
@@ -433,7 +393,7 @@ func (db *Database) runTask(t *task, session *coreSession) {
 	}
 
 	session.release()
-	if !t.isRoot && !db.cfg.DisableActiveSetCheck {
+	if !t.isRoot {
 		t.root.activeSet.Exit(t.reactor)
 	}
 	// Before the caller can observe completion: a client that resubmits the

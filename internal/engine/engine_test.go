@@ -300,17 +300,6 @@ func TestDangerousStructureAborts(t *testing.T) {
 	if got := balanceOf(t, db, "acct-2"); got != 10 {
 		t.Fatalf("dangerous transaction leaked state: %v", got)
 	}
-
-	// With the safety check disabled (ablation), the same program runs.
-	cfg := NewSharedNothing(4)
-	cfg.DisableActiveSetCheck = true
-	db2 := openAccounts(t, 4, 10, cfg)
-	if _, err := db2.Execute("acct-0", "fan_in_same_reactor", "acct-2"); err != nil {
-		t.Fatalf("with check disabled the call should succeed, got %v", err)
-	}
-	if got := balanceOf(t, db2, "acct-2"); got != 12 {
-		t.Fatalf("credits not applied with check disabled: %v", got)
-	}
 }
 
 func TestSelfCallInlining(t *testing.T) {
@@ -483,22 +472,6 @@ func TestRemoteCallsOnlyWhenCrossingContainers(t *testing.T) {
 	}
 }
 
-func TestDisableSameContainerInliningForcesDispatch(t *testing.T) {
-	cfg := NewSharedEverythingWithAffinity(4)
-	cfg.DisableSameContainerInlining = true
-	db := openAccounts(t, 4, 100, cfg)
-	_, profile, err := db.ExecuteProfiled("acct-0", "transfer", "acct-3", 5.0)
-	if err != nil {
-		t.Fatalf("transfer: %v", err)
-	}
-	if profile.RemoteCalls == 0 {
-		t.Fatalf("ablation should force remote dispatch")
-	}
-	if got := balanceOf(t, db, "acct-3"); got != 105 {
-		t.Fatalf("transfer result wrong under ablation: %v", got)
-	}
-}
-
 func TestRoundRobinRouterSpreadsRootTransactions(t *testing.T) {
 	cfg := NewSharedEverythingWithoutAffinity(4)
 	db := openAccounts(t, 1, 0, cfg)
@@ -639,17 +612,6 @@ func TestLoadAndReadRowErrors(t *testing.T) {
 	}
 	if _, ok := db.ContainerIndexOf("missing"); ok {
 		t.Fatalf("ContainerIndexOf of missing reactor should report false")
-	}
-}
-
-func TestEpochAdvancesInBackground(t *testing.T) {
-	cfg := NewSharedNothing(1)
-	cfg.EpochInterval = 5 * time.Millisecond
-	db := openAccounts(t, 1, 0, cfg)
-	before := db.Containers()[0].Domain().Epoch()
-	time.Sleep(30 * time.Millisecond)
-	if after := db.Containers()[0].Domain().Epoch(); after <= before {
-		t.Fatalf("epoch did not advance in background: %d -> %d", before, after)
 	}
 	db.Close()
 	// Close is idempotent.

@@ -9,12 +9,12 @@ import (
 )
 
 // Executor is a transaction executor: the unit of compute inside a container
-// (paper §3.1). Each executor owns one virtual core and, under the queued
-// dispatch mode, a request queue drained by a run-loop goroutine plus an
-// admission gate of in-flight tokens: root transactions admitted to the gate
-// are started in FIFO order, one core-holder at a time, and a request that
-// blocks on a remote sub-transaction releases the core so queued work can
-// proceed (cooperative multitasking, §3.2.3) while keeping its token. When
+// (paper §3.1). Each executor owns one virtual core, a request queue drained
+// by a run-loop goroutine and an admission gate of in-flight tokens: root
+// transactions admitted to the gate are started in FIFO order, one
+// core-holder at a time, and a request that blocks on a remote
+// sub-transaction releases the core so queued work can proceed (cooperative
+// multitasking, §3.2.3) while keeping its token. When
 // work stealing is enabled (Config.Steal) an executor whose queue runs empty
 // — or pathologically shallow next to a sibling's — takes non-affine root
 // tasks from the deepest sibling queue of its container.
@@ -23,7 +23,7 @@ type Executor struct {
 	id        int
 	core      *vclock.Core
 
-	// request-queue scheduler (nil queue/gate under DispatchDirect)
+	// request-queue scheduler
 	queue    *requestQueue
 	gate     *admissionGate
 	loopDone chan struct{}
@@ -44,45 +44,35 @@ type Executor struct {
 }
 
 func newExecutor(c *Container, id int) *Executor {
-	e := &Executor{
+	depth := c.db.cfg.QueueDepth
+	if a := c.db.cfg.AdaptiveDepth; a.Enabled {
+		// Start wide open; the controller shrinks toward the floor only when
+		// measured queue-wait says the backlog is hurting.
+		depth = a.Ceiling
+	}
+	return &Executor{
 		container:  c,
 		id:         id,
 		core:       vclock.NewCore(),
+		queue:      newRequestQueue(depth),
+		gate:       newAdmissionGate(depth),
+		loopDone:   make(chan struct{}),
 		started:    time.Now(),
 		waitHist:   stats.NewHistogram(stats.DurationBounds()),
 		waitWindow: stats.NewWindowedHistogram(stats.DurationBounds()),
 		depthHist:  stats.NewHistogram(stats.DepthBounds()),
 	}
-	if c.db.cfg.Dispatch == DispatchQueued {
-		depth := c.db.cfg.QueueDepth
-		if a := c.db.cfg.AdaptiveDepth; a.Enabled {
-			// Start wide open; the controller shrinks toward the floor only
-			// when measured queue-wait says the backlog is hurting.
-			depth = a.Ceiling
-		}
-		e.queue = newRequestQueue(depth)
-		e.gate = newAdmissionGate(depth)
-		e.loopDone = make(chan struct{})
-	}
-	return e
 }
 
 // start spawns the run loop. It is separate from construction because a
 // stealing run loop scans its container's executor slice and sibling queues:
 // every executor of the container must exist before any loop runs.
-func (e *Executor) start() {
-	if e.queue != nil {
-		go e.runLoop()
-	}
-}
+func (e *Executor) start() { go e.runLoop() }
 
 // shutdown closes the admission gate and request queue, then waits for the
 // run loop to drain. Gate first: a root blocked at admission must fail with
 // errDatabaseClosed rather than win a token from a closing executor.
 func (e *Executor) shutdown() {
-	if e.queue == nil {
-		return
-	}
 	e.gate.close()
 	e.queue.close()
 	<-e.loopDone

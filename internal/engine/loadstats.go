@@ -26,8 +26,7 @@ type ExecutorLoad struct {
 }
 
 // ExecutorLoads returns the per-executor load signals, flattened across
-// containers in (container, executor) order. Under DispatchDirect the list is
-// empty.
+// containers in (container, executor) order.
 func (db *Database) ExecutorLoads() []ExecutorLoad {
 	var out []ExecutorLoad
 	for _, c := range db.containers {
@@ -35,17 +34,11 @@ func (db *Database) ExecutorLoads() []ExecutorLoad {
 			l := ExecutorLoad{
 				Container: c.id,
 				Executor:  e.id,
+				Depth:     e.queue.depth(),
 				Rejected:  e.rejected.Load(),
+				WaitP99:   time.Duration(e.waitWindow.Current().Quantile(0.99)),
 			}
-			if e.queue != nil {
-				l.Depth = e.queue.depth()
-			}
-			if e.gate != nil {
-				l.InFlight, l.EffectiveDepth, _ = e.gate.snapshot()
-			}
-			if e.waitWindow != nil {
-				l.WaitP99 = time.Duration(e.waitWindow.Current().Quantile(0.99))
-			}
+			l.InFlight, l.EffectiveDepth, _ = e.gate.snapshot()
 			out = append(out, l)
 		}
 	}

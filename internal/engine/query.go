@@ -5,7 +5,6 @@ import (
 
 	"reactdb/internal/core"
 	"reactdb/internal/rel"
-	"reactdb/internal/vclock"
 )
 
 // Query runs a declarative read-only query as its own root transaction: the
@@ -45,82 +44,56 @@ func (db *Database) Query(q *rel.Query) (*rel.Result, error) {
 
 // Query implements core.Context: it executes the query inside the current
 // root transaction. Sources with no explicit reactors read the current
-// reactor; sources naming reactors in other containers are fetched through
-// dispatched read sub-transactions exactly like Call, overlapping their
-// communication.
+// reactor; every reactor a source names is read by an ordinary call (see
+// call), so a reactor in another container is scanned by a read
+// sub-transaction on its own executor, overlapping its communication.
 func (c *execContext) Query(q *rel.Query) (*rel.Result, error) {
 	return q.Execute(c.fetchLeaf)
 }
 
 // fetchLeaf materializes one query source: the union of the relation's rows
 // across the source's reactors, narrowed by the best access path the filters
-// admit. Remote reactors are dispatched first so their scans overlap; local
-// reactors are read inline.
+// admit. Reactors in other containers are called first so their scans overlap
+// the local ones; the parts merge local reactors first, each group in
+// declaration order.
 func (c *execContext) fetchLeaf(src rel.Source, filters []rel.Filter) (*rel.LeafBatch, error) {
 	reactors := src.Reactors
 	if len(reactors) == 0 {
 		reactors = []string{c.reactor}
 	}
-	cfg := &c.db.cfg
-
-	type remote struct {
-		reactor string
-		fut     *core.Future
+	scan := func(ctx core.Context, _ core.Args) (any, error) {
+		return ctx.(*execContext).fetchLocal(src.Relation, filters)
 	}
-	var remotes []remote
-	var locals []string
-
-	for _, r := range reactors {
-		if r == c.reactor {
-			locals = append(locals, r)
-			continue
-		}
-		if !c.db.def.HasReactor(r) {
-			return nil, fmt.Errorf("%w: %s", core.ErrUnknownReactor, r)
-		}
-		target := c.db.containerOf(r)
-		if target == c.container && !cfg.DisableSameContainerInlining {
-			locals = append(locals, r)
-			continue
-		}
-		// Cross-container read sub-transaction: same dispatch discipline as
-		// Call — safety condition, send cost, routed task, tracked future.
-		if !cfg.DisableActiveSetCheck {
-			if err := c.root.activeSet.Enter(r); err != nil {
+	callAll := func(local bool) ([]*core.Future, error) {
+		var futs []*core.Future
+		for _, r := range reactors {
+			if (c.db.containerOf(r) == c.container) != local {
+				continue
+			}
+			fut, err := c.call(r, "query.scan", scan, nil)
+			if err != nil {
 				return nil, err
 			}
+			futs = append(futs, fut)
 		}
-		if cfg.Costs.Send > 0 {
-			vclock.Spin(cfg.Costs.Send)
-		}
-		c.root.addCs(cfg.Costs.Send)
-		fut := core.NewFuture()
-		c.installWaitHooks(fut)
-		relation, flt := src.Relation, filters
-		t := &task{
-			root:     c.root,
-			reactor:  r,
-			procName: "query.scan",
-			proc: func(ctx core.Context, _ core.Args) (any, error) {
-				return ctx.(*execContext).fetchLocal(relation, flt)
-			},
-			executor: target.router.Route(r),
-			future:   fut,
-			isRoot:   false,
-		}
-		c.trackChild(fut)
-		if err := c.db.dispatch(t); err != nil {
-			if !cfg.DisableActiveSetCheck {
-				c.root.activeSet.Exit(r)
-			}
-			fut.Resolve(nil, err)
-			return nil, err
-		}
-		remotes = append(remotes, remote{reactor: r, fut: fut})
+		return futs, nil
+	}
+	remotes, err := callAll(false)
+	if err != nil {
+		return nil, err
+	}
+	locals, err := callAll(true)
+	if err != nil {
+		return nil, err
 	}
 
 	batch := &rel.LeafBatch{}
-	merge := func(part *rel.LeafBatch) {
+	for _, fut := range append(locals, remotes...) {
+		res, err := fut.Get()
+		if err != nil {
+			return nil, err
+		}
+		part := res.(*rel.LeafBatch)
 		if batch.Schema == nil {
 			batch.Schema = part.Schema
 		}
@@ -132,59 +105,7 @@ func (c *execContext) fetchLeaf(src rel.Source, filters []rel.Filter) (*rel.Leaf
 			batch.Path = "mixed"
 		}
 	}
-
-	for _, r := range locals {
-		part, err := c.fetchLocalOn(r, src.Relation, filters)
-		if err != nil {
-			return nil, err
-		}
-		merge(part)
-	}
-	for _, rm := range remotes {
-		res, err := rm.fut.Get()
-		if err != nil {
-			return nil, err
-		}
-		merge(res.(*rel.LeafBatch))
-	}
-	if batch.Schema == nil {
-		// No reactor contributed (empty source list can't happen; defensive).
-		return nil, fmt.Errorf("engine: query source %q resolved no reactors", src.Alias)
-	}
 	return batch, nil
-}
-
-// fetchLocalOn reads one reactor's relation from within the current container
-// (the current reactor itself, or a same-container sibling inlined like a
-// same-container Call).
-func (c *execContext) fetchLocalOn(reactor, relation string, filters []rel.Filter) (*rel.LeafBatch, error) {
-	if reactor == c.reactor {
-		return c.fetchLocal(relation, filters)
-	}
-	cfg := &c.db.cfg
-	if !cfg.DisableActiveSetCheck {
-		if err := c.root.activeSet.Enter(reactor); err != nil {
-			return nil, err
-		}
-		defer c.root.activeSet.Exit(reactor)
-	}
-	target := c.db.containerOf(reactor)
-	child := &execContext{
-		db:        c.db,
-		root:      c.root,
-		container: target,
-		executor:  c.executor,
-		session:   c.session,
-		reactor:   reactor,
-		catalog:   target.catalog(reactor),
-		txn:       c.root.txnFor(target),
-	}
-	if child.catalog == nil {
-		return nil, fmt.Errorf("%w: %s not hosted in container %d", core.ErrUnknownReactor, reactor, target.id)
-	}
-	batch, err := child.fetchLocal(relation, filters)
-	child.releaseScratch()
-	return batch, err
 }
 
 // fetchLocal reads the current reactor's relation under the cheapest access

@@ -534,6 +534,108 @@ func TestQueryFanOutAcrossReactors(t *testing.T) {
 	}
 }
 
+// routeType is the reactor type of the query-route tests: an "items"
+// relation, indexed on cust when indexed is set, and a "chain" procedure that
+// calls "chain" on each reactor of args[0] in turn and, at the end of the
+// chain, returns the ids of the cust-1 items on the reactors of args[1].
+func routeType(name string, indexed bool) *core.Type {
+	items := rel.MustSchema("items",
+		[]rel.Column{{Name: "id", Type: rel.Int64}, {Name: "cust", Type: rel.Int64}}, "id")
+	if indexed {
+		items = items.MustAddIndex("by_cust", "cust")
+	}
+	t := core.NewType(name).AddRelation(items)
+	t.AddProcedure("chain", func(ctx core.Context, args core.Args) (any, error) {
+		if path := args.Strings(0); len(path) > 0 {
+			return ctx.CallSync(path[0], "chain", path[1:], args.Strings(1))
+		}
+		return ctx.Query(rel.NewQuery().
+			From("o", "items", args.Strings(1)...).
+			Where("o", "cust", rel.Eq, int64(1)).
+			Select("o.id"))
+	})
+	return t
+}
+
+// openRouteDB deploys a and b (unindexed) on container 0, c on container 1
+// and d on container 2. Reactor i of "abcd" holds item i+1 for cust 1 and
+// item i+11 for cust 2.
+func openRouteDB(t *testing.T) *Database {
+	t.Helper()
+	def := core.NewDatabaseDef().
+		MustAddType(routeType("Indexed", true)).
+		MustAddType(routeType("Plain", false))
+	def.MustDeclareReactors("Indexed", "a", "c", "d")
+	def.MustDeclareReactors("Plain", "b")
+	cfg := NewSharedNothing(3)
+	cfg.Placement = func(reactor string) int {
+		return map[string]int{"a": 0, "b": 0, "c": 1, "d": 2}[reactor]
+	}
+	db, err := Open(def, cfg)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	t.Cleanup(db.Close)
+	for i, r := range []string{"a", "b", "c", "d"} {
+		db.MustLoad(r, "items", rel.Row{int64(i + 1), int64(1)})
+		db.MustLoad(r, "items", rel.Row{int64(i + 11), int64(2)})
+	}
+	return db
+}
+
+// TestQueryLeavesRouteLikeCalls pins what a Context.Query source spanning
+// the current reactor, a same-container sibling and two other-container
+// reactors returns: the local parts first, then the remote ones, each group
+// in declaration order; one access-path label per source ("mixed" when the
+// parts differ); and one remote call per other-container reactor.
+func TestQueryLeavesRouteLikeCalls(t *testing.T) {
+	db := openRouteDB(t)
+	for _, tc := range []struct {
+		reactors []string
+		ids      string
+		path     string
+	}{
+		{[]string{"d", "b", "a", "c"}, "[[2] [1] [4] [3]]", "mixed"},
+		{[]string{"c", "a", "d"}, "[[1] [3] [4]]", "index:by_cust"},
+	} {
+		v, profile, err := db.ExecuteProfiled("a", "chain", []string{}, tc.reactors)
+		if err != nil {
+			t.Fatalf("query over %v: %v", tc.reactors, err)
+		}
+		res := v.(*rel.Result)
+		if got := fmt.Sprint(res.Rows); got != tc.ids {
+			t.Fatalf("query over %v returned %s, want %s", tc.reactors, got, tc.ids)
+		}
+		if got := res.AccessPaths["o"]; got != tc.path {
+			t.Fatalf("query over %v access path %q, want %q", tc.reactors, got, tc.path)
+		}
+		if profile.RemoteCalls != 2 {
+			t.Fatalf("query over %v made %d remote calls, want 2", tc.reactors, profile.RemoteCalls)
+		}
+	}
+}
+
+// TestQueryNamingAncestorIsDangerous runs a query from b, inlined under a,
+// which was called from c in another container. Naming an ancestor — a on
+// the same-container route, c on the cross-container route — violates the
+// safety condition of §2.2.4; naming b itself does not.
+func TestQueryNamingAncestorIsDangerous(t *testing.T) {
+	db := openRouteDB(t)
+	for _, ancestor := range []string{"a", "c"} {
+		_, err := db.Execute("c", "chain", []string{"a", "b"}, []string{ancestor})
+		if !errors.Is(err, core.ErrDangerousStructure) {
+			t.Fatalf("query naming ancestor %s: got %v, want ErrDangerousStructure", ancestor, err)
+		}
+	}
+	v, err := db.Execute("c", "chain", []string{"a", "b"}, []string{"b", "d"})
+	if err != nil {
+		t.Fatalf("query naming itself and a non-ancestor: %v", err)
+	}
+	if got := fmt.Sprint(v.(*rel.Result).Rows); got != "[[2] [4]]" {
+		t.Fatalf("query naming itself and d returned %s, want [[2] [4]]", got)
+	}
+}
+
 // shopOrdersTable exposes the raw table for index-consistency assertions.
 func shopOrdersTable(db *Database, reactor string) *rel.Table {
 	return db.containerOf(reactor).catalog(reactor).Table("orders")

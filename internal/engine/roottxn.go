@@ -218,7 +218,7 @@ func (r *rootTxn) commit(session *coreSession) error {
 	// after the pipeline ran the write phase. The prepared transaction keeps
 	// its OCC locks meanwhile. A modeled log write without a committer is CPU
 	// work charged on this core, so the core stays held.
-	yield := (c.wal != nil || c.committer != nil) && session != nil && !r.db.cfg.DisableCooperativeMultitasking
+	yield := (c.wal != nil || c.committer != nil) && session != nil
 	if yield && c.committer == nil {
 		// The batch of one is forced right here, inside submit.
 		session.release()
@@ -334,7 +334,7 @@ func (r *rootTxn) commitTwoPhase(touched []touch, session *coreSession) error {
 			useWAL = true
 		}
 	}
-	yield := useWAL && session != nil && !r.db.cfg.DisableCooperativeMultitasking
+	yield := useWAL && session != nil
 	if yield {
 		session.release()
 		defer session.acquire()

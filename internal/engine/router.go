@@ -1,51 +1,25 @@
 package engine
 
-import "sync/atomic"
-
-// Router decides which transaction executor of a container runs an incoming
+// route decides which transaction executor of the container runs an incoming
 // (sub-)transaction for a reactor (paper §3.1: "transaction routers decide the
 // transaction executor that should run a transaction or sub-transaction
-// according to a given policy, e.g., round-robin or affinity-based").
+// according to a given policy, e.g., round-robin or affinity-based"). The
+// policy is Config.Router: round-robin load-balances requests regardless of
+// the reactor (the shared-everything-without-affinity deployment); affinity
+// sends every request for a reactor to the same executor, preserving
+// program-to-data affinity.
 //
 // Routing is a placement decision, not necessarily a pin: with work stealing
 // enabled (Config.Steal) a routed root task may still migrate to an idle
 // sibling before it starts, unless the deployment pins it through an explicit
 // Config.Affinity function under the affinity router (Config.pinnedAffinity;
 // the task is stamped affine at dispatch and stealTail skips it).
-type Router interface {
-	// Route returns the executor that should process a request for reactor.
-	Route(reactor string) *Executor
-}
-
-// roundRobinRouter load-balances requests across executors regardless of the
-// reactor, the policy of the shared-everything-without-affinity deployment.
-type roundRobinRouter struct {
-	executors []*Executor
-	next      atomic.Uint64
-}
-
-func (r *roundRobinRouter) Route(string) *Executor {
-	n := r.next.Add(1) - 1
-	return r.executors[int(n%uint64(len(r.executors)))]
-}
-
-// affinityRouter sends every request for a given reactor to the same executor,
-// preserving program-to-data affinity.
-type affinityRouter struct {
-	container *Container
-	executors []*Executor
-}
-
-func (r *affinityRouter) Route(reactor string) *Executor {
-	idx := r.container.db.cfg.affinityFor(reactor)
-	return r.executors[idx%len(r.executors)]
-}
-
-func newRouter(kind RouterKind, c *Container) Router {
-	switch kind {
+func (c *Container) route(reactor string) *Executor {
+	switch c.db.cfg.Router {
 	case RouterRoundRobin:
-		return &roundRobinRouter{executors: c.executors}
+		n := c.nextExecutor.Add(1) - 1
+		return c.executors[n%uint64(len(c.executors))]
 	default:
-		return &affinityRouter{container: c, executors: c.executors}
+		return c.executors[c.db.cfg.affinityFor(reactor)]
 	}
 }

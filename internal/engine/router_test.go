@@ -20,7 +20,7 @@ func TestRoundRobinRouteCyclesThroughExecutors(t *testing.T) {
 	_, c := openRouterDB(t, RouterRoundRobin, executors, 2)
 	for round := 0; round < 4; round++ {
 		for want := 0; want < executors; want++ {
-			got := c.router.Route("acct-0").ID()
+			got := c.route("acct-0").ID()
 			if got != want {
 				t.Fatalf("round %d: Route returned executor %d, want %d (wraparound broken)", round, got, want)
 			}
@@ -45,7 +45,7 @@ func TestRoundRobinWraparoundUnderConcurrentRoute(t *testing.T) {
 			defer wg.Done()
 			local := make([]int64, executors)
 			for i := 0; i < perG; i++ {
-				local[c.router.Route("acct-1").ID()]++
+				local[c.route("acct-1").ID()]++
 			}
 			mu.Lock()
 			for i, n := range local {
@@ -77,7 +77,7 @@ func TestAffinityRouterStableUnderConcurrentRoute(t *testing.T) {
 
 	for r := 0; r < reactors; r++ {
 		reactor := fmt.Sprintf("acct-%d", r)
-		want := c.router.Route(reactor).ID()
+		want := c.route(reactor).ID()
 		var wg sync.WaitGroup
 		errCh := make(chan error, goroutines)
 		for g := 0; g < goroutines; g++ {
@@ -85,7 +85,7 @@ func TestAffinityRouterStableUnderConcurrentRoute(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i := 0; i < perG; i++ {
-					if got := c.router.Route(reactor).ID(); got != want {
+					if got := c.route(reactor).ID(); got != want {
 						errCh <- fmt.Errorf("reactor %s routed to executor %d, expected stable %d", reactor, got, want)
 						return
 					}
@@ -111,7 +111,7 @@ func TestAffinityRouterHonoursConfiguredAffinity(t *testing.T) {
 	c := db.Containers()[0]
 	for i := 0; i < 4; i++ {
 		reactor := fmt.Sprintf("acct-%d", i)
-		if got := c.router.Route(reactor).ID(); got != i {
+		if got := c.route(reactor).ID(); got != i {
 			t.Fatalf("reactor %s routed to executor %d, want %d", reactor, got, i)
 		}
 	}

@@ -348,23 +348,19 @@ func (e *Executor) QueueStats() QueueStats {
 		Executor:       e.id,
 		Enqueued:       e.enqueued.Load(),
 		Rejected:       e.rejected.Load(),
+		Depth:          e.queue.depth(),
 		Steals:         e.steals.Load(),
 		Stolen:         e.stolen.Load(),
 		AffinityMisses: e.misses.Load(),
 		Wait:           e.waitHist.Snapshot(),
 		DepthSeen:      e.depthHist.Snapshot(),
 	}
-	if e.queue != nil {
-		s.Depth = e.queue.depth()
-	}
-	if e.gate != nil {
-		s.InFlight, s.EffectiveDepth, s.MinEffectiveDepth = e.gate.snapshot()
-	}
+	s.InFlight, s.EffectiveDepth, s.MinEffectiveDepth = e.gate.snapshot()
 	return s
 }
 
 // QueueStats returns the scheduler statistics of every executor, flattened
-// across containers. Under DispatchDirect all counters are zero.
+// across containers.
 func (db *Database) QueueStats() []QueueStats {
 	var out []QueueStats
 	for _, c := range db.containers {

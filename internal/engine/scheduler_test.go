@@ -9,7 +9,6 @@ import (
 
 	"reactdb/internal/core"
 	"reactdb/internal/rel"
-	"reactdb/internal/vclock"
 )
 
 // gateType builds a reactor type whose "wait" procedure blocks until the
@@ -195,32 +194,12 @@ func TestQueueWaitAndDepthStatsPopulated(t *testing.T) {
 	}
 }
 
-func TestDirectDispatchStillWorks(t *testing.T) {
-	cfg := NewSharedNothing(2)
-	cfg.Dispatch = DispatchDirect
-	db := openAccounts(t, 4, 100, cfg)
-	if _, err := db.Execute("acct-0", "transfer", "acct-1", 30.0); err != nil {
-		t.Fatalf("transfer: %v", err)
-	}
-	if got := balanceOf(t, db, "acct-0"); got != 70 {
-		t.Fatalf("src balance = %v, want 70", got)
-	}
-	if got := balanceOf(t, db, "acct-1"); got != 130 {
-		t.Fatalf("dst balance = %v, want 130", got)
-	}
-	for _, qs := range db.QueueStats() {
-		if qs.Enqueued != 0 || qs.Depth != 0 {
-			t.Fatalf("direct dispatch must not touch queues: %+v", qs)
-		}
-	}
-}
-
 func TestExecuteAfterCloseFailsCleanly(t *testing.T) {
 	cfg := NewSharedEverythingWithAffinity(1)
 	db := openAccounts(t, 2, 100, cfg)
 	db.Close()
 	if _, err := db.Execute("acct-0", "credit", 1.0); err == nil {
-		t.Fatal("Execute after Close should fail under queued dispatch")
+		t.Fatal("Execute after Close should fail")
 	}
 }
 
@@ -316,78 +295,10 @@ func TestGroupCommitConflictsStillDetected(t *testing.T) {
 	}
 }
 
-// TestQueuedGroupCommitOutperformsDirect pins the headline property of this
-// scheduler: under concurrent clients and a non-trivial modeled log-write
-// cost, the queued scheduler with group commit sustains higher throughput
-// than direct dispatch, which pays the full log write on the executor core
-// for every transaction.
-func TestQueuedGroupCommitOutperformsDirect(t *testing.T) {
-	if testing.Short() {
-		t.Skip("throughput comparison skipped in -short mode")
-	}
-	costs := vclock.Costs{Processing: 20 * time.Microsecond, LogWrite: 800 * time.Microsecond}
-
-	// Each mode gets the best of three measurement windows so one noisy
-	// window on an oversubscribed CI host cannot fail the comparison.
-	run := func(cfg Config) int64 {
-		cfg.Costs = costs
-		db := openAccounts(t, 8, 1e9, cfg)
-		names := accountNames(8)
-		const clients = 8
-		var best int64
-		for round := 0; round < 3; round++ {
-			window := 200 * time.Millisecond
-			var committed atomic.Int64
-			stop := make(chan struct{})
-			var wg sync.WaitGroup
-			for c := 0; c < clients; c++ {
-				wg.Add(1)
-				go func(c int) {
-					defer wg.Done()
-					for {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						if _, err := db.Execute(names[c], "credit", 1.0); err == nil {
-							committed.Add(1)
-						}
-					}
-				}(c)
-			}
-			time.Sleep(window)
-			close(stop)
-			wg.Wait()
-			if committed.Load() > best {
-				best = committed.Load()
-			}
-		}
-		return best
-	}
-
-	direct := NewSharedEverythingWithAffinity(2)
-	direct.Dispatch = DispatchDirect
-	directCommitted := run(direct)
-
-	queued := NewSharedEverythingWithAffinity(2)
-	queued.GroupCommit = GroupCommitConfig{Enabled: true, MaxBatch: 32, Window: 300 * time.Microsecond}
-	queuedCommitted := run(queued)
-
-	t.Logf("direct dispatch: %d committed; queued+group-commit: %d committed", directCommitted, queuedCommitted)
-	if float64(queuedCommitted) < 1.2*float64(directCommitted) {
-		t.Fatalf("queued scheduler with group commit should outperform direct dispatch: %d vs %d",
-			queuedCommitted, directCommitted)
-	}
-}
-
 func TestSchedulerConfigValidation(t *testing.T) {
 	cfg := Config{}
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
-	}
-	if cfg.Dispatch != DispatchQueued {
-		t.Fatalf("default dispatch = %q, want %q", cfg.Dispatch, DispatchQueued)
 	}
 	if cfg.QueueDepth != 256 {
 		t.Fatalf("default queue depth = %d, want 256", cfg.QueueDepth)
@@ -396,11 +307,7 @@ func TestSchedulerConfigValidation(t *testing.T) {
 		t.Fatalf("default admission = %q, want %q", cfg.Admission, AdmissionBlock)
 	}
 
-	bad := Config{Dispatch: "bogus"}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("Validate should reject unknown dispatch mode")
-	}
-	bad = Config{Admission: "bogus"}
+	bad := Config{Admission: "bogus"}
 	if err := bad.Validate(); err == nil {
 		t.Fatal("Validate should reject unknown admission policy")
 	}
@@ -420,10 +327,6 @@ func TestSchedulerConfigValidation(t *testing.T) {
 	if st.Steal.Ratio != 2 || st.Steal.MinVictimDepth != 2 {
 		t.Fatalf("steal defaults not applied: %+v", st.Steal)
 	}
-	bad = Config{Dispatch: DispatchDirect, Steal: StealConfig{Enabled: true}}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("Validate should reject stealing under direct dispatch")
-	}
 
 	ad := Config{AdaptiveDepth: AdaptiveDepthConfig{Enabled: true}}
 	if err := ad.Validate(); err != nil {
@@ -432,10 +335,6 @@ func TestSchedulerConfigValidation(t *testing.T) {
 	if ad.AdaptiveDepth.TargetP99 != 2*time.Millisecond || ad.AdaptiveDepth.Floor != 2 ||
 		ad.AdaptiveDepth.Ceiling != 256 || ad.AdaptiveDepth.Interval != 5*time.Millisecond {
 		t.Fatalf("adaptive-depth defaults not applied: %+v", ad.AdaptiveDepth)
-	}
-	bad = Config{Dispatch: DispatchDirect, AdaptiveDepth: AdaptiveDepthConfig{Enabled: true}}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("Validate should reject adaptive depth under direct dispatch")
 	}
 	bad = Config{AdaptiveDepth: AdaptiveDepthConfig{Enabled: true, Floor: 16, Ceiling: 8}}
 	if err := bad.Validate(); err == nil {

@@ -48,13 +48,11 @@ func NewDomain(name string) *Domain {
 // Name returns the diagnostic name of the domain.
 func (d *Domain) Name() string { return d.name }
 
-// Epoch returns the current epoch number.
+// Epoch returns the current epoch number. Epochs only partition the TID
+// space. Recovery and a replica's apply loop move the epoch past every TID
+// they install (ObserveRecoveredTID), so TIDs generated afterwards are
+// strictly newer than anything in the log.
 func (d *Domain) Epoch() uint64 { return d.epoch.Load() }
-
-// AdvanceEpoch advances the global epoch. ReactDB has no durability layer (as
-// in the paper), so epochs only partition the TID space; the engine advances
-// them periodically to bound per-epoch sequence numbers.
-func (d *Domain) AdvanceEpoch() { d.epoch.Add(1) }
 
 // nextTID returns a fresh TID strictly greater than minOver, the largest TID
 // observed by the committing transaction.
@@ -64,8 +62,8 @@ func (d *Domain) nextTID(minOver uint64) uint64 {
 		if tid > minOver {
 			return tid
 		}
-		// Observed TIDs from a later epoch (possible after epoch rollover in
-		// tests); catch the epoch up and retry.
+		// Observed a TID from a later epoch (a record installed with a newer
+		// TID than this domain generated); catch the epoch up and retry.
 		d.epoch.Add(1)
 	}
 }

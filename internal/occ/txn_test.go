@@ -470,7 +470,8 @@ func TestSerializabilityStressBankTransfers(t *testing.T) {
 func TestDomainEpochAdvance(t *testing.T) {
 	d := NewDomain("test")
 	e0 := d.Epoch()
-	d.AdvanceEpoch()
+	// A recovered TID of the current epoch moves the domain past that epoch.
+	d.ObserveRecoveredTID(e0<<epochBits | 7)
 	if d.Epoch() != e0+1 {
 		t.Fatalf("epoch did not advance")
 	}
@@ -485,5 +486,18 @@ func TestDomainEpochAdvance(t *testing.T) {
 	}
 	if tid>>epochBits != d.Epoch() {
 		t.Fatalf("TID epoch bits = %d, want %d", tid>>epochBits, d.Epoch())
+	}
+	// Reading a TID from a later epoch makes nextTID catch the epoch up.
+	later := (d.Epoch()+2)<<epochBits | 1
+	rec = kv.NewCommittedRecord(encInt(0), later)
+	txn = d.Begin()
+	_, _, _ = txn.Read(rec)
+	_ = txn.Write(rec, []byte("k"), encInt(1), nil)
+	if tid, err = txn.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if tid <= later || tid>>epochBits != d.Epoch() || d.Epoch() != e0+3 {
+		t.Fatalf("TID %x after reading %x: epoch bits %d, domain epoch %d, want %d",
+			tid, later, tid>>epochBits, d.Epoch(), e0+3)
 	}
 }

@@ -2,26 +2,10 @@ package stats
 
 import (
 	"fmt"
-	"runtime/metrics"
 	"strings"
 	"sync/atomic"
 	"time"
 )
-
-// AllocSource is a cumulative allocation counter sampled by histograms that
-// track the allocation cost of the code paths they measure. The default reads
-// the runtime's heap-allocation object count; tests inject deterministic
-// sources.
-type AllocSource func() uint64
-
-// DefaultAllocSource samples the cumulative number of heap objects allocated
-// by the process, via runtime/metrics (cheap: no stop-the-world, unlike
-// runtime.ReadMemStats).
-func DefaultAllocSource() uint64 {
-	s := []metrics.Sample{{Name: "/gc/heap/allocs:objects"}}
-	metrics.Read(s)
-	return s[0].Value.Uint64()
-}
 
 // Histogram is a fixed-bucket histogram safe for concurrent observation. The
 // engine uses it on hot paths (per-request queue-wait times, queue depths,
@@ -35,13 +19,6 @@ type Histogram struct {
 	counts []atomic.Int64 // len(bounds)+1, last is overflow
 	count  atomic.Int64
 	sum    atomic.Int64 // sum of observations, rounded to int64
-
-	// allocSrc, when set, lets the histogram report how many allocations the
-	// measured window cost (Allocs). The source is sampled at SetAllocSource
-	// and at every Reset; Observe never touches it, keeping the hot path to
-	// its three atomic adds.
-	allocSrc  atomic.Pointer[AllocSource]
-	allocBase atomic.Uint64
 }
 
 // NewHistogram creates a histogram with the given ascending upper bounds.
@@ -107,39 +84,13 @@ func (h *Histogram) Mean() float64 {
 	return float64(h.sum.Load()) / float64(n)
 }
 
-// SetAllocSource attaches a cumulative allocation counter to the histogram
-// and stamps the current sample as the baseline. Pass nil to detach. Use
-// DefaultAllocSource for the runtime's heap object counter.
-func (h *Histogram) SetAllocSource(src AllocSource) {
-	if src == nil {
-		h.allocSrc.Store(nil)
-		return
-	}
-	h.allocBase.Store(src())
-	h.allocSrc.Store(&src)
-}
-
-// Allocs returns the number of allocations recorded by the attached source
-// since the baseline (SetAllocSource or the last Reset), or 0 without a
-// source. Together with Count it yields allocs per observed operation.
-func (h *Histogram) Allocs() uint64 {
-	src := h.allocSrc.Load()
-	if src == nil {
-		return 0
-	}
-	return (*src)() - h.allocBase.Load()
-}
-
-// Reset discards all observations and re-baselines the allocation source.
+// Reset discards all observations.
 func (h *Histogram) Reset() {
 	for i := range h.counts {
 		h.counts[i].Store(0)
 	}
 	h.count.Store(0)
 	h.sum.Store(0)
-	if src := h.allocSrc.Load(); src != nil {
-		h.allocBase.Store((*src)())
-	}
 }
 
 // Snapshot returns a point-in-time copy of the histogram. Concurrent
@@ -150,7 +101,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		Bounds: h.bounds,
 		Counts: make([]int64, len(h.counts)),
 		Sum:    float64(h.sum.Load()),
-		Allocs: h.Allocs(),
 	}
 	for i := range h.counts {
 		c := h.counts[i].Load()
@@ -167,10 +117,6 @@ type HistogramSnapshot struct {
 	Counts []int64
 	Count  int64
 	Sum    float64
-	// Allocs is the allocation count attributed to the snapshot's window when
-	// the source histogram carries an alloc source (see SetAllocSource); zero
-	// otherwise.
-	Allocs uint64
 }
 
 // MergeSnapshots combines snapshots taken from histograms with identical

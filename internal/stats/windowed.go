@@ -44,16 +44,6 @@ func (w *WindowedHistogram) Rotate() HistogramSnapshot {
 	return snap
 }
 
-// SetAllocSource attaches an allocation counter source to both windows (see
-// Histogram.SetAllocSource). Rotate re-baselines the incoming window through
-// its Reset, so every rotated snapshot's Allocs covers exactly the interval
-// during which that window was active. Call it before observation starts, from
-// the rotator goroutine.
-func (w *WindowedHistogram) SetAllocSource(src AllocSource) {
-	w.spare.SetAllocSource(src)
-	w.active.Load().SetAllocSource(src)
-}
-
 // Current returns a snapshot of the still-open window without rotating it,
 // for stats export.
 func (w *WindowedHistogram) Current() HistogramSnapshot {

@@ -115,8 +115,6 @@ type (
 	Costs = vclock.Costs
 	// Profile is the per-transaction latency breakdown.
 	Profile = engine.Profile
-	// DispatchMode selects queued (scheduler) or direct request dispatch.
-	DispatchMode = engine.DispatchMode
 	// AdmissionPolicy selects blocking or fail-fast admission control.
 	AdmissionPolicy = engine.AdmissionPolicy
 	// StealConfig configures work stealing between a container's executors.
@@ -234,14 +232,8 @@ const (
 	Bytes   = rel.Bytes
 )
 
-// Scheduler modes and admission policies.
+// Admission policies and durability modes.
 const (
-	// DispatchQueued routes requests through each executor's bounded request
-	// queue (the default).
-	DispatchQueued = engine.DispatchQueued
-	// DispatchDirect runs each request on its own goroutine contending for
-	// the executor core (the pre-scheduler behaviour, kept for ablations).
-	DispatchDirect = engine.DispatchDirect
 	// AdmissionBlock blocks callers while the target queue is full.
 	AdmissionBlock = engine.AdmissionBlock
 	// AdmissionFail rejects requests with ErrOverloaded while the target
