@@ -36,12 +36,11 @@ loc:
 race:
 	$(GO) test -race ./internal/engine/... ./internal/occ/... ./internal/wal/... ./internal/server/...
 
-# Steal/admission stress under the race detector, run twice: the steal
-# correctness stress (affine tasks never stolen, serializable histories under
-# stealing), the admission-token leak regressions (abort, overload, panic,
-# yield) and the adaptive-depth controller tests.
+# The scheduler under the race detector, run twice: the admission-token leak
+# regressions (abort, overload, panic, yield) and the multi-executor stress,
+# whose contended history must stay serializable and return every token.
 race-sched:
-	$(GO) test -race -count=2 -run 'Steal|Admission|Adaptive' ./internal/engine/
+	$(GO) test -race -count=2 -run 'Admission|SchedulerStress' ./internal/engine/
 
 # Crash-injection matrix: kill the database at every WAL append/fsync
 # boundary of a multi-container commit (including the checkpoint-write,

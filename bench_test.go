@@ -1,6 +1,5 @@
 // Benchmarks: one per table and figure of the paper's evaluation, plus the
-// work-stealing scheduler and the single-container vs two-phase commit
-// comparison.
+// single-container vs two-phase commit comparison.
 //
 // Each benchmark drives the workload/deployment combination of its figure with
 // a single client and reports per-transaction latency (ns/op); the full
@@ -13,8 +12,6 @@ package reactdb_test
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -443,101 +440,6 @@ func BenchmarkFig19AuthPay(b *testing.B) {
 					exchange.ProviderName(i%params.Providers), int64(i), 1.0, int64(i+1), int64(2000), int64(0))
 			}
 		})
-	}
-}
-
-// --- Scheduler: work stealing ---------------------------------------------------
-
-// rankedCustomers orders the smallbank reactor names by Zipf rank for a
-// container with the given number of hash-affinity executors: clustered puts
-// every name whose hash affinity is executor 0 first (then executor 1's, and
-// so on), so the Zipf head lands on a single executor — the skew stealing
-// repairs; balanced cycles ranks across the executors so uniform load stays
-// uniform per executor.
-func rankedCustomers(customers, executors int, clustered bool) []string {
-	buckets := make([][]string, executors)
-	for i := 0; i < customers; i++ {
-		name := smallbank.ReactorName(i)
-		e := engine.DefaultAffinity(name, executors)
-		buckets[e] = append(buckets[e], name)
-	}
-	ranked := make([]string, 0, customers)
-	if clustered {
-		for _, b := range buckets {
-			ranked = append(ranked, b...)
-		}
-		return ranked
-	}
-	for len(ranked) < customers {
-		for e := 0; e < executors; e++ {
-			if len(buckets[e]) > 0 {
-				ranked = append(ranked, buckets[e][0])
-				buckets[e] = buckets[e][1:]
-			}
-		}
-	}
-	return ranked
-}
-
-// BenchmarkSchedulerSkewedSteal measures the work-stealing scheduler against
-// the steal-off baseline under Zipf-skewed and uniform read-only load
-// (smallbank balance checks with a modeled per-transaction processing cost).
-// Under skew the Zipf head routes to a single executor and ns/op with
-// stealing enabled must be at least 1.3x better (the acceptance bar, pinned
-// by TestStealImprovesSkewedThroughput); under uniform load stealing must be
-// within the +-5% noise band of the baseline. Steals/op and the stolen task
-// counts are reported as metrics.
-func BenchmarkSchedulerSkewedSteal(b *testing.B) {
-	const executors, customers = 4, 64
-	loads := []struct {
-		name      string
-		theta     float64
-		clustered bool
-	}{
-		{"zipf", 1.2, true},
-		{"uniform", 0, false},
-	}
-	for _, load := range loads {
-		for _, steal := range []bool{false, true} {
-			b.Run(fmt.Sprintf("%s/steal=%v", load.name, steal), func(b *testing.B) {
-				cfg := reactdb.SharedEverythingWithAffinity(executors)
-				cfg.Steal = reactdb.StealConfig{Enabled: steal}
-				cfg.QueueDepth = 128
-				cfg.Costs = reactdb.Costs{Processing: 50 * time.Microsecond, AffinityMiss: 10 * time.Microsecond}
-				db, err := engine.Open(smallbank.NewDefinition(customers), cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := smallbank.Load(db, customers, 1e9, 1e9); err != nil {
-					b.Fatal(err)
-				}
-				b.Cleanup(db.Close)
-				ranked := rankedCustomers(customers, executors, load.clustered)
-				zipf := randutil.NewZipfian(customers, load.theta)
-				if gomaxprocs := runtime.GOMAXPROCS(0); gomaxprocs < 16 {
-					b.SetParallelism((16 + gomaxprocs - 1) / gomaxprocs)
-				}
-				var clientSeq atomic.Int64
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					rng := randutil.New(clientSeq.Add(1))
-					for pb.Next() {
-						mustExecute(b, db, ranked[zipf.Next(rng)], smallbank.ProcBalance)
-					}
-				})
-				var steals, stolen int64
-				for _, qs := range db.QueueStats() {
-					steals += qs.Steals
-					stolen += qs.Stolen
-				}
-				if b.N > 0 {
-					b.ReportMetric(float64(steals)/float64(b.N), "steals/op")
-				}
-				if !steal && steals+stolen != 0 {
-					b.Fatalf("stealing disabled but %d steals / %d stolen recorded", steals, stolen)
-				}
-			})
-		}
 	}
 }
 

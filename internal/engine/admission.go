@@ -16,21 +16,17 @@ import "sync"
 // already admitted somewhere, and refusing them mid-transaction could abort
 // or deadlock work the system committed to running.
 //
-// The limit is dynamic: the adaptive depth controller moves it between the
-// configured floor and ceiling (see Config.AdaptiveDepth). Shrinking below
-// the current in-flight count is safe — no new admissions happen until the
-// excess drains.
+// The limit is Config.QueueDepth, fixed at construction.
 type admissionGate struct {
 	mu       sync.Mutex
 	freed    *sync.Cond
 	inflight int
 	limit    int
-	minLimit int // lowest limit the controller ever set, for stats
 	closed   bool
 }
 
 func newAdmissionGate(limit int) *admissionGate {
-	g := &admissionGate{limit: limit, minLimit: limit}
+	g := &admissionGate{limit: limit}
 	g.freed = sync.NewCond(&g.mu)
 	return g
 }
@@ -65,31 +61,11 @@ func (g *admissionGate) release() {
 	g.freed.Signal()
 }
 
-// setLimit moves the effective depth bound; growth wakes blocked admissions.
-func (g *admissionGate) setLimit(n int) {
-	if n < 1 {
-		n = 1
-	}
-	g.mu.Lock()
-	grew := n > g.limit
-	g.limit = n
-	if n < g.minLimit {
-		g.minLimit = n
-	}
-	g.mu.Unlock()
-	if grew {
-		g.freed.Broadcast()
-	}
-}
-
-// snapshot returns (inflight, current limit, lowest limit ever set) for
-// stats export. The additive-increase path can grow the limit back before a
-// sweep reads its stats, so "did the controller ever shrink" must come from
-// the running minimum, not the instantaneous limit.
-func (g *admissionGate) snapshot() (int, int, int) {
+// snapshot returns (inflight, limit) for stats export.
+func (g *admissionGate) snapshot() (int, int) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.inflight, g.limit, g.minLimit
+	return g.inflight, g.limit
 }
 
 // close fails current and future blocked admissions with errDatabaseClosed.

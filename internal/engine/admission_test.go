@@ -202,119 +202,3 @@ func TestAdmissionTokenNotConsumedOnOverload(t *testing.T) {
 		}
 	}
 }
-
-// TestAdaptiveDepthShrinksUnderOverload floods a single slow executor and
-// asserts the admission controller walks the effective depth down toward the
-// floor, bounding the queue wait of admitted requests.
-func TestAdaptiveDepthShrinksUnderOverload(t *testing.T) {
-	cfg := NewSharedEverythingWithAffinity(1)
-	cfg.QueueDepth = 64
-	cfg.Costs.Processing = 500 * time.Microsecond
-	cfg.AdaptiveDepth = AdaptiveDepthConfig{
-		Enabled:   true,
-		TargetP99: 300 * time.Microsecond,
-		Floor:     2,
-		Interval:  2 * time.Millisecond,
-	}
-	db := openAccounts(t, 16, 100, cfg)
-	if got := db.QueueStats()[0].EffectiveDepth; got != 64 {
-		t.Fatalf("initial effective depth = %d, want ceiling 64", got)
-	}
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for c := 0; c < 16; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			name := accountNames(16)[c]
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if _, err := db.Execute(name, "credit", 1.0); err != nil && !errors.Is(err, ErrConflict) {
-					t.Errorf("credit: %v", err)
-					return
-				}
-			}
-		}(c)
-	}
-	shrunk := false
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if db.QueueStats()[0].EffectiveDepth <= 8 {
-			shrunk = true
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	close(stop)
-	wg.Wait()
-	if !shrunk {
-		t.Fatalf("effective depth = %d after sustained overload, want <= 8",
-			db.QueueStats()[0].EffectiveDepth)
-	}
-}
-
-// TestAdaptiveDepthRecoversHeadroom runs the overload shrink, removes the
-// load, and asserts the controller grows the depth back once measured waits
-// fall below half the target.
-func TestAdaptiveDepthRecoversHeadroom(t *testing.T) {
-	cfg := NewSharedEverythingWithAffinity(1)
-	cfg.QueueDepth = 32
-	cfg.Costs.Processing = 300 * time.Microsecond
-	cfg.AdaptiveDepth = AdaptiveDepthConfig{
-		Enabled:   true,
-		TargetP99: 200 * time.Microsecond,
-		Floor:     2,
-		Interval:  2 * time.Millisecond,
-	}
-	db := openAccounts(t, 8, 100, cfg)
-
-	// Overload phase: shrink toward the floor.
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for c := 0; c < 8; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			name := accountNames(8)[c]
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if _, err := db.Execute(name, "credit", 1.0); err != nil && !errors.Is(err, ErrConflict) {
-					t.Errorf("credit: %v", err)
-					return
-				}
-			}
-		}(c)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && db.QueueStats()[0].EffectiveDepth > 4 {
-		time.Sleep(5 * time.Millisecond)
-	}
-	close(stop)
-	wg.Wait()
-	low := db.QueueStats()[0].EffectiveDepth
-	if low > 4 {
-		t.Fatalf("effective depth = %d after overload, want <= 4", low)
-	}
-
-	// Light phase: a single serial client sees near-zero queue wait, so the
-	// controller should claw headroom back.
-	deadline = time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if _, err := db.Execute("acct-0", "credit", 1.0); err != nil && !errors.Is(err, ErrConflict) {
-			t.Fatalf("credit: %v", err)
-		}
-		if db.QueueStats()[0].EffectiveDepth > low {
-			return
-		}
-	}
-	t.Fatalf("effective depth stuck at %d after load dropped", db.QueueStats()[0].EffectiveDepth)
-}

@@ -54,56 +54,6 @@ const (
 	AdmissionFail AdmissionPolicy = "fail-fast"
 )
 
-// StealConfig enables work stealing between the executors of a container:
-// an executor whose run loop finds its own queue empty — or at least Ratio
-// times shallower than the deepest sibling's — takes non-affine root tasks
-// from the tail of that sibling's queue instead of idling next to a backlog.
-//
-// Only root tasks that are not pinned are ever stolen: when the deployment
-// routes with the affinity router AND supplies an explicit Config.Affinity
-// function, that mapping is treated as an application placement contract and
-// its tasks never migrate. Hash-defaulted affinity and round-robin routing
-// are load-spreading heuristics, so their tasks are fair game — each steal
-// moves the reactor's working set, which the Costs.AffinityMiss model charges
-// on the thief exactly as it charges any other routing miss, keeping the
-// steal-on/steal-off ablation honest. Sub-transaction requests are never
-// stolen.
-type StealConfig struct {
-	Enabled bool
-	// Ratio is the imbalance trigger for a non-idle executor: it steals only
-	// from a sibling whose queue is at least Ratio times deeper than its own
-	// (default 2). An idle executor steals from any sibling at or above
-	// MinVictimDepth.
-	Ratio int
-	// MinVictimDepth is the smallest sibling backlog worth raiding (default
-	// 2): a single waiting request behind a busy executor is about to run
-	// there anyway, and moving it would only pay the affinity miss.
-	MinVictimDepth int
-}
-
-// AdaptiveDepthConfig enables the admission controller that moves each
-// executor's effective queue depth (its in-flight token limit) between Floor
-// and Ceiling in response to measured queue wait: when the windowed p99 of
-// scheduling delay exceeds TargetP99 the depth halves (admitted requests wait
-// less because fewer are admitted; the excess blocks or sheds at admission),
-// and when p99 falls below half the target the depth creeps back up. With a
-// static bound, overload pushes queue-wait p99 toward QueueDepth × service
-// time; the controller trades that unbounded tail for backpressure at the
-// admission gate.
-type AdaptiveDepthConfig struct {
-	Enabled bool
-	// TargetP99 is the queue-wait p99 the controller holds admitted requests
-	// under (default 2ms).
-	TargetP99 time.Duration
-	// Floor and Ceiling bound the effective depth (defaults 2 and
-	// Config.QueueDepth).
-	Floor   int
-	Ceiling int
-	// Interval is the control loop period; each tick reads and resets one
-	// measurement window per executor (default 5ms).
-	Interval time.Duration
-}
-
 // GroupCommitConfig enables batched group commit on each container: OCC
 // transactions that validated successfully (Prepare) accumulate in a batch
 // and are committed together when the batch reaches MaxBatch transactions or
@@ -191,23 +141,13 @@ type Config struct {
 	// work — a true memory and tail-latency bound, not just a cap on the
 	// waiting queue. Sub-transaction requests bypass it: rejecting them
 	// mid-transaction could deadlock or abort work the system already
-	// admitted. Under AdaptiveDepth the effective bound moves between the
-	// configured floor and ceiling; QueueDepth is the static default.
+	// admitted. The bound is fixed for the life of the database.
 	QueueDepth int
 
 	// Admission selects the backpressure behaviour when an executor queue is
 	// full: block the caller (AdmissionBlock, the default) or fail fast with
 	// ErrOverloaded (AdmissionFail).
 	Admission AdmissionPolicy
-
-	// Steal configures work stealing between the executors of a container
-	// (disabled by default).
-	Steal StealConfig
-
-	// AdaptiveDepth configures the adaptive admission controller that moves
-	// the effective queue depth under overload (disabled by default: the
-	// QueueDepth bound is static).
-	AdaptiveDepth AdaptiveDepthConfig
 
 	// GroupCommit configures batched group commit (disabled by default).
 	GroupCommit GroupCommitConfig
@@ -269,32 +209,6 @@ func (c *Config) Validate() error {
 	if c.Admission != AdmissionBlock && c.Admission != AdmissionFail {
 		return fmt.Errorf("engine: unknown admission policy %q", c.Admission)
 	}
-	if c.Steal.Enabled {
-		if c.Steal.Ratio <= 0 {
-			c.Steal.Ratio = 2
-		}
-		if c.Steal.MinVictimDepth <= 0 {
-			c.Steal.MinVictimDepth = 2
-		}
-	}
-	if c.AdaptiveDepth.Enabled {
-		if c.AdaptiveDepth.TargetP99 <= 0 {
-			c.AdaptiveDepth.TargetP99 = 2 * time.Millisecond
-		}
-		if c.AdaptiveDepth.Floor <= 0 {
-			c.AdaptiveDepth.Floor = 2
-		}
-		if c.AdaptiveDepth.Ceiling <= 0 {
-			c.AdaptiveDepth.Ceiling = c.QueueDepth
-		}
-		if c.AdaptiveDepth.Floor > c.AdaptiveDepth.Ceiling {
-			return fmt.Errorf("engine: AdaptiveDepth.Floor %d exceeds Ceiling %d",
-				c.AdaptiveDepth.Floor, c.AdaptiveDepth.Ceiling)
-		}
-		if c.AdaptiveDepth.Interval <= 0 {
-			c.AdaptiveDepth.Interval = 5 * time.Millisecond
-		}
-	}
 	if c.GroupCommit.Enabled {
 		if c.GroupCommit.MaxBatch <= 0 {
 			c.GroupCommit.MaxBatch = 32
@@ -350,28 +264,6 @@ func (c *Config) placementFor(reactor string) int {
 		idx += c.Containers
 	}
 	return idx
-}
-
-// DefaultAffinity returns the executor index the hash-defaulted affinity
-// assigns to a reactor in a container with the given number of executors —
-// the mapping used when Config.Affinity is nil. Benchmarks and experiment
-// drivers use it to construct deliberately skewed (or deliberately balanced)
-// reactor layouts without supplying an explicit Affinity function, which
-// would pin the tasks and disable work stealing.
-func DefaultAffinity(reactor string, executors int) int {
-	if executors <= 0 {
-		return 0
-	}
-	return hashString(reactor) % executors
-}
-
-// pinnedAffinity reports whether root tasks are pinned to their routed
-// executor: the affinity router with an application-supplied Affinity
-// function is a placement contract work stealing must not break, while the
-// hash default and round-robin routing are load-spreading heuristics whose
-// tasks may be stolen.
-func (c *Config) pinnedAffinity() bool {
-	return c.Router == RouterAffinity && c.Affinity != nil
 }
 
 // affinityFor resolves the preferred executor index for a reactor.

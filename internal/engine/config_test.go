@@ -12,11 +12,6 @@ import (
 // up here as a reviewed one-line edit instead of slipping in unnoticed.
 func TestConfigSurface(t *testing.T) {
 	want := []string{
-		"AdaptiveDepth.Ceiling",
-		"AdaptiveDepth.Enabled",
-		"AdaptiveDepth.Floor",
-		"AdaptiveDepth.Interval",
-		"AdaptiveDepth.TargetP99",
 		"Admission",
 		"Affinity",
 		"Containers",
@@ -39,9 +34,6 @@ func TestConfigSurface(t *testing.T) {
 		"Placement",
 		"QueueDepth",
 		"Router",
-		"Steal.Enabled",
-		"Steal.MinVictimDepth",
-		"Steal.Ratio",
 		"Strategy",
 	}
 	var got []string

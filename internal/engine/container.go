@@ -91,11 +91,6 @@ func newContainer(db *Database, id int) (*Container, error) {
 	for i := 0; i < db.cfg.ExecutorsPerContainer; i++ {
 		c.executors = append(c.executors, newExecutor(c, i))
 	}
-	// Run loops start only after the executor slice is complete: a stealing
-	// loop reads its siblings from the moment it runs.
-	for _, e := range c.executors {
-		e.start()
-	}
 	if db.cfg.GroupCommit.Enabled {
 		c.committer = newGroupCommitter(c)
 	}

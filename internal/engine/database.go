@@ -58,8 +58,9 @@ type Database struct {
 	// this shard" and forces a wipe + fresh bootstrap.
 	promoCut []uint64
 
-	adaptStop chan struct{}
-	adaptWG   sync.WaitGroup
+	// loadsMu makes ExecutorLoads the single rotator of every executor's
+	// queue-wait window.
+	loadsMu sync.Mutex
 
 	// repl tracks attached replicas: semi-sync commit acknowledgments wait on
 	// it, and checkpoint truncation clamps to its shipping floor. See
@@ -84,7 +85,6 @@ func Open(def *core.DatabaseDef, cfg Config) (*Database, error) {
 		cfg:       cfg,
 		placement: make(map[string]*Container),
 		ckptStop:  make(chan struct{}),
-		adaptStop: make(chan struct{}),
 	}
 	db.repl = newReplicationHub(db.Fenced)
 	if cfg.Durability.Mode == DurabilityWAL {
@@ -125,10 +125,6 @@ func Open(def *core.DatabaseDef, cfg Config) (*Database, error) {
 		db.ckptWG.Add(1)
 		go db.checkpointLoop()
 	}
-	if cfg.AdaptiveDepth.Enabled {
-		db.adaptWG.Add(1)
-		go db.adaptLoop()
-	}
 	return db, nil
 }
 
@@ -150,82 +146,11 @@ func (db *Database) Close() {
 		// checkpoint racing shutdown would truncate against a closing log.
 		close(db.ckptStop)
 		db.ckptWG.Wait()
-		// Stop the depth controller before draining: a controller tick racing
-		// executor shutdown would rotate histograms of a dying run loop.
-		close(db.adaptStop)
-		db.adaptWG.Wait()
 		db.inflight.Wait()
 		for _, c := range db.containers {
 			c.shutdown()
 		}
 	}
-}
-
-// adaptLoop is the adaptive admission controller (Config.AdaptiveDepth):
-// every interval it reads each executor's queue-wait p99 over the window just
-// ended and moves that executor's in-flight token limit — multiplicative
-// decrease when the tail exceeds the target (overload: admitting less is the
-// only way admitted work waits less), gentle additive increase once the tail
-// falls below half the target (headroom: reclaim throughput). Executors whose
-// window saw no completed queue wait are left alone; an idle executor has no
-// evidence to act on.
-//
-// The effective latency target coordinates with group commit: with batched
-// commit enabled, every acknowledged root waits up to the flush window, so
-// queue-wait tails of that order are inherent to the durability configuration
-// rather than evidence of overload. Shrinking depth cannot push latency below
-// the batching delay, so the AIMD loop floors its target at the group-commit
-// window (see adaptiveTarget) instead of collapsing to Floor and giving up
-// throughput for nothing.
-func (db *Database) adaptLoop() {
-	defer db.adaptWG.Done()
-	a := db.cfg.AdaptiveDepth
-	target := db.adaptiveTarget()
-	ticker := time.NewTicker(a.Interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-db.adaptStop:
-			return
-		case <-ticker.C:
-			for _, c := range db.containers {
-				for _, e := range c.executors {
-					win := e.waitWindow.Rotate()
-					if win.Count == 0 {
-						continue
-					}
-					p99 := time.Duration(win.Quantile(0.99))
-					_, limit, _ := e.gate.snapshot()
-					switch {
-					case p99 > target && limit > a.Floor:
-						next := limit / 2
-						if next < a.Floor {
-							next = a.Floor
-						}
-						e.gate.setLimit(next)
-					case p99 < target/2 && limit < a.Ceiling:
-						next := limit + 1 + limit/8
-						if next > a.Ceiling {
-							next = a.Ceiling
-						}
-						e.gate.setLimit(next)
-					}
-				}
-			}
-		}
-	}
-}
-
-// adaptiveTarget returns the queue-wait p99 the depth controller steers
-// toward: the configured TargetP99, floored at the group-commit window when
-// batched commit is enabled (commit acknowledgement latency cannot fall below
-// the flush cadence, so targeting less would only thrash depth downward).
-func (db *Database) adaptiveTarget() time.Duration {
-	target := db.cfg.AdaptiveDepth.TargetP99
-	if db.cfg.GroupCommit.Enabled && db.cfg.GroupCommit.Window > target {
-		target = db.cfg.GroupCommit.Window
-	}
-	return target
 }
 
 // Definition returns the logical database declaration.
@@ -314,7 +239,6 @@ func (db *Database) runRoot(container *Container, reactor, procName string, proc
 		executor: container.route(reactor),
 		future:   &root.future,
 		isRoot:   true,
-		affine:   db.cfg.pinnedAffinity(),
 	}
 	db.inflight.Add(1)
 	if err := root.task.executor.submit(&root.task); err != nil {
@@ -335,7 +259,7 @@ func (db *Database) runTask(t *task, session *coreSession) {
 	// The admission token is surrendered on every exit from this function —
 	// commit, abort, unknown-reactor failure, or a panic that escapes the
 	// procedure-level recover in invoke — so a crashed request can never
-	// strand a slot of its executor's effective depth.
+	// strand a slot of its executor's queue depth.
 	defer t.releaseToken()
 	t.executor.chargeEntry(t.reactor)
 

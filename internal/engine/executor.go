@@ -14,10 +14,7 @@ import (
 // transactions admitted to the gate are started in FIFO order, one
 // core-holder at a time, and a request that blocks on a remote
 // sub-transaction releases the core so queued work can proceed (cooperative
-// multitasking, §3.2.3) while keeping its token. When
-// work stealing is enabled (Config.Steal) an executor whose queue runs empty
-// — or pathologically shallow next to a sibling's — takes non-affine root
-// tasks from the deepest sibling queue of its container.
+// multitasking, §3.2.3) while keeping its token.
 type Executor struct {
 	container *Container
 	id        int
@@ -27,7 +24,6 @@ type Executor struct {
 	queue    *requestQueue
 	gate     *admissionGate
 	loopDone chan struct{}
-	parked   atomic.Bool // run loop is waiting on queue.wake (steal wake target)
 
 	// instrumentation
 	busy       atomic.Int64 // accumulated nanoseconds the core was held
@@ -35,22 +31,16 @@ type Executor struct {
 	started    time.Time
 	enqueued   atomic.Int64
 	rejected   atomic.Int64
-	steals     atomic.Int64             // tasks taken from sibling queues
-	stolen     atomic.Int64             // tasks siblings took from this queue
 	misses     atomic.Int64             // affinity misses charged at chargeEntry
 	waitHist   *stats.Histogram         // scheduling delay: enqueue -> core acquired
-	waitWindow *stats.WindowedHistogram // same delay, windowed for the depth controller
+	waitWindow *stats.WindowedHistogram // same delay, windowed for ExecutorLoads
 	depthHist  *stats.Histogram         // queue depth observed at enqueue
 }
 
+// newExecutor builds an executor and starts its run loop.
 func newExecutor(c *Container, id int) *Executor {
 	depth := c.db.cfg.QueueDepth
-	if a := c.db.cfg.AdaptiveDepth; a.Enabled {
-		// Start wide open; the controller shrinks toward the floor only when
-		// measured queue-wait says the backlog is hurting.
-		depth = a.Ceiling
-	}
-	return &Executor{
+	e := &Executor{
 		container:  c,
 		id:         id,
 		core:       vclock.NewCore(),
@@ -62,12 +52,9 @@ func newExecutor(c *Container, id int) *Executor {
 		waitWindow: stats.NewWindowedHistogram(stats.DurationBounds()),
 		depthHist:  stats.NewHistogram(stats.DepthBounds()),
 	}
+	go e.runLoop()
+	return e
 }
-
-// start spawns the run loop. It is separate from construction because a
-// stealing run loop scans its container's executor slice and sibling queues:
-// every executor of the container must exist before any loop runs.
-func (e *Executor) start() { go e.runLoop() }
 
 // shutdown closes the admission gate and request queue, then waits for the
 // run loop to drain. Gate first: a root blocked at admission must fail with
@@ -105,16 +92,14 @@ func (e *Executor) Utilization() float64 {
 
 // ResetStats restarts the utilization measurement window and clears the
 // scheduler instrumentation (queue-wait and queue-depth histograms, admission
-// and steal counters). The admission gate's effective depth is left where the
-// controller put it.
+// and affinity-miss counters). The windowed queue wait belongs to
+// ExecutorLoads, its only reader, and is left alone.
 func (e *Executor) ResetStats() {
 	e.busy.Store(0)
 	e.processed.Store(0)
 	e.started = time.Now()
 	e.enqueued.Store(0)
 	e.rejected.Store(0)
-	e.steals.Store(0)
-	e.stolen.Store(0)
 	e.misses.Store(0)
 	e.waitHist.Reset()
 	e.depthHist.Reset()
@@ -137,10 +122,9 @@ func (e *Executor) release(acquiredAt time.Time) {
 // processing a (sub-)transaction for a reactor: the fixed processing cost and
 // the affinity-miss penalty charged when the reactor was last processed by a
 // different executor of the same container (its working set has to move to
-// this executor's cache, the effect affinity routing avoids). A stolen task
-// pays this penalty through the same model — lastExecutor points at the
-// victim — which is what keeps the steal-on/steal-off ablation honest.
-// The caller must hold the core.
+// this executor's cache, the effect affinity routing avoids). Round-robin
+// routing pays it whenever consecutive requests for a reactor land on
+// different executors. The caller must hold the core.
 func (e *Executor) chargeEntry(reactor string) {
 	costs := e.container.db.cfg.Costs
 	miss := e.container.noteExecutorFor(reactor, e.id)

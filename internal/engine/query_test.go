@@ -872,75 +872,3 @@ func TestCrashMatrixIndexMaintenance(t *testing.T) {
 		db3.Close()
 	}
 }
-
-// TestAdaptiveTargetFloorsAtGroupCommitWindow pins the coordination between
-// the adaptive-depth controller and group commit: the wait target the AIMD
-// loop steers toward is floored at the group-commit window, since
-// acknowledgement latency cannot fall below the flush cadence.
-func TestAdaptiveTargetFloorsAtGroupCommitWindow(t *testing.T) {
-	mk := func(gcEnabled bool, window time.Duration) *Database {
-		cfg := NewSharedEverythingWithAffinity(1)
-		cfg.AdaptiveDepth = AdaptiveDepthConfig{Enabled: true, TargetP99: 300 * time.Microsecond, Floor: 2, Interval: time.Hour}
-		cfg.GroupCommit = GroupCommitConfig{Enabled: gcEnabled, Window: window, MaxBatch: 8}
-		return openShop(t, cfg, "shop-0")
-	}
-	if got := mk(false, 5*time.Millisecond).adaptiveTarget(); got != 300*time.Microsecond {
-		t.Fatalf("target without group commit = %v, want 300µs", got)
-	}
-	if got := mk(true, 5*time.Millisecond).adaptiveTarget(); got != 5*time.Millisecond {
-		t.Fatalf("target with 5ms window = %v, want the window", got)
-	}
-	if got := mk(true, 100*time.Microsecond).adaptiveTarget(); got != 300*time.Microsecond {
-		t.Fatalf("target with sub-target window = %v, want TargetP99", got)
-	}
-}
-
-// TestAdaptiveDepthHoldsAtGroupCommitWindow is the behavioral half: the same
-// overload that walks the depth down in TestAdaptiveDepthShrinksUnderOverload
-// must NOT shrink it when a wide group-commit window raises the wait target —
-// queue waits below the flush cadence are not congestion.
-func TestAdaptiveDepthHoldsAtGroupCommitWindow(t *testing.T) {
-	cfg := NewSharedEverythingWithAffinity(1)
-	cfg.QueueDepth = 64
-	cfg.Costs.Processing = 500 * time.Microsecond
-	cfg.AdaptiveDepth = AdaptiveDepthConfig{
-		Enabled:   true,
-		TargetP99: 300 * time.Microsecond,
-		Floor:     2,
-		Interval:  2 * time.Millisecond,
-	}
-	cfg.GroupCommit = GroupCommitConfig{Enabled: true, Window: time.Second, MaxBatch: 64}
-	db := openAccounts(t, 16, 100, cfg)
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for c := 0; c < 16; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			name := accountNames(16)[c]
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if _, err := db.Execute(name, "credit", 1.0); err != nil && !errors.Is(err, ErrConflict) {
-					t.Errorf("credit: %v", err)
-					return
-				}
-			}
-		}(c)
-	}
-	deadline := time.Now().Add(300 * time.Millisecond)
-	for time.Now().Before(deadline) {
-		if got := db.QueueStats()[0].EffectiveDepth; got != 64 {
-			close(stop)
-			wg.Wait()
-			t.Fatalf("effective depth shrank to %d despite wait target floored at the group-commit window", got)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	close(stop)
-	wg.Wait()
-}

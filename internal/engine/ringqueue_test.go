@@ -53,64 +53,6 @@ func TestRequestQueueGrowsBeyondInitialCapacity(t *testing.T) {
 	}
 }
 
-func TestRequestQueueStealTailTakesNewestStealable(t *testing.T) {
-	q := newRequestQueue(8)
-	for i := 0; i < 4; i++ {
-		if _, err := q.enqueue(&task{isRoot: true, procName: fmt.Sprint(i)}); err != nil {
-			t.Fatalf("enqueue: %v", err)
-		}
-	}
-	// Steals come off the tail, newest first...
-	if tk := q.stealTail(); tk == nil || tk.procName != "3" {
-		t.Fatalf("stealTail = %v, want task 3", tk)
-	}
-	if tk := q.stealTail(); tk == nil || tk.procName != "2" {
-		t.Fatalf("stealTail = %v, want task 2", tk)
-	}
-	// ...while the owner's FIFO order over the rest is untouched.
-	if tk, ok := q.tryDequeue(); !ok || tk.procName != "0" {
-		t.Fatalf("tryDequeue = %v, want task 0", tk)
-	}
-	if tk, ok := q.tryDequeue(); !ok || tk.procName != "1" {
-		t.Fatalf("tryDequeue = %v, want task 1", tk)
-	}
-	if q.depth() != 0 {
-		t.Fatalf("depth = %d, want 0", q.depth())
-	}
-	if tk := q.stealTail(); tk != nil {
-		t.Fatalf("stealTail on empty queue = %v, want nil", tk)
-	}
-}
-
-func TestRequestQueueStealTailRespectsPins(t *testing.T) {
-	q := newRequestQueue(8)
-	// An affine root at the tail blocks the steal (the check is O(1): only
-	// the tail element is inspected).
-	if _, err := q.enqueue(&task{isRoot: true, procName: "stealable"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := q.enqueue(&task{isRoot: true, affine: true, procName: "pinned"}); err != nil {
-		t.Fatal(err)
-	}
-	if tk := q.stealTail(); tk != nil {
-		t.Fatalf("stole affine task %q", tk.procName)
-	}
-	if tk, ok := q.tryDequeue(); !ok || tk.procName != "stealable" {
-		t.Fatalf("tryDequeue = %v, want the stealable head", tk)
-	}
-	if tk := q.stealTail(); tk != nil {
-		t.Fatalf("stole affine task %q", tk.procName)
-	}
-	// Sub-transaction requests are never stolen either.
-	q2 := newRequestQueue(8)
-	if _, err := q2.enqueue(&task{isRoot: false, procName: "sub"}); err != nil {
-		t.Fatal(err)
-	}
-	if tk := q2.stealTail(); tk != nil {
-		t.Fatalf("stole sub-transaction task %q", tk.procName)
-	}
-}
-
 // BenchmarkRequestQueueChurn measures steady-state enqueue/dequeue cost. The
 // ring buffer holds allocations at zero per operation, where the previous
 // slice FIFO (items = items[1:] plus append) leaked head capacity and
@@ -148,29 +90,6 @@ func BenchmarkRequestQueueDeepChurn(b *testing.B) {
 		}
 		if _, ok := q.tryDequeue(); !ok {
 			b.Fatal("dequeue failed")
-		}
-	}
-}
-
-// BenchmarkRequestQueueStealChurn measures the steal dequeue path: enqueue on
-// a victim queue, steal from the tail. The acceptance bar for the scheduler
-// work is 0 allocs/op here — the steal hot loop must not allocate.
-func BenchmarkRequestQueueStealChurn(b *testing.B) {
-	q := newRequestQueue(256)
-	tk := &task{isRoot: true}
-	for i := 0; i < 64; i++ {
-		if _, err := q.enqueue(tk); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := q.enqueue(tk); err != nil {
-			b.Fatal(err)
-		}
-		if got := q.stealTail(); got == nil {
-			b.Fatal("stealTail failed on non-empty queue")
 		}
 	}
 }

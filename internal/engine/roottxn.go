@@ -63,16 +63,9 @@ type task struct {
 	future   *core.Future
 	isRoot   bool
 
-	// affine marks a root task pinned by an application placement contract
-	// (affinity router with an explicit Config.Affinity function): work
-	// stealing never moves it off its routed executor.
-	affine bool
-
 	// gate is the admission gate that issued this root task's in-flight
 	// token, set at submit; the token is released exactly once through
-	// releaseToken when the transaction completes, aborts, or panics — even
-	// when the task was stolen and ran on a different executor, the token
-	// goes back to the executor that issued it.
+	// releaseToken when the transaction completes, aborts, or panics.
 	gate *admissionGate
 
 	// enqueuedAt is stamped when the task joins an executor's request queue;

@@ -7,13 +7,8 @@ package engine
 // policy is Config.Router: round-robin load-balances requests regardless of
 // the reactor (the shared-everything-without-affinity deployment); affinity
 // sends every request for a reactor to the same executor, preserving
-// program-to-data affinity.
-//
-// Routing is a placement decision, not necessarily a pin: with work stealing
-// enabled (Config.Steal) a routed root task may still migrate to an idle
-// sibling before it starts, unless the deployment pins it through an explicit
-// Config.Affinity function under the affinity router (Config.pinnedAffinity;
-// the task is stamped affine at dispatch and stealTail skips it).
+// program-to-data affinity. The routed executor is final: the task waits in
+// that executor's queue and runs on its core.
 func (c *Container) route(reactor string) *Executor {
 	switch c.db.cfg.Router {
 	case RouterRoundRobin:

@@ -24,10 +24,9 @@ var errDatabaseClosed = errors.New("engine: database closed")
 // The FIFO is a circular buffer: head/count index into a fixed backing array,
 // so steady-state enqueue/dequeue churn allocates nothing. It has exactly one
 // consumer — the owning executor's run loop — woken through the capacity-1
-// wake channel, plus sibling thieves that remove stealable root tasks from
-// the tail under the same mutex (stealTail). The buffer starts large enough
-// for the admission ceiling and doubles only in the rare case that
-// token-exempt sub-transactions outgrow it.
+// wake channel. The buffer starts large enough for the admission limit and
+// doubles only in the rare case that token-exempt sub-transactions outgrow
+// it.
 type requestQueue struct {
 	mu     sync.Mutex
 	buf    []*task
@@ -101,28 +100,6 @@ func (q *requestQueue) tryDequeue() (*task, bool) {
 	return t, true
 }
 
-// stealTail removes and returns the newest task iff it is stealable: a root
-// task not pinned by an explicit affinity contract. The check inspects only
-// the tail element, keeping the steal O(1) and allocation-free; a stealable
-// task buried under a sub-transaction request is simply not stolen this round.
-// Stealing from the tail takes the request that would otherwise wait longest,
-// while the victim's own FIFO order over the remaining work is untouched.
-func (q *requestQueue) stealTail() *task {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.count == 0 {
-		return nil
-	}
-	i := (q.head + q.count - 1) % len(q.buf)
-	t := q.buf[i]
-	if !t.isRoot || t.affine {
-		return nil
-	}
-	q.buf[i] = nil
-	q.count--
-	return t
-}
-
 // depth returns the number of waiting requests.
 func (q *requestQueue) depth() int {
 	q.mu.Lock()
@@ -146,30 +123,18 @@ func (q *requestQueue) close() {
 	q.notify()
 }
 
-// runLoop is the executor's scheduler goroutine: it takes the next request —
-// from its own queue in FIFO order, or stolen from the deepest sibling when
-// its own queue is empty or pathologically shallower — waits for the
-// executor's virtual core, and starts the request on its own goroutine with
-// core ownership transferred. The request goroutine releases the core when it
-// finishes — or, under cooperative multitasking, while it awaits a remote
-// future — which unblocks this loop for the next request.
+// runLoop is the executor's scheduler goroutine: it takes the next request
+// from its queue in FIFO order, waits for the executor's virtual core, and
+// starts the request on its own goroutine with core ownership transferred.
+// The request goroutine releases the core when it finishes — or, under
+// cooperative multitasking, while it awaits a remote future — which unblocks
+// this loop for the next request.
 func (e *Executor) runLoop() {
 	defer close(e.loopDone)
-	lastStolen := false
 	for {
-		t := e.nextTask(lastStolen)
+		t := e.nextTask()
 		if t == nil {
 			return
-		}
-		lastStolen = t.executor != e
-		if t.executor != e {
-			// Stolen: re-home the task before it runs. The working set of its
-			// reactor moves with it, which the affinity-miss cost model
-			// charges at chargeEntry the same way any routing miss is charged
-			// — steals buy queue balance at an honest locality price.
-			t.executor.stolen.Add(1)
-			t.executor = e
-			e.steals.Add(1)
 		}
 		acquiredAt := e.acquire()
 		wait := acquiredAt.Sub(t.enqueuedAt)
@@ -179,93 +144,20 @@ func (e *Executor) runLoop() {
 	}
 }
 
-// nextTask returns the next request for this executor, blocking until one is
-// available, and nil once the executor's queue is closed and drained. With
-// stealing enabled the priority order is: rebalance-steal when the deepest
-// sibling is Steal.Ratio times deeper than our backlog, then our own FIFO,
-// then empty-queue steal; an idle executor parks on its wake channel and is
-// woken by its own enqueues, queue closure, or a sibling whose stealable
-// backlog built up (see Executor.submit). lastStolen suppresses the
-// rebalance-steal right after a steal, so the thief's own queue is served at
-// least every other slot — without it a persistent sibling imbalance could
-// starve a lone task waiting here indefinitely.
-func (e *Executor) nextTask(lastStolen bool) *task {
-	steal := e.container.db.cfg.Steal.Enabled
+// nextTask returns the oldest waiting request, nil once the queue is closed
+// and drained, and otherwise waits on the queue's wake channel: an enqueue
+// or close that lands after the empty check has already left a wake there,
+// so nothing is lost.
+func (e *Executor) nextTask() *task {
 	for {
-		if t := e.pollTask(steal && !lastStolen); t != nil {
+		if t, ok := e.queue.tryDequeue(); ok {
 			return t
 		}
 		if e.queue.drained() {
-			return nil
-		}
-		e.parked.Store(true)
-		// Re-check after declaring ourselves parked: a producer that missed
-		// the parked flag has already enqueued, so this poll sees its work;
-		// a producer that saw the flag will send a wake. Either way nothing
-		// is lost.
-		if t := e.pollTask(steal && !lastStolen); t != nil {
-			e.parked.Store(false)
-			return t
-		}
-		if e.queue.drained() {
-			e.parked.Store(false)
 			return nil
 		}
 		<-e.queue.wake
-		e.parked.Store(false)
 	}
-}
-
-// pollTask makes one non-blocking attempt to obtain work. rebalance gates the
-// steal-ahead-of-own-FIFO path; the empty-queue steal is always allowed when
-// stealing is on, since an empty queue has nothing to starve.
-func (e *Executor) pollTask(rebalance bool) *task {
-	steal := e.container.db.cfg.Steal.Enabled
-	if rebalance {
-		if own := e.queue.depth(); own > 0 {
-			if v := e.stealVictim(own); v != nil {
-				if t := v.queue.stealTail(); t != nil {
-					return t
-				}
-			}
-		}
-	}
-	if t, ok := e.queue.tryDequeue(); ok {
-		return t
-	}
-	if steal {
-		if v := e.stealVictim(0); v != nil {
-			if t := v.queue.stealTail(); t != nil {
-				return t
-			}
-		}
-	}
-	return nil
-}
-
-// stealVictim picks the deepest sibling queue worth stealing from, or nil.
-// With own == 0 any sibling at or above Steal.MinVictimDepth qualifies; with
-// a non-empty own queue the sibling must additionally be Steal.Ratio times
-// deeper than ours, so balanced queues never trade work back and forth. The
-// scan allocates nothing: it is part of the steal hot path.
-func (e *Executor) stealVictim(own int) *Executor {
-	cfg := &e.container.db.cfg
-	need := cfg.Steal.MinVictimDepth
-	if own > 0 && cfg.Steal.Ratio*own > need {
-		need = cfg.Steal.Ratio * own
-	}
-	var victim *Executor
-	deepest := need - 1
-	for _, s := range e.container.executors {
-		if s == e {
-			continue
-		}
-		if d := s.queue.depth(); d > deepest {
-			deepest = d
-			victim = s
-		}
-	}
-	return victim
 }
 
 // submit places a task on the executor's request queue, recording queue-depth
@@ -292,17 +184,6 @@ func (e *Executor) submit(t *task) error {
 	}
 	e.depthHist.Observe(float64(depth))
 	e.enqueued.Add(1)
-	// A stealable backlog forming behind a busy executor is the signal an
-	// idle sibling parks on: wake one. depth is the count before our push, so
-	// depth >= 1 means at least two requests are now waiting here.
-	if depth >= 1 && t.isRoot && !t.affine && e.container.db.cfg.Steal.Enabled {
-		for _, s := range e.container.executors {
-			if s != e && s.parked.Load() {
-				s.queue.notify()
-				break
-			}
-		}
-	}
 	return nil
 }
 
@@ -318,21 +199,10 @@ type QueueStats struct {
 	Depth int
 	// InFlight is the number of admission tokens currently held: root
 	// transactions admitted to this executor and not yet completed (waiting,
-	// running, or cooperatively yielded). EffectiveDepth is the gate's
-	// current token limit — equal to Config.QueueDepth under a static bound,
-	// moved between the configured floor and ceiling by the adaptive depth
-	// controller — and MinEffectiveDepth is the lowest limit the controller
-	// ever set (the current limit may have grown back by snapshot time).
-	InFlight          int
-	EffectiveDepth    int
-	MinEffectiveDepth int
-	// Steals counts tasks this executor took from sibling queues; Stolen
-	// counts tasks siblings took from this executor's queue.
-	Steals int64
-	Stolen int64
+	// running, or cooperatively yielded), out of Config.QueueDepth.
+	InFlight int
 	// AffinityMisses counts requests whose reactor was last processed by a
-	// different executor of the container (each charged Costs.AffinityMiss),
-	// including misses induced by stealing.
+	// different executor of the container (each charged Costs.AffinityMiss).
 	AffinityMisses int64
 	// Wait is the distribution of scheduling delay (enqueue to core acquired),
 	// in nanoseconds.
@@ -349,13 +219,11 @@ func (e *Executor) QueueStats() QueueStats {
 		Enqueued:       e.enqueued.Load(),
 		Rejected:       e.rejected.Load(),
 		Depth:          e.queue.depth(),
-		Steals:         e.steals.Load(),
-		Stolen:         e.stolen.Load(),
 		AffinityMisses: e.misses.Load(),
 		Wait:           e.waitHist.Snapshot(),
 		DepthSeen:      e.depthHist.Snapshot(),
 	}
-	s.InFlight, s.EffectiveDepth, s.MinEffectiveDepth = e.gate.snapshot()
+	s.InFlight, _ = e.gate.snapshot()
 	return s
 }
 

@@ -319,25 +319,126 @@ func TestSchedulerConfigValidation(t *testing.T) {
 	if gc.GroupCommit.MaxBatch != 32 || gc.GroupCommit.Window != 200*time.Microsecond {
 		t.Fatalf("group-commit defaults not applied: %+v", gc.GroupCommit)
 	}
+}
 
-	st := Config{Steal: StealConfig{Enabled: true}}
-	if err := st.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-	if st.Steal.Ratio != 2 || st.Steal.MinVictimDepth != 2 {
-		t.Fatalf("steal defaults not applied: %+v", st.Steal)
+// TestSchedulerStressSerializable is the scheduler's correctness stress test:
+// many clients, contended hot keys and several executors of one container,
+// run under -race in CI (make race-sched). The observable history must stay
+// serializable: every account's final balance equals its initial balance plus
+// exactly the credits that were acknowledged as committed. Every admitted root
+// must return its admission token. Two pollers read ExecutorLoads throughout,
+// so its window rotation races the run loops' observations and each other.
+func TestSchedulerStressSerializable(t *testing.T) {
+	const accounts = 32
+	cfg := NewSharedEverythingWithAffinity(4)
+	cfg.QueueDepth = 64
+	db := openAccounts(t, accounts, 1000, cfg)
+
+	stopPolling := make(chan struct{})
+	var pollers sync.WaitGroup
+	for p := 0; p < 2; p++ {
+		pollers.Add(1)
+		go func() {
+			defer pollers.Done()
+			for {
+				select {
+				case <-stopPolling:
+					return
+				default:
+					db.ExecutorLoads()
+					// A server rotates once per HintRefresh; spinning would
+					// only steal the clients' CPU.
+					time.Sleep(100 * time.Microsecond)
+				}
+			}
+		}()
 	}
 
-	ad := Config{AdaptiveDepth: AdaptiveDepthConfig{Enabled: true}}
-	if err := ad.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
+	const clients = 8
+	perClient := 150
+	if testing.Short() {
+		perClient = 40
 	}
-	if ad.AdaptiveDepth.TargetP99 != 2*time.Millisecond || ad.AdaptiveDepth.Floor != 2 ||
-		ad.AdaptiveDepth.Ceiling != 256 || ad.AdaptiveDepth.Interval != 5*time.Millisecond {
-		t.Fatalf("adaptive-depth defaults not applied: %+v", ad.AdaptiveDepth)
+	committed := make([]atomic.Int64, accounts)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			names := accountNames(accounts)
+			for i := 0; i < perClient; i++ {
+				// Mostly a client-owned stripe (no conflicts), with every
+				// fourth credit aimed at a shared hot account so validation
+				// aborts interleave across executors.
+				id := c + clients*(i%(accounts/clients))
+				if i%4 == 0 {
+					id = 0
+				}
+				_, err := db.Execute(names[id], "credit", 1.0)
+				switch {
+				case err == nil:
+					committed[id].Add(1)
+				case errors.Is(err, ErrConflict):
+				default:
+					t.Errorf("credit: %v", err)
+					return
+				}
+			}
+		}(c)
 	}
-	bad = Config{AdaptiveDepth: AdaptiveDepthConfig{Enabled: true, Floor: 16, Ceiling: 8}}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("Validate should reject Floor > Ceiling")
+	wg.Wait()
+	close(stopPolling)
+	pollers.Wait()
+
+	for i, name := range accountNames(accounts) {
+		want := 1000 + float64(committed[i].Load())
+		if got := balanceOf(t, db, name); got != want {
+			t.Fatalf("balance of %s = %v, want %v: history not serializable", name, got, want)
+		}
+	}
+	if got := inFlightOf(db); got != 0 {
+		t.Fatalf("%d admission tokens leaked", got)
+	}
+}
+
+// TestExecutorLoadsWaitWindowCloses pins the window the wire hints' queue-wait
+// p99 claims: ExecutorLoads reports the p99 of the interval since its
+// previous call, so a burst that ended is forgotten after one read instead of
+// being charged to the executor for the rest of the run.
+func TestExecutorLoadsWaitWindowCloses(t *testing.T) {
+	cfg := NewSharedEverythingWithAffinity(1)
+	cfg.Costs.Processing = 2 * time.Millisecond
+	db := openAccounts(t, 8, 100, cfg)
+
+	// Burst: eight clients with five credits each queue behind one 2 ms core.
+	var wg sync.WaitGroup
+	for c := 0; c < 8; c++ {
+		wg.Add(1)
+		go func(name string) {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				if _, err := db.Execute(name, "credit", 1.0); err != nil && !errors.Is(err, ErrConflict) {
+					t.Errorf("credit: %v", err)
+					return
+				}
+			}
+		}(accountNames(8)[c])
+	}
+	wg.Wait()
+	if p99 := db.ExecutorLoads()[0].WaitP99; p99 < 4*time.Millisecond {
+		t.Fatalf("burst window p99 = %v, want the queueing behind a 2 ms core (>= 4ms)", p99)
+	}
+
+	// Idle, then one uncontended request: the next window holds only it.
+	time.Sleep(100 * time.Millisecond)
+	if _, err := db.Execute("acct-0", "credit", 1.0); err != nil {
+		t.Fatalf("credit: %v", err)
+	}
+	if p99 := db.ExecutorLoads()[0].WaitP99; p99 >= time.Millisecond {
+		t.Fatalf("post-burst window p99 = %v, want < 1ms: the burst leaked into a later window", p99)
+	}
+	// A window in which nothing started reports zero.
+	if p99 := db.ExecutorLoads()[0].WaitP99; p99 != 0 {
+		t.Fatalf("empty window p99 = %v, want 0", p99)
 	}
 }

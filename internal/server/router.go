@@ -346,9 +346,10 @@ func (r *Router) pickRead() *Conn {
 	return best
 }
 
-// hintScore prices an endpoint for a read: its worst windowed queue-wait p99
-// in microseconds, plus a per-queued-transaction penalty so a deep queue costs
-// even before its wait histogram catches up.
+// hintScore prices an endpoint for a read: its worst queue-wait p99 over the
+// server's last hint-refresh interval, in microseconds, plus a
+// per-queued-transaction penalty so a deep queue costs even before its wait
+// window closes.
 func hintScore(h LoadHints) uint64 {
 	score := h.MaxWaitP99Micros()
 	for _, e := range h.Executors {

@@ -4,14 +4,14 @@ import "sync/atomic"
 
 // WindowedHistogram is a Histogram pair whose active half collects the
 // current measurement window while the previous window is read and recycled.
-// The admission controller uses it to read queue-wait p99 over the last
-// control interval instead of over the run's whole lifetime: a cumulative
-// histogram dilutes an overload that started seconds ago under millions of
-// old fast observations, while a window reacts within one interval.
+// The engine's executor load signal uses it to read queue-wait p99 over the
+// interval since its last read instead of over the run's whole lifetime: a
+// cumulative histogram dilutes an overload that started seconds ago under
+// millions of old fast observations, and never forgets one that ended.
 //
 // Observe is as cheap as Histogram.Observe plus one atomic pointer load, so
-// it is safe on the scheduler's hot path. Rotate must be called from a single
-// goroutine (the controller); concurrent observers that race a rotation land
+// it is safe on the scheduler's hot path. Rotate must not be called
+// concurrently with itself; concurrent observers that race a rotation land
 // in one window or the other, never in neither.
 type WindowedHistogram struct {
 	active atomic.Pointer[Histogram]
@@ -42,10 +42,4 @@ func (w *WindowedHistogram) Rotate() HistogramSnapshot {
 	snap := old.Snapshot()
 	w.spare = old
 	return snap
-}
-
-// Current returns a snapshot of the still-open window without rotating it,
-// for stats export.
-func (w *WindowedHistogram) Current() HistogramSnapshot {
-	return w.active.Load().Snapshot()
 }

@@ -117,11 +117,6 @@ type (
 	Profile = engine.Profile
 	// AdmissionPolicy selects blocking or fail-fast admission control.
 	AdmissionPolicy = engine.AdmissionPolicy
-	// StealConfig configures work stealing between a container's executors.
-	StealConfig = engine.StealConfig
-	// AdaptiveDepthConfig configures the adaptive admission controller that
-	// moves each executor's effective queue depth under overload.
-	AdaptiveDepthConfig = engine.AdaptiveDepthConfig
 	// GroupCommitConfig configures container-level batched group commit.
 	GroupCommitConfig = engine.GroupCommitConfig
 	// DurabilityConfig selects and parameterizes the durability path.
@@ -311,10 +306,3 @@ func SharedNothing(containers int) Config { return engine.NewSharedNothing(conta
 // DefaultExperimentCosts returns the virtual-core cost parameters used by the
 // experiment drivers (the modeled profile of README "Benchmarks").
 func DefaultExperimentCosts() Costs { return vclock.DefaultExperimentCosts() }
-
-// DefaultAffinity returns the executor index the hash-defaulted affinity
-// assigns to a reactor (the mapping used when Config.Affinity is nil), for
-// building skew-aware workloads.
-func DefaultAffinity(reactor string, executors int) int {
-	return engine.DefaultAffinity(reactor, executors)
-}
