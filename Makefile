@@ -63,9 +63,12 @@ crash-ckpt:
 # with atomic 2PC groups, through a double restart. The primary-kill matrix
 # additionally proves semi-sync never acknowledged a commit the promoted
 # replica lost. The ship layer's own tests ride along: the seeded
-# cursor-to-mirror property test and the AppendShipped unit cases.
+# cursor-to-mirror property test and the AppendShipped unit cases. So do the
+# 2PC resolver's seeded streaming-versus-batch property test and the
+# stranded-prepare regression (a replica restarted after truncation past a
+# decision).
 crash-repl:
-	$(GO) test -race -run 'CrashRepl|Ship' -count=1 ./internal/engine/... ./internal/wal/...
+	$(GO) test -race -run 'CrashRepl|Ship|Resolver|ReplicaRestartAfterTruncatedDecision' -count=1 ./internal/engine/... ./internal/wal/...
 
 # Supervised-failover crash matrix under the race detector: kill the primary
 # at every commit/ship boundary, let the supervisor detect + fence + promote

@@ -308,66 +308,6 @@ func (c *Container) retractRecord(tid uint64) {
 	}
 }
 
-// recover replays the container's WAL into its catalogs and concurrency
-// control domain, returning the number of transactions replayed. decided
-// holds the global ids for which a durable (unretracted) decision record
-// exists in any container's log; prepare records outside it are resolved by
-// presumed abort — skipped, counted as recovered aborts, and tombstoned with
-// a durable abort record so no later incarnation can resurrect them even if
-// global ids were ever reused. See Database.Recover.
-//
-// When a checkpoint was installed first (Database.Recover's fast path),
-// c.replayFloor holds its low-water mark and every record at or below it is
-// skipped: its effects are already in the snapshot, and its segments may
-// already be gone. The filter is by LSN, not by segment, so recovery is
-// correct whether truncation ran to completion, partially, or not at all.
-func (c *Container) recover(decided map[uint64]bool) (int, error) {
-	if c.wal == nil {
-		return 0, nil
-	}
-	n := 0
-	var presumedAborted []uint64
-	err := c.wal.Replay(func(rec wal.Record) error {
-		if rec.LSN <= c.replayFloor {
-			// Captured by the checkpoint: committed effects are in the
-			// snapshot, prepares were resolved before the quiesce point.
-			return nil
-		}
-		switch rec.Kind {
-		case wal.KindDecision:
-			// Decisions were collected in the scan pass; their effects are
-			// the prepare records they decide, replayed on each participant.
-			return nil
-		case wal.KindPrepare:
-			if !decided[rec.GlobalID] {
-				presumedAborted = append(presumedAborted, rec.TID)
-				c.domain.ObserveRecoveredAbort(rec.TID)
-				return nil
-			}
-		}
-		if err := c.installRecord(&rec); err != nil {
-			return fmt.Errorf("engine: recovery: %w", err)
-		}
-		n++
-		return nil
-	})
-	if err != nil {
-		return n, err
-	}
-	// Tombstone the presumed aborts after replay finished (the log must not
-	// grow mid-Replay) and make the tombstones durable: one write, one fsync.
-	if len(presumedAborted) > 0 {
-		tombstones := make([]wal.Record, len(presumedAborted))
-		for i, tid := range presumedAborted {
-			tombstones[i] = wal.Record{TID: tid, Kind: wal.KindAbort}
-		}
-		if err := c.appendSync(tombstones...); err != nil {
-			return n, fmt.Errorf("engine: recovery: tombstoning presumed aborts in container %d: %w", c.id, err)
-		}
-	}
-	return n, nil
-}
-
 // recordFor resolves a fully-qualified write key (see splitWALKey) to its
 // record, indexing the key if it is new, and the record's table. It is the one
 // place a logged or checkpointed key meets the catalogs.

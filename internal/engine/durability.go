@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"fmt"
+
 	"reactdb/internal/wal"
 )
 
@@ -24,10 +26,11 @@ import (
 // Transactions that were definitively aborted (a participant's log append
 // failed) are retracted with abort records and never resurface.
 //
-// Multi-container transactions are resolved by presumed abort: a first scan
-// collects every durable decision record (any container's log can be a
-// coordinator log), then each container's replay applies prepare records
-// whose global id was decided and tombstones the rest with durable abort
+// Multi-container transactions are resolved by presumed abort, in one pass:
+// each container's log is replayed once into the 2PC resolver (resolve.go),
+// which installs a prepare record once a decision for its global id has been
+// fed from any container's log (any log can be a coordinator log). Once every
+// log is fed, the prepares still undecided are tombstoned with durable abort
 // records — a prepared-but-undecided transaction is never half-applied,
 // regardless of which participant logs its prepare records reached. The
 // decision record is appended only after every participant's prepare record
@@ -42,22 +45,27 @@ import (
 // valid checkpoint (see Database.Checkpoint), its snapshot is installed first
 // and only log records above the checkpoint's low-water mark are replayed —
 // O(suffix) instead of O(history), which is what lets checkpointing truncate
-// old segments at all. A torn or corrupt checkpoint (crash mid-write, bit
-// rot) is never loaded partially: recovery falls back to the next older
-// checkpoint, and finally to full replay of whatever segments remain.
+// old segments at all. The filter is by LSN, not by segment, so recovery is
+// correct whether truncation ran to completion, partially, or not at all. A
+// torn or corrupt checkpoint (crash mid-write, bit rot) is never loaded
+// partially: recovery falls back to the next older checkpoint, and finally to
+// full replay of whatever segments remain.
 //
 // It returns the number of transactions replayed, counting a multi-container
 // transaction once per participant whose log contributed writes; transactions
 // restored via a checkpoint snapshot are not counted (see CheckpointStats
 // for RestoredRows).
 func (db *Database) Recover() (int, error) {
-	// Checkpoint pass: install each container's newest valid checkpoint and
-	// set its replay floor.
+	if db.cfg.Durability.Mode != DurabilityWAL {
+		return 0, nil
+	}
+	// Checkpoint pass: each container's newest valid checkpoint is installed
+	// and sets its floor. Each log's end fences every decision.
 	var maxGid uint64
-	for _, c := range db.containers {
-		if c.wal == nil {
-			continue
-		}
+	floors := make([]uint64, len(db.containers))
+	ends := make([]uint64, len(db.containers))
+	for i, c := range db.containers {
+		ends[i] = c.wal.LastLSN()
 		cp, skipped, err := wal.LatestCheckpoint(c.walStorage)
 		if err != nil {
 			return 0, err
@@ -71,38 +79,51 @@ func (db *Database) Recover() (int, error) {
 		if err := c.installCheckpoint(cp); err != nil {
 			return 0, err
 		}
-		if cp.MaxGlobalID > maxGid {
-			maxGid = cp.MaxGlobalID
-		}
+		floors[i] = cp.LowLSN
+		maxGid = max(maxGid, cp.MaxGlobalID)
 	}
-	// Scan pass: collect surviving decision records and the highest global
-	// transaction id across all logs. Checkpoints contribute their global-id
-	// watermark above, covering decisions that truncation already deleted
-	// (those decisions' transactions are fully captured by the snapshots, so
-	// no surviving prepare record can need them).
-	decided := make(map[uint64]bool)
-	for _, c := range db.containers {
-		if c.wal == nil {
+	// Replay pass: one Replay per log into the resolver, installing whatever
+	// it settles as it goes. Checkpoints contributed their global-id watermark
+	// above, covering ids whose records truncation already deleted.
+	res := newResolver(len(db.containers))
+	res.setFloors(floors)
+	total := 0
+	var installErr error
+	install := func(s int, rec *wal.Record) {
+		if err := db.containers[s].installRecord(rec); err != nil && installErr == nil {
+			installErr = fmt.Errorf("engine: recovery: %w", err)
+		}
+		total++
+	}
+	for i, c := range db.containers {
+		if err := c.wal.Replay(func(rec wal.Record) error {
+			maxGid = max(maxGid, rec.GlobalID)
+			res.feed(i, &rec, ends)
+			res.apply(install)
+			return installErr
+		}); err != nil {
+			return total, err
+		}
+		res.fedThrough(i, ends[i])
+	}
+	presumed := make([][]wal.Record, len(db.containers))
+	res.close(func(s int, tid uint64) {
+		presumed[s] = append(presumed[s], wal.Record{TID: tid, Kind: wal.KindAbort})
+		db.containers[s].domain.ObserveRecoveredAbort(tid)
+	})
+	res.ready()
+	res.apply(install)
+	if installErr != nil {
+		return total, installErr
+	}
+	// Tombstone the presumed aborts once replay is over (a log must not grow
+	// mid-Replay) and make them durable: one write and one fsync per log.
+	for i, tombstones := range presumed {
+		if len(tombstones) == 0 {
 			continue
 		}
-		if err := c.wal.Replay(func(rec wal.Record) error {
-			if rec.GlobalID > maxGid {
-				maxGid = rec.GlobalID
-			}
-			if rec.Kind == wal.KindDecision {
-				decided[rec.GlobalID] = true
-			}
-			return nil
-		}); err != nil {
-			return 0, err
-		}
-	}
-	total := 0
-	for _, c := range db.containers {
-		n, err := c.recover(decided)
-		total += n
-		if err != nil {
-			return total, err
+		if err := db.containers[i].appendSync(tombstones...); err != nil {
+			return total, fmt.Errorf("engine: recovery: tombstoning presumed aborts in container %d: %w", i, err)
 		}
 	}
 	for {

@@ -589,16 +589,18 @@ func TestRebootstrapAdvancesAppliedWatermark(t *testing.T) {
 	}
 
 	rep.mu.Lock()
-	s := rep.shards[0]
-	if s.appliedTo != 0 {
+	if applied := rep.res.applied(0); applied != 0 {
 		rep.mu.Unlock()
-		t.Fatalf("shard applied %d before any poll, want 0", s.appliedTo)
+		t.Fatalf("shard applied %d before any poll, want 0", applied)
 	}
-	if _, err := rep.fastForward(s, s.lastShipped+1); err != nil {
+	db.ckptMu.Lock()
+	_, err = rep.fastForward()
+	db.ckptMu.Unlock()
+	if err != nil {
 		rep.mu.Unlock()
 		t.Fatalf("fastForward: %v", err)
 	}
-	floor, applied := s.floor, s.appliedTo
+	floor, applied := rep.res.shards[0].floor, rep.res.applied(0)
 	rep.mu.Unlock()
 	if floor == 0 {
 		t.Fatal("checkpoint installed a zero floor; the scenario proves nothing")
@@ -607,6 +609,144 @@ func TestRebootstrapAdvancesAppliedWatermark(t *testing.T) {
 		t.Fatalf("applied watermark %d after rebootstrap, want the new floor %d", applied, floor)
 	}
 	statsSane(t, rep.Stats())
+}
+
+// TestReplicaRestartAfterTruncatedDecision is the stranded-prepare
+// regression: a replica shipped both prepares of a transfer but not its
+// decision, went down, and the primary then checkpointed and truncated past
+// the decision on the coordinator's shard while the other shard's log barely
+// moved. On restart, a fast-forward of the coordinator's shard alone would
+// leave the participant's prepare waiting for a decision that can never ship
+// — that shard stops applying, and its promoted mirror tears the transfer.
+// Floors move in whole checkpoint rounds, so both shards take the same round
+// and the prepare is covered on both.
+func TestReplicaRestartAfterTruncatedDecision(t *testing.T) {
+	cfg := twoContainerCfg(wal.NewMemStorage())
+	cfg.Durability.SegmentSize = 1 << 10
+	primary := MustOpen(kvDef("kv0", "kv1"), cfg)
+	t.Cleanup(primary.Close)
+	if _, err := primary.Execute("kv0", "put", int64(0), int64(1)); err != nil {
+		t.Fatalf("put kv0: %v", err)
+	}
+	if _, err := primary.Execute("kv1", "put", int64(0), int64(2)); err != nil {
+		t.Fatalf("put kv1: %v", err)
+	}
+	if err := primary.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+
+	mirror := wal.NewMemStorage()
+	opts := ReplicaOptions{Ack: AckSemiSync, PollInterval: time.Hour, Storage: mirror}
+	rep, err := OpenReplica(primary, opts)
+	if err != nil {
+		t.Fatalf("OpenReplica: %v", err)
+	}
+	durable := func(container int, lsn uint64) {
+		t.Helper()
+		waitFor(t, replicaWait, func() bool { return primary.containers[container].wal.DurableLSN() >= lsn })
+	}
+	outcome := make(chan error, 1)
+	go func() {
+		_, err := primary.Execute("kv0", "copyTo", "kv1", int64(1), int64(10))
+		outcome <- err
+	}()
+	// Ship both prepares and stop at the decision (see
+	// TestFencedPrimaryDoesNotAckUnshippedCommit's transfer arm).
+	durable(0, 2)
+	rep.pollOnce()
+	durable(1, 2)
+	rep.pollOnce()
+	durable(0, 3)
+	rep.Close()
+	if err := <-outcome; err != nil {
+		t.Fatalf("copyTo: %v", err)
+	}
+	for i := 0; i < 100; i++ {
+		if _, err := primary.Execute("kv0", "put", int64(100+i), int64(i)); err != nil {
+			t.Fatalf("put kv0 %d: %v", i, err)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if err := primary.Checkpoint(); err != nil {
+			t.Fatalf("Checkpoint: %v", err)
+		}
+	}
+
+	opts.PollInterval = time.Millisecond
+	rep2, err := OpenReplica(primary, opts)
+	if err != nil {
+		t.Fatalf("reopen replica: %v", err)
+	}
+	if _, err := primary.Execute("kv1", "put", int64(2), int64(20)); err != nil {
+		t.Fatalf("put kv1 after restart: %v", err)
+	}
+	if err := rep2.WaitCaughtUp(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []struct {
+		reactor string
+		k, v    int64
+	}{{"kv0", 1, 10}, {"kv1", 1, 10}, {"kv1", 2, 20}} {
+		if v, present := readReplicaV(t, rep2, want.reactor, want.k); !present || v != want.v {
+			t.Fatalf("replica %s[%d] = (%d, %v), want %d", want.reactor, want.k, v, present, want.v)
+		}
+	}
+	rep2.Close()
+
+	// Promoted, the mirror must hold the transfer on both shards.
+	promoted := MustOpen(kvDef("kv0", "kv1"), twoContainerCfg(mirror))
+	t.Cleanup(promoted.Close)
+	if _, err := promoted.Recover(); err != nil {
+		t.Fatalf("Recover on promoted mirror: %v", err)
+	}
+	v0, p0 := readV(t, promoted, "kv0", 1)
+	v1, p1 := readV(t, promoted, "kv1", 1)
+	if !p0 || !p1 || v0 != 10 || v1 != 10 {
+		t.Fatalf("transfer torn on the promoted mirror: kv0[1]=(%d, %v) kv1[1]=(%d, %v)", v0, p0, v1, p1)
+	}
+}
+
+// TestReplicaRoundsCountOnlyApplies: while a shipped prepare waits for its
+// decision there is nothing to install, so polling runs no apply round — an
+// empty round would take the exclusive commit gate from readers for nothing.
+// A semi-sync replica that is never polled holds the transfer at its first
+// prepare; the replica under test is async.
+func TestReplicaRoundsCountOnlyApplies(t *testing.T) {
+	primary := MustOpen(kvDef("kv0", "kv1"), twoContainerCfg(wal.NewMemStorage()))
+	t.Cleanup(primary.Close)
+	rep, err := OpenReplica(primary, ReplicaOptions{PollInterval: time.Hour})
+	if err != nil {
+		t.Fatalf("OpenReplica: %v", err)
+	}
+	t.Cleanup(rep.Close)
+	holder, err := OpenReplica(primary, ReplicaOptions{Ack: AckSemiSync, PollInterval: time.Hour})
+	if err != nil {
+		t.Fatalf("OpenReplica: %v", err)
+	}
+	t.Cleanup(holder.Close)
+	base := rep.Stats().Rounds
+
+	outcome := make(chan error, 1)
+	go func() {
+		_, err := primary.Execute("kv0", "copyTo", "kv1", int64(1), int64(10))
+		outcome <- err
+	}()
+	waitFor(t, replicaWait, func() bool { return primary.containers[0].wal.DurableLSN() >= 1 })
+	for i := 0; i < 5; i++ {
+		rep.pollOnce()
+	}
+	if st := rep.Stats(); st.Rounds != base || st.Shards[0].Pending != 1 {
+		t.Fatalf("a prepare waiting for its decision: %d rounds (want %d), shards %+v", st.Rounds, base, st.Shards)
+	}
+
+	holder.Close() // the transfer runs to its decision
+	if err := <-outcome; err != nil {
+		t.Fatalf("copyTo: %v", err)
+	}
+	rep.pollOnce()
+	if st := rep.Stats(); st.Rounds != base+1 || st.Applied != 2 {
+		t.Fatalf("after the decision: %d rounds, %d applied; want %d and 2", st.Rounds, st.Applied, base+1)
+	}
 }
 
 // --- Satellite: differential primary-vs-replica query workload -------------

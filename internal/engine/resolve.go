@@ -1,0 +1,272 @@
+package engine
+
+import (
+	"slices"
+	"sort"
+
+	"reactdb/internal/wal"
+)
+
+// resolver is the one place a two-phase-commit outcome is decided: recovery
+// and the replica feed it the same records and install what it emits.
+//
+// Inputs, per shard (container): records in log order (feed), the LSN the
+// feed has passed (fedThrough), and the checkpoint floor at or below which
+// records are covered by a snapshot (setFloors). Floors change only in whole
+// checkpoint rounds, so a 2PC group is entirely at or below them or entirely
+// above. Each decision comes with a fence: per shard, an LSN the feed must
+// pass before a participant prepare not fed by then is proven absent
+// (read-only, covered or retracted) rather than in flight. A prepare is
+// durable before its decision is appended, so any per-shard durable LSN read
+// after the decision shipped is a fence; recovery uses the logs' ends.
+//
+// Outputs: records to install (ready, apply) and — only from close, which
+// recovery calls once every log is fed — the prepares presumed aborted. The
+// replica never closes: an undecided prepare waits for its decision.
+//
+// A commit never jumps anything queued ahead of it on its shard, so a commit
+// that read a 2PC participant's write never installs before that prepare
+// resolves. A decided group whose fence has passed installs on all its
+// participants in one apply round, together with everything queued ahead of
+// each of its prepares. Installs are newest-TID-wins, so a round converges in
+// any order, and a reader committing between rounds sees a consistent
+// committed prefix. Retraction is LSN-ordered, as in wal.Log.Replay: an abort
+// voids its shard's records with its TID fed so far, and a voided decision
+// resolves its group as aborted (its prepares are dropped).
+type resolver struct {
+	shards []resolverShard
+	groups map[uint64]*group // 2PC groups by global id, until resolved and mirrored
+	out    []resolvedRecord
+	cut    []int // ready's scratch: per shard, how much of the queue installs now
+	// shipping marks decisions fed from now on as not yet in the replica's
+	// mirror (see mirrorSafe); recovery and mirror replay leave it false.
+	shipping bool
+}
+
+type resolverShard struct {
+	queue    []wal.Record // commits and prepares waiting to install, ascending LSN
+	fed      uint64       // every record at or below has been fed or is covered
+	floor    uint64       // checkpoint floor
+	mirrored uint64       // the replica mirror's durable LSN (set by the replica)
+}
+
+type resolvedRecord struct {
+	shard int
+	rec   wal.Record
+}
+
+// group is one 2PC transaction: where its prepares sit and, once its decision
+// has been fed, the decision itself.
+type group struct {
+	prep     []uint64 // per shard: the LSN of this group's prepare, 0 if none fed
+	parts    []uint64
+	fence    []uint64
+	tid      uint64 // the decision's TID
+	coord    int    // the decision's shard
+	decided  bool
+	aborted  bool // the decision was retracted
+	mirrored bool
+}
+
+func newResolver(shards int) *resolver {
+	return &resolver{
+		shards: make([]resolverShard, shards),
+		groups: make(map[uint64]*group),
+		cut:    make([]int, shards),
+	}
+}
+
+func (r *resolver) group(gid uint64) *group {
+	g := r.groups[gid]
+	if g == nil {
+		g = &group{prep: make([]uint64, len(r.shards))}
+		r.groups[gid] = g
+	}
+	return g
+}
+
+// feed takes shard s's next record. fence is read only for decisions, and is
+// kept: the caller must not modify it afterwards.
+func (r *resolver) feed(s int, rec *wal.Record, fence []uint64) {
+	sh := &r.shards[s]
+	switch {
+	case rec.Kind == wal.KindAbort:
+		sh.queue = slices.DeleteFunc(sh.queue, func(q wal.Record) bool { return q.TID == rec.TID })
+		r.out = slices.DeleteFunc(r.out, func(o resolvedRecord) bool { return o.shard == s && o.rec.TID == rec.TID })
+		for _, g := range r.groups {
+			if g.decided && g.coord == s && g.tid == rec.TID {
+				g.aborted = true
+			}
+		}
+	case rec.Kind == wal.KindDecision:
+		// Registered even at or below the floor: a decision whose prepare sits
+		// above another shard's floor still decides it.
+		if g := r.group(rec.GlobalID); !g.decided {
+			g.decided, g.mirrored = true, !r.shipping
+			g.parts, g.fence, g.tid, g.coord = rec.Participants, fence, rec.TID, s
+		}
+	case rec.Kind == wal.KindPrepare:
+		// A covered prepare never installs, but it has been fed: its decision
+		// frame still waits for it to reach the mirror.
+		r.group(rec.GlobalID).prep[s] = rec.LSN
+		if rec.LSN > sh.floor {
+			sh.queue = append(sh.queue, *rec)
+		}
+	case rec.LSN <= sh.floor:
+		// a commit covered by the checkpoint
+	case len(sh.queue) == 0:
+		r.out = append(r.out, resolvedRecord{s, *rec})
+	default:
+		sh.queue = append(sh.queue, *rec)
+	}
+}
+
+// fedThrough records that shard s's feed has passed lsn.
+func (r *resolver) fedThrough(s int, lsn uint64) {
+	r.shards[s].fed = max(r.shards[s].fed, lsn)
+}
+
+// setFloors raises the shards' checkpoint floors to one checkpoint round's
+// low-water marks (a zero leaves a shard's floor as it is): queued records
+// the round covers are dropped.
+func (r *resolver) setFloors(floors []uint64) {
+	for s, f := range floors {
+		if sh := &r.shards[s]; f > sh.floor {
+			sh.floor, sh.fed = f, max(sh.fed, f)
+			sh.queue = slices.DeleteFunc(sh.queue, func(q wal.Record) bool { return q.LSN <= f })
+		}
+	}
+}
+
+// mirrorSafe reports whether group gid's decision frame may be made durable
+// in the replica's mirror: every other participant's prepare must be durably
+// mirrored first, or be proven absent (the coordinator's own precedes the
+// decision in its log), so recovery on a crashed mirror never commits a torn
+// group.
+func (r *resolver) mirrorSafe(gid uint64) bool {
+	g := r.groups[gid]
+	if g == nil || g.mirrored {
+		return true
+	}
+	for _, p := range g.parts {
+		if p >= uint64(len(r.shards)) || int(p) == g.coord {
+			continue
+		}
+		sh := &r.shards[p]
+		if lsn := g.prep[p]; lsn > sh.mirrored || lsn == 0 && sh.fed < g.fence[p] {
+			return false
+		}
+	}
+	g.mirrored = true
+	return true
+}
+
+// resolvable reports whether g's outcome is known: decided, and every
+// participant's prepare fed or proven absent.
+func (r *resolver) resolvable(g *group) bool {
+	if !g.decided {
+		return false
+	}
+	for _, p := range g.parts {
+		if p < uint64(len(r.shards)) && g.prep[p] == 0 && r.shards[p].fed < g.fence[p] {
+			return false
+		}
+	}
+	return true
+}
+
+// ready settles the queues and reports whether there is anything to apply.
+// Settling finds, per shard, the longest queue prefix that may install now:
+// it ends at the first prepare whose group is not resolvable, or whose
+// prepare on another shard lies beyond that shard's prefix — cut until no
+// group straddles a cut.
+func (r *resolver) ready() bool {
+	for s := range r.shards {
+		r.cut[s] = len(r.shards[s].queue)
+	}
+	for changed := true; changed; {
+		changed = false
+		for s := range r.shards {
+			q := r.shards[s].queue
+			for i := 0; i < r.cut[s]; i++ {
+				if g := r.groups[q[i].GlobalID]; q[i].Kind == wal.KindPrepare && (!r.resolvable(g) || r.straddles(g)) {
+					r.cut[s], changed = i, true
+					break
+				}
+			}
+		}
+	}
+	for s := range r.shards {
+		sh := &r.shards[s]
+		for i := range sh.queue[:r.cut[s]] {
+			rec := &sh.queue[i]
+			if rec.Kind == wal.KindCommit || !r.groups[rec.GlobalID].aborted {
+				r.out = append(r.out, resolvedRecord{s, *rec})
+			}
+		}
+		sh.queue = slices.Delete(sh.queue, 0, r.cut[s])
+		r.cut[s] = 0
+	}
+	// With every cut at zero, straddles means "still queued". A group is done
+	// once resolved with nothing queued, and forgotten once its decision needs
+	// no more mirroring either. An undecided group with nothing queued —
+	// presumed aborted, retracted or covered — is forgotten too: its decision,
+	// if one ever ships, has nothing left to decide.
+	for gid, g := range r.groups {
+		if (g.mirrored && r.resolvable(g) || !g.decided) && !r.straddles(g) {
+			delete(r.groups, gid)
+		}
+	}
+	return len(r.out) > 0
+}
+
+// straddles reports whether one of g's queued prepares lies beyond its
+// shard's cut (queues ascend by LSN, so a prepare is found by its LSN).
+func (r *resolver) straddles(g *group) bool {
+	for p, lsn := range g.prep {
+		q := r.shards[p].queue
+		i := sort.Search(len(q), func(i int) bool { return q[i].LSN >= lsn })
+		if lsn > 0 && i < len(q) && q[i].LSN == lsn && i >= r.cut[p] {
+			return true
+		}
+	}
+	return false
+}
+
+// apply hands every settled record to install, in order, and returns how
+// many there were.
+func (r *resolver) apply(install func(s int, rec *wal.Record)) int {
+	n := len(r.out)
+	for i := range r.out {
+		install(r.out[i].shard, &r.out[i].rec)
+	}
+	clear(r.out)
+	r.out = r.out[:0]
+	return n
+}
+
+// close ends the feed: every queued prepare without a decision is presumed
+// aborted (reported through abort and dropped), so the next ready settles
+// everything else.
+func (r *resolver) close(abort func(s int, tid uint64)) {
+	for s := range r.shards {
+		sh := &r.shards[s]
+		sh.queue = slices.DeleteFunc(sh.queue, func(q wal.Record) bool {
+			if q.Kind == wal.KindPrepare && !r.groups[q.GlobalID].decided {
+				abort(s, q.TID)
+				return true
+			}
+			return false
+		})
+	}
+}
+
+// applied is shard s's applied watermark once the settled records are
+// installed: its state reflects every record at or below it.
+func (r *resolver) applied(s int) uint64 {
+	sh := &r.shards[s]
+	if len(sh.queue) > 0 {
+		return sh.queue[0].LSN - 1
+	}
+	return max(sh.fed, sh.floor)
+}

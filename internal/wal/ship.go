@@ -163,9 +163,8 @@ func (l *Log) AppendShipped(lsn uint64, frame []byte) error {
 // to dst byte-for-byte (same sequence number, so a promoted replica's
 // recovery finds it exactly where a primary's would) if its LowLSN is at
 // least minLowLSN, returning the decoded checkpoint. A replica passes one past
-// the last LSN it has shipped — the blob is wanted only when it covers records
-// the replica lacks — or 0 when it has no checkpoint of its own and wants
-// whatever exists. (nil, nil) means src holds no such checkpoint and nothing
+// its checkpoint floor — the blob is wanted whenever it is a newer round — or
+// 0 when it has no checkpoint of its own and wants whatever exists. (nil, nil) means src holds no such checkpoint and nothing
 // was copied. The primary may complete a checkpoint round and prune older
 // blobs between our listing and read; the copy retries against the
 // then-newest blob.
