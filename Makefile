@@ -31,8 +31,8 @@ loc:
 
 # The concurrency core, the log and the network front-end under the race
 # detector. The front-end recycles every buffer on the request path (calls,
-# requests, coalescing write buffers, read buffers, published hints), and its
-# pipelining tests check each reply against the in-process answer.
+# requests, coalescing write buffers, read buffers), and its pipelining tests
+# check each reply against the in-process answer.
 race:
 	$(GO) test -race ./internal/engine/... ./internal/occ/... ./internal/wal/... ./internal/server/...
 

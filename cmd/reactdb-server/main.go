@@ -2,8 +2,9 @@
 // primary preloaded with the smallbank workload, plus any number of read
 // replicas tailing its log, each node exposed on its own TCP listener via the
 // length-prefixed wire protocol. Remote clients dial the printed addresses
-// with server.Dial, or hand the whole list to server.NewRouter for lag- and
-// load-aware routing.
+// with server.Dial, or hand the whole list to server.NewRouter, which sends
+// writes to the primary, rotates reads over every node and follows the
+// primary across a failover.
 package main
 
 import (

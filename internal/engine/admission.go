@@ -61,11 +61,11 @@ func (g *admissionGate) release() {
 	g.freed.Signal()
 }
 
-// snapshot returns (inflight, limit) for stats export.
-func (g *admissionGate) snapshot() (int, int) {
+// inFlight returns the number of tokens held, for stats export.
+func (g *admissionGate) inFlight() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.inflight, g.limit
+	return g.inflight
 }
 
 // close fails current and future blocked admissions with errDatabaseClosed.

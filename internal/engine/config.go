@@ -57,11 +57,10 @@ const (
 // GroupCommitConfig enables batched group commit on each container: OCC
 // transactions that validated successfully (Prepare) accumulate in a batch
 // and are committed together when the batch reaches MaxBatch transactions or
-// Window elapses, whichever comes first. The modeled log-write cost
-// (Costs.LogWrite) is charged once per batch instead of once per transaction.
-// The prepare and decision records of two-phase commits ride the same
-// batches. Disabled, every commit runs the same pipeline
-// (Container.commitBatch) inline as a batch of one.
+// Window elapses, whichever comes first: under DurabilityWAL one WAL append
+// and one fsync cover the batch. The prepare and decision records of
+// two-phase commits ride the same batches. Disabled, every commit runs the
+// same pipeline (Container.commitBatch) inline as a batch of one.
 type GroupCommitConfig struct {
 	Enabled  bool
 	MaxBatch int           // flush when this many transactions accumulated (default 32)
@@ -74,9 +73,9 @@ type DurabilityMode string
 
 // Durability modes.
 const (
-	// DurabilityModeled (the default) charges the modeled log-write cost
-	// (Costs.LogWrite) as virtual-core work instead of doing real IO — the
-	// original cost-model ablation. Nothing is recoverable.
+	// DurabilityModeled (the default) keeps no log: a commit is acknowledged
+	// once installed in memory, and nothing is recoverable. The paper's
+	// figures run this way, on the modeled virtual-core costs.
 	DurabilityModeled DurabilityMode = "modeled"
 	// DurabilityWAL appends every committed transaction's write set to the
 	// owning container's write-ahead log and fsyncs before the commit is
@@ -152,9 +151,9 @@ type Config struct {
 	// GroupCommit configures batched group commit (disabled by default).
 	GroupCommit GroupCommitConfig
 
-	// Durability selects how commits become durable: the modeled log-write
-	// cost (the default, an ablation) or a real per-container write-ahead
-	// log with group fsync (see Database.Recover).
+	// Durability selects how commits become durable: not at all (the
+	// default, DurabilityModeled) or on a real per-container write-ahead log
+	// with group fsync (see Database.Recover).
 	Durability DurabilityConfig
 
 	// Placement maps a reactor name to the index of the container hosting it.

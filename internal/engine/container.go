@@ -9,7 +9,6 @@ import (
 	"reactdb/internal/kv"
 	"reactdb/internal/occ"
 	"reactdb/internal/rel"
-	"reactdb/internal/vclock"
 	"reactdb/internal/wal"
 )
 
@@ -180,10 +179,10 @@ func (c *Container) submit(e gcEntry) (<-chan error, bool) {
 //     phase makes the writes visible (see walRecordPrepared). If the append
 //     fails nothing was installed yet and the whole batch aborts cleanly.
 //  3. Write phase: install every transaction's writes and release its locks.
-//  4. Force: one fsync for the batch (the modeled Costs.LogWrite without a
-//     WAL). It runs even for an all-read-only or barrier-only batch — the
-//     antecedent records its members read are already appended, and an
-//     already-durable log absorbs the call.
+//  4. Force: one fsync for the batch (nothing without a WAL). It runs even
+//     for an all-read-only or barrier-only batch — the antecedent records its
+//     members read are already appended, and an already-durable log absorbs
+//     the call.
 //  5. Ship-wait: withhold the acknowledgments until every attached semi-sync
 //     replica durably mirrors the batch; fails on a fenced primary.
 //
@@ -237,14 +236,15 @@ func (c *Container) commitBatch(batch []gcEntry) {
 		errs = c.domain.CommitPreparedBatch(txns)
 	}
 	var ackErr error
-	if w == nil {
-		vclock.Work(c.db.cfg.Costs.LogWrite)
-	} else if ackErr = c.appendSync(); ackErr == nil {
-		// One wait covers the batch — the amortization that makes semi-sync
-		// affordable under group commit. Prepare records are held here too,
-		// which keeps the mirror-safety ordering (prepares mirrored before
-		// their decision is appended) live under semi-sync 2PC.
-		ackErr = c.db.repl.waitShipped(c.id, w.DurableLSN())
+	if w != nil {
+		if ackErr = c.appendSync(); ackErr == nil {
+			// One wait covers the batch — the amortization that makes
+			// semi-sync affordable under group commit. Prepare records are
+			// held here too, which keeps the mirror-safety ordering (prepares
+			// mirrored before their decision is appended) live under
+			// semi-sync 2PC.
+			ackErr = c.db.repl.waitShipped(c.id, w.DurableLSN())
+		}
 	}
 	next := 0 // index into errs of the next transaction entry
 	for _, e := range batch {

@@ -58,10 +58,6 @@ type Database struct {
 	// this shard" and forces a wipe + fresh bootstrap.
 	promoCut []uint64
 
-	// loadsMu makes ExecutorLoads the single rotator of every executor's
-	// queue-wait window.
-	loadsMu sync.Mutex
-
 	// repl tracks attached replicas: semi-sync commit acknowledgments wait on
 	// it, and checkpoint truncation clamps to its shipping floor. See
 	// replication.go.
@@ -300,6 +296,9 @@ func (db *Database) runTask(t *task, session *coreSession) {
 		db.acquireCommitGate(session)
 		if err != nil {
 			t.root.abortAll()
+			// A re-read that saw a newer version fails early with occ's
+			// conflict; report it as the conflict validation would have.
+			err = mapCommitErr(err)
 		} else {
 			err = t.root.commit(session)
 		}

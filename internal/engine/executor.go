@@ -26,31 +26,29 @@ type Executor struct {
 	loopDone chan struct{}
 
 	// instrumentation
-	busy       atomic.Int64 // accumulated nanoseconds the core was held
-	processed  atomic.Int64 // number of (sub-)transaction requests processed
-	started    time.Time
-	enqueued   atomic.Int64
-	rejected   atomic.Int64
-	misses     atomic.Int64             // affinity misses charged at chargeEntry
-	waitHist   *stats.Histogram         // scheduling delay: enqueue -> core acquired
-	waitWindow *stats.WindowedHistogram // same delay, windowed for ExecutorLoads
-	depthHist  *stats.Histogram         // queue depth observed at enqueue
+	busy      atomic.Int64 // accumulated nanoseconds the core was held
+	processed atomic.Int64 // number of (sub-)transaction requests processed
+	started   time.Time
+	enqueued  atomic.Int64
+	rejected  atomic.Int64
+	misses    atomic.Int64     // affinity misses charged at chargeEntry
+	waitHist  *stats.Histogram // scheduling delay: enqueue -> core acquired
+	depthHist *stats.Histogram // queue depth observed at enqueue
 }
 
 // newExecutor builds an executor and starts its run loop.
 func newExecutor(c *Container, id int) *Executor {
 	depth := c.db.cfg.QueueDepth
 	e := &Executor{
-		container:  c,
-		id:         id,
-		core:       vclock.NewCore(),
-		queue:      newRequestQueue(depth),
-		gate:       newAdmissionGate(depth),
-		loopDone:   make(chan struct{}),
-		started:    time.Now(),
-		waitHist:   stats.NewHistogram(stats.DurationBounds()),
-		waitWindow: stats.NewWindowedHistogram(stats.DurationBounds()),
-		depthHist:  stats.NewHistogram(stats.DepthBounds()),
+		container: c,
+		id:        id,
+		core:      vclock.NewCore(),
+		queue:     newRequestQueue(depth),
+		gate:      newAdmissionGate(depth),
+		loopDone:  make(chan struct{}),
+		started:   time.Now(),
+		waitHist:  stats.NewHistogram(stats.DurationBounds()),
+		depthHist: stats.NewHistogram(stats.DepthBounds()),
 	}
 	go e.runLoop()
 	return e
@@ -92,8 +90,7 @@ func (e *Executor) Utilization() float64 {
 
 // ResetStats restarts the utilization measurement window and clears the
 // scheduler instrumentation (queue-wait and queue-depth histograms, admission
-// and affinity-miss counters). The windowed queue wait belongs to
-// ExecutorLoads, its only reader, and is left alone.
+// and affinity-miss counters).
 func (e *Executor) ResetStats() {
 	e.busy.Store(0)
 	e.processed.Store(0)

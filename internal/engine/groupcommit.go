@@ -12,12 +12,11 @@ import (
 // single-container transactions — plus the pre-built prepare/decision records
 // and durability barriers of two-phase commits touching this container — and
 // hands them to the pipeline together. The motivation is the classic one: the
-// durable log write — a real WAL append + fsync under DurabilityWAL, the
-// modeled Costs.LogWrite ablation otherwise — is paid once per batch instead
-// of once per transaction, so under concurrent load commit cost amortizes
-// across the batch. Prepared transactions hold their OCC locks while waiting,
-// so the Window also bounds the extra conflict exposure group commit
-// introduces.
+// durable log write — a WAL append + fsync under DurabilityWAL — is paid once
+// per batch instead of once per transaction, so under concurrent load commit
+// cost amortizes across the batch. Prepared transactions hold their OCC locks
+// while waiting, so the Window also bounds the extra conflict exposure group
+// commit introduces.
 type groupCommitter struct {
 	container *Container
 	window    time.Duration

@@ -155,7 +155,6 @@ func OpenReplica(primary *Database, opts ReplicaOptions) (*Replica, error) {
 	cfg := primary.cfg
 	cfg.Durability = DurabilityConfig{Mode: DurabilityModeled}
 	cfg.GroupCommit = GroupCommitConfig{}
-	cfg.Costs.LogWrite = 0 // read-only commits must not pay a modeled log write
 	cfg.replica = true
 	inner, err := Open(primary.def, cfg)
 	if err != nil {

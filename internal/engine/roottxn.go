@@ -8,7 +8,6 @@ import (
 
 	"reactdb/internal/core"
 	"reactdb/internal/occ"
-	"reactdb/internal/vclock"
 	"reactdb/internal/wal"
 )
 
@@ -209,8 +208,8 @@ func (r *rootTxn) commit(session *coreSession) error {
 	// Same core rule as commitTwoPhase: the core is released while the commit
 	// waits on a real log force or a group-commit window and re-acquired only
 	// after the pipeline ran the write phase. The prepared transaction keeps
-	// its OCC locks meanwhile. A modeled log write without a committer is CPU
-	// work charged on this core, so the core stays held.
+	// its OCC locks meanwhile. Without a log or a committer the batch of one
+	// installs inline and waits on nothing, so the core stays held.
 	yield := (c.wal != nil || c.committer != nil) && session != nil
 	if yield && c.committer == nil {
 		// The batch of one is forced right here, inside submit.
@@ -398,12 +397,9 @@ func (r *rootTxn) commitTwoPhase(touched []touch, session *coreSession) error {
 	// phase even if an earlier one reports an error; the first error is
 	// remembered and reported after the loop completes.
 	var firstErr error
-	for i, txn := range prepared {
+	for _, txn := range prepared {
 		if _, err := txn.CommitPrepared(); err != nil && firstErr == nil {
 			firstErr = err
-		}
-		if lw := r.db.cfg.Costs.LogWrite; lw > 0 && containers[i].wal == nil {
-			vclock.Spin(lw)
 		}
 	}
 	return firstErr

@@ -137,9 +137,7 @@ func (e *Executor) runLoop() {
 			return
 		}
 		acquiredAt := e.acquire()
-		wait := acquiredAt.Sub(t.enqueuedAt)
-		e.waitHist.ObserveDuration(wait)
-		e.waitWindow.Observe(float64(wait))
+		e.waitHist.ObserveDuration(acquiredAt.Sub(t.enqueuedAt))
 		go e.container.db.runTask(t, t.newSession(coreSession{exec: e, acquiredAt: acquiredAt, held: true}))
 	}
 }
@@ -213,18 +211,17 @@ type QueueStats struct {
 
 // QueueStats returns the scheduler statistics of this executor.
 func (e *Executor) QueueStats() QueueStats {
-	s := QueueStats{
+	return QueueStats{
 		Container:      e.container.id,
 		Executor:       e.id,
 		Enqueued:       e.enqueued.Load(),
 		Rejected:       e.rejected.Load(),
 		Depth:          e.queue.depth(),
+		InFlight:       e.gate.inFlight(),
 		AffinityMisses: e.misses.Load(),
 		Wait:           e.waitHist.Snapshot(),
 		DepthSeen:      e.depthHist.Snapshot(),
 	}
-	s.InFlight, _ = e.gate.snapshot()
-	return s
 }
 
 // QueueStats returns the scheduler statistics of every executor, flattened

@@ -326,8 +326,8 @@ func TestSchedulerConfigValidation(t *testing.T) {
 // run under -race in CI (make race-sched). The observable history must stay
 // serializable: every account's final balance equals its initial balance plus
 // exactly the credits that were acknowledged as committed. Every admitted root
-// must return its admission token. Two pollers read ExecutorLoads throughout,
-// so its window rotation races the run loops' observations and each other.
+// must return its admission token. Two pollers read QueueStats throughout, so
+// its histogram snapshots race the run loops' observations and each other.
 func TestSchedulerStressSerializable(t *testing.T) {
 	const accounts = 32
 	cfg := NewSharedEverythingWithAffinity(4)
@@ -345,9 +345,8 @@ func TestSchedulerStressSerializable(t *testing.T) {
 				case <-stopPolling:
 					return
 				default:
-					db.ExecutorLoads()
-					// A server rotates once per HintRefresh; spinning would
-					// only steal the clients' CPU.
+					db.QueueStats()
+					// Spinning would only steal the clients' CPU.
 					time.Sleep(100 * time.Microsecond)
 				}
 			}
@@ -398,47 +397,5 @@ func TestSchedulerStressSerializable(t *testing.T) {
 	}
 	if got := inFlightOf(db); got != 0 {
 		t.Fatalf("%d admission tokens leaked", got)
-	}
-}
-
-// TestExecutorLoadsWaitWindowCloses pins the window the wire hints' queue-wait
-// p99 claims: ExecutorLoads reports the p99 of the interval since its
-// previous call, so a burst that ended is forgotten after one read instead of
-// being charged to the executor for the rest of the run.
-func TestExecutorLoadsWaitWindowCloses(t *testing.T) {
-	cfg := NewSharedEverythingWithAffinity(1)
-	cfg.Costs.Processing = 2 * time.Millisecond
-	db := openAccounts(t, 8, 100, cfg)
-
-	// Burst: eight clients with five credits each queue behind one 2 ms core.
-	var wg sync.WaitGroup
-	for c := 0; c < 8; c++ {
-		wg.Add(1)
-		go func(name string) {
-			defer wg.Done()
-			for i := 0; i < 5; i++ {
-				if _, err := db.Execute(name, "credit", 1.0); err != nil && !errors.Is(err, ErrConflict) {
-					t.Errorf("credit: %v", err)
-					return
-				}
-			}
-		}(accountNames(8)[c])
-	}
-	wg.Wait()
-	if p99 := db.ExecutorLoads()[0].WaitP99; p99 < 4*time.Millisecond {
-		t.Fatalf("burst window p99 = %v, want the queueing behind a 2 ms core (>= 4ms)", p99)
-	}
-
-	// Idle, then one uncontended request: the next window holds only it.
-	time.Sleep(100 * time.Millisecond)
-	if _, err := db.Execute("acct-0", "credit", 1.0); err != nil {
-		t.Fatalf("credit: %v", err)
-	}
-	if p99 := db.ExecutorLoads()[0].WaitP99; p99 >= time.Millisecond {
-		t.Fatalf("post-burst window p99 = %v, want < 1ms: the burst leaked into a later window", p99)
-	}
-	// A window in which nothing started reports zero.
-	if p99 := db.ExecutorLoads()[0].WaitP99; p99 != 0 {
-		t.Fatalf("empty window p99 = %v, want 0", p99)
 	}
 }

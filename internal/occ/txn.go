@@ -187,19 +187,21 @@ func (t *Txn) indexWrite(rec *kv.Record, i int) {
 	t.writeIdx[rec] = i
 }
 
-// lookupRead reports whether rec is already in the read set. The caller holds
-// t.mu.
-func (t *Txn) lookupRead(rec *kv.Record) bool {
+// lookupRead returns the index of rec in the read set, or -1 if absent. The
+// caller holds t.mu.
+func (t *Txn) lookupRead(rec *kv.Record) int {
 	if t.readSpilled {
-		_, ok := t.readIdx[rec]
-		return ok
+		if i, ok := t.readIdx[rec]; ok {
+			return i
+		}
+		return -1
 	}
 	for i := range t.reads {
 		if t.reads[i].rec == rec {
-			return true
+			return i
 		}
 	}
-	return false
+	return -1
 }
 
 // indexRead mirrors indexWrite for the read set. The caller holds t.mu.
@@ -231,7 +233,10 @@ func (t *Txn) internKey(key []byte) []byte {
 
 // Read returns the current value of rec as seen by this transaction: its own
 // pending write if any, otherwise a stable read of the committed version,
-// which is added to the read set for commit-time validation.
+// which is added to the read set for commit-time validation. Re-reading a
+// record that changed since the transaction first read it returns
+// ErrConflict: validation is bound to fail, and the caller must not act on a
+// view that mixes the two versions (a row it saw present, now gone).
 func (t *Txn) Read(rec *kv.Record) (data []byte, present bool, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -246,20 +251,25 @@ func (t *Txn) Read(rec *kv.Record) (data []byte, present bool, err error) {
 		return w.data, true, nil
 	}
 	data, tid, present := rec.StableRead()
-	t.observe(rec, tid)
+	if !t.observe(rec, tid) {
+		return nil, false, ErrConflict
+	}
 	return data, present, nil
 }
 
-// observe appends rec to the read set (first observation wins) and tracks the
-// largest TID seen. The caller holds t.mu.
-func (t *Txn) observe(rec *kv.Record, tid uint64) {
-	if !t.lookupRead(rec) {
-		t.reads = append(t.reads, readEntry{rec: rec, tid: tid})
-		t.indexRead(rec, len(t.reads)-1)
-	}
+// observe appends rec to the read set and tracks the largest TID seen. It
+// reports false if rec is already in the read set at another version. The
+// caller holds t.mu.
+func (t *Txn) observe(rec *kv.Record, tid uint64) bool {
 	if tid > t.maxTID {
 		t.maxTID = tid
 	}
+	if i := t.lookupRead(rec); i >= 0 {
+		return t.reads[i].tid == tid
+	}
+	t.reads = append(t.reads, readEntry{rec: rec, tid: tid})
+	t.indexRead(rec, len(t.reads)-1)
+	return true
 }
 
 // Write buffers an update of rec to data. key identifies the row
@@ -300,7 +310,10 @@ func (t *Txn) Insert(rec *kv.Record, key []byte, data []byte, guard ScanGuard) e
 		t.mu.Unlock()
 		return fmt.Errorf("%w: %x", ErrDuplicateKey, key)
 	}
-	t.observe(rec, tid)
+	if !t.observe(rec, tid) {
+		t.mu.Unlock()
+		return ErrConflict
+	}
 	t.mu.Unlock()
 	return t.bufferWrite(rec, key, data, writeInsert, guard)
 }

@@ -268,6 +268,43 @@ func TestDeleteAndReinsert(t *testing.T) {
 	}
 }
 
+// TestRereadOfChangedRecordConflicts pins the early abort: a transaction that
+// re-reads a record another transaction changed since its first read gets
+// ErrConflict instead of a view mixing the two versions — here a row it saw
+// present and that is now deleted.
+func TestRereadOfChangedRecordConflicts(t *testing.T) {
+	d := NewDomain("test")
+	guard := &testGuard{}
+	rec := kv.NewCommittedRecord(encInt(10), 3)
+
+	reader := d.Begin()
+	if _, present, err := reader.Read(rec); err != nil || !present {
+		t.Fatalf("first read: present=%v err=%v", present, err)
+	}
+	if _, present, err := reader.Read(rec); err != nil || !present {
+		t.Fatalf("re-read of an unchanged record: present=%v err=%v", present, err)
+	}
+	inserter := d.Begin()
+	if _, _, err := inserter.Read(rec); err != nil {
+		t.Fatal(err)
+	}
+
+	deleter := d.Begin()
+	if err := deleter.Delete(rec, []byte("k"), guard); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := deleter.Commit(); err != nil {
+		t.Fatalf("delete commit: %v", err)
+	}
+
+	if _, _, err := reader.Read(rec); !errors.Is(err, ErrConflict) {
+		t.Fatalf("re-read after a concurrent delete: err=%v, want ErrConflict", err)
+	}
+	if err := inserter.Insert(rec, []byte("k"), encInt(20), guard); !errors.Is(err, ErrConflict) {
+		t.Fatalf("insert over a row seen present, deleted since: err=%v, want ErrConflict", err)
+	}
+}
+
 func TestScanValidationDetectsPhantom(t *testing.T) {
 	d := NewDomain("test")
 	guard := &testGuard{}

@@ -68,11 +68,10 @@ func checkBudget(t *testing.T, what string, got, budget float64) {
 
 // TestWireStatsAllocBudget pins a Conn.Stats round trip: frame codec, TCP and
 // both sessions with no engine work. It was 14.05 with a frame buffer, a body
-// and a reply channel made per request; measured 0.05 now. Nothing is
-// allocated per round trip. What remains is paid once per HintRefresh (2 ms,
-// some forty round trips here): on the server ExecutorLoads' slice and the
-// histogram snapshot behind it, the ExecutorHint slice and the encoded hints;
-// on the client the LoadHints it publishes and the copy of its Executors.
+// and a reply channel made per request; measured 0.00 now. Nothing is
+// allocated per round trip: the node status is collected into the recycled
+// request and decoded into the recycled call, and a primary's status holds no
+// string.
 func TestWireStatsAllocBudget(t *testing.T) {
 	_, conn := realFleet(t, 16)
 	got := mallocsPerOp(t, 2000, func(int) {
@@ -92,15 +91,13 @@ func smallbankNames(n int) []string {
 }
 
 // TestWireReadAllocBudget pins one smallbank balance over the wire, one
-// caller: 47.08 before, measured 19.05 now. What remains:
+// caller: 47.08 before, measured 16.03 now. What remains:
 //
 //	15  engine.Database.Execute (itemised in engine's TestExecuteAllocBudget)
 //	 1  the client boxing the float64 result into the any it returns
-//	 3  the six allocations of a hint refresh (see TestWireStatsAllocBudget);
-//	    one caller's read takes over half a HintRefresh, so it pays half
 //
-// Under load the last line and the per-batch part of the first amortise away;
-// the benchmark's read-sat runs at about 12.5.
+// Under load the per-batch part of the first line amortises away; the
+// benchmark's read-sat runs at about 12.5.
 func TestWireReadAllocBudget(t *testing.T) {
 	const customers = 16
 	_, conn := realFleet(t, customers)
@@ -111,14 +108,13 @@ func TestWireReadAllocBudget(t *testing.T) {
 			t.Fatalf("balance = %v, %v", v, err)
 		}
 	})
-	checkBudget(t, "wire read", got, 21)
+	checkBudget(t, "wire read", got, 18)
 }
 
 // TestWireDepositAllocBudget pins one smallbank deposit_checking(1.0) over the
-// wire, one caller: 60.09 before, measured 31.10 now. What remains:
+// wire, one caller: 60.09 before, measured 28.00 now. What remains:
 //
 //	 1  the server boxing the float64 argument it decoded
-//	 3  hint refresh, as for a read
 //	 2  engine: the rootTxn and the closure of `go runTask`
 //	 9  the procedure: key-argument slices and boxed keys of its reads, the
 //	    row it decodes and the one it builds, normalised and encoded for Update
@@ -135,5 +131,5 @@ func TestWireDepositAllocBudget(t *testing.T) {
 			t.Fatalf("deposit: %v", err)
 		}
 	})
-	checkBudget(t, "wire deposit", got, 33)
+	checkBudget(t, "wire deposit", got, 30)
 }

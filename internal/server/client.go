@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -44,7 +43,7 @@ func (p RedialPolicy) withDefaults() RedialPolicy {
 // Conn is one client connection to a server. It is safe for concurrent use:
 // requests are pipelined on the single socket and matched to responses by
 // request id, so many goroutines can share one Conn without head-of-line
-// round-trips. Every response refreshes the connection's load hints.
+// round-trips.
 //
 // With a RedialPolicy (DialRedial), a broken socket is redialed in the
 // background with bounded exponential backoff: requests in flight when the
@@ -66,7 +65,6 @@ type Conn struct {
 
 	nextID  atomic.Uint64
 	redials atomic.Uint64
-	hints   atomic.Pointer[LoadHints] // what it points to is never modified
 }
 
 // socket is one established connection of a Conn: a redial replaces the whole
@@ -156,9 +154,9 @@ func dialSocket(addr string) (*socket, *frameReader, Role, error) {
 	return sock, fr, Role(body[0]), nil
 }
 
-// Role reports the server's role from the most recent hello frame. After a
-// failover the far end may have been promoted; the role in the piggybacked
-// hints is the live signal, this is the handshake's snapshot.
+// Role reports the server's role from the most recent hello frame, which
+// every redial refreshes. After a failover the far end may have been
+// promoted; Stats is the live signal, this is the handshake's snapshot.
 func (c *Conn) Role() Role {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -171,15 +169,6 @@ func (c *Conn) Addr() string { return c.addr }
 // Redials reports how many times the connection has been successfully
 // re-established.
 func (c *Conn) Redials() uint64 { return c.redials.Load() }
-
-// Hints returns the load hints piggybacked on the most recent response, or a
-// zero value if none has arrived yet.
-func (c *Conn) Hints() LoadHints {
-	if h := c.hints.Load(); h != nil {
-		return *h
-	}
-	return LoadHints{Role: c.Role()}
-}
 
 // Close tears down the connection permanently; in-flight requests fail with
 // ErrConnClosed and no redial is attempted.
@@ -212,13 +201,8 @@ func (c *Conn) takePending() map[uint64]*call {
 }
 
 // readLoop delivers the results arriving on one socket to the calls waiting
-// for them, and publishes the load hints each result carries.
+// for them.
 func (c *Conn) readLoop(sock *socket, fr *frameReader) {
-	// Hints are decoded into scratch; published is their encoding as of the
-	// last time a copy went out through c.hints, which only happens when they
-	// changed: a server re-collects them every HintRefresh, not per response.
-	var scratch LoadHints
-	var published []byte
 	for {
 		typ, body, err := fr.next()
 		if err != nil {
@@ -242,19 +226,13 @@ func (c *Conn) readLoop(sock *socket, fr *frameReader) {
 			m = &cl.res
 			m.ID = id
 		}
-		raw := r.result(m, &scratch)
+		r.result(m)
 		if r.err != nil {
 			if cl != nil {
 				cl.done <- fmt.Errorf("%w: %v", ErrConnClosed, r.err)
 			}
 			c.dropSocket(sock, r.err)
 			return
-		}
-		if !bytes.Equal(raw, published) {
-			h := scratch
-			h.Executors = append([]ExecutorHint(nil), scratch.Executors...)
-			c.hints.Store(&h)
-			published = append(published[:0], raw...)
 		}
 		if cl != nil {
 			cl.done <- nil
@@ -425,18 +403,17 @@ func (c *Conn) QueryFresh(maxLag uint64, q *rel.Query) (*rel.Result, error) {
 	return cl.res.Result, nil
 }
 
-// Stats fetches fresh load hints with an explicit stats frame (normal traffic
-// gets them for free on every response).
-func (c *Conn) Stats() (LoadHints, error) {
+// Stats asks the server for its node status, collected when the request is
+// served.
+func (c *Conn) Stats() (NodeStatus, error) {
 	cl := getCall()
 	defer putCall(cl)
 	id := c.nextID.Add(1)
 	cl.frame = appendIDFrame(cl.frame[:0], frameStats, id)
 	if err := c.roundTrip(id, cl); err != nil {
-		return LoadHints{}, err
+		return NodeStatus{}, err
 	}
-	// The read loop published the reply's hints before it woke this call.
-	return c.Hints(), nil
+	return cl.res.Node, nil
 }
 
 // statusErr maps a result's wire status back to an error. Statuses carrying a

@@ -86,9 +86,9 @@ func TestConnRedialReconnect(t *testing.T) {
 // TestRouterFailoverRedirect drives a planned failover under live wire
 // traffic: the old primary's server answers NotPrimary once its engine is
 // fenced, and the router rediscovers the promoted endpoint by epoch — the
-// same Execute call that hit the deposed node lands on its successor. Hints
-// carry the epoch that arbitrates the two nodes both claiming the primary
-// role.
+// same Execute call that hit the deposed node lands on its successor. The
+// node status carries the epoch that arbitrates the two nodes both claiming
+// the primary role.
 func TestRouterFailoverRedirect(t *testing.T) {
 	db := engine.MustOpen(kvDef(nil, "kv0"), walCfg())
 	defer db.Close()
@@ -176,7 +176,7 @@ func TestRouterFailoverRedirect(t *testing.T) {
 		t.Fatalf("stats on new primary: %v", err)
 	}
 	if h.Role != RolePrimary || h.Epoch != 1 {
-		t.Fatalf("new primary hints = role %v epoch %d, want primary epoch 1", h.Role, h.Epoch)
+		t.Fatalf("new primary status = role %v epoch %d, want primary epoch 1", h.Role, h.Epoch)
 	}
 	if promotedDB == nil || promotedDB.Epoch() != 1 {
 		t.Fatalf("promotion hook saw db epoch %v, want 1", promotedDB)
@@ -216,14 +216,14 @@ func TestServerFencedAnswersNotPrimary(t *testing.T) {
 		t.Fatalf("stats on fenced primary: %v", err)
 	}
 	if h.Role != RolePrimary {
-		t.Fatalf("fenced primary still reports role %v in hints", h.Role)
+		t.Fatalf("fenced primary still reports role %v in its status", h.Role)
 	}
 }
 
 // TestReplicaHintsCarryErr: when a replica degrades (its mirror device
-// fails), the wire hints surface both the degraded flag and the engine's
-// lastErr explanation — satellite of the failover work: routers and operators
-// see WHY a node fell out of the read set without a side channel.
+// fails), its node status surfaces both the degraded flag and the engine's
+// lastErr explanation — satellite of the failover work: operators see WHY a
+// node stopped serving bounded reads without a side channel.
 func TestReplicaHintsCarryErr(t *testing.T) {
 	db := engine.MustOpen(kvDef(nil, "kv0"), walCfg())
 	defer db.Close()
@@ -234,7 +234,7 @@ func TestReplicaHintsCarryErr(t *testing.T) {
 		t.Fatalf("open replica: %v", err)
 	}
 	defer rep.Close()
-	_, addr := startReplica(t, rep, Options{HintRefresh: time.Microsecond})
+	_, addr := startReplica(t, rep, Options{})
 	c := dial(t, addr)
 
 	h, err := c.Stats()
@@ -242,7 +242,7 @@ func TestReplicaHintsCarryErr(t *testing.T) {
 		t.Fatalf("stats: %v", err)
 	}
 	if h.Degraded || h.Err != "" {
-		t.Fatalf("healthy replica hints = degraded %v err %q", h.Degraded, h.Err)
+		t.Fatalf("healthy replica status = degraded %v err %q", h.Degraded, h.Err)
 	}
 
 	mirror.FailWrites(errors.New("mirror disk on fire"))
@@ -258,6 +258,83 @@ func TestReplicaHintsCarryErr(t *testing.T) {
 		t.Fatalf("stats after degrade: %v", err)
 	}
 	if h.Err == "" || !h.Degraded {
-		t.Fatalf("degraded replica hints = %+v, want Degraded with Err", h)
+		t.Fatalf("degraded replica status = %+v, want Degraded with Err", h)
+	}
+}
+
+// TestRouterRediscoversPastSilentDeposedPrimary: rediscovery classifies each
+// endpoint from its answer to the sweep, and an endpoint that does not answer
+// by the role of its last hello. The router spans a primary and two replicas.
+// A failover promotes one replica and re-points the other, but the deposed
+// primary's listener is not re-pointed: it is shut down instead, so it is
+// silent when the next write fails on it and triggers the sweep. The write
+// must land on the promoted node, and the silent endpoint, whose last hello
+// said primary, must stay out of the read set.
+func TestRouterRediscoversPastSilentDeposedPrimary(t *testing.T) {
+	db := engine.MustOpen(kvDef(nil, "kv0"), walCfg())
+	defer db.Close()
+	repA, err := engine.OpenReplica(db, engine.ReplicaOptions{Ack: engine.AckSemiSync, Storage: wal.NewMemStorage()})
+	if err != nil {
+		t.Fatalf("open repA: %v", err)
+	}
+	repB, err := engine.OpenReplica(db, engine.ReplicaOptions{Ack: engine.AckSemiSync, Storage: wal.NewMemStorage()})
+	if err != nil {
+		t.Fatalf("open repB: %v", err)
+	}
+	sp, pAddr := startPrimary(t, db, Options{})
+	sa, aAddr := startReplica(t, repA, Options{})
+	sb, bAddr := startReplica(t, repB, Options{})
+
+	var promoted *engine.Database
+	sup := engine.NewSupervisor(db, []*engine.Replica{repA, repB}, engine.SupervisorOptions{
+		OnPromote: func(p *engine.Database, from *engine.Replica) {
+			promoted = p
+			if from == repA {
+				sa.Promote(p)
+			} else {
+				sb.Promote(p)
+			}
+		},
+		OnRepoint: func(old, next *engine.Replica) {
+			if old == repA {
+				sa.Swap(next)
+			} else {
+				sb.Swap(next)
+			}
+		},
+	})
+
+	r, err := NewRouter([]string{pAddr, aAddr, bAddr}, RouterOptions{MaxRetries: 8, RetryBackoff: time.Millisecond})
+	if err != nil {
+		t.Fatalf("router: %v", err)
+	}
+	defer r.Close()
+	if _, err := r.Execute("kv0", "put", int64(1), int64(10)); err != nil {
+		t.Fatalf("put before failover: %v", err)
+	}
+	if err := repA.WaitCaughtUp(10 * time.Second); err != nil {
+		t.Fatalf("repA catch-up: %v", err)
+	}
+	if err := repB.WaitCaughtUp(10 * time.Second); err != nil {
+		t.Fatalf("repB catch-up: %v", err)
+	}
+	if _, err := sup.Failover(); err != nil {
+		t.Fatalf("failover: %v", err)
+	}
+	sp.Close() // the deposed primary goes silent
+
+	if _, err := r.Execute("kv0", "put", int64(2), int64(20)); err != nil {
+		t.Fatalf("put after failover: %v", err)
+	}
+	if v, err := promoted.Execute("kv0", "get", int64(2)); err != nil || v != int64(20) {
+		t.Fatalf("promoted node holds (%v, %v) for the write, want 20", v, err)
+	}
+	replicas := r.Replicas()
+	if len(replicas) != 1 || replicas[0] == r.Primary() || replicas[0].Addr() == pAddr {
+		addrs := make([]string, len(replicas))
+		for i, c := range replicas {
+			addrs[i] = c.Addr()
+		}
+		t.Fatalf("replicas after rediscovery = %v (primary %s, silent %s)", addrs, r.Primary().Addr(), pAddr)
 	}
 }

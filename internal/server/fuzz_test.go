@@ -171,45 +171,44 @@ func FuzzDecodeQueryReq(f *testing.F) {
 }
 
 func FuzzDecodeResultMsg(f *testing.F) {
-	hints := appendHints(nil, &goldenHints)
-	f.Add(body((&resultMsg{ID: 7, Status: statusOK, Kind: payloadValue, Value: 2e9}).appendFrame(nil, hints)))
+	f.Add(body((&resultMsg{ID: 7, Status: statusOK, Kind: payloadValue, Value: 2e9}).appendFrame(nil)))
 	f.Add(body((&resultMsg{ID: 8, Status: statusOK, Kind: payloadQuery, Result: &rel.Result{
 		Columns: []string{"k", "v"}, Rows: []rel.Row{{int64(1), "a"}, {int64(2), "b"}},
-		JoinOrder: []string{"s"}, AccessPaths: map[string]string{"s": "scan", "t": "pk"}}}).appendFrame(nil, hints)))
-	f.Add(body((&resultMsg{ID: 10, Status: statusConflict, ErrMsg: "conflict"}).appendFrame(nil, appendHints(nil, &LoadHints{}))))
-	f.Add(append([]byte{1, statusOK, 0, 0, 0, 0, 0, 0}, hugeCount...))
-	f.Add(append(append([]byte{1, statusOK, 0}, appendHints(nil, &LoadHints{})...), append([]byte{payloadQuery}, hugeCount...)...))
+		JoinOrder: []string{"s"}, AccessPaths: map[string]string{"s": "scan", "t": "pk"}}}).appendFrame(nil)))
+	f.Add(body((&resultMsg{ID: 9, Status: statusOK, Kind: payloadStatus, Node: goldenStatus}).appendFrame(nil)))
+	f.Add(body((&resultMsg{ID: 10, Status: statusConflict, ErrMsg: "conflict"}).appendFrame(nil)))
+	f.Add(append([]byte{1, statusOK, 0, payloadStatus, 0, 0, 0, 0}, hugeCount...))
+	f.Add(append([]byte{1, statusOK, 0, payloadQuery}, hugeCount...))
 
 	// encode leaves AccessPaths out: a map's encoding order is random, so it
 	// is compared by value instead. The rest goes through the encoding,
 	// because a NaN payload is not DeepEqual to itself.
-	encode := func(m resultMsg, h LoadHints) ([]byte, map[string]string) {
+	encode := func(m resultMsg) ([]byte, map[string]string) {
 		var paths map[string]string
 		if m.Result != nil {
 			res := *m.Result
 			paths, res.AccessPaths = res.AccessPaths, nil
 			m.Result = &res
 		}
-		return body(m.appendFrame(nil, appendHints(nil, &h))), paths
+		return body(m.appendFrame(nil)), paths
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m resultMsg
-		var h LoadHints
 		var err error
-		boundedAlloc(t, data, func() { m, h, err = decodeResultBody(data) })
+		boundedAlloc(t, data, func() { m, err = decodeResultBody(data) })
 		if err != nil {
 			if !errors.Is(err, errCorruptFrame) {
 				t.Fatalf("decode error is not errCorruptFrame: %v", err)
 			}
 			return
 		}
-		full := body(m.appendFrame(nil, appendHints(nil, &h)))
-		m2, h2, err := decodeResultBody(full)
+		full := body(m.appendFrame(nil))
+		m2, err := decodeResultBody(full)
 		if err != nil {
 			t.Fatalf("re-decode: %v", err)
 		}
-		enc, paths := encode(m, h)
-		enc2, paths2 := encode(m2, h2)
+		enc, paths := encode(m)
+		enc2, paths2 := encode(m2)
 		if !bytes.Equal(enc, enc2) || !reflect.DeepEqual(paths, paths2) {
 			t.Fatalf("round trip mismatch:\n got  %x %v\n want %x %v", enc2, paths2, enc, paths)
 		}

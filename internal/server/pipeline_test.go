@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -68,9 +67,8 @@ func TestPipelinedFramesSurviveBufferReuse(t *testing.T) {
 						got, err = conn.Query(q())
 						want, wantErr = db.Query(q())
 					case 3:
-						var h LoadHints
-						h, err = conn.Stats()
-						got, want = []any{h.Role, len(h.Executors)}, []any{RolePrimary, 2}
+						got, err = conn.Stats()
+						want = NodeStatus{Role: RolePrimary, Epoch: db.Epoch()}
 					}
 					if err != nil || wantErr != nil {
 						t.Errorf("conn %d caller %d round %d: wire err %v, in-process err %v", c, g, i, err, wantErr)
@@ -125,7 +123,6 @@ func fakeServer(t *testing.T, serve func(n int, nc net.Conn, fr *frameReader)) s
 func TestDroppedPipelineFailsCallsAndDeliversNothingStale(t *testing.T) {
 	const callers = 64
 	def := core.NewDatabaseDef()
-	hints := appendHints(nil, &LoadHints{})
 	var dead []uint64 // ids that died with the first socket
 	addr := fakeServer(t, func(n int, nc net.Conn, fr *frameReader) {
 		if n == 0 {
@@ -148,7 +145,7 @@ func TestDroppedPipelineFailsCallsAndDeliversNothingStale(t *testing.T) {
 		var out []byte
 		for _, id := range dead {
 			stale := resultMsg{ID: id, Status: statusOK, Kind: payloadValue, Value: "stale"}
-			out, _ = stale.appendFrame(out, hints)
+			out, _ = stale.appendFrame(out)
 		}
 		if _, err := nc.Write(out); err != nil {
 			return
@@ -164,7 +161,7 @@ func TestDroppedPipelineFailsCallsAndDeliversNothingStale(t *testing.T) {
 				return
 			}
 			echo := resultMsg{ID: q.ID, Status: statusOK, Kind: payloadValue, Value: q.Args[0]}
-			frame, _ := echo.appendFrame(nil, hints)
+			frame, _ := echo.appendFrame(nil)
 			if _, err := nc.Write(frame); err != nil {
 				return
 			}
@@ -211,62 +208,6 @@ func TestDroppedPipelineFailsCallsAndDeliversNothingStale(t *testing.T) {
 	})
 	if conn.Redials() != 1 {
 		t.Fatalf("redials = %d, want 1", conn.Redials())
-	}
-}
-
-// TestPublishedHintsAreImmutable: the client's read loop decodes the hints of
-// every response into one scratch value and publishes a copy only when they
-// changed. What Conn.Hints hands out must therefore never change afterwards,
-// however many responses stream past — a Router scores endpoints from it on
-// other goroutines. HintRefresh is a nanosecond here, so nearly every response
-// under load carries different hints and the scratch is rewritten constantly;
-// under -race any write into a published value is a reported race as well.
-func TestPublishedHintsAreImmutable(t *testing.T) {
-	db := engine.MustOpen(kvDef(nil, "kv0", "kv1"), walCfg())
-	defer db.Close()
-	_, addr := startPrimary(t, db, Options{HintRefresh: time.Nanosecond})
-	router, err := NewRouter([]string{addr}, RouterOptions{Policy: PolicyAware})
-	if err != nil {
-		t.Fatalf("router: %v", err)
-	}
-	defer router.Close()
-	conn := router.Primary()
-
-	stop := make(chan struct{})
-	var traffic sync.WaitGroup
-	for g := 0; g < 16; g++ {
-		traffic.Add(1)
-		go func(g int) {
-			defer traffic.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				// Router.Execute reads the primary's hints before every send.
-				if _, err := router.Execute([]string{"kv0", "kv1"}[g%2], "put", int64(g), int64(i)); err != nil {
-					t.Errorf("execute: %v", err)
-					return
-				}
-			}
-		}(g)
-	}
-
-	distinct := map[string]bool{}
-	for i := 0; i < 200; i++ {
-		held := conn.Hints()
-		before := appendHints(nil, &held)
-		time.Sleep(200 * time.Microsecond) // responses stream past meanwhile
-		if after := appendHints(nil, &held); !bytes.Equal(before, after) {
-			t.Fatalf("hints changed after they were handed out:\n was %x\n now %x", before, after)
-		}
-		distinct[string(before)] = true
-	}
-	close(stop)
-	traffic.Wait()
-	if len(distinct) < 2 {
-		t.Fatalf("hints never changed during the run; the test exercised nothing")
 	}
 }
 
@@ -498,7 +439,7 @@ func TestUnreadResponsesStallTheSession(t *testing.T) {
 		if err != nil || typ != frameResult {
 			t.Fatalf("response %d = (%d, %v)", len(seen), typ, err)
 		}
-		m, _, err := decodeResultBody(body)
+		m, err := decodeResultBody(body)
 		if b, ok := m.Value.([]byte); err != nil || m.Status != statusOK || !ok || len(b) != respSize || seen[m.ID] {
 			t.Fatalf("response %d = (id %d, status %d, %T, %v)", len(seen), m.ID, m.Status, m.Value, err)
 		}

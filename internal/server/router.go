@@ -11,30 +11,8 @@ import (
 	"reactdb/internal/rel"
 )
 
-// Policy selects how the Router spreads reads and paces writes.
-type Policy uint8
-
-const (
-	// PolicyRoundRobin rotates reads over every endpoint blindly and retries
-	// Stale answers on the primary — each stale hit costs an extra round trip.
-	PolicyRoundRobin Policy = iota
-	// PolicyAware consumes the piggybacked load hints: reads skip replicas
-	// that are degraded or lagging past the freshness bound and go to the
-	// least-loaded eligible endpoint; writes briefly defer when the primary's
-	// admission gate is saturated instead of slamming it into ErrOverloaded.
-	PolicyAware
-)
-
-func (p Policy) String() string {
-	if p == PolicyAware {
-		return "aware"
-	}
-	return "roundrobin"
-}
-
 // RouterOptions tune a Router. The zero value is usable.
 type RouterOptions struct {
-	Policy Policy
 	// MaxLagRecords is the freshness bound for replica reads: a replica more
 	// than this many records behind the primary's durable LSN is not served a
 	// read (0 = any replica will do).
@@ -63,14 +41,15 @@ func (o RouterOptions) withDefaults() RouterOptions {
 }
 
 // Router is a client-side request router over one primary and any number of
-// replicas. Writes always go to the primary; read-only traffic fans out to
-// replicas with the primary as fallback. It is safe for concurrent use.
+// replicas. Writes always go to the primary; read-only traffic rotates over
+// the replicas and the primary, and a read a replica cannot serve within the
+// freshness bound is retried on the primary. It is safe for concurrent use.
 //
 // The primary assignment is not fixed: when a write is answered NotPrimary
 // (the node was fenced by a supervised failover) or the primary connection is
-// lost, the router polls every endpoint's hints and re-points writes at the
-// one reporting the primary role at the highest epoch — the epoch, not the
-// answer order, arbitrates when the deposed node still claims the role.
+// lost, the router asks every endpoint for its status and re-points writes at
+// the one reporting the primary role at the highest epoch — the epoch, not
+// the answer order, arbitrates when the deposed node still claims the role.
 type Router struct {
 	opts RouterOptions
 	rr   atomic.Uint64
@@ -82,8 +61,8 @@ type Router struct {
 }
 
 // NewRouter dials every endpoint (with the router's redial policy so a
-// crashed node can rejoin), classifies each by its hello role, and primes
-// load hints with a stats round trip. Exactly one endpoint must be a primary.
+// crashed node can rejoin) and classifies each by its hello role. Exactly one
+// endpoint must be a primary.
 func NewRouter(endpoints []string, opts RouterOptions) (*Router, error) {
 	r := &Router{opts: opts.withDefaults()}
 	for _, addr := range endpoints {
@@ -93,10 +72,6 @@ func NewRouter(endpoints []string, opts RouterOptions) (*Router, error) {
 			return nil, fmt.Errorf("server: router dial %s: %w", addr, err)
 		}
 		r.conns = append(r.conns, c)
-		if _, err := c.Stats(); err != nil {
-			r.Close()
-			return nil, fmt.Errorf("server: router stats %s: %w", addr, err)
-		}
 		if c.Role() == RolePrimary {
 			if r.primary != nil {
 				r.Close()
@@ -138,26 +113,26 @@ func (r *Router) Close() {
 }
 
 // rediscover re-classifies every endpoint after a failover signal: each is
-// asked for fresh hints, and the endpoint reporting the primary role at the
+// asked for its status, and the endpoint reporting the primary role at the
 // highest epoch becomes the write target. The deposed primary typically still
 // answers — role primary, old epoch, every request NotPrimary — which is
-// exactly why the epoch decides. Endpoints that do not answer (crashed,
-// mid-redial) are left as replicas; a failed sweep (no primary found) keeps
-// the previous assignment so the caller's retry loop can sweep again.
+// exactly why the epoch decides. An endpoint that does not answer (crashed,
+// mid-redial) is classified by the role of its last hello. A failed sweep (no
+// primary found) keeps the previous assignment so the caller's retry loop can
+// sweep again.
 func (r *Router) rediscover() {
-	r.mu.RLock()
-	conns := append([]*Conn(nil), r.conns...)
-	r.mu.RUnlock()
-
+	roles := make([]Role, len(r.conns)) // r.conns is fixed at construction
 	var best *Conn
 	var bestEpoch uint64
-	for _, c := range conns {
-		h, err := c.Stats()
+	for i, c := range r.conns {
+		st, err := c.Stats()
 		if err != nil {
+			roles[i] = c.Role()
 			continue
 		}
-		if h.Role == RolePrimary && (best == nil || h.Epoch > bestEpoch) {
-			best, bestEpoch = c, h.Epoch
+		roles[i] = st.Role
+		if st.Role == RolePrimary && (best == nil || st.Epoch > bestEpoch) {
+			best, bestEpoch = c, st.Epoch
 		}
 	}
 	if best == nil {
@@ -166,40 +141,27 @@ func (r *Router) rediscover() {
 	r.mu.Lock()
 	r.primary = best
 	r.replicas = r.replicas[:0]
-	for _, c := range r.conns {
-		if c == best {
-			continue
-		}
+	for i, c := range r.conns {
 		// A non-best endpoint still claiming the primary role is the deposed
 		// primary: it answers every request NotPrimary, so it serves no reads
 		// either. Keep it out of the read set until a later sweep sees it
-		// re-attached (hints role replica).
-		if h := c.Hints(); h.Role == RolePrimary {
-			continue
+		// re-attached as a replica.
+		if c != best && roles[i] != RolePrimary {
+			r.replicas = append(r.replicas, c)
 		}
-		r.replicas = append(r.replicas, c)
 	}
 	r.mu.Unlock()
 }
 
 // Execute routes a read-write procedure to the primary, retrying Overloaded
-// and Conflict answers with exponential backoff. Under PolicyAware it first
-// checks the primary's last-seen hints and defers one backoff when the
-// admission gate is already saturated — backing off before the rejection
-// instead of after it. A NotPrimary answer or a lost primary connection
-// triggers endpoint rediscovery before the retry: after a supervised
-// failover the very same call lands on the promoted node.
+// and Conflict answers with exponential backoff. A NotPrimary answer or a
+// lost primary connection triggers endpoint rediscovery before the retry:
+// after a supervised failover the very same call lands on the promoted node.
 func (r *Router) Execute(reactor, procedure string, args ...any) (any, error) {
 	backoff := r.opts.RetryBackoff
 	var lastErr error
 	for attempt := 0; attempt <= r.opts.MaxRetries; attempt++ {
-		p := r.Primary()
-		if r.opts.Policy == PolicyAware {
-			if h := p.Hints(); h.GateSaturated() {
-				time.Sleep(backoff)
-			}
-		}
-		v, err := p.Execute(reactor, procedure, args...)
+		v, err := r.Primary().Execute(reactor, procedure, args...)
 		switch {
 		case err == nil:
 			return v, nil
@@ -231,12 +193,9 @@ func (r *Router) ExecuteRead(reactor, procedure string, args ...any) (any, error
 	})
 }
 
-// Query routes a declarative query. Round-robin rotates over replicas and
-// primary, paying an extra round trip to the primary whenever a replica
-// answers Stale or refuses a write. Aware scores every endpoint by its hinted
-// queue depth and wait p99, drops replicas that are degraded or past the
-// freshness bound, and sends the read to the cheapest eligible endpoint —
-// falling back to the primary when no replica qualifies.
+// Query routes a declarative query. Reads rotate over replicas and primary,
+// paying an extra round trip to the primary whenever a replica answers Stale
+// (it is degraded or lags past the freshness bound) or refuses a write.
 func (r *Router) Query(q *rel.Query) (*rel.Result, error) {
 	v, err := r.readPath(func(c *Conn, maxLag uint64) (any, error) {
 		return c.QueryFresh(maxLag, q)
@@ -290,70 +249,13 @@ func (r *Router) readPath(do func(c *Conn, maxLag uint64) (any, error)) (any, er
 	return nil, lastErr
 }
 
-// pickRead chooses the endpoint for one read attempt.
+// pickRead chooses the endpoint for one read attempt: the next in rotation
+// over the replicas and the primary.
 func (r *Router) pickRead() *Conn {
 	r.mu.RLock()
-	primary := r.primary
-	replicas := append([]*Conn(nil), r.replicas...)
-	r.mu.RUnlock()
-	if len(replicas) == 0 {
-		return primary
+	defer r.mu.RUnlock()
+	if i := int(r.rr.Add(1) % uint64(len(r.replicas)+1)); i < len(r.replicas) {
+		return r.replicas[i]
 	}
-	if r.opts.Policy == PolicyRoundRobin {
-		n := r.rr.Add(1)
-		candidates := len(replicas) + 1
-		if i := int(n % uint64(candidates)); i < len(replicas) {
-			return replicas[i]
-		}
-		return primary
-	}
-	n := r.rr.Add(1)
-	// A replica's cached hints only refresh when a response arrives from it,
-	// so a replica that looks lagging or expensive on stale hints would stay
-	// avoided forever. Every probeEvery-th read is routed to a replica in
-	// rotation regardless of its hints: if it is genuinely behind, the server
-	// answers Stale (freshness is enforced there regardless), the retry lands
-	// on the primary, and the refused response carries fresh hints — one
-	// extra round trip buys the hint cache its truth.
-	const probeEvery = 16
-	if n%probeEvery == 0 {
-		return replicas[int(n/probeEvery)%len(replicas)]
-	}
-	candidates := make([]*Conn, 0, len(replicas)+1)
-	candidates = append(candidates, primary)
-	for _, c := range replicas {
-		h := c.Hints()
-		if h.Degraded {
-			continue
-		}
-		if r.opts.MaxLagRecords > 0 && h.LagRecords > r.opts.MaxLagRecords {
-			continue
-		}
-		candidates = append(candidates, c)
-	}
-	// Scan from a rotating offset so equal scores spread over the eligible
-	// endpoints instead of herding onto the first one (hints only refresh on
-	// responses, so an idle endpoint's score is sticky).
-	start := int(n) % len(candidates)
-	best := candidates[start]
-	bestScore := hintScore(best.Hints())
-	for i := 1; i < len(candidates); i++ {
-		c := candidates[(start+i)%len(candidates)]
-		if s := hintScore(c.Hints()); s < bestScore {
-			best, bestScore = c, s
-		}
-	}
-	return best
-}
-
-// hintScore prices an endpoint for a read: its worst queue-wait p99 over the
-// server's last hint-refresh interval, in microseconds, plus a
-// per-queued-transaction penalty so a deep queue costs even before its wait
-// window closes.
-func hintScore(h LoadHints) uint64 {
-	score := h.MaxWaitP99Micros()
-	for _, e := range h.Executors {
-		score += 25 * uint64(e.Depth+e.InFlight)
-	}
-	return score
+	return r.primary
 }

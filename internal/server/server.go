@@ -5,7 +5,6 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"reactdb/internal/core"
 	"reactdb/internal/engine"
@@ -20,19 +19,11 @@ type Options struct {
 	// backpressure; the engine's admission gate is the transaction-level one,
 	// surfaced as the Overloaded status rather than a dropped connection.
 	MaxInFlight int
-	// HintRefresh is the minimum interval between load-hint collections
-	// (default 2ms): hints are piggybacked on every response but collected at
-	// most this often, so a hot server does not pay a stats snapshot per
-	// request.
-	HintRefresh time.Duration
 }
 
 func (o Options) withDefaults() Options {
 	if o.MaxInFlight <= 0 {
 		o.MaxInFlight = 64
-	}
-	if o.HintRefresh <= 0 {
-		o.HintRefresh = 2 * time.Millisecond
 	}
 	return o
 }
@@ -45,7 +36,6 @@ type backend struct {
 	def     *core.DatabaseDef
 	exec    func(reactor, procedure string, args ...any) (any, error)
 	query   func(q *rel.Query) (*rel.Result, error)
-	loads   func() []engine.ExecutorLoad
 	lag     func() (lag uint64, degraded bool)
 	epoch   func() uint64
 	fenced  func() bool
@@ -62,6 +52,18 @@ func (b *backend) deposed() bool {
 	return b.role == RolePrimary && b.fenced != nil && b.fenced()
 }
 
+// status collects the node's status for a stats frame.
+func (b *backend) status() NodeStatus {
+	st := NodeStatus{Role: b.role, Epoch: b.epoch()}
+	if b.lag != nil {
+		st.LagRecords, st.Degraded = b.lag()
+	}
+	if b.lastErr != nil {
+		st.Err = b.lastErr()
+	}
+	return st
+}
+
 // Server exposes one engine node — a primary Database or a Replica — on the
 // wire protocol. A process typically runs one Server per node it hosts, each
 // on its own listener. The node behind a Server can be swapped at runtime
@@ -70,10 +72,6 @@ func (b *backend) deposed() bool {
 type Server struct {
 	backend atomic.Pointer[backend]
 	opts    Options
-
-	hintMu sync.Mutex
-	hintAt time.Time
-	hint   []byte // appendHints of the last collection; replaced, never modified
 
 	mu        sync.Mutex
 	listeners []net.Listener
@@ -88,7 +86,6 @@ func primaryBackend(db *engine.Database) *backend {
 		def:    db.Definition(),
 		exec:   db.Execute,
 		query:  db.Query,
-		loads:  db.ExecutorLoads,
 		epoch:  db.Epoch,
 		fenced: db.Fenced,
 	}
@@ -100,7 +97,6 @@ func replicaBackend(rep *engine.Replica) *backend {
 		def:   rep.Database().Definition(),
 		exec:  rep.Execute,
 		query: rep.Query,
-		loads: rep.Database().ExecutorLoads,
 		epoch: rep.Database().Epoch,
 		lag: func() (uint64, bool) {
 			st := rep.Stats()
@@ -123,7 +119,7 @@ func NewPrimary(db *engine.Database, opts Options) *Server {
 	return s
 }
 
-// NewReplica wraps a read-only replica. Its hints carry the replica's
+// NewReplica wraps a read-only replica. Its status carries the replica's
 // corrected lag, degraded flag and last replication error; execute and query
 // frames with a freshness bound the replica cannot meet are answered with the
 // Stale status without running.
@@ -141,9 +137,6 @@ func NewReplica(rep *engine.Replica, opts Options) *Server {
 // successor.
 func (s *Server) Promote(db *engine.Database) {
 	s.backend.Store(primaryBackend(db))
-	s.hintMu.Lock()
-	s.hintAt = time.Time{} // the cached hints describe the deposed backend
-	s.hintMu.Unlock()
 }
 
 // Swap points the server at a different replica, the re-point analog of
@@ -151,9 +144,6 @@ func (s *Server) Promote(db *engine.Database) {
 // new primary (re-attachment closes the old Replica and returns a new one).
 func (s *Server) Swap(rep *engine.Replica) {
 	s.backend.Store(replicaBackend(rep))
-	s.hintMu.Lock()
-	s.hintAt = time.Time{}
-	s.hintMu.Unlock()
 }
 
 // Start listens on addr ("host:port", ":0" for an ephemeral port) and serves
@@ -311,8 +301,7 @@ type request struct {
 func (q *request) serve() {
 	s := q.sess.srv
 	s.handle(q)
-	hints := s.currentHints()
-	out, err := q.res.appendFrame(q.out[:0], hints)
+	out, err := q.res.appendFrame(q.out[:0])
 	if err != nil {
 		// The payload was not wire-encodable (a procedure returned an
 		// unsupported type) or does not fit a frame; degrade to an error
@@ -323,7 +312,7 @@ func (q *request) serve() {
 			msg = "server: result too large: " + msg
 		}
 		q.res = resultMsg{ID: q.res.ID, Status: statusError, ErrMsg: msg}
-		out, _ = q.res.appendFrame(q.out[:0], hints)
+		out, _ = q.res.appendFrame(q.out[:0])
 	}
 	if err := q.sess.w.write(out); err != nil {
 		q.sess.conn.Close() // the stream is torn; stop reading requests from it
@@ -394,6 +383,7 @@ func (s *Server) handle(q *request) {
 	case frameStats:
 		r := reader{buf: q.in}
 		m.ID, m.Status = r.uvarint(), statusOK
+		m.Kind, m.Node = payloadStatus, b.status()
 	default:
 		m.Status, m.ErrMsg = statusError, "server: unknown frame type"
 	}
@@ -402,10 +392,8 @@ func (s *Server) handle(q *request) {
 // tooStale reports whether a replica cannot meet the request's freshness
 // bound (0 = unbounded). A degraded replica fails any bound: its mirror is
 // gone, so its lag is no longer being promised to anyone. The lag is read
-// live, not from the HintRefresh cache — the bound is a promise to the
-// client, and a cached value lets a write land and be read back stale
-// within one refresh window. Piggybacked hints stay cached: advisory
-// routing data tolerates the staleness that an enforced bound cannot.
+// live: the bound is a promise to the client, and a cached value would let a
+// write land and be read back stale.
 func (s *Server) tooStale(b *backend, maxLag uint64) bool {
 	if b.role != RoleReplica || maxLag == 0 || b.lag == nil {
 		return false
@@ -430,41 +418,4 @@ func statusOf(err error) (uint8, string) {
 	default:
 		return statusError, err.Error()
 	}
-}
-
-// currentHints returns the encoded load hints, recollected — and re-encoded —
-// at most every HintRefresh. The slice is shared by every response of that
-// interval and must not be modified.
-func (s *Server) currentHints() []byte {
-	s.hintMu.Lock()
-	defer s.hintMu.Unlock()
-	if !s.hintAt.IsZero() && time.Since(s.hintAt) < s.opts.HintRefresh {
-		return s.hint
-	}
-	b := s.backend.Load()
-	loads := b.loads()
-	h := LoadHints{Role: b.role, Executors: make([]ExecutorHint, 0, len(loads))}
-	for _, l := range loads {
-		h.Executors = append(h.Executors, ExecutorHint{
-			Container:      l.Container,
-			Executor:       l.Executor,
-			Depth:          l.Depth,
-			InFlight:       l.InFlight,
-			EffectiveDepth: l.EffectiveDepth,
-			WaitP99Micros:  uint64(l.WaitP99 / time.Microsecond),
-		})
-	}
-	if b.lag != nil {
-		h.LagRecords, h.Degraded = b.lag()
-	}
-	if b.epoch != nil {
-		h.Epoch = b.epoch()
-	}
-	if b.lastErr != nil {
-		h.Err = b.lastErr()
-	}
-	// Sized for the common case, small counters: two bytes a field.
-	s.hint = appendHints(make([]byte, 0, 16+len(h.Err)+12*len(h.Executors)), &h)
-	s.hintAt = time.Now()
-	return s.hint
 }

@@ -242,17 +242,7 @@ func TestQueryCodecRoundTrip(t *testing.T) {
 }
 
 func TestResultMsgRoundTrip(t *testing.T) {
-	hints := LoadHints{
-		Role:       RoleReplica,
-		Degraded:   true,
-		LagRecords: 17,
-		Epoch:      3,
-		Err:        "engine: replica: mirror write: disk on fire",
-		Executors: []ExecutorHint{
-			{Container: 0, Executor: 1, Depth: 3, InFlight: 2, EffectiveDepth: 8, WaitP99Micros: 950},
-		},
-	}
-	m := resultMsg{
+	for _, m := range []resultMsg{{
 		ID:     42,
 		Status: statusOK,
 		Kind:   payloadQuery,
@@ -262,44 +252,51 @@ func TestResultMsgRoundTrip(t *testing.T) {
 			JoinOrder:   []string{"s"},
 			AccessPaths: map[string]string{"s": "scan"},
 		},
-	}
-	frame, err := m.appendFrame(nil, appendHints(nil, &hints))
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	got, gotHints, err := decodeResultFrame(frame)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if !reflect.DeepEqual(got, m) {
-		t.Fatalf("round trip mismatch:\n got  %#v\n want %#v", got, m)
-	}
-	if !reflect.DeepEqual(gotHints, hints) {
-		t.Fatalf("hints round trip mismatch:\n got  %#v\n want %#v", gotHints, hints)
+	}, {
+		ID:     43,
+		Status: statusOK,
+		Kind:   payloadStatus,
+		Node: NodeStatus{
+			Role:       RoleReplica,
+			Degraded:   true,
+			LagRecords: 17,
+			Epoch:      3,
+			Err:        "engine: replica: mirror write: disk on fire",
+		},
+	}} {
+		frame, err := m.appendFrame(nil)
+		if err != nil {
+			t.Fatalf("encode: %v", err)
+		}
+		got, err := decodeResultFrame(frame)
+		if err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		if !reflect.DeepEqual(got, m) {
+			t.Fatalf("round trip mismatch:\n got  %#v\n want %#v", got, m)
+		}
 	}
 }
 
 // decodeResultFrame reads one result frame the way the client's read loop
 // does: frame, id, then the rest.
-func decodeResultFrame(frame []byte) (resultMsg, LoadHints, error) {
-	var m resultMsg
-	var h LoadHints
+func decodeResultFrame(frame []byte) (resultMsg, error) {
 	typ, body, err := newFrameReader(bytes.NewReader(frame)).next()
 	if err != nil {
-		return m, h, err
+		return resultMsg{}, err
 	}
 	if typ != frameResult {
-		return m, h, errCorruptFrame
+		return resultMsg{}, errCorruptFrame
 	}
 	return decodeResultBody(body)
 }
 
 // decodeResultBody decodes a result frame's body: the id, then the rest.
-func decodeResultBody(body []byte) (m resultMsg, h LoadHints, err error) {
+func decodeResultBody(body []byte) (m resultMsg, err error) {
 	r := reader{buf: body}
 	m.ID = r.uvarint()
-	r.result(&m, &h)
-	return m, h, r.err
+	r.result(&m)
+	return m, r.err
 }
 
 // --- end-to-end tests --------------------------------------------------------
@@ -491,7 +488,7 @@ func laggedFixture(t *testing.T) (*engine.Database, *engine.Replica) {
 // back Stale, and a write comes back as engine.ErrReplicaRead.
 func TestReplicaFreshnessBoundAndWriteRejection(t *testing.T) {
 	_, rep := laggedFixture(t)
-	_, addr := startReplica(t, rep, Options{HintRefresh: time.Nanosecond})
+	_, addr := startReplica(t, rep, Options{})
 	conn := dial(t, addr)
 	if conn.Role() != RoleReplica {
 		t.Fatalf("hello role = %v, want replica", conn.Role())
@@ -509,68 +506,21 @@ func TestReplicaFreshnessBoundAndWriteRejection(t *testing.T) {
 	if _, err := conn.Execute("kv0", "put", int64(7), int64(7)); !errors.Is(err, engine.ErrReplicaRead) {
 		t.Fatalf("replica write error = %v, want ErrReplicaRead", err)
 	}
-	// Hints carry the lag so a router can route around this replica.
+	// The status carries the lag that made the bounded read Stale.
 	h, err := conn.Stats()
 	if err != nil {
 		t.Fatalf("stats: %v", err)
 	}
 	if h.Role != RoleReplica || h.LagRecords == 0 {
-		t.Fatalf("hints = %+v, want replica role with nonzero lag", h)
+		t.Fatalf("status = %+v, want replica role with nonzero lag", h)
 	}
 }
 
-// TestFreshnessBoundIgnoresHintCache pins the freshness bound to the LIVE
-// replica lag: with the hint cache frozen at lag=0 (HintRefresh so large it
-// never expires), a write landing on the primary must make an immediately
-// following bounded read answer Stale. An earlier version enforced the bound
-// from the cached hint, so any bounded read within one refresh window of a
-// write could serve data arbitrarily beyond the bound.
-func TestFreshnessBoundIgnoresHintCache(t *testing.T) {
-	db := engine.MustOpen(kvDef(nil, "kv0"), walCfg())
-	t.Cleanup(db.Close)
-	if _, err := db.Execute("kv0", "put", int64(1), int64(1)); err != nil {
-		t.Fatalf("seed put: %v", err)
-	}
-	if err := db.Checkpoint(); err != nil {
-		t.Fatalf("checkpoint: %v", err)
-	}
-	rep, err := engine.OpenReplica(db, engine.ReplicaOptions{PollInterval: time.Hour})
-	if err != nil {
-		t.Fatalf("open replica: %v", err)
-	}
-	t.Cleanup(rep.Close)
-	if err := rep.WaitCaughtUp(5 * time.Second); err != nil {
-		t.Fatalf("catch up: %v", err)
-	}
-
-	_, addr := startReplica(t, rep, Options{HintRefresh: time.Hour})
-	conn := dial(t, addr)
-	// Prime the hint cache while the replica is fully caught up: lag 0.
-	h, err := conn.Stats()
-	if err != nil || h.LagRecords != 0 {
-		t.Fatalf("primed hints = %+v, %v; want zero lag", h, err)
-	}
-	// The replica (frozen poll) will not apply these; its true lag is now
-	// nonzero while the served hint still says 0 for the next hour.
-	for i := 0; i < 5; i++ {
-		if _, err := db.Execute("kv0", "put", int64(10+i), int64(10+i)); err != nil {
-			t.Fatalf("lag put %d: %v", i, err)
-		}
-	}
-	if _, err := conn.ExecuteFresh(1, "kv0", "get", int64(10)); !errors.Is(err, ErrStale) {
-		t.Fatalf("bounded read within hint window = %v, want ErrStale", err)
-	}
-	// The cached hint itself is allowed to stay stale — it is advisory.
-	if h := conn.Hints(); h.LagRecords != 0 {
-		t.Fatalf("cached hint lag = %d, want the stale 0", h.LagRecords)
-	}
-}
-
-// TestRouterRoutesAroundLaggingReplica runs both policies against a primary,
-// a fresh replica and a frozen replica: writes land on the primary, and every
+// TestRouterRoutesAroundLaggingReplica runs the router against a primary, a
+// fresh replica and a frozen replica: writes land on the primary, and every
 // bounded read returns the freshest value no matter which endpoint was tried
-// first — round-robin by paying the Stale-retry round trip, aware by skipping
-// the lagging replica outright.
+// first — a read rotated onto the frozen replica pays the Stale-retry round
+// trip to the primary.
 func TestRouterRoutesAroundLaggingReplica(t *testing.T) {
 	db, frozen := laggedFixture(t)
 	fresh, err := engine.OpenReplica(db, engine.ReplicaOptions{PollInterval: 100 * time.Microsecond})
@@ -579,55 +529,53 @@ func TestRouterRoutesAroundLaggingReplica(t *testing.T) {
 	}
 	t.Cleanup(fresh.Close)
 
-	opts := Options{HintRefresh: time.Nanosecond}
-	_, pAddr := startPrimary(t, db, opts)
-	_, fAddr := startReplica(t, frozen, opts)
-	_, rAddr := startReplica(t, fresh, opts)
-	endpoints := []string{pAddr, fAddr, rAddr}
+	_, pAddr := startPrimary(t, db, Options{})
+	_, fAddr := startReplica(t, frozen, Options{})
+	_, rAddr := startReplica(t, fresh, Options{})
 
-	for _, policy := range []Policy{PolicyRoundRobin, PolicyAware} {
-		t.Run(policy.String(), func(t *testing.T) {
-			router, err := NewRouter(endpoints, RouterOptions{Policy: policy, MaxLagRecords: 1})
+	// The Router has one read policy, round-robin rotation with a Stale
+	// retry on the primary.
+	t.Run("roundrobin", func(t *testing.T) {
+		router, err := NewRouter([]string{pAddr, fAddr, rAddr}, RouterOptions{MaxLagRecords: 1})
+		if err != nil {
+			t.Fatalf("new router: %v", err)
+		}
+		defer router.Close()
+		if len(router.Replicas()) != 2 {
+			t.Fatalf("router found %d replicas, want 2", len(router.Replicas()))
+		}
+
+		// A write: must reach the primary.
+		key := int64(500)
+		if _, err := router.Execute("kv0", "put", key, int64(1234)); err != nil {
+			t.Fatalf("router write: %v", err)
+		}
+		if err := fresh.WaitCaughtUp(10 * time.Second); err != nil {
+			t.Fatalf("fresh replica catch-up: %v", err)
+		}
+
+		// Bounded reads across many attempts: the frozen replica is in the
+		// rotation but must never leak its stale snapshot.
+		for i := 0; i < 12; i++ {
+			v, err := router.ExecuteRead("kv0", "get", key)
 			if err != nil {
-				t.Fatalf("new router: %v", err)
+				t.Fatalf("read %d: %v", i, err)
 			}
-			defer router.Close()
-			if len(router.Replicas()) != 2 {
-				t.Fatalf("router found %d replicas, want 2", len(router.Replicas()))
+			if v != int64(1234) {
+				t.Fatalf("read %d = %v, want 1234 (stale replica leaked through)", i, v)
 			}
+		}
 
-			// A write: must reach the primary regardless of policy.
-			key := int64(500)
-			if _, err := router.Execute("kv0", "put", key, int64(1234)); err != nil {
-				t.Fatalf("router write: %v", err)
-			}
-			if err := fresh.WaitCaughtUp(10 * time.Second); err != nil {
-				t.Fatalf("fresh replica catch-up: %v", err)
-			}
-
-			// Bounded reads across many attempts: the frozen replica is in the
-			// rotation but must never leak its stale snapshot.
-			for i := 0; i < 12; i++ {
-				v, err := router.ExecuteRead("kv0", "get", key)
-				if err != nil {
-					t.Fatalf("read %d: %v", i, err)
-				}
-				if v != int64(1234) {
-					t.Fatalf("read %d = %v, want 1234 (stale replica leaked through)", i, v)
-				}
-			}
-
-			// The declarative path routes the same way.
-			res, err := router.Query(rel.NewQuery().
-				From("s", "store", "kv0").
-				Where("s", "k", rel.Eq, key).
-				Count("n"))
-			if err != nil {
-				t.Fatalf("router query: %v", err)
-			}
-			if got := res.Rows[0].Int64(0); got != 1 {
-				t.Fatalf("router query count = %d, want 1", got)
-			}
-		})
-	}
+		// The declarative path routes the same way.
+		res, err := router.Query(rel.NewQuery().
+			From("s", "store", "kv0").
+			Where("s", "k", rel.Eq, key).
+			Count("n"))
+		if err != nil {
+			t.Fatalf("router query: %v", err)
+		}
+		if got := res.Rows[0].Int64(0); got != 1 {
+			t.Fatalf("router query count = %d, want 1", got)
+		}
+	})
 }

@@ -9,12 +9,13 @@
 // a torn or corrupted stream is detected, never mis-decoded. The payload's
 // first byte is the frame type.
 //
-// Every response piggybacks load hints: the per-executor queue depth,
-// in-flight admission tokens and windowed queue-wait p99 from the engine's
-// scheduler, plus — on replicas — the corrected replication lag
-// (ReplicaStats.Lag) and degraded flag. The client-side Router consumes them
-// to steer writes around a saturated admission gate and reads around lagging
-// or overloaded replicas (see router.go).
+// A node's status — its role, failover epoch and, on a replica, its corrected
+// replication lag (ReplicaStats.Lag), degraded flag and last replication
+// error — is something a client asks for with a stats frame, collected live
+// when the request is served; other responses carry only their own answer. A
+// replica enforces a read's freshness bound itself, from its live lag. The
+// client-side Router asks for status only to find the primary after a
+// failover (see router.go).
 package server
 
 import (
@@ -45,8 +46,9 @@ const (
 )
 
 // protocolVersion is echoed in the hello frame; a server refuses a connect
-// frame carrying a version it does not speak.
-const protocolVersion = 1
+// frame carrying a version it does not speak. Version 2 took the load hints
+// out of every result frame and made node status the reply to a stats frame.
+const protocolVersion = 2
 
 // maxFrameSize bounds a frame's payload so a corrupted length prefix cannot
 // make a session allocate unboundedly.
@@ -552,24 +554,13 @@ func (r *reader) valueList(dst []any) []any {
 	return dst
 }
 
-// --- load hints -------------------------------------------------------------
+// --- node status ------------------------------------------------------------
 
-// ExecutorHint is one executor's queue signal as piggybacked on responses: a
-// compact projection of engine.ExecutorLoad.
-type ExecutorHint struct {
-	Container      int
-	Executor       int
-	Depth          int
-	InFlight       int
-	EffectiveDepth int
-	WaitP99Micros  uint64
-}
-
-// LoadHints is the load signal piggybacked on every result frame. Replicas
-// additionally report their corrected replication lag (saturating, never
-// wrapped — see engine.ReplicaShardStats) and degraded flag, which is what
-// lets a router route around an unhealthy replica instead of guessing.
-type LoadHints struct {
+// NodeStatus is a node's answer to a stats frame, collected when the request
+// is served. Replicas additionally report their corrected replication lag
+// (saturating, never wrapped — see engine.ReplicaShardStats), degraded flag
+// and last replication error.
+type NodeStatus struct {
 	Role       Role
 	Degraded   bool
 	LagRecords uint64 // max shard lag on a replica; always 0 on a primary
@@ -579,90 +570,25 @@ type LoadHints struct {
 	// recycled, and the promoted one; the highest epoch wins discovery.
 	Epoch uint64
 	// Err is the node's last replication error (engine.ReplicaStats.Err),
-	// empty when healthy or on a primary. It rides along so operators and
-	// routers see why a replica is degraded without a side channel.
-	Err       string
-	Executors []ExecutorHint
+	// empty when healthy or on a primary, so operators see why a replica is
+	// degraded without a side channel.
+	Err string
 }
 
-// MaxDepth returns the deepest executor queue in the hint set.
-func (h *LoadHints) MaxDepth() int {
-	m := 0
-	for _, e := range h.Executors {
-		if e.Depth > m {
-			m = e.Depth
-		}
-	}
-	return m
+func appendStatus(dst []byte, st *NodeStatus) []byte {
+	dst = append(dst, uint8(st.Role))
+	dst = appendBool(dst, st.Degraded)
+	dst = appendUvarint(dst, st.LagRecords)
+	dst = appendUvarint(dst, st.Epoch)
+	return appendString(dst, st.Err)
 }
 
-// MaxWaitP99Micros returns the worst windowed queue-wait p99 in the hint set.
-func (h *LoadHints) MaxWaitP99Micros() uint64 {
-	var m uint64
-	for _, e := range h.Executors {
-		if e.WaitP99Micros > m {
-			m = e.WaitP99Micros
-		}
-	}
-	return m
-}
-
-// GateSaturated reports whether every executor's admission gate is at its
-// token limit — the signal that one more submission would be rejected with
-// ErrOverloaded rather than queued.
-func (h *LoadHints) GateSaturated() bool {
-	if len(h.Executors) == 0 {
-		return false
-	}
-	for _, e := range h.Executors {
-		if e.EffectiveDepth == 0 || e.InFlight < e.EffectiveDepth {
-			return false
-		}
-	}
-	return true
-}
-
-func appendHints(dst []byte, h *LoadHints) []byte {
-	dst = append(dst, uint8(h.Role))
-	dst = appendBool(dst, h.Degraded)
-	dst = appendUvarint(dst, h.LagRecords)
-	dst = appendUvarint(dst, h.Epoch)
-	dst = appendString(dst, h.Err)
-	dst = appendUvarint(dst, uint64(len(h.Executors)))
-	for _, e := range h.Executors {
-		dst = appendUvarint(dst, uint64(e.Container))
-		dst = appendUvarint(dst, uint64(e.Executor))
-		dst = appendUvarint(dst, uint64(e.Depth))
-		dst = appendUvarint(dst, uint64(e.InFlight))
-		dst = appendUvarint(dst, uint64(e.EffectiveDepth))
-		dst = appendUvarint(dst, e.WaitP99Micros)
-	}
-	return dst
-}
-
-// hints decodes load hints into h. It reuses h's Executors array and, while
-// the text is unchanged, its Err string, so that a client's read loop decodes
-// the hints of every response into one scratch value without allocating.
-func (r *reader) hints(h *LoadHints) {
-	h.Role = Role(r.byte())
-	h.Degraded = r.bool()
-	h.LagRecords = r.uvarint()
-	h.Epoch = r.uvarint()
-	if msg := r.bytes(); string(msg) != h.Err {
-		h.Err = string(msg)
-	}
-	n := r.count()
-	h.Executors = h.Executors[:0]
-	for i := 0; i < n && r.err == nil; i++ {
-		h.Executors = append(h.Executors, ExecutorHint{
-			Container:      int(r.uvarint()),
-			Executor:       int(r.uvarint()),
-			Depth:          int(r.uvarint()),
-			InFlight:       int(r.uvarint()),
-			EffectiveDepth: int(r.uvarint()),
-			WaitP99Micros:  r.uvarint(),
-		})
-	}
+func (r *reader) status(st *NodeStatus) {
+	st.Role = Role(r.byte())
+	st.Degraded = r.bool()
+	st.LagRecords = r.uvarint()
+	st.Epoch = r.uvarint()
+	st.Err = r.string()
 }
 
 // --- request / response bodies ----------------------------------------------
@@ -741,16 +667,15 @@ func (q *queryReq) decode(body []byte) error {
 
 // Result payload kinds.
 const (
-	payloadNone  uint8 = 0
-	payloadValue uint8 = 1
-	payloadQuery uint8 = 2
+	payloadNone   uint8 = 0
+	payloadValue  uint8 = 1
+	payloadQuery  uint8 = 2
+	payloadStatus uint8 = 3
 )
 
-// resultMsg is the body of a result frame, less the load hints that ride
-// between ErrMsg and Kind: the request id it answers, a status, an error
-// message for non-OK statuses, and the payload (an execute value or a query
-// result). Neither end keeps hints per message — the server splices in its
-// cached encoding, the client decodes into one scratch value.
+// resultMsg is the body of a result frame: the request id it answers, a
+// status, an error message for non-OK statuses, and the payload (an execute
+// value, a query result or, answering a stats frame, the node's status).
 type resultMsg struct {
 	ID     uint64
 	Status uint8
@@ -758,17 +683,16 @@ type resultMsg struct {
 	Kind   uint8
 	Value  any
 	Result *rel.Result
+	Node   NodeStatus
 }
 
-// appendFrame appends m to dst as one result frame carrying hints, a load-hint
-// block already encoded by appendHints.
-func (m *resultMsg) appendFrame(dst, hints []byte) ([]byte, error) {
+// appendFrame appends m to dst as one result frame.
+func (m *resultMsg) appendFrame(dst []byte) ([]byte, error) {
 	start := len(dst)
 	out := beginFrame(dst, frameResult)
 	out = appendUvarint(out, m.ID)
 	out = append(out, m.Status)
 	out = appendString(out, m.ErrMsg)
-	out = append(out, hints...)
 	out = append(out, m.Kind)
 	var err error
 	switch m.Kind {
@@ -776,6 +700,8 @@ func (m *resultMsg) appendFrame(dst, hints []byte) ([]byte, error) {
 		out, err = appendValue(out, m.Value, 0)
 	case payloadQuery:
 		out, err = appendQueryResult(out, m.Result)
+	case payloadStatus:
+		out = appendStatus(out, &m.Node)
 	}
 	if err != nil {
 		return dst, err
@@ -783,24 +709,20 @@ func (m *resultMsg) appendFrame(dst, hints []byte) ([]byte, error) {
 	return endFrame(out, start)
 }
 
-// result decodes what follows the id in a result body — the client reads the
-// id first, to find the call the result belongs to — into m and h, and
-// returns the hints' encoding so that the caller can tell whether they
-// changed.
-func (r *reader) result(m *resultMsg, h *LoadHints) (rawHints []byte) {
+// result decodes what follows the id in a result body into m. The client
+// reads the id first, to find the call the result belongs to.
+func (r *reader) result(m *resultMsg) {
 	m.Status = r.byte()
 	m.ErrMsg = r.string()
-	from := r.off
-	r.hints(h)
-	rawHints = r.buf[from:r.off]
 	m.Kind = r.byte()
 	switch m.Kind {
 	case payloadValue:
 		m.Value = r.value()
 	case payloadQuery:
 		m.Result = r.queryResult()
+	case payloadStatus:
+		r.status(&m.Node)
 	}
-	return rawHints
 }
 
 // appendQueryResult serializes a rel.Result. AccessPaths is encoded as pairs;

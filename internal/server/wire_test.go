@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/hex"
 	"errors"
+	"fmt"
+	"io"
 	"net"
 	"reflect"
 	"strings"
@@ -12,17 +14,14 @@ import (
 
 	"reactdb/internal/core"
 	"reactdb/internal/engine"
+	"reactdb/internal/optsurface"
 	"reactdb/internal/rel"
 )
 
-// goldenHints, goldenExecute and goldenQuery are the inputs behind the golden
+// goldenStatus, goldenExecute and goldenQuery are the inputs behind the golden
 // frames below, and seeds of the fuzzers.
-var goldenHints = LoadHints{
+var goldenStatus = NodeStatus{
 	Role: RoleReplica, Degraded: true, LagRecords: 17, Epoch: 3, Err: "mirror write: disk on fire",
-	Executors: []ExecutorHint{
-		{Container: 0, Executor: 1, Depth: 3, InFlight: 2, EffectiveDepth: 8, WaitP99Micros: 950},
-		{Container: 1, Executor: 0, Depth: 0, InFlight: 0, EffectiveDepth: 64, WaitP99Micros: 0},
-	},
 }
 
 func goldenExecute() *executeReq {
@@ -45,11 +44,11 @@ func goldenQuery() *rel.Query {
 		Limit(3)
 }
 
-// TestWireBytesGolden holds the wire format still: one frame of every kind,
-// encoded by the append-style encoder, must equal byte for byte what the
-// allocating writeFrame/encode pair produced for the same input before it was
-// replaced (hex captured from that code). protocolVersion is 1 on both sides
-// of that change, so any difference here is a protocol break.
+// TestWireBytesGolden holds the wire format still: one frame of every kind
+// must equal byte for byte the hex captured when protocolVersion became 2,
+// the version that took the load hints out of result frames and made node
+// status the reply to a stats frame. Any difference here is a protocol break:
+// change the bytes only together with protocolVersion.
 func TestWireBytesGolden(t *testing.T) {
 	must := func(b []byte, err error) []byte {
 		t.Helper()
@@ -58,7 +57,6 @@ func TestWireBytesGolden(t *testing.T) {
 		}
 		return b
 	}
-	hints := appendHints(nil, &goldenHints)
 	execute := goldenExecute()
 	query := queryReq{ID: 8, MaxLagRecords: 16, Query: goldenQuery()}
 	value := resultMsg{ID: 7, Status: statusOK, Kind: payloadValue, Value: 2e9}
@@ -66,6 +64,7 @@ func TestWireBytesGolden(t *testing.T) {
 		Columns: []string{"k", "v"}, Rows: []rel.Row{{int64(1), "a"}, {int64(2), "b"}},
 		JoinOrder: []string{"s"}, AccessPaths: map[string]string{"s": "scan"}}}
 	conflict := resultMsg{ID: 10, Status: statusConflict, ErrMsg: engine.ErrConflict.Error()}
+	status := resultMsg{ID: 9, Status: statusOK, Kind: payloadStatus, Node: goldenStatus}
 
 	for _, tc := range []struct {
 		name  string
@@ -78,16 +77,18 @@ func TestWireBytesGolden(t *testing.T) {
 			"93000000d940b94b04081002016f066f7264657273020673686f702d310673686f702d320163056375737473010673686f702d3102016f066272616e63680004056e6f727468016f05746f74616c0503000000000000254001016f0463757374016307637573745f696401086f2e6272616e63680201076f2e746f74616c0973756d5f746f74616c0000016e00010973756d5f746f74616c010300"},
 		{"stats", appendIDFrame(nil, frameStats, 9),
 			"020000001e5e72450509"},
-		{"result-value", must(value.appendFrame(nil, hints)),
-			"3b000000ff5a4dc706070000010111031a6d6972726f722077726974653a206469736b206f6e2066697265020001030208b60701000000400001030000000065cddd41"},
-		{"result-query", must(rows.appendFrame(nil, hints)),
-			"4f000000e51f755706080000010111031a6d6972726f722077726974653a206469736b206f6e2066697265020001030208b6070100000040000202016b017602020102040161020104040162010173010173047363616e"},
-		{"result-error", must(conflict.appendFrame(nil, appendHints(nil, &LoadHints{Role: RolePrimary, Epoch: 1}))),
-			"4400000086b0f701060a0239656e67696e653a207472616e73616374696f6e2061626f727465642064756520746f2073657269616c697a6174696f6e20636f6e666c69637400000001000000"},
+		{"result-value", must(value.appendFrame(nil)),
+			"0e000000a4ab87220607000001030000000065cddd41"},
+		{"result-query", must(rows.appendFrame(nil)),
+			"2200000080e6be4f060800000202016b017602020102040161020104040162010173010173047363616e"},
+		{"result-error", must(conflict.appendFrame(nil)),
+			"3e000000e5e7fdec060a0239656e67696e653a207472616e73616374696f6e2061626f727465642064756520746f2073657269616c697a6174696f6e20636f6e666c69637400"},
+		{"result-status", must(status.appendFrame(nil)),
+			"24000000e3410fe60609000003010111031a6d6972726f722077726974653a206469736b206f6e2066697265"},
 		{"connect", appendIDFrame(nil, frameConnect, protocolVersion),
-			"020000002813c52f0101"},
+			"020000009242ccb60102"},
 		{"hello", appendHelloFrame(nil, RoleReplica),
-			"03000000ab0cd992020101"},
+			"03000000115dd00b020102"},
 	} {
 		if got := hex.EncodeToString(tc.frame); got != tc.want {
 			t.Errorf("%s frame changed:\n got  %s\n want %s", tc.name, got, tc.want)
@@ -120,7 +121,6 @@ var hugeCount = []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x0
 // lengths that used to panic it. Each must report a corrupt frame.
 func TestDecoderRejectsHostileCounts(t *testing.T) {
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
-	okHints := appendHints(nil, &LoadHints{})
 	def := core.NewDatabaseDef()
 
 	t.Run("execute/name length 2^63-1", func(t *testing.T) {
@@ -144,23 +144,21 @@ func TestDecoderRejectsHostileCounts(t *testing.T) {
 			}
 		})
 	}
-	t.Run("result/executor count 2^63", func(t *testing.T) {
-		// status, empty error, then hints: role, degraded, lag, epoch, empty
-		// Err, and the hostile executor count. This one kills a client.
-		r := reader{buf: cat([]byte{statusOK, 0, 0, 0, 0, 0, 0}, hugeCount)}
+	t.Run("result/status error length 2^63", func(t *testing.T) {
+		// status, empty error, the status payload: role, degraded, lag, epoch,
+		// and the hostile length of Err. This one kills a client.
+		r := reader{buf: cat([]byte{statusOK, 0, payloadStatus, 0, 0, 0, 0}, hugeCount)}
 		var m resultMsg
-		var h LoadHints
-		if r.result(&m, &h); !errors.Is(r.err, errCorruptFrame) {
+		if r.result(&m); !errors.Is(r.err, errCorruptFrame) {
 			t.Fatalf("result err = %v, want errCorruptFrame", r.err)
 		}
 	})
 	for i, field := range []string{"columns", "rows", "join order", "access paths"} {
 		t.Run("result/query "+field+" count 2^63", func(t *testing.T) {
-			body := cat([]byte{statusOK, 0}, okHints, []byte{payloadQuery}, make([]byte, i), hugeCount)
+			body := cat([]byte{statusOK, 0, payloadQuery}, make([]byte, i), hugeCount)
 			r := reader{buf: body}
 			var m resultMsg
-			var h LoadHints
-			if r.result(&m, &h); !errors.Is(r.err, errCorruptFrame) {
+			if r.result(&m); !errors.Is(r.err, errCorruptFrame) {
 				t.Fatalf("result err = %v, want errCorruptFrame", r.err)
 			}
 		})
@@ -309,7 +307,7 @@ func TestUndecodableRequestIsAnsweredByID(t *testing.T) {
 		if err != nil || typ != frameResult {
 			t.Fatalf("response %d = (%d, %v)", i, typ, err)
 		}
-		m, _, err := decodeResultBody(body)
+		m, err := decodeResultBody(body)
 		if err != nil || m.Status != statusError || !strings.Contains(m.ErrMsg, "corrupt") {
 			t.Fatalf("response %d = (%+v, %v), want a corrupt-frame error status", i, m, err)
 		}
@@ -369,7 +367,7 @@ func TestServerSurvivesCrashFrame(t *testing.T) {
 		if err != nil || typ != frameResult {
 			t.Fatalf("response %d = (%d, %v)", i, typ, err)
 		}
-		m, _, err := decodeResultBody(body)
+		m, err := decodeResultBody(body)
 		if err != nil {
 			t.Fatalf("response %d does not decode: %v", i, err)
 		}
@@ -387,10 +385,10 @@ func TestServerSurvivesCrashFrame(t *testing.T) {
 	}
 }
 
-// TestClientSurvivesCrashFrame is the client's half: a result frame whose
-// executor-hint count is 2^63 used to panic Conn.readLoop. Now the call fails
-// with ErrConnClosed — the stream cannot be trusted any further — and the
-// process lives.
+// TestClientSurvivesCrashFrame is the client's half: a count of 2^63 in a
+// result frame, here the length of a status payload's Err, must not panic
+// Conn.readLoop. The call fails with ErrConnClosed — the stream cannot be
+// trusted any further — and the process lives.
 func TestClientSurvivesCrashFrame(t *testing.T) {
 	addr := fakeServer(t, func(_ int, nc net.Conn, fr *frameReader) {
 		_, body, err := fr.next() // the stats request
@@ -399,7 +397,7 @@ func TestClientSurvivesCrashFrame(t *testing.T) {
 		}
 		r := reader{buf: body}
 		bad := appendUvarint(beginFrame(nil, frameResult), r.uvarint())
-		bad = append(bad, statusOK, 0, 0, 0, 0, 0, 0)
+		bad = append(bad, statusOK, 0, payloadStatus, 0, 0, 0, 0)
 		bad, _ = endFrame(append(bad, hugeCount...), 0)
 		_, _ = nc.Write(bad)
 		_, _, _ = fr.next() // hold the socket open until the client drops it
@@ -415,5 +413,51 @@ func TestClientSurvivesCrashFrame(t *testing.T) {
 	}
 	if _, err := conn.Stats(); !errors.Is(err, ErrConnClosed) {
 		t.Fatalf("stats on the dead connection = %v, want ErrConnClosed", err)
+	}
+}
+
+// TestOldProtocolVersionIsRefused: a connect frame carrying a version the
+// server does not speak gets no hello, and the server closes the connection.
+func TestOldProtocolVersionIsRefused(t *testing.T) {
+	db := engine.MustOpen(kvDef(nil, "kv0"), walCfg())
+	defer db.Close()
+	_, addr := startPrimary(t, db, Options{})
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer nc.Close()
+	if err := nc.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nc.Write(appendIDFrame(nil, frameConnect, 1)); err != nil {
+		t.Fatalf("connect: %v", err)
+	}
+	if typ, _, err := newFrameReader(nc).next(); err != io.EOF {
+		t.Fatalf("after a version-1 connect the server sent (%d, %v), want a closed connection", typ, err)
+	}
+}
+
+// TestOptionSurface pins every settable value of Options and RouterOptions,
+// as engine's TestConfigSurface does for the engine's options, so that a new
+// knob shows up here as a reviewed one-line edit.
+func TestOptionSurface(t *testing.T) {
+	for _, tc := range []struct {
+		opts any
+		want []string
+	}{
+		{Options{}, []string{"MaxInFlight"}},
+		{RouterOptions{}, []string{
+			"MaxLagRecords",
+			"MaxRetries",
+			"Redial.Attempts",
+			"Redial.Backoff",
+			"Redial.MaxBackoff",
+			"RetryBackoff",
+		}},
+	} {
+		if got := optsurface.Leaves(tc.opts); fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("%T has %d settable values, want %d:\n got %v\nwant %v", tc.opts, len(got), len(tc.want), got, tc.want)
+		}
 	}
 }

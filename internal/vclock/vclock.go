@@ -116,13 +116,6 @@ type Costs struct {
 	// executing reactor's core, modeling the per-transaction CPU work of the
 	// paper's hardware when the real Go logic is too cheap to register.
 	Processing time.Duration
-	// LogWrite is the modeled cost of making one commit durable (a log-device
-	// write). Without group commit it is charged on the committing executor's
-	// core once per transaction; with group commit the container's group
-	// committer charges it once per batch, which is the amortization real
-	// group commit buys. Zero disables the cost (the seed's behaviour: no
-	// durability layer).
-	LogWrite time.Duration
 }
 
 // DefaultExperimentCosts are the cost parameters used by the experiment

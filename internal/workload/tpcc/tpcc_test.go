@@ -225,6 +225,37 @@ func TestDeliveryProcessesOldestNewOrders(t *testing.T) {
 	}
 }
 
+// TestConcurrentDeliveriesAbortAsConflicts runs deliveries, new orders and
+// order-status lookups against one warehouse from several executors at once.
+// Two deliveries that pick the same oldest order race to delete it; the loser
+// must see a serialization conflict, never the row vanishing under it.
+func TestConcurrentDeliveriesAbortAsConflicts(t *testing.T) {
+	p := testParams(1)
+	db := open(t, p, engine.NewSharedEverythingWithoutAffinity(4))
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			g := NewGenerator(GeneratorConfig{
+				Params:        p,
+				HomeWarehouse: 1,
+				Mix:           Mix{NewOrder: 50, Delivery: 25, OrderStatus: 25},
+				Seed:          int64(w + 1),
+			})
+			for i := 0; i < 150; i++ {
+				req := g.Next()
+				_, err := db.Execute(req.Reactor, req.Procedure, req.Args...)
+				if err != nil && !errors.Is(err, engine.ErrConflict) && !core.IsUserAbort(err) {
+					t.Errorf("%s failed: %v", req.Procedure, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
 func TestStockLevelCountsLowStock(t *testing.T) {
 	p := testParams(1)
 	db := open(t, p, engine.NewSharedNothing(1))

@@ -167,32 +167,24 @@ func OpenReplica(primary *Database, opts ReplicaOptions) (*Replica, error) {
 }
 
 // Re-exported network front-end types: a NodeServer exposes a primary or
-// replica on the wire protocol (length-prefixed CRC-framed binary frames with
-// piggybacked load hints), a Client is one pipelined connection to it, and a
-// Router fans a client's traffic across a primary and its replicas.
+// replica on the wire protocol (length-prefixed CRC-framed binary frames), a
+// Client is one pipelined connection to it, and a Router fans a client's
+// traffic across a primary and its replicas.
 type (
 	// NodeServer serves one engine node over the wire protocol.
 	NodeServer = server.Server
-	// ServerOptions tune a NodeServer (pipelining window, hint refresh).
+	// ServerOptions tune a NodeServer (the pipelining window).
 	ServerOptions = server.Options
 	// Client is one pipelined client connection to a NodeServer.
 	Client = server.Conn
-	// Router is a lag- and load-aware client-side request router.
+	// Router is a client-side request router over a primary and its
+	// replicas that follows the primary across a failover.
 	Router = server.Router
-	// RouterOptions tune a Router (policy, freshness bound, retries).
+	// RouterOptions tune a Router (freshness bound, retries, redial).
 	RouterOptions = server.RouterOptions
-	// RoutingPolicy selects round-robin or hint-aware routing.
-	RoutingPolicy = server.Policy
-	// LoadHints is the load signal piggybacked on every server response.
-	LoadHints = server.LoadHints
-)
-
-// Routing policies and the stale-read error.
-const (
-	// PolicyRoundRobin rotates reads blindly over every endpoint.
-	PolicyRoundRobin = server.PolicyRoundRobin
-	// PolicyAware steers by piggybacked queue and lag hints.
-	PolicyAware = server.PolicyAware
+	// NodeStatus is a node's role, epoch and replication health, the reply
+	// to Client.Stats.
+	NodeStatus = server.NodeStatus
 )
 
 // ErrStale reports a read whose freshness bound the serving replica could not
@@ -213,7 +205,8 @@ func ServeReplica(rep *Replica, opts ServerOptions) *NodeServer {
 func DialNode(addr string) (*Client, error) { return server.Dial(addr) }
 
 // NewRouter dials a set of NodeServer endpoints (exactly one primary) and
-// routes writes to the primary and reads across replicas per the policy.
+// routes writes to the primary and reads in rotation across the replicas and
+// the primary.
 func NewRouter(endpoints []string, opts RouterOptions) (*Router, error) {
 	return server.NewRouter(endpoints, opts)
 }
@@ -234,8 +227,8 @@ const (
 	// AdmissionFail rejects requests with ErrOverloaded while the target
 	// queue is full.
 	AdmissionFail = engine.AdmissionFail
-	// DurabilityModeled charges the modeled log-write cost instead of doing
-	// real IO (the default; an ablation — nothing is recoverable).
+	// DurabilityModeled keeps no log (the default, as in the paper's
+	// figures): nothing is recoverable.
 	DurabilityModeled = engine.DurabilityModeled
 	// DurabilityWAL makes every acknowledged commit durable on a real
 	// per-container write-ahead log; Database.Recover replays it.
