@@ -37,20 +37,26 @@ race:
 	$(GO) test -race ./internal/engine/... ./internal/occ/... ./internal/wal/... ./internal/server/...
 
 # The scheduler under the race detector, run twice: the admission-token leak
-# regressions (abort, overload, panic, yield) and the multi-executor stress,
-# whose contended history must stay serializable and return every token.
+# regressions (abort, overload, panic, yield), the multi-executor stress,
+# whose contended history must stay serializable and return every token, and
+# the read-only commit's ack on the log's durable watermark, which releases
+# and re-acquires the executor core around a wait that can block (the
+# read-ack tests and the fenced-primary test's read arm).
 race-sched:
-	$(GO) test -race -count=2 -run 'Admission|SchedulerStress' ./internal/engine/
+	$(GO) test -race -count=2 -run 'Admission|SchedulerStress|ReadAck|FencedPrimaryDoesNotAck' ./internal/engine/
 
 # Crash-injection matrix: kill the database at every WAL append/fsync
 # boundary of a multi-container commit (including the checkpoint-write,
 # truncation and checkpoint-prune boundaries of TestCrashMatrixCheckpoint),
-# recover, assert all-or-nothing.
+# recover, assert all-or-nothing. Riding along: every value a read-only
+# commit acknowledged survives recovery, an epoch-state overwrite killed
+# mid-write keeps the prior state, and a suffix truncation killed at any
+# storage call leaves a gap-free log.
 crash:
 	$(GO) test -run Crash -count=2 ./internal/engine/... ./internal/wal/...
 
 # Checkpoint crash matrix under the race detector, with the truncation-safety
-# property test riding along: torn checkpoint writes, crashes between
+# property test riding along: crashes at checkpoint writes, crashes between
 # checkpoint and truncation, crashes mid-truncation — recovery must equal the
 # acknowledged state through a double restart.
 crash-ckpt:

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"reactdb/internal/core"
 	"reactdb/internal/wal"
 )
 
@@ -22,17 +21,26 @@ import (
 // promoted mirror does not hold it. Nothing here depends on timing: the
 // replica's tailing never runs on its own (hour-long poll interval), and
 // every wait below is on a state the primary cannot leave without the test's
-// next step.
+// next step, except the read arm's one bounded check that a read has not
+// returned yet.
+//
+// The read arm holds a read-only commit to the same rule: a read of a write
+// that is installed and durable but not yet mirrored waits for the mirror
+// like the write does, and comes back ErrFenced when the fence and the detach
+// release it instead. In every arm a read on the fenced primary fails with
+// ErrFenced.
 func TestFencedPrimaryDoesNotAckUnshippedCommit(t *testing.T) {
 	grouped := GroupCommitConfig{Enabled: true, MaxBatch: 4, Window: 200 * time.Microsecond}
 	for _, arm := range []struct {
 		name     string
 		gc       GroupCommitConfig
 		transfer bool
+		read     bool
 	}{
 		{name: "eager"},
 		{name: "grouped", gc: grouped},
 		{name: "transfer", transfer: true},
+		{name: "read", gc: grouped, read: true},
 	} {
 		t.Run(arm.name, func(t *testing.T) {
 			cfg := twoContainerCfg(wal.NewMemStorage())
@@ -49,12 +57,39 @@ func TestFencedPrimaryDoesNotAckUnshippedCommit(t *testing.T) {
 				waitFor(t, replicaWait, func() bool { return primary.containers[container].wal.DurableLSN() >= lsn })
 			}
 
-			outcome := make(chan error, 1)
-			if arm.transfer {
+			outcome, wrote := make(chan error, 1), make(chan error, 1)
+			exec := func(out chan<- error, proc string, args ...any) {
 				go func() {
-					_, err := primary.Execute("kv0", "copyTo", "kv1", int64(1), int64(10))
-					outcome <- err
+					_, err := primary.Execute("kv0", proc, args...)
+					out <- err
 				}()
+			}
+			if arm.read {
+				// The first write and a read of it: both wait for the mirror,
+				// and one poll releases both.
+				read := make(chan error, 1)
+				exec(wrote, "put", int64(1), int64(10))
+				durable(0, 1)
+				exec(read, "get", int64(1))
+				select {
+				case err := <-read:
+					t.Fatalf("read of an unshipped write returned (%v) before the replica mirrored it", err)
+				case <-time.After(20 * time.Millisecond):
+				}
+				rep.pollOnce()
+				if err := <-read; err != nil {
+					t.Fatalf("read after the mirror caught up: %v", err)
+				}
+				if err := <-wrote; err != nil {
+					t.Fatalf("write after the mirror caught up: %v", err)
+				}
+				// The second write and a read of it are held until the fence
+				// and the detach below release them.
+				exec(wrote, "put", int64(2), int64(20))
+				durable(0, 2)
+				exec(outcome, "get", int64(2))
+			} else if arm.transfer {
+				exec(outcome, "copyTo", "kv1", int64(1), int64(10))
 				// Eager 2PC forces one record at a time, each held in ship-wait
 				// until the replica mirrors it: ship the two prepares so the
 				// commit reaches its decision record, and stop there.
@@ -64,10 +99,7 @@ func TestFencedPrimaryDoesNotAckUnshippedCommit(t *testing.T) {
 				rep.pollOnce()
 				durable(0, 2)
 			} else {
-				go func() {
-					_, err := primary.Execute("kv0", "put", int64(1), int64(10))
-					outcome <- err
-				}()
+				exec(outcome, "put", int64(1), int64(10))
 				durable(0, 1)
 			}
 
@@ -77,6 +109,14 @@ func TestFencedPrimaryDoesNotAckUnshippedCommit(t *testing.T) {
 			rep.Close()
 			if err := <-outcome; !errors.Is(err, ErrFenced) {
 				t.Fatalf("commit released by a promotion-driven detach returned %v, want ErrFenced (outcome unknown)", err)
+			}
+			if arm.read {
+				if err := <-wrote; !errors.Is(err, ErrFenced) {
+					t.Fatalf("write released by the detach returned %v, want ErrFenced", err)
+				}
+			}
+			if _, err := primary.Execute("kv0", "get", int64(1)); !errors.Is(err, ErrFenced) {
+				t.Fatalf("read on the fenced primary returned %v, want ErrFenced", err)
 			}
 		})
 	}
@@ -152,12 +192,7 @@ func (f *traceSegmentFile) Sync() error {
 // prepares are durable. A group committer flushing batches of one issues the
 // same IO per commit.
 func TestCommitPipelineEagerIsBatchOfOne(t *testing.T) {
-	typ := kvType()
-	typ.AddProcedure("get", func(ctx core.Context, args core.Args) (any, error) {
-		return ctx.Get("store", args.Int64(0))
-	})
-	def := core.NewDatabaseDef().MustAddType(typ)
-	def.MustDeclareReactors("KV", "kv0", "kv1")
+	def := kvDef("kv0", "kv1")
 
 	// run executes the three commits and returns each one's IO, split per
 	// container: the two committers of a grouped 2PC force their prepares

@@ -55,12 +55,13 @@ const (
 )
 
 // GroupCommitConfig enables batched group commit on each container: OCC
-// transactions that validated successfully (Prepare) accumulate in a batch
-// and are committed together when the batch reaches MaxBatch transactions or
-// Window elapses, whichever comes first: under DurabilityWAL one WAL append
-// and one fsync cover the batch. The prepare and decision records of
-// two-phase commits ride the same batches. Disabled, every commit runs the
-// same pipeline (Container.commitBatch) inline as a batch of one.
+// transactions with writes that validated successfully (Prepare) accumulate
+// in a batch and are committed together when the batch reaches MaxBatch
+// transactions or Window elapses, whichever comes first: under DurabilityWAL
+// one WAL append and one fsync cover the batch. The prepare and decision
+// records of two-phase commits ride the same batches. Disabled, every write
+// commit runs the same pipeline (Container.commitBatch) inline as a batch of
+// one. Read-only commits bypass it either way and never wait out a Window.
 type GroupCommitConfig struct {
 	Enabled  bool
 	MaxBatch int           // flush when this many transactions accumulated (default 32)

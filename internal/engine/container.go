@@ -137,10 +137,8 @@ func walRecordPrepared(txn *occ.Txn) (wal.Record, error) {
 }
 
 // gcEntry is one unit of work for the commit pipeline: a prepared
-// single-container transaction (txn), a pre-built WAL record to append with
-// the batch (rec: a 2PC prepare or decision record), or — with both nil — a
-// pure durability barrier, acknowledged once everything appended before it is
-// durable (read-only 2PC participants use it to force their antecedents).
+// single-container transaction with writes (txn) or a pre-built WAL record to
+// append with the batch (rec: a 2PC prepare or decision record).
 type gcEntry struct {
 	txn  *occ.Txn
 	rec  *wal.Record
@@ -155,22 +153,25 @@ type gcEntry struct {
 // before the call when the batch of one runs inline, after it — once the
 // entry is in the batch — when a committer takes it (see rootTxn.commit).
 //
-// A false return means the committer has been stopped and did not accept the
-// entry; the caller still owns its transaction (prepared, holding its locks)
-// and must abort it. Failing fast closes the shutdown race in which an entry
-// appended concurrently with stop, after the loop's final drain, would never
-// be flushed and its waiter would block forever.
-func (c *Container) submit(e gcEntry) (<-chan error, bool) {
+// errDatabaseClosed means a stopped committer did not accept the entry; the
+// caller still owns it and must abort. Failing fast closes the shutdown race
+// in which an entry appended concurrently with stop, after the loop's final
+// drain, would never be flushed and its waiter would block forever.
+func (c *Container) submit(e gcEntry) (<-chan error, error) {
 	e.done = make(chan error, 1)
 	if gc := c.committer; gc != nil {
-		return e.done, gc.enqueue(e)
+		if !gc.enqueue(e) {
+			return nil, errDatabaseClosed
+		}
+		return e.done, nil
 	}
 	c.commitBatch([]gcEntry{e})
-	return e.done, true
+	return e.done, nil
 }
 
-// commitBatch is the commit pipeline — every commit of every deployment runs
-// these five stages, and nothing else acknowledges one:
+// commitBatch is the commit pipeline — every commit that writes, in every
+// deployment, runs these five stages, and nothing else acknowledges one
+// (read-only commits append nothing, see awaitObserved):
 //
 //  1. Stage: serialize each prepared transaction's write set into a commit
 //     record; pre-built 2PC records ride along (their transactions stay
@@ -179,19 +180,16 @@ func (c *Container) submit(e gcEntry) (<-chan error, bool) {
 //     phase makes the writes visible (see walRecordPrepared). If the append
 //     fails nothing was installed yet and the whole batch aborts cleanly.
 //  3. Write phase: install every transaction's writes and release its locks.
-//  4. Force: one fsync for the batch (nothing without a WAL). It runs even
-//     for an all-read-only or barrier-only batch — the antecedent records its
-//     members read are already appended, and an already-durable log absorbs
-//     the call.
+//  4. Force: one fsync for the batch (nothing without a WAL).
 //  5. Ship-wait: withhold the acknowledgments until every attached semi-sync
 //     replica durably mirrors the batch; fails on a fenced primary.
 //
-// Then every entry learns its outcome. Record and barrier entries are
-// acknowledged by the force and ship-wait outcome alone; transactions
-// additionally carry their write-phase error. A transaction whose write phase
-// installed in memory but whose force or ship-wait failed is not
-// acknowledged: survivors of a crash or failover at that point are exactly
-// the fsynced, shipped prefix of the log.
+// Then every entry learns its outcome. Record entries are acknowledged by the
+// force and ship-wait outcome alone; transactions additionally carry their
+// write-phase error. A transaction whose write phase installed in memory but
+// whose force or ship-wait failed is not acknowledged: survivors of a crash
+// or failover at that point are exactly the fsynced, shipped prefix of the
+// log.
 func (c *Container) commitBatch(batch []gcEntry) {
 	w := c.wal
 	txns := make([]*occ.Txn, 0, len(batch))
@@ -200,20 +198,19 @@ func (c *Container) commitBatch(batch []gcEntry) {
 		recs = make([]wal.Record, 0, len(batch))
 	}
 	for _, e := range batch {
-		switch {
-		case e.txn != nil:
-			txns = append(txns, e.txn)
-			if w != nil {
-				// AssignTID fails only for transactions that are not prepared;
-				// CommitPreparedBatch reports ErrTxnClosed for those slots.
-				if rec, err := walRecordPrepared(e.txn); err == nil && len(rec.Writes) > 0 {
-					recs = append(recs, rec)
-				}
-			}
-		case e.rec != nil:
-			// Only forceRecord submits records, and only to a container with
-			// a WAL.
+		if e.txn == nil {
+			// Only two-phase commit submits records, and only to a container
+			// with a WAL.
 			recs = append(recs, *e.rec)
+			continue
+		}
+		txns = append(txns, e.txn)
+		if w != nil {
+			// AssignTID fails only for transactions that are not prepared;
+			// CommitPreparedBatch reports ErrTxnClosed for those slots.
+			if rec, err := walRecordPrepared(e.txn); err == nil {
+				recs = append(recs, rec)
+			}
 		}
 	}
 	if len(recs) > 0 {
@@ -261,9 +258,9 @@ func (c *Container) commitBatch(batch []gcEntry) {
 
 // appendSync appends recs to the container's log as one write and fsyncs the
 // log; with no records it is the bare force. It is the one place the engine
-// forces its log: the commit pipeline's force stage, and — with no window and
-// no ship-wait — abort tombstones and heartbeats, which must not block behind
-// a batch or a stuck replica.
+// forces its log: the commit pipeline's force stage, awaitObserved, and —
+// with no window and no ship-wait — abort tombstones and heartbeats, which
+// must not block behind a batch or a stuck replica.
 func (c *Container) appendSync(recs ...wal.Record) error {
 	if len(recs) > 0 {
 		if _, err := c.wal.AppendBatch(recs); err != nil {
@@ -273,25 +270,28 @@ func (c *Container) appendSync(recs ...wal.Record) error {
 	return c.wal.Sync()
 }
 
-// forceRecord makes rec durable in the container's log — and mirrored by
-// semi-sync replicas — before the returned channel delivers nil, by
-// submitting it to the commit pipeline. A nil rec is a pure durability
-// barrier: nothing is appended, and the acknowledgment means everything
-// appended to this log before the call is durable (read-only 2PC
-// participants use it so their antecedents are durable before the decision).
-// A nil channel with a nil error means the container has no WAL and there is
-// nothing to force.
-func (c *Container) forceRecord(rec *wal.Record) (<-chan error, error) {
-	if c.wal == nil {
-		return nil, nil
+// awaitObserved is a read-only commit's wait (Silo's rule for read-only
+// transactions): it returns once every write the validated transaction could
+// have observed here is durable and, under semi-sync, mirrored. Each such
+// write was appended before it was installed (walRecordPrepared), so the
+// log's last LSN covers it. On an idle log the force is absorbed without IO;
+// a fenced or wedged log, or a fenced primary, fails the commit. The core is
+// released only around a wait that can block; session is nil when the caller
+// already released it.
+func (c *Container) awaitObserved(session *coreSession) error {
+	w := c.wal
+	if w == nil {
+		return nil
 	}
-	ch, ok := c.submit(gcEntry{rec: rec})
-	if !ok {
-		// The committer stopped (shutdown racing the tail of an in-flight
-		// commit); the caller aborts rather than blocking forever.
-		return nil, errDatabaseClosed
+	lsn := w.LastLSN()
+	if session != nil && (w.DurableLSN() < lsn || c.db.repl.semiSync.Load() > 0) {
+		session.release()
+		defer session.acquire()
 	}
-	return ch, nil
+	if err := c.appendSync(); err != nil {
+		return err
+	}
+	return c.db.repl.waitShipped(c.id, lsn)
 }
 
 // retractRecord appends an abort record for tid and fsyncs it, best-effort.

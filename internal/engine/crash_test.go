@@ -81,19 +81,26 @@ func (s *crashStorage) DeleteSegment(index uint64) error {
 	return s.inner.DeleteSegment(index)
 }
 
+// ReplaceSegment is one IO boundary: the replace is atomic, so a crash at it
+// leaves the old segment untouched.
+func (s *crashStorage) ReplaceSegment(index uint64, data []byte) error {
+	if !s.ctr.allow() {
+		return errInjectedCrash
+	}
+	return s.inner.ReplaceSegment(index, data)
+}
+
 func (s *crashStorage) ListCheckpoints() ([]uint64, error) { return s.inner.ListCheckpoints() }
 
 func (s *crashStorage) ReadCheckpoint(seq uint64) ([]byte, error) {
 	return s.inner.ReadCheckpoint(seq)
 }
 
-// WriteCheckpoint past the crash point leaves a half-written blob behind —
-// the torn checkpoint file a machine death mid-write produces — so the
-// matrix exercises recovery's corrupt-checkpoint fallback, not just its
-// happy path.
+// WriteCheckpoint is one IO boundary, atomic like ReplaceSegment: a crash at
+// it leaves the previous blob under seq, or none — a machine death
+// mid-write strands only the storage's temporary file.
 func (s *crashStorage) WriteCheckpoint(seq uint64, data []byte) error {
 	if !s.ctr.allow() {
-		_ = s.inner.WriteCheckpoint(seq, data[:len(data)/2])
 		return errInjectedCrash
 	}
 	return s.inner.WriteCheckpoint(seq, data)
@@ -373,10 +380,10 @@ func assertCkptCrashInvariants(t *testing.T, db *Database, a ckptScriptAcks, lab
 // TestCrashMatrixCheckpoint is the checkpoint-aware crash matrix: the
 // scripted workload takes two checkpoints between its commits, and the
 // matrix kills the machine at every storage IO boundary — which now includes
-// crash mid-checkpoint-write (the crash wrapper leaves a torn blob behind,
-// forcing recovery's corrupt-checkpoint fallback), crash after the
-// checkpoint is durable but before truncation, and crash between individual
-// segment deletions. Recovery must always reconstruct exactly the
+// crash at the checkpoint write (which leaves no blob, so recovery falls back
+// to the previous checkpoint or to full replay), crash after the checkpoint
+// is durable but before truncation, and crash between individual segment
+// deletions. Recovery must always reconstruct exactly the
 // acknowledged state; a second incarnation then commits a fresh
 // cross-container transaction and takes its own checkpoint, and a third
 // restart re-verifies everything — checkpoints taken on recovered state must
@@ -508,6 +515,103 @@ func TestCrashDuringRecoveryTombstoning(t *testing.T) {
 			if recErr == nil && recCtr.ops.Load() <= recCrash {
 				break // recovery ran without hitting the crash point
 			}
+		}
+	}
+}
+
+// TestCrashTornEpochStateKeepsPrior kills the machine at the write of a new
+// epoch state over an old one: the prior {Epoch, FenceBelow} must survive,
+// because a state overwrite is atomic. A half-written blob that fails its CRC
+// would decode as the zero state and unfence a deposed node.
+func TestCrashTornEpochStateKeepsPrior(t *testing.T) {
+	mem := wal.NewMemStorage()
+	ctr := &crashCounter{crashAt: -1}
+	s := &crashStorage{inner: mem, ctr: ctr}
+	prior := wal.EpochState{Epoch: 2, FenceBelow: 3}
+	if err := wal.WriteEpochState(s, prior); err != nil {
+		t.Fatalf("WriteEpochState: %v", err)
+	}
+	ctr.crashAt = ctr.ops.Load()
+	if err := wal.WriteEpochState(s, wal.EpochState{Epoch: 5, FenceBelow: 6}); !errors.Is(err, errInjectedCrash) {
+		t.Fatalf("overwrite past the crash point returned %v, want the injected crash", err)
+	}
+	got, err := wal.ReadEpochState(mem.CrashCopy())
+	if err != nil || got != prior {
+		t.Fatalf("epoch state after a crash mid-overwrite = (%+v, %v), want the prior %+v", got, err, prior)
+	}
+}
+
+// TestCrashTruncateAboveLeavesNoGap kills the machine at every storage call
+// of a suffix truncation over a multi-segment log. Each crash must leave a
+// gap-free prefix of the old log that still holds every record at or below
+// the cut — the old log, the new one or one in between — and running the
+// truncation again must finish it.
+func TestCrashTruncateAboveLeavesNoGap(t *testing.T) {
+	const records, cut = 12, 5
+	build := func() *wal.MemStorage {
+		mem := wal.NewMemStorage()
+		l, err := wal.Open(mem, wal.Options{SegmentSize: 64})
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		for i := uint64(1); i <= records; i++ {
+			w := wal.Write{Key: fmt.Sprintf("kv0\x00store\x00%d", i), Data: []byte{byte(i)}}
+			if _, err := l.Append(wal.Record{TID: i, Writes: []wal.Write{w}}); err != nil {
+				t.Fatalf("append %d: %v", i, err)
+			}
+		}
+		if err := l.Sync(); err != nil {
+			t.Fatalf("sync: %v", err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+		return mem
+	}
+	// lsns replays the log on s and returns its record LSNs in order.
+	lsns := func(s wal.Storage) []uint64 {
+		l, err := wal.Open(s, wal.Options{})
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		defer l.Close()
+		var out []uint64
+		if err := l.Replay(func(r wal.Record) error { out = append(out, r.LSN); return nil }); err != nil {
+			t.Fatalf("replay: %v", err)
+		}
+		return out
+	}
+
+	cal := &crashCounter{crashAt: -1}
+	mem := build()
+	if segs, _ := mem.List(); len(segs) < 3 {
+		t.Fatalf("log spans %d segments; the matrix needs several", len(segs))
+	}
+	if _, err := wal.TruncateAbove(&crashStorage{inner: mem, ctr: cal}, cut); err != nil {
+		t.Fatalf("crash-free TruncateAbove: %v", err)
+	}
+	total := cal.ops.Load()
+	if total < 2 {
+		t.Fatalf("calibration saw %d storage calls", total)
+	}
+	for crashAt := int64(0); crashAt <= total; crashAt++ {
+		mem := build()
+		_, _ = wal.TruncateAbove(&crashStorage{inner: mem, ctr: &crashCounter{crashAt: crashAt}}, cut)
+		crashed := mem.CrashCopy()
+		got := lsns(crashed)
+		if len(got) < cut || len(got) > records {
+			t.Fatalf("crashAt=%d: %d records survive, want between %d and %d", crashAt, len(got), cut, records)
+		}
+		for i, lsn := range got {
+			if lsn != uint64(i+1) {
+				t.Fatalf("crashAt=%d: record %d has LSN %d — a gap: %v", crashAt, i, lsn, got)
+			}
+		}
+		if _, err := wal.TruncateAbove(crashed, cut); err != nil {
+			t.Fatalf("crashAt=%d: re-run TruncateAbove: %v", crashAt, err)
+		}
+		if got := lsns(crashed); len(got) != cut || got[cut-1] != cut {
+			t.Fatalf("crashAt=%d: after the re-run the log holds %v, want LSNs 1..%d", crashAt, got, cut)
 		}
 	}
 }

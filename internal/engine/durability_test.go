@@ -33,6 +33,14 @@ func kvType() *core.Type {
 	t.AddProcedure("del", func(ctx core.Context, args core.Args) (any, error) {
 		return nil, ctx.Delete("store", args.Int64(0))
 	})
+	// get is the read-only probe: the value stored under k, or nil.
+	t.AddProcedure("get", func(ctx core.Context, args core.Args) (any, error) {
+		row, err := ctx.Get("store", args.Int64(0))
+		if err != nil || row == nil {
+			return nil, err
+		}
+		return row.Int64(1), nil
+	})
 	// putRemote reads a local marker and writes only the destination reactor
 	// — a multi-container transaction whose coordinator participant is
 	// read-only when the reactors are placed apart.

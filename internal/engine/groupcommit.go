@@ -9,14 +9,14 @@ import (
 
 // groupCommitter decides *when* the commit pipeline (Container.commitBatch)
 // runs and over how many entries: it accumulates validated (prepared)
-// single-container transactions — plus the pre-built prepare/decision records
-// and durability barriers of two-phase commits touching this container — and
-// hands them to the pipeline together. The motivation is the classic one: the
-// durable log write — a WAL append + fsync under DurabilityWAL — is paid once
-// per batch instead of once per transaction, so under concurrent load commit
-// cost amortizes across the batch. Prepared transactions hold their OCC locks
-// while waiting, so the Window also bounds the extra conflict exposure group
-// commit introduces.
+// single-container transactions with writes — plus the pre-built
+// prepare/decision records of two-phase commits touching this container —
+// and hands them to the pipeline together. The motivation is the classic
+// one: the durable log write — a WAL append + fsync under DurabilityWAL — is
+// paid once per batch instead of once per transaction, so under concurrent
+// load commit cost amortizes across the batch. Prepared transactions hold
+// their OCC locks while waiting, so the Window also bounds the extra conflict
+// exposure group commit introduces.
 type groupCommitter struct {
 	container *Container
 	window    time.Duration
@@ -198,7 +198,8 @@ func (g *groupCommitter) stop() {
 type GroupCommitStats struct {
 	Container int
 	// Batches and Txns count flushed batches and the transactions committed
-	// through them; Largest is the biggest batch seen.
+	// through them; Largest is the biggest batch seen. Read-only commits
+	// bypass the committer and are not counted.
 	Batches uint64
 	Txns    uint64
 	Largest uint64

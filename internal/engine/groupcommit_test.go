@@ -4,13 +4,17 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"reactdb/internal/rel"
 )
 
 // TestStaleWindowTimerDoesNotEarlyFlushFreshBatch is the regression test for
 // the stale-timer race: a window timer armed for a batch that was since
 // flushed (because it filled up) fired into the next batch and flushed it
 // before its own window elapsed, destroying amortization. With the
-// generation-tagged timers a fresh batch waits out its full window.
+// generation-tagged timers a fresh batch waits out its full window. The
+// probes write (read-only commits never enter the committer), each its own
+// row so that no two contend for a record lock.
 func TestStaleWindowTimerDoesNotEarlyFlushFreshBatch(t *testing.T) {
 	const window = 400 * time.Millisecond
 	cfg := Config{
@@ -19,15 +23,18 @@ func TestStaleWindowTimerDoesNotEarlyFlushFreshBatch(t *testing.T) {
 		GroupCommit:           GroupCommitConfig{Enabled: true, MaxBatch: 2, Window: window},
 	}
 	db, _, _ := openGate(t, cfg)
+	for k := int64(0); k < 3; k++ {
+		db.MustLoad("g0", "balance", rel.Row{k, float64(0)})
+	}
 
 	// Fill and flush one batch: the first submit arms the window timer that,
 	// before the fix, stayed live after the size-triggered flush.
 	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
+	for k := int64(0); k < 2; k++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := db.Execute("g0", "noop"); err != nil {
+			if _, err := db.Execute("g0", "put", k); err != nil {
 				t.Errorf("Execute: %v", err)
 			}
 		}()
@@ -39,7 +46,7 @@ func TestStaleWindowTimerDoesNotEarlyFlushFreshBatch(t *testing.T) {
 	// flushed ~window/2 after submission instead of waiting its own window.
 	time.Sleep(window / 2)
 	start := time.Now()
-	if _, err := db.Execute("g0", "noop"); err != nil {
+	if _, err := db.Execute("g0", "put", int64(2)); err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
 	elapsed := time.Since(start)
@@ -75,8 +82,8 @@ func TestGroupCommitSubmitStopRace(t *testing.T) {
 						t.Errorf("Prepare: %v", err)
 						return
 					}
-					done, ok := c.submit(gcEntry{txn: txn})
-					if !ok {
+					done, err := c.submit(gcEntry{txn: txn})
+					if err != nil {
 						// Committer stopped: the caller keeps ownership.
 						if err := txn.AbortPrepared(); err != nil {
 							t.Errorf("AbortPrepared after rejected submit: %v", err)
@@ -117,7 +124,7 @@ func TestGroupCommitterStopIsIdempotent(t *testing.T) {
 	gc := db.containers[0].committer
 	gc.stop()
 	gc.stop()
-	if _, ok := db.containers[0].submit(gcEntry{txn: db.containers[0].domain.Begin()}); ok {
+	if _, err := db.containers[0].submit(gcEntry{txn: db.containers[0].domain.Begin()}); err == nil {
 		t.Fatal("submit accepted a transaction after stop")
 	}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"errors"
 	"sort"
 	"sync"
@@ -188,8 +189,9 @@ func mapCommitErr(err error) error {
 // commit runs the commitment protocol over every container the transaction
 // touched: validate and submit to the container's commit pipeline when a
 // single container is involved, two-phase commit with OCC validation as the
-// vote otherwise (§3.2.2). It returns ErrConflict on validation failure.
-// session is the executor core session of the committing task.
+// vote otherwise (§3.2.2); a read-only one bypasses the pipeline
+// (awaitObserved). It returns ErrConflict on validation failure. session is
+// the executor core session of the committing task.
 func (r *rootTxn) commit(session *coreSession) error {
 	if r.db.cfg.DisableCC {
 		return nil
@@ -205,6 +207,14 @@ func (r *rootTxn) commit(session *coreSession) error {
 	if err := txn.Prepare(); err != nil {
 		return mapCommitErr(err)
 	}
+	if txn.ReadOnly() {
+		if err := c.awaitObserved(session); err != nil {
+			_ = txn.AbortPrepared()
+			return err
+		}
+		_, err := txn.CommitPrepared()
+		return err
+	}
 	// Same core rule as commitTwoPhase: the core is released while the commit
 	// waits on a real log force or a group-commit window and re-acquired only
 	// after the pipeline ran the write phase. The prepared transaction keeps
@@ -216,14 +226,14 @@ func (r *rootTxn) commit(session *coreSession) error {
 		session.release()
 		defer session.acquire()
 	}
-	done, ok := c.submit(gcEntry{txn: txn})
-	if !ok {
+	done, err := c.submit(gcEntry{txn: txn})
+	if err != nil {
 		// The committer stopped before accepting the transaction (shutdown
 		// racing the tail of an in-flight commit); release its locks and
 		// report the closure instead of blocking on a flush that will never
 		// happen.
 		_ = txn.AbortPrepared()
-		return errDatabaseClosed
+		return err
 	}
 	if yield && c.committer != nil {
 		// A committer has the entry — and its window timer armed — before the
@@ -243,8 +253,9 @@ func (r *rootTxn) commit(session *coreSession) error {
 //  2. Force a prepare record — the participant's staged write set, tagged
 //     with the root's global id — into every participant's log, through each
 //     container's group committer when one is running. Read-only
-//     participants force a durability barrier instead, so every antecedent
-//     they read is durable before the transaction can commit.
+//     participants append nothing; they wait inline until every write they
+//     observed is durable and shipped (awaitObserved) before the transaction
+//     can commit.
 //  3. Force one decision record carrying the full participant set to the
 //     coordinator's log (the lowest-numbered participant). This is the commit
 //     point: recovery commits a prepared transaction iff its decision record
@@ -291,20 +302,19 @@ func (r *rootTxn) commitTwoPhase(touched []touch, session *coreSession) error {
 
 	// Build every participant's prepare record before appending anywhere: an
 	// AssignTID failure here can still abort with no record written. Entries
-	// stay nil for read-only participants and for containers without a WAL.
+	// stay nil for read-only participants and without a WAL (every container
+	// of a database has one, or none does).
+	useWAL := containers[0].wal != nil
 	recs := make([]*wal.Record, len(prepared))
 	hasWrites := false
 	for i, txn := range prepared {
-		if containers[i].wal == nil {
+		if !useWAL || txn.ReadOnly() {
 			continue
 		}
 		rec, err := walRecordPrepared(txn)
 		if err != nil {
 			r.abortPrepared(prepared)
 			return err
-		}
-		if len(rec.Writes) == 0 {
-			continue
 		}
 		rec.Kind = wal.KindPrepare
 		rec.GlobalID = r.id
@@ -320,33 +330,35 @@ func (r *rootTxn) commitTwoPhase(touched []touch, session *coreSession) error {
 	// spinning on one of our prepared record latches while holding the core;
 	// re-acquiring first would deadlock the two (single-container commits
 	// follow the same rule, see commit).
-	useWAL := false
-	for _, c := range containers {
-		if c.wal != nil {
-			useWAL = true
-		}
-	}
 	yield := useWAL && session != nil
 	if yield {
 		session.release()
 		defer session.acquire()
 	}
 
-	// Phase two: force prepare records (durability barriers for read-only
-	// participants) into every participant's log, concurrently.
+	// Phase two: submit every writing participant's prepare record to its
+	// commit pipeline, then — while those forces run — wait inline for every
+	// read-only participant's observed writes.
 	waits := make([]<-chan error, 0, len(prepared))
 	var forceErr error
-	for i := range prepared {
-		ch, err := containers[i].forceRecord(recs[i])
-		if err != nil && forceErr == nil {
-			forceErr = err
+	for i, rec := range recs {
+		if rec == nil {
+			continue
 		}
-		if ch != nil {
-			waits = append(waits, ch)
+		ch, err := containers[i].submit(gcEntry{rec: rec})
+		if err != nil {
+			forceErr = cmp.Or(forceErr, err)
+			continue
+		}
+		waits = append(waits, ch)
+	}
+	for i, rec := range recs {
+		if rec == nil && forceErr == nil {
+			forceErr = containers[i].awaitObserved(nil)
 		}
 	}
-	if err := awaitAll(waits); err != nil && forceErr == nil {
-		forceErr = err
+	for _, ch := range waits {
+		forceErr = cmp.Or(forceErr, <-ch)
 	}
 	if forceErr != nil {
 		r.retractPrepares(containers, recs)
@@ -358,8 +370,8 @@ func (r *rootTxn) commitTwoPhase(touched []touch, session *coreSession) error {
 	// participant set, forced to the coordinator's log. Its TID is the
 	// coordinator participant's TID so a retraction (failed append salvage)
 	// stays precise. A fully read-only transaction has nothing to decide:
-	// the barriers above already made its antecedents durable.
-	if hasWrites && containers[0].wal != nil {
+	// the inline waits above already made its antecedents durable.
+	if hasWrites {
 		decTID, err := prepared[0].AssignTID()
 		if err != nil {
 			r.retractPrepares(containers, recs)
@@ -371,9 +383,9 @@ func (r *rootTxn) commitTwoPhase(touched []touch, session *coreSession) error {
 			parts[i] = uint64(c.id)
 		}
 		dec := &wal.Record{Kind: wal.KindDecision, TID: decTID, GlobalID: r.id, Participants: parts}
-		ch, err := containers[0].forceRecord(dec)
+		ch, err := containers[0].submit(gcEntry{rec: dec})
 		if err == nil {
-			err = awaitAll([]<-chan error{ch})
+			err = <-ch
 		}
 		if err != nil {
 			// Retract the decision record first: it may sit unfsynced in the
@@ -399,20 +411,6 @@ func (r *rootTxn) commitTwoPhase(touched []touch, session *coreSession) error {
 	var firstErr error
 	for _, txn := range prepared {
 		if _, err := txn.CommitPrepared(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-// awaitAll waits for every outcome channel of an in-flight log force and
-// returns the first error delivered. The caller has already released its
-// executor core (see commitTwoPhase): the waits are group-commit window
-// latency, not CPU work.
-func awaitAll(waits []<-chan error) error {
-	var firstErr error
-	for _, ch := range waits {
-		if err := <-ch; err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

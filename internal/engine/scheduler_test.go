@@ -28,6 +28,11 @@ func gateType() (*core.Type, chan struct{}, *atomic.Int64) {
 	t.AddProcedure("noop", func(ctx core.Context, args core.Args) (any, error) {
 		return nil, nil
 	})
+	// put overwrites one loaded balance row: the smallest commit that writes,
+	// and so the smallest that goes through the commit pipeline.
+	t.AddProcedure("put", func(ctx core.Context, args core.Args) (any, error) {
+		return nil, ctx.Update("balance", rel.Row{args.Int64(0), float64(1)})
+	})
 	return t, gate, &started
 }
 

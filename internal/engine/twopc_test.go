@@ -304,54 +304,122 @@ func (f *failNthSyncFile) Sync() error {
 	return f.SegmentFile.Sync()
 }
 
-// TestTwoPCReadOnlyCoordinatorDecisionFsyncFailure covers the nastiest abort
-// corner: the coordinator participant is read-only (no prepare record of its
-// own), the decision record's fsync fails, and the remote participant's
-// retraction fsync fails too. The orphan decision must still be tombstoned
-// on the coordinator's log — otherwise a later commit's fsync makes it
-// durable, and recovery (finding the remote prepare durable and its
-// tombstone lost) would resurrect the failed transaction's remote write.
+// TestTwoPCReadOnlyCoordinatorDecisionFsyncFailure covers the abort corners
+// of a two-phase commit with a read-only participant.
+//
+// The decision arm is the nastiest: the coordinator participant is read-only
+// (no prepare record of its own), the decision record's fsync fails, and the
+// remote participant's retraction fsync fails too. The orphan decision must
+// still be tombstoned on the coordinator's log — otherwise a later commit's
+// fsync makes it durable, and recovery (finding the remote prepare durable
+// and its tombstone lost) would resurrect the failed transaction's remote
+// write.
+//
+// The barrier arms cover the read-only participant's inline barrier: the
+// local marker putRemote reads was installed by a write whose fsync failed,
+// so the read-only participant must force it before the transaction may
+// commit. When that force fails too, the transaction aborts before its
+// commit point — no decision record reaches the coordinator's log — and
+// recovery finds no trace of it. The read-only participant is the
+// coordinator (lowest container) in one arm and the other participant in the
+// second.
 func TestTwoPCReadOnlyCoordinatorDecisionFsyncFailure(t *testing.T) {
-	mem := wal.NewMemStorage()
-	storage := &failNthSyncStorage{
-		Storage: wal.Storage(mem),
-		spec: map[string]map[int64]bool{
-			// container-0 (coordinator): sync 1 is the decision force (the
-			// phase-two barrier is absorbed by the empty log without IO).
-			"container-0": {1: true},
-			// container-1: sync 1 covers the prepare record (must succeed so
-			// the prepare is durable); sync 2 is its retraction tombstone.
-			"container-1": {2: true},
-		},
-		counts: &sync.Map{},
-		errVal: errors.New("injected fsync failure"),
-	}
-	def := kvDef("kv0", "kv1")
-	db := MustOpen(def, twoContainerCfg(storage))
-	db.MustLoad("kv0", "store", rel.Row{int64(1), int64(1)}) // local read marker, not logged
+	t.Run("decision", func(t *testing.T) {
+		mem := wal.NewMemStorage()
+		storage := &failNthSyncStorage{
+			Storage: wal.Storage(mem),
+			spec: map[string]map[int64]bool{
+				// container-0 (coordinator): sync 1 is the decision force (the
+				// read-only coordinator's inline barrier is absorbed by the
+				// empty log without IO).
+				"container-0": {1: true},
+				// container-1: sync 1 covers the prepare record (must succeed so
+				// the prepare is durable); sync 2 is its retraction tombstone.
+				"container-1": {2: true},
+			},
+			counts: &sync.Map{},
+			errVal: errors.New("injected fsync failure"),
+		}
+		def := kvDef("kv0", "kv1")
+		db := MustOpen(def, twoContainerCfg(storage))
+		db.MustLoad("kv0", "store", rel.Row{int64(1), int64(1)}) // local read marker, not logged
 
-	if err := execWithWatchdog(t, db, "kv0", "putRemote", "kv1", int64(2), int64(20)); err == nil {
-		t.Fatal("putRemote succeeded despite the injected decision fsync failure")
-	}
-	// A later acknowledged commit on the coordinator fsyncs its log — with
-	// it, the orphan decision bytes and (the fix) their tombstone.
-	if err := execWithWatchdog(t, db, "kv0", "put", int64(3), int64(30)); err != nil {
-		t.Fatalf("put after failed decision: %v", err)
-	}
-	// Machine crash: only fsynced bytes survive. Container 1 keeps its
-	// durable prepare but lost its tombstone (that fsync failed).
-	crashed := mem.CrashCopy()
-	db.Close()
+		if err := execWithWatchdog(t, db, "kv0", "putRemote", "kv1", int64(2), int64(20)); err == nil {
+			t.Fatal("putRemote succeeded despite the injected decision fsync failure")
+		}
+		// A later acknowledged commit on the coordinator fsyncs its log — with
+		// it, the orphan decision bytes and (the fix) their tombstone.
+		if err := execWithWatchdog(t, db, "kv0", "put", int64(3), int64(30)); err != nil {
+			t.Fatalf("put after failed decision: %v", err)
+		}
+		// Machine crash: only fsynced bytes survive. Container 1 keeps its
+		// durable prepare but lost its tombstone (that fsync failed).
+		crashed := mem.CrashCopy()
+		db.Close()
 
-	db2 := MustOpen(def, twoContainerCfg(crashed))
-	t.Cleanup(db2.Close)
-	if _, err := db2.Recover(); err != nil {
-		t.Fatalf("Recover: %v", err)
-	}
-	if v, present := readV(t, db2, "kv1", 2); present {
-		t.Fatalf("failed transaction's remote write resurrected on kv1 with %d (orphan decision became durable)", v)
-	}
-	if v, present := readV(t, db2, "kv0", 3); !present || v != 30 {
-		t.Fatalf("acknowledged kv0[3] = (%d, %v), want 30", v, present)
+		db2 := MustOpen(def, twoContainerCfg(crashed))
+		t.Cleanup(db2.Close)
+		if _, err := db2.Recover(); err != nil {
+			t.Fatalf("Recover: %v", err)
+		}
+		if v, present := readV(t, db2, "kv1", 2); present {
+			t.Fatalf("failed transaction's remote write resurrected on kv1 with %d (orphan decision became durable)", v)
+		}
+		if v, present := readV(t, db2, "kv0", 3); !present || v != 30 {
+			t.Fatalf("acknowledged kv0[3] = (%d, %v), want 30", v, present)
+		}
+	})
+	for _, arm := range []struct {
+		name, reader, writer, readerSub string
+	}{
+		{name: "barrier-coordinator", reader: "kv0", writer: "kv1", readerSub: "container-0"},
+		{name: "barrier-participant", reader: "kv1", writer: "kv0", readerSub: "container-1"},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			mem := wal.NewMemStorage()
+			storage := &failNthSyncStorage{
+				Storage: wal.Storage(mem),
+				// On the reader's log, sync 1 is the marker write's force and
+				// sync 2 the barrier's.
+				spec:   map[string]map[int64]bool{arm.readerSub: {1: true, 2: true}},
+				counts: &sync.Map{},
+				errVal: errors.New("injected fsync failure"),
+			}
+			def := kvDef("kv0", "kv1")
+			db := MustOpen(def, twoContainerCfg(storage))
+			if err := execWithWatchdog(t, db, arm.reader, "put", int64(1), int64(1)); err == nil {
+				t.Fatal("marker put succeeded despite the injected fsync failure")
+			}
+			if err := execWithWatchdog(t, db, arm.reader, "putRemote", arm.writer, int64(2), int64(20)); err == nil {
+				t.Fatal("putRemote succeeded although the marker it read never became durable")
+			}
+			segs, err := mem.Sub("container-0").List()
+			if err != nil {
+				t.Fatalf("List: %v", err)
+			}
+			for _, idx := range segs {
+				buf, err := mem.Sub("container-0").ReadSegment(idx)
+				if err != nil {
+					t.Fatalf("ReadSegment: %v", err)
+				}
+				recs, _ := wal.DecodeAll(buf)
+				for _, r := range recs {
+					if r.Kind == wal.KindDecision {
+						t.Fatalf("a decision record reached the coordinator's log although the barrier failed: %+v", r)
+					}
+				}
+			}
+			crashed := mem.CrashCopy()
+			db.Close()
+
+			db2 := MustOpen(def, twoContainerCfg(crashed))
+			t.Cleanup(db2.Close)
+			if _, err := db2.Recover(); err != nil {
+				t.Fatalf("Recover: %v", err)
+			}
+			if v, present := readV(t, db2, arm.writer, 2); present {
+				t.Fatalf("failed transaction's write recovered on %s with %d", arm.writer, v)
+			}
+		})
 	}
 }

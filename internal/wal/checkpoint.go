@@ -23,7 +23,7 @@ import (
 type Checkpoint struct {
 	// Seq is the checkpoint's sequence number; recovery loads the newest
 	// decodable checkpoint and falls back to older ones (and finally to full
-	// replay) when a checkpoint is torn or corrupt.
+	// replay) when a checkpoint is corrupt.
 	Seq uint64
 	// LowLSN is the replay low-water mark: records with LSN <= LowLSN are
 	// captured by Rows and must not be re-applied blindly (replay remains

@@ -2,6 +2,8 @@ package wal
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 )
@@ -289,5 +291,86 @@ func TestFileStorageCheckpoints(t *testing.T) {
 	segsAfter, _ := s.List()
 	if len(segsAfter) != len(segs)-1 {
 		t.Fatalf("List after DeleteSegment = %v", segsAfter)
+	}
+}
+
+// TestFileStorageReplaceIsAtomic drives replaceFile on real files: an
+// overwrite leaves no temporary file behind, a replace that fails before its
+// rename leaves the previous contents, and a stray temporary file of a
+// crashed replace is listed as neither a checkpoint nor a segment and is
+// reclaimed by the next replace.
+func TestFileStorageReplaceIsAtomic(t *testing.T) {
+	dir := t.TempDir()
+	s := NewFileStorage(dir)
+	read := func() string {
+		t.Helper()
+		b, err := s.ReadCheckpoint(1)
+		if err != nil {
+			t.Fatalf("ReadCheckpoint: %v", err)
+		}
+		return string(b)
+	}
+	for _, v := range []string{"first", "second"} {
+		if err := s.WriteCheckpoint(1, []byte(v)); err != nil {
+			t.Fatalf("WriteCheckpoint(%s): %v", v, err)
+		}
+	}
+	if got := read(); got != "second" {
+		t.Fatalf("after the overwrite: %q", got)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Fatalf("directory holds %d entries after two writes, want the blob alone", len(entries))
+	}
+
+	// A directory squatting on the temporary name makes the replace fail
+	// before it can rename anything over the blob.
+	tmp := filepath.Join(dir, ".0000000000000001.ckpt.tmp")
+	if err := os.Mkdir(tmp, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WriteCheckpoint(1, []byte("third")); err == nil {
+		t.Fatal("WriteCheckpoint succeeded with its temporary path blocked")
+	}
+	if got := read(); got != "second" {
+		t.Fatalf("a failed replace changed the blob to %q", got)
+	}
+
+	// The leftover of a replace that died after writing its temporary file.
+	if err := os.Remove(tmp); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(tmp, []byte("thi"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	seqs, err := s.ListCheckpoints()
+	if err != nil || !reflect.DeepEqual(seqs, []uint64{1}) {
+		t.Fatalf("ListCheckpoints with a stray temporary file = (%v, %v)", seqs, err)
+	}
+	if segs, err := s.List(); err != nil || len(segs) != 0 {
+		t.Fatalf("List with a stray temporary file = (%v, %v)", segs, err)
+	}
+	if err := s.WriteCheckpoint(1, []byte("fourth")); err != nil {
+		t.Fatalf("WriteCheckpoint over a stray temporary file: %v", err)
+	}
+	if got := read(); got != "fourth" {
+		t.Fatalf("after replacing over a stray temporary file: %q", got)
+	}
+
+	// Segments go through the same replace.
+	l, err := Open(s, Options{SegmentSize: 64})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	appendN(t, l, 6)
+	_ = l.Close()
+	segs, err := s.List()
+	if err != nil || len(segs) < 2 {
+		t.Fatalf("List = (%v, %v), want several segments", segs, err)
+	}
+	if err := s.ReplaceSegment(segs[len(segs)-1], nil); err != nil {
+		t.Fatalf("ReplaceSegment: %v", err)
+	}
+	if b, err := s.ReadSegment(segs[len(segs)-1]); err != nil || len(b) != 0 {
+		t.Fatalf("replaced segment = (%d bytes, %v), want empty", len(b), err)
 	}
 }

@@ -13,9 +13,9 @@ import (
 // primary (suffix truncation, full wipe; the tail scan is TailLSN in log.go).
 //
 // The epoch state lives in a reserved "epoch" sub-storage as a single
-// CRC-framed blob, reusing the Storage checkpoint-blob machinery (durable
-// overwrite, torn-write detection via CRC) without widening the Storage
-// interface. The "epoch" namespace cannot collide with the engine's
+// CRC-framed blob, reusing the Storage checkpoint-blob machinery (atomic
+// durable overwrite, corruption detection via CRC) without widening the
+// Storage interface. The "epoch" namespace cannot collide with the engine's
 // per-container subs ("container-%d").
 
 // ErrFenced is returned by Append and Sync on a fenced log: a newer primary
@@ -58,10 +58,12 @@ func WriteEpochState(s Storage, st EpochState) error {
 	return s.Sub(epochSub).WriteCheckpoint(epochStateSeq, buf)
 }
 
-// ReadEpochState loads the node's durable epoch state. A missing or torn blob
-// decodes as the zero state: a node that never saw a failover runs at epoch 0
-// unfenced, and a fence write cut short by the very crash it raced recorded
-// nothing — exactly the semantics of a fence that never became durable.
+// ReadEpochState loads the node's durable epoch state. A missing blob decodes
+// as the zero state: a node that never saw a failover runs at epoch 0
+// unfenced. A state write cut short by the very crash it raced leaves the
+// previous state (WriteCheckpoint overwrites atomically) — exactly the
+// semantics of a fence that never became durable. A blob that fails its CRC
+// anyway decodes as the zero state too.
 func ReadEpochState(s Storage) (EpochState, error) {
 	sub := s.Sub(epochSub)
 	seqs, err := sub.ListCheckpoints()
@@ -84,7 +86,7 @@ func ReadEpochState(s Storage) (EpochState, error) {
 	}
 	st, err := decodeEpochState(buf)
 	if err != nil {
-		return EpochState{}, nil // torn write: the state never became durable
+		return EpochState{}, nil // corrupt blob: decoded as never written
 	}
 	return st, nil
 }
@@ -136,7 +138,13 @@ func TruncateAbove(s Storage, lsn uint64) (int, error) {
 		return 0, err
 	}
 	removed := 0
-	for _, idx := range indexes {
+	// Newest segment first, and the boundary segment cut in one atomic
+	// replace: a crash part-way then leaves a gap-free prefix of the old log
+	// that still holds every record at or below lsn, and running the
+	// truncation again finishes it. Cutting an older segment while a newer
+	// one survives would leave the newer records behind a hole.
+	for i := len(indexes) - 1; i >= 0; i-- {
+		idx := indexes[i]
 		buf, err := s.ReadSegment(idx)
 		if err != nil {
 			return removed, err
@@ -167,31 +175,11 @@ func TruncateAbove(s Storage, lsn uint64) (int, error) {
 			}
 			continue
 		}
-		if err := rewriteSegment(s, idx, buf[:cut]); err != nil {
+		if err := s.ReplaceSegment(idx, buf[:cut]); err != nil {
 			return removed, err
 		}
 	}
 	return removed, nil
-}
-
-// rewriteSegment durably replaces a segment's contents with the given prefix.
-func rewriteSegment(s Storage, idx uint64, data []byte) error {
-	if err := s.DeleteSegment(idx); err != nil {
-		return err
-	}
-	f, err := s.Create(idx)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // WipeLog deletes every segment and checkpoint blob on s, leaving an empty

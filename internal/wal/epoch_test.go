@@ -59,9 +59,10 @@ func TestEpochStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestEpochStateTornWriteReadsAsZero: a fence write cut short by the crash it
-// raced recorded nothing — a corrupt blob decodes as the zero state, never as
-// an error that would block the node from opening.
+// TestEpochStateTornWriteReadsAsZero: a corrupt blob decodes as the zero
+// state, never as an error that would block the node from opening. (A state
+// write cut short by a crash leaves the prior state instead, since the
+// overwrite is atomic: TestCrashTornEpochStateKeepsPrior in the engine.)
 func TestEpochStateTornWriteReadsAsZero(t *testing.T) {
 	s := NewMemStorage()
 	if err := WriteEpochState(s, EpochState{Epoch: 7, FenceBelow: 7}); err != nil {

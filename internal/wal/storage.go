@@ -31,17 +31,24 @@ type Storage interface {
 	// for segments wholly below a checkpoint's low-water mark; it must never
 	// be called on the segment currently open for writing.
 	DeleteSegment(index uint64) error
+	// ReplaceSegment durably replaces a sealed segment's contents with data,
+	// atomically: a crash at any point leaves either the old contents or the
+	// new ones, never a torn mix and never no segment at all. Suffix
+	// truncation (TruncateAbove) cuts its boundary segment with it; it must
+	// never be called on the segment currently open for writing.
+	ReplaceSegment(index uint64, data []byte) error
 	// ListCheckpoints returns the sequence numbers of stored checkpoint blobs
 	// in ascending order. Checkpoints are sidecar files next to the segments;
 	// they share the storage's lifetime and crash semantics.
 	ListCheckpoints() ([]uint64, error)
 	// ReadCheckpoint returns the durable contents of the checkpoint blob with
-	// the given sequence number (possibly torn if a writer crashed mid-write;
-	// DecodeCheckpoint's CRC catches that).
+	// the given sequence number (DecodeCheckpoint's CRC catches a corrupt
+	// one).
 	ReadCheckpoint(seq uint64) ([]byte, error)
 	// WriteCheckpoint durably stores a checkpoint blob under seq, overwriting
 	// any previous blob with the same sequence number. On return the bytes
-	// must survive a machine crash.
+	// must survive a machine crash. The overwrite is atomic: a crash part-way
+	// leaves the previous blob (or none, if there was none), never a torn one.
 	WriteCheckpoint(seq uint64, data []byte) error
 	// DeleteCheckpoint durably removes the checkpoint blob with the given
 	// sequence number.
@@ -176,6 +183,25 @@ func (m *MemStorage) DeleteSegment(index uint64) error {
 	return nil
 }
 
+// ReplaceSegment implements Storage: the new contents are durable in one
+// step, and a failing sync leaves the old ones in place.
+func (m *MemStorage) ReplaceSegment(index uint64, data []byte) error {
+	return m.replace(m.key(index), data)
+}
+
+// replace swaps in a durable copy of data under k unless syncs are failing —
+// the all-or-nothing overwrite that FileStorage.replaceFile gives real files.
+func (m *MemStorage) replace(k string, data []byte) error {
+	m.root.mu.Lock()
+	defer m.root.mu.Unlock()
+	if err := m.root.syncErr; err != nil {
+		return err
+	}
+	buf := append([]byte(nil), data...)
+	m.root.segs[k] = &memSegment{buf: buf, synced: len(buf)}
+	return nil
+}
+
 // ListCheckpoints implements Storage.
 func (m *MemStorage) ListCheckpoints() ([]uint64, error) {
 	m.root.mu.Lock()
@@ -192,8 +218,7 @@ func (m *MemStorage) ListCheckpoints() ([]uint64, error) {
 }
 
 // ReadCheckpoint implements Storage. Like ReadSegment it returns everything
-// written; a crash drops the unsynced suffix via CrashCopy, which is how a
-// torn checkpoint write surfaces to recovery.
+// written.
 func (m *MemStorage) ReadCheckpoint(seq uint64) ([]byte, error) {
 	m.root.mu.Lock()
 	defer m.root.mu.Unlock()
@@ -205,17 +230,11 @@ func (m *MemStorage) ReadCheckpoint(seq uint64) ([]byte, error) {
 }
 
 // WriteCheckpoint implements Storage: the blob is written and fsynced in one
-// step (a failed sync fails the write). Checkpoint blobs live in the same
-// keyspace as segments so CrashCopy preserves their durable prefixes too.
+// step, and a failed sync fails the write without touching the previous
+// blob. Checkpoint blobs live in the same keyspace as segments so CrashCopy
+// keeps them too.
 func (m *MemStorage) WriteCheckpoint(seq uint64, data []byte) error {
-	m.root.mu.Lock()
-	defer m.root.mu.Unlock()
-	if err := m.root.syncErr; err != nil {
-		return err
-	}
-	buf := append([]byte(nil), data...)
-	m.root.segs[m.ckptKey(seq)] = &memSegment{buf: buf, synced: len(buf)}
-	return nil
+	return m.replace(m.ckptKey(seq), data)
 }
 
 // DeleteCheckpoint implements Storage.
@@ -411,6 +430,43 @@ func (s *FileStorage) DeleteSegment(index uint64) error {
 	return syncDir(s.dir)
 }
 
+// ReplaceSegment implements Storage.
+func (s *FileStorage) ReplaceSegment(index uint64, data []byte) error {
+	return s.replaceFile(s.segPath(index), data)
+}
+
+// replaceFile durably and atomically replaces the file at path with data:
+// write a temporary sibling, fsync it, rename it over path, fsync the
+// directory. A crash before the rename leaves the old file, after it the new
+// one; only a stray temporary file can remain, and the next replace of the
+// same path truncates it. The temporary name starts with a dot, so it never
+// parses as a segment or a checkpoint.
+func (s *FileStorage) replaceFile(path string, data []byte) error {
+	if err := os.MkdirAll(s.dir, 0o755); err != nil {
+		return err
+	}
+	tmp := filepath.Join(s.dir, "."+filepath.Base(path)+".tmp")
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return err
+	}
+	return syncDir(s.dir)
+}
+
 func (s *FileStorage) ckptPath(seq uint64) string {
 	return filepath.Join(s.dir, fmt.Sprintf("%016d.ckpt", seq))
 }
@@ -440,29 +496,10 @@ func (s *FileStorage) ReadCheckpoint(seq uint64) ([]byte, error) {
 	return os.ReadFile(s.ckptPath(seq))
 }
 
-// WriteCheckpoint implements Storage: write, fsync the file, fsync the
-// directory. A crash mid-write leaves a torn file whose CRC fails decoding,
-// which recovery treats as "no such checkpoint".
+// WriteCheckpoint implements Storage through replaceFile: a crash mid-write
+// leaves the previous blob under seq, or none.
 func (s *FileStorage) WriteCheckpoint(seq uint64, data []byte) error {
-	if err := os.MkdirAll(s.dir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.OpenFile(s.ckptPath(seq), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return syncDir(s.dir)
+	return s.replaceFile(s.ckptPath(seq), data)
 }
 
 // DeleteCheckpoint implements Storage.
