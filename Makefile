@@ -38,20 +38,24 @@ race:
 
 # The scheduler under the race detector, run twice: the admission-token leak
 # regressions (abort, overload, panic, yield), the multi-executor stress,
-# whose contended history must stay serializable and return every token, and
-# the read-only commit's ack on the log's durable watermark, which releases
-# and re-acquires the executor core around a wait that can block (the
-# read-ack tests and the fenced-primary test's read arm).
+# whose contended history must stay serializable and return every token, the
+# read-only commit's ack on the log's durable watermark, which releases and
+# re-acquires the executor core around a wait that can block (the read-ack
+# tests and the fenced-primary test's read arm), and two-phase commit, which
+# releases the core around its one concurrent forced round (the TwoPC tests).
 race-sched:
-	$(GO) test -race -count=2 -run 'Admission|SchedulerStress|ReadAck|FencedPrimaryDoesNotAck' ./internal/engine/
+	$(GO) test -race -count=2 -run 'Admission|SchedulerStress|ReadAck|FencedPrimaryDoesNotAck|TwoPC' ./internal/engine/
 
 # Crash-injection matrix: kill the database at every WAL append/fsync
 # boundary of a multi-container commit (including the checkpoint-write,
 # truncation and checkpoint-prune boundaries of TestCrashMatrixCheckpoint),
-# recover, assert all-or-nothing. Riding along: every value a read-only
-# commit acknowledged survives recovery, an epoch-state overwrite killed
-# mid-write keeps the prior state, and a suffix truncation killed at any
-# storage call leaves a gap-free log.
+# recover, assert all-or-nothing. The torn-round arm
+# (TestCrashTornRoundRecoversAsAbort) keeps the kill points that leave a
+# transfer's decision durable and a prepare it names lost, and requires them
+# to recover as an abort on every participant. Riding along: every value a
+# read-only commit acknowledged survives recovery, an epoch-state overwrite
+# killed mid-write keeps the prior state, and a suffix truncation killed at
+# any storage call leaves a gap-free log.
 crash:
 	$(GO) test -run Crash -count=2 ./internal/engine/... ./internal/wal/...
 

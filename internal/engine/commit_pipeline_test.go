@@ -76,7 +76,7 @@ func TestFencedPrimaryDoesNotAckUnshippedCommit(t *testing.T) {
 					t.Fatalf("read of an unshipped write returned (%v) before the replica mirrored it", err)
 				case <-time.After(20 * time.Millisecond):
 				}
-				rep.pollOnce()
+				rep.pollOnce((*wal.Log).DurableLSN)
 				if err := <-read; err != nil {
 					t.Fatalf("read after the mirror caught up: %v", err)
 				}
@@ -90,14 +90,11 @@ func TestFencedPrimaryDoesNotAckUnshippedCommit(t *testing.T) {
 				exec(outcome, "get", int64(2))
 			} else if arm.transfer {
 				exec(outcome, "copyTo", "kv1", int64(1), int64(10))
-				// Eager 2PC forces one record at a time, each held in ship-wait
-				// until the replica mirrors it: ship the two prepares so the
-				// commit reaches its decision record, and stop there.
-				durable(0, 1)
-				rep.pollOnce()
-				durable(1, 1)
-				rep.pollOnce()
+				// The round forces the coordinator's prepare and decision and
+				// the other prepare, then waits for the mirror: once all three
+				// are durable, stop with none of them shipped.
 				durable(0, 2)
+				durable(1, 1)
 			} else {
 				exec(outcome, "put", int64(1), int64(10))
 				durable(0, 1)
@@ -187,16 +184,17 @@ func (f *traceSegmentFile) Sync() error {
 // one" promises at the storage boundary: with group commit disabled a
 // single-container write commit is exactly one segment write and one fsync, a
 // read-only commit writes nothing and its force is absorbed by the
-// already-durable log, and a two-container transfer is two prepare writes and
-// one decision write, each forced, with the decision written only after both
-// prepares are durable. A group committer flushing batches of one issues the
-// same IO per commit.
+// already-durable log, and a two-container transfer is one forced write per
+// container, the coordinator's carrying its prepare and the decision
+// together. A group committer flushing batches of one issues the same IO per
+// commit.
 func TestCommitPipelineEagerIsBatchOfOne(t *testing.T) {
 	def := kvDef("kv0", "kv1")
 
 	// run executes the three commits and returns each one's IO, split per
-	// container: the two committers of a grouped 2PC force their prepares
-	// concurrently, so only per-container order is comparable across modes.
+	// container: the two committers of a grouped 2PC force their shares of
+	// the round concurrently, so only per-container order is comparable
+	// across modes.
 	run := func(t *testing.T, gc GroupCommitConfig) map[string][]string {
 		trace := &ioTrace{}
 		cfg := twoContainerCfg(&traceStorage{Storage: wal.NewMemStorage(), trace: trace})
@@ -221,22 +219,9 @@ func TestCommitPipelineEagerIsBatchOfOne(t *testing.T) {
 				container, io, _ := strings.Cut(o, " ")
 				out[op.name+"/"+container] = append(out[op.name+"/"+container], io)
 			}
-			switch op.name {
-			case "read":
+			if op.name == "read" {
 				if got := db.WALStats()[0].SyncsAbsorbed - absorbed; got != 1 {
 					t.Fatalf("read-only commit: %d absorbed syncs, want 1", got)
-				}
-			case "transfer":
-				// Prepare-before-decision: the decision is written only after
-				// both prepare fsyncs.
-				synced := 0
-				for _, o := range ops {
-					if strings.HasSuffix(o, " sync") {
-						synced++
-					}
-					if o == "container-0 write decision" && synced < 2 {
-						t.Fatalf("decision written before both prepares were forced: %v", ops)
-					}
 				}
 			}
 		}
@@ -245,7 +230,7 @@ func TestCommitPipelineEagerIsBatchOfOne(t *testing.T) {
 
 	want := map[string][]string{
 		"write/container-0":    {"write commit", "sync"},
-		"transfer/container-0": {"write prepare", "sync", "write decision", "sync"},
+		"transfer/container-0": {"write prepare+decision", "sync"},
 		"transfer/container-1": {"write prepare", "sync"},
 	}
 	if got := run(t, GroupCommitConfig{}); !reflect.DeepEqual(got, want) {

@@ -137,11 +137,12 @@ func walRecordPrepared(txn *occ.Txn) (wal.Record, error) {
 }
 
 // gcEntry is one unit of work for the commit pipeline: a prepared
-// single-container transaction with writes (txn) or a pre-built WAL record to
-// append with the batch (rec: a 2PC prepare or decision record).
+// single-container transaction with writes (txn) or pre-built WAL records to
+// append with the batch (recs: a 2PC prepare, followed on the coordinator by
+// the decision).
 type gcEntry struct {
 	txn  *occ.Txn
-	rec  *wal.Record
+	recs []wal.Record
 	done chan error
 }
 
@@ -185,23 +186,25 @@ func (c *Container) submit(e gcEntry) (<-chan error, error) {
 //     replica durably mirrors the batch; fails on a fenced primary.
 //
 // Then every entry learns its outcome. Record entries are acknowledged by the
-// force and ship-wait outcome alone; transactions additionally carry their
-// write-phase error. A transaction whose write phase installed in memory but
-// whose force or ship-wait failed is not acknowledged: survivors of a crash
-// or failover at that point are exactly the fsynced, shipped prefix of the
-// log.
+// force alone, before the ship-wait: their coordinator waits for the mirror
+// itself once the whole round is durable, and must be free to retract a
+// failed round first (commitTwoPhase). Transactions are acknowledged after
+// the ship-wait and additionally carry their write-phase error. A transaction
+// whose write phase installed in memory but whose force or ship-wait failed
+// is not acknowledged: survivors of a crash or failover at that point are
+// exactly the fsynced, shipped prefix of the log.
 func (c *Container) commitBatch(batch []gcEntry) {
 	w := c.wal
 	txns := make([]*occ.Txn, 0, len(batch))
 	var recs []wal.Record
 	if w != nil {
-		recs = make([]wal.Record, 0, len(batch))
+		recs = make([]wal.Record, 0, len(batch)+1)
 	}
 	for _, e := range batch {
 		if e.txn == nil {
 			// Only two-phase commit submits records, and only to a container
 			// with a WAL.
-			recs = append(recs, *e.rec)
+			recs = append(recs, e.recs...)
 			continue
 		}
 		txns = append(txns, e.txn)
@@ -234,33 +237,41 @@ func (c *Container) commitBatch(batch []gcEntry) {
 	}
 	var ackErr error
 	if w != nil {
-		if ackErr = c.appendSync(); ackErr == nil {
-			// One wait covers the batch — the amortization that makes
-			// semi-sync affordable under group commit. Prepare records are
-			// held here too, which keeps the mirror-safety ordering (prepares
-			// mirrored before their decision is appended) live under
-			// semi-sync 2PC.
-			ackErr = c.db.repl.waitShipped(c.id, w.DurableLSN())
+		ackErr = c.appendSync()
+	}
+	for _, e := range batch {
+		if e.txn == nil {
+			e.done <- ackErr
 		}
+	}
+	if len(txns) == 0 {
+		return
+	}
+	if ackErr == nil && w != nil {
+		// One wait covers the batch — the amortization that makes semi-sync
+		// affordable under group commit.
+		ackErr = c.db.repl.waitShipped(c.id, w.DurableLSN())
 	}
 	next := 0 // index into errs of the next transaction entry
 	for _, e := range batch {
-		err := ackErr
-		if e.txn != nil {
-			if errs[next] != nil {
-				err = errs[next]
-			}
-			next++
+		if e.txn == nil {
+			continue
 		}
+		err := ackErr
+		if errs[next] != nil {
+			err = errs[next]
+		}
+		next++
 		e.done <- err
 	}
 }
 
 // appendSync appends recs to the container's log as one write and fsyncs the
-// log; with no records it is the bare force. It is the one place the engine
-// forces its log: the commit pipeline's force stage, awaitObserved, and —
-// with no window and no ship-wait — abort tombstones and heartbeats, which
-// must not block behind a batch or a stuck replica.
+// log; with no records it is the bare force. It is how the engine forces its
+// log: the commit pipeline's force stage and — with no window and no
+// ship-wait — abort tombstones and heartbeats, which must not block behind a
+// batch or a stuck replica. (A read-only commit forces only through its
+// watermark, see awaitObserved.)
 func (c *Container) appendSync(recs ...wal.Record) error {
 	if len(recs) > 0 {
 		if _, err := c.wal.AppendBatch(recs); err != nil {
@@ -274,10 +285,11 @@ func (c *Container) appendSync(recs ...wal.Record) error {
 // transactions): it returns once every write the validated transaction could
 // have observed here is durable and, under semi-sync, mirrored. Each such
 // write was appended before it was installed (walRecordPrepared), so the
-// log's last LSN covers it. On an idle log the force is absorbed without IO;
-// a fenced or wedged log, or a fenced primary, fails the commit. The core is
-// released only around a wait that can block; session is nil when the caller
-// already released it.
+// log's last LSN covers it. When the durable watermark already covers that
+// the force is absorbed without IO and without the log's lock; a fenced or
+// wedged log, or a fenced primary, fails the commit. The core is released
+// only around a wait that can block; session is nil when the caller already
+// released it.
 func (c *Container) awaitObserved(session *coreSession) error {
 	w := c.wal
 	if w == nil {
@@ -288,7 +300,7 @@ func (c *Container) awaitObserved(session *coreSession) error {
 		session.release()
 		defer session.acquire()
 	}
-	if err := c.appendSync(); err != nil {
+	if err := w.SyncThrough(lsn); err != nil {
 		return err
 	}
 	return c.db.repl.waitShipped(c.id, lsn)

@@ -89,7 +89,8 @@ func exec1(db *Database, reactor, proc string, args ...any) bool {
 // Such a mirror was never a replica — promotion tooling must not use it — and
 // the matrix only demands per-container prefixes and value correctness of it.
 // Once OpenReplica returns, every blob is fsynced in the mirror and shipped
-// pairs are protected by decision fencing, so full atomicity is enforced.
+// pairs are protected by the resolver's commit rule (a decision commits only
+// with every prepare it names), so full atomicity is enforced.
 func assertReplPrefix(t *testing.T, db *Database, ops []replCrashOp, requireAcked, requirePairs bool, label string) {
 	t.Helper()
 	present := func(reactor string, op replCrashOp) bool {

@@ -464,6 +464,89 @@ func TestCrashMatrixCheckpoint(t *testing.T) {
 	}
 }
 
+// TestCrashTornRoundRecoversAsAbort kills the machine at every IO boundary of
+// one transfer and singles out the kill points the one-round commit adds:
+// the decision durable on the coordinator's log while a prepare it names is
+// lost. Recovery must abort the transfer on every participant — tombstoning
+// the surviving prepare and the decision with it — and a further restart and
+// a fresh transfer must not change that. Eager commit forces the
+// coordinator's share first, so the matrix must reach that state at least
+// once.
+func TestCrashTornRoundRecoversAsAbort(t *testing.T) {
+	def := kvDef("kv0", "kv1")
+	// holds reports whether the log on s holds a record of the given kind
+	// that no abort retracts.
+	holds := func(s wal.Storage, kind wal.Kind) bool {
+		l, err := wal.Open(s, wal.Options{})
+		if err != nil {
+			t.Fatalf("open log: %v", err)
+		}
+		defer l.Close()
+		found := false
+		if err := l.Replay(func(rec wal.Record) error {
+			found = found || rec.Kind == kind
+			return nil
+		}); err != nil {
+			t.Fatalf("replay: %v", err)
+		}
+		return found
+	}
+	torn := 0
+	for _, grouped := range []bool{false, true} {
+		cal := &crashCounter{crashAt: -1}
+		db := MustOpen(def, crashCfg(&crashStorage{inner: wal.NewMemStorage(), ctr: cal}, grouped))
+		if _, err := db.Execute("kv0", "copyTo", "kv1", int64(2), int64(20)); err != nil {
+			t.Fatalf("calibration copyTo: %v", err)
+		}
+		db.Close()
+		total := cal.ops.Load()
+		t.Logf("grouped=%v calibration: %d IO boundaries", grouped, total)
+
+		for crashAt := int64(0); crashAt <= total; crashAt++ {
+			label := fmt.Sprintf("grouped=%v crashAt=%d", grouped, crashAt)
+			mem := wal.NewMemStorage()
+			db := MustOpen(def, crashCfg(&crashStorage{inner: mem, ctr: &crashCounter{crashAt: crashAt}}, grouped))
+			_, _ = db.Execute("kv0", "copyTo", "kv1", int64(2), int64(20))
+			db.Close()
+			crashed := mem.CrashCopy()
+			if !holds(crashed.CrashCopy().Sub("container-0"), wal.KindDecision) ||
+				holds(crashed.CrashCopy().Sub("container-1"), wal.KindPrepare) {
+				continue
+			}
+			torn++
+			for restart := 1; restart <= 2; restart++ {
+				db := MustOpen(def, crashCfg(crashed, grouped))
+				if _, err := db.Recover(); err != nil {
+					t.Fatalf("%s: Recover %d: %v", label, restart, err)
+				}
+				for _, r := range []string{"kv0", "kv1"} {
+					if v, present := readV(t, db, r, 2); present {
+						t.Fatalf("%s: restart %d: torn transfer recovered on %s with %d", label, restart, r, v)
+					}
+				}
+				if restart == 1 {
+					if holds(crashed.CrashCopy().Sub("container-0"), wal.KindDecision) {
+						t.Fatalf("%s: recovery left the torn round's decision unretracted", label)
+					}
+					if _, err := db.Execute("kv0", "copyTo", "kv1", int64(3), int64(30)); err != nil {
+						t.Fatalf("%s: post-recovery copyTo: %v", label, err)
+					}
+				}
+				for _, r := range []string{"kv0", "kv1"} {
+					if v, present := readV(t, db, r, 3); !present || v != 30 {
+						t.Fatalf("%s: restart %d: post-recovery transfer on %s = (%d, %v), want 30", label, restart, r, v, present)
+					}
+				}
+				db.Close()
+			}
+		}
+	}
+	t.Logf("%d kill points left the decision durable and a named prepare lost", torn)
+	if torn == 0 {
+		t.Fatal("no kill point left the decision durable and a named prepare lost; the matrix misses the case under test")
+	}
+}
+
 // TestCrashDuringRecoveryTombstoning crashes a second time while recovery is
 // appending presumed-abort tombstones: the tombstones themselves go through
 // the WAL, so a crash there must leave the next recovery able to resolve the

@@ -28,18 +28,18 @@ import (
 //
 // Multi-container transactions are resolved by presumed abort, in one pass:
 // each container's log is replayed once into the 2PC resolver (resolve.go),
-// which installs a prepare record once a decision for its global id has been
-// fed from any container's log (any log can be a coordinator log). Once every
-// log is fed, the prepares still undecided are tombstoned with durable abort
-// records — a prepared-but-undecided transaction is never half-applied,
-// regardless of which participant logs its prepare records reached. The
-// decision record is appended only after every participant's prepare record
-// is durable, so a durable decision implies every participant can replay its
-// share: recovery can never surface a multi-container transaction on a
-// strict subset of its participants. Finally the root transaction id
-// sequence is advanced past every global id seen in the logs, so ids never
-// repeat across incarnations (a reused id could match a stale prepare record
-// against a fresh decision).
+// which installs a group's prepare records once its decision and the prepare
+// of every participant the decision names have been fed, from whichever logs
+// hold them (any log can be a coordinator log). Once every log is fed, the
+// prepares of every group that is not complete — undecided, or decided with a
+// named prepare that never became durable (the coordinator forces them all
+// in one round, so a crash can keep the decision and lose a prepare) — are
+// tombstoned with durable abort records. A transaction is never half-applied:
+// recovery can never surface a multi-container transaction on a strict
+// subset of its participants. Finally the root transaction id sequence is
+// advanced past every global id seen in the logs, so ids never repeat across
+// incarnations (a reused id could match a stale prepare record against a
+// fresh decision).
 //
 // Recovery has a checkpoint fast path: when a container's storage holds a
 // valid checkpoint (see Database.Checkpoint), its snapshot is installed first
@@ -60,12 +60,10 @@ func (db *Database) Recover() (int, error) {
 		return 0, nil
 	}
 	// Checkpoint pass: each container's newest valid checkpoint is installed
-	// and sets its floor. Each log's end fences every decision.
+	// and sets its floor.
 	var maxGid uint64
 	floors := make([]uint64, len(db.containers))
-	ends := make([]uint64, len(db.containers))
 	for i, c := range db.containers {
-		ends[i] = c.wal.LastLSN()
 		cp, skipped, err := wal.LatestCheckpoint(c.walStorage)
 		if err != nil {
 			return 0, err
@@ -98,13 +96,12 @@ func (db *Database) Recover() (int, error) {
 	for i, c := range db.containers {
 		if err := c.wal.Replay(func(rec wal.Record) error {
 			maxGid = max(maxGid, rec.GlobalID)
-			res.feed(i, &rec, ends)
+			res.feed(i, &rec)
 			res.apply(install)
 			return installErr
 		}); err != nil {
 			return total, err
 		}
-		res.fedThrough(i, ends[i])
 	}
 	presumed := make([][]wal.Record, len(db.containers))
 	res.close(func(s int, tid uint64) {

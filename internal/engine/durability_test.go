@@ -42,7 +42,7 @@ func kvType() *core.Type {
 		return row.Int64(1), nil
 	})
 	// putRemote reads a local marker and writes only the destination reactor
-	// — a multi-container transaction whose coordinator participant is
+	// — a multi-container transaction whose lowest-numbered participant is
 	// read-only when the reactors are placed apart.
 	t.AddProcedure("putRemote", func(ctx core.Context, args core.Args) (any, error) {
 		dst, k, v := args.String(0), args.Int64(1), args.Int64(2)

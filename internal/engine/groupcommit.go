@@ -71,9 +71,7 @@ func (g *groupCommitter) enqueue(e gcEntry) bool {
 		return false
 	}
 	g.batch = append(g.batch, e)
-	if e.rec != nil {
-		g.records++
-	}
+	g.records += uint64(len(e.recs))
 	n := len(g.batch)
 	gen := g.gen
 	g.mu.Unlock()

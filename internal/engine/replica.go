@@ -195,7 +195,7 @@ func OpenReplica(primary *Database, opts ReplicaOptions) (*Replica, error) {
 // seat the cursors, and apply what resolved before serving the first read.
 func (r *Replica) open() error {
 	n := len(r.primary.containers)
-	floors, ends := make([]uint64, n), make([]uint64, n)
+	floors := make([]uint64, n)
 	for i, pc := range r.primary.containers {
 		s := &replicaShard{id: i, primary: pc, local: r.db.containers[i], sub: r.storage.Sub(fmt.Sprintf("container-%d", i))}
 		cp, _, err := wal.LatestCheckpoint(s.sub)
@@ -211,23 +211,20 @@ func (r *Replica) open() error {
 		}
 		// Blob and mirror cover every record up to the log's last LSN (wal.Open
 		// starts it no lower than the blob's low-water mark).
-		ends[i] = s.mirror.LastLSN()
-		s.lastShipped = ends[i]
+		s.lastShipped = s.mirror.LastLSN()
 		s.cursor = wal.NewShipCursor(pc.walStorage, s.lastShipped)
 		r.shards = append(r.shards, s)
 	}
 	r.res.setFloors(floors)
-	// A mirrored decision's prepares are mirrored too, so each mirror's end
-	// is the fence of every decision replayed from the mirrors.
 	for i, s := range r.shards {
 		if err := s.mirror.Replay(func(rec wal.Record) error {
-			r.res.feed(i, &rec, ends)
+			r.res.feed(i, &rec)
 			return nil
 		}); err != nil {
 			return fmt.Errorf("engine: replica bootstrap container %d: %w", i, err)
 		}
-		r.res.fedThrough(i, ends[i])
-		r.res.shards[i].mirrored = ends[i]
+		r.res.fedThrough(i, s.lastShipped)
+		r.res.shards[i].mirrored = s.lastShipped
 	}
 	r.res.shipping = true
 	// While this replica was down the primary may have checkpointed and
@@ -292,38 +289,33 @@ func (r *Replica) run() {
 		case <-r.stopCh:
 			return
 		case <-ticker.C:
-			r.pollOnce()
+			// A tick landing during a primary force waits it out, so that
+			// the poll ships the forced records instead of leaving them,
+			// and the semi-sync commits waiting on them, to the next tick.
+			r.pollOnce((*wal.Log).SettledDurableLSN)
 		}
 	}
 }
 
-// pollOnce is one ship → mirror → apply cycle across all shards. An apply
+// pollOnce is one ship → mirror → apply cycle across all shards, shipping
+// each shard up to bound of its primary log (a durable watermark). An apply
 // round runs only when the resolver has something to install.
-func (r *Replica) pollOnce() {
+func (r *Replica) pollOnce(bound func(*wal.Log) uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
 		return
 	}
 	for _, s := range r.shards {
-		durable := s.primary.wal.DurableLSN()
+		durable := bound(s.primary.wal)
 		recs, err := s.cursor.Poll(durable, s.scratch)
 		// Records returned alongside an error are real progress the cursor
 		// has committed to; dropping them would lose log records forever.
-		var fence []uint64
 		for i := range recs {
 			sr := &recs[i]
-			if sr.Kind == wal.KindDecision && fence == nil {
-				// Every participant's prepare was durable before this decision
-				// was appended: durable LSNs read *now* bound them from above.
-				fence = make([]uint64, len(r.shards))
-				for j, o := range r.shards {
-					fence[j] = o.primary.wal.DurableLSN()
-				}
-			}
 			s.lastShipped = sr.LSN
 			s.staged = append(s.staged, *sr)
-			r.res.feed(s.id, &sr.Record, fence)
+			r.res.feed(s.id, &sr.Record)
 		}
 		s.scratch = recs[:0]
 		switch {
@@ -357,9 +349,11 @@ func (r *Replica) pollOnce() {
 // mirrorPass writes staged frames into each shard's mirror and fsyncs,
 // holding back any decision frame the resolver does not yet call safe.
 // Held decisions block the frames behind them — the mirror must stay an
-// ascending-LSN prefix — and are retried after the prepares land, which the
-// outer loop converges on because a decision only ever waits on strictly
-// earlier prepares. Each successful sync advances the replication hub,
+// ascending-LSN prefix — and are retried after the prepares land: in this
+// pass's outer loop when they are staged, on a later poll when they have not
+// shipped yet. No two held decisions wait on each other: the coordinator is
+// the lowest-numbered writer, so a decision waits only on prepares of
+// higher-numbered shards. Each successful sync advances the replication hub,
 // releasing semi-sync commit acknowledgments.
 func (r *Replica) mirrorPass() {
 	if r.degraded {

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -612,19 +614,26 @@ func TestRebootstrapAdvancesAppliedWatermark(t *testing.T) {
 }
 
 // TestReplicaRestartAfterTruncatedDecision is the stranded-prepare
-// regression: a replica shipped both prepares of a transfer but not its
-// decision, went down, and the primary then checkpointed and truncated past
-// the decision on the coordinator's shard while the other shard's log barely
-// moved. On restart, a fast-forward of the coordinator's shard alone would
-// leave the participant's prepare waiting for a decision that can never ship
-// — that shard stops applying, and its promoted mirror tears the transfer.
-// Floors move in whole checkpoint rounds, so both shards take the same round
-// and the prepare is covered on both.
+// regression: a replica shipped the coordinator's prepare and decision of a
+// transfer but mirrored only the prepare — the decision waits in the mirror
+// for the other participant's prepare, whose fsync is held — went down, and
+// the primary then checkpointed and truncated past the decision on the
+// coordinator's shard while the other shard's log barely moved. On restart,
+// a fast-forward of the coordinator's shard alone would leave the mirrored
+// prepare waiting for a decision that can never ship — that shard stops
+// applying, and its promoted mirror tears the transfer. Floors move in whole
+// checkpoint rounds, so both shards take the same round and the prepare is
+// covered on both.
 func TestReplicaRestartAfterTruncatedDecision(t *testing.T) {
-	cfg := twoContainerCfg(wal.NewMemStorage())
+	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	// Container 1's sync 1 forces the put below; sync 2, the transfer's
+	// prepare, is held.
+	cfg := twoContainerCfg(newGateSyncStorage("container-1", 2, gate))
 	cfg.Durability.SegmentSize = 1 << 10
 	primary := MustOpen(kvDef("kv0", "kv1"), cfg)
 	t.Cleanup(primary.Close)
+	t.Cleanup(release) // before Close, which waits for the held commit
 	if _, err := primary.Execute("kv0", "put", int64(0), int64(1)); err != nil {
 		t.Fatalf("put kv0: %v", err)
 	}
@@ -650,14 +659,12 @@ func TestReplicaRestartAfterTruncatedDecision(t *testing.T) {
 		_, err := primary.Execute("kv0", "copyTo", "kv1", int64(1), int64(10))
 		outcome <- err
 	}()
-	// Ship both prepares and stop at the decision (see
-	// TestFencedPrimaryDoesNotAckUnshippedCommit's transfer arm).
-	durable(0, 2)
-	rep.pollOnce()
-	durable(1, 2)
-	rep.pollOnce()
+	// Ship the coordinator's prepare and decision while the other prepare is
+	// not durable: the mirror takes the prepare and holds the decision.
 	durable(0, 3)
+	rep.pollOnce((*wal.Log).DurableLSN)
 	rep.Close()
+	release()
 	if err := <-outcome; err != nil {
 		t.Fatalf("copyTo: %v", err)
 	}
@@ -706,24 +713,22 @@ func TestReplicaRestartAfterTruncatedDecision(t *testing.T) {
 	}
 }
 
-// TestReplicaRoundsCountOnlyApplies: while a shipped prepare waits for its
-// decision there is nothing to install, so polling runs no apply round — an
-// empty round would take the exclusive commit gate from readers for nothing.
-// A semi-sync replica that is never polled holds the transfer at its first
-// prepare; the replica under test is async.
+// TestReplicaRoundsCountOnlyApplies: while a shipped prepare waits for the
+// rest of its round there is nothing to install, so polling runs no apply
+// round — an empty round would take the exclusive commit gate from readers
+// for nothing. Holding the other participant's fsync holds the transfer with
+// the coordinator's prepare and decision durable and shipped.
 func TestReplicaRoundsCountOnlyApplies(t *testing.T) {
-	primary := MustOpen(kvDef("kv0", "kv1"), twoContainerCfg(wal.NewMemStorage()))
+	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	primary := MustOpen(kvDef("kv0", "kv1"), twoContainerCfg(newGateSyncStorage("container-1", 1, gate)))
 	t.Cleanup(primary.Close)
+	t.Cleanup(release) // before Close, which waits for the held commit
 	rep, err := OpenReplica(primary, ReplicaOptions{PollInterval: time.Hour})
 	if err != nil {
 		t.Fatalf("OpenReplica: %v", err)
 	}
 	t.Cleanup(rep.Close)
-	holder, err := OpenReplica(primary, ReplicaOptions{Ack: AckSemiSync, PollInterval: time.Hour})
-	if err != nil {
-		t.Fatalf("OpenReplica: %v", err)
-	}
-	t.Cleanup(holder.Close)
 	base := rep.Stats().Rounds
 
 	outcome := make(chan error, 1)
@@ -733,20 +738,122 @@ func TestReplicaRoundsCountOnlyApplies(t *testing.T) {
 	}()
 	waitFor(t, replicaWait, func() bool { return primary.containers[0].wal.DurableLSN() >= 1 })
 	for i := 0; i < 5; i++ {
-		rep.pollOnce()
+		rep.pollOnce((*wal.Log).DurableLSN)
 	}
 	if st := rep.Stats(); st.Rounds != base || st.Shards[0].Pending != 1 {
 		t.Fatalf("a prepare waiting for its decision: %d rounds (want %d), shards %+v", st.Rounds, base, st.Shards)
 	}
 
-	holder.Close() // the transfer runs to its decision
+	release() // the transfer runs to its commit point
 	if err := <-outcome; err != nil {
 		t.Fatalf("copyTo: %v", err)
 	}
-	rep.pollOnce()
+	rep.pollOnce((*wal.Log).DurableLSN)
 	if st := rep.Stats(); st.Rounds != base+1 || st.Applied != 2 {
 		t.Fatalf("after the decision: %d rounds, %d applied; want %d and 2", st.Rounds, st.Applied, base+1)
 	}
+}
+
+// TestReplicaMirrorHoldsDecisionUntilNamedPrepares: a shipped decision is not
+// fsynced into the mirror before every prepare it names is mirrored, so a
+// crashed mirror can never hold a decided round, and commits after it that
+// read its writes, while the round itself recovers as aborted. The other
+// participant's fsync is held, so the coordinator's prepare and decision ship
+// first; the mirror takes the prepare, holds the decision, and takes it once
+// the held prepare ships.
+func TestReplicaMirrorHoldsDecisionUntilNamedPrepares(t *testing.T) {
+	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	primary := MustOpen(kvDef("kv0", "kv1"), twoContainerCfg(newGateSyncStorage("container-1", 1, gate)))
+	t.Cleanup(primary.Close)
+	t.Cleanup(release) // before Close, which waits for the held commit
+	mirror := wal.NewMemStorage()
+	rep, err := OpenReplica(primary, ReplicaOptions{PollInterval: time.Hour, Storage: mirror})
+	if err != nil {
+		t.Fatalf("OpenReplica: %v", err)
+	}
+	t.Cleanup(rep.Close)
+	mirrored := func(kind wal.Kind) bool {
+		t.Helper()
+		segs, err := mirror.Sub("container-0").List()
+		if err != nil {
+			t.Fatalf("List: %v", err)
+		}
+		for _, idx := range segs {
+			buf, err := mirror.Sub("container-0").ReadSegment(idx)
+			if err != nil {
+				t.Fatalf("ReadSegment: %v", err)
+			}
+			recs, _ := wal.DecodeAll(buf)
+			for _, r := range recs {
+				if r.Kind == kind {
+					return true
+				}
+			}
+		}
+		return false
+	}
+
+	outcome := make(chan error, 1)
+	go func() {
+		_, err := primary.Execute("kv0", "copyTo", "kv1", int64(1), int64(10))
+		outcome <- err
+	}()
+	waitFor(t, replicaWait, func() bool { return primary.containers[0].wal.DurableLSN() >= 2 })
+	rep.pollOnce((*wal.Log).DurableLSN)
+	if !mirrored(wal.KindPrepare) || mirrored(wal.KindDecision) {
+		t.Fatalf("with the named prepare unshipped the mirror holds prepare %v, decision %v; want the prepare alone",
+			mirrored(wal.KindPrepare), mirrored(wal.KindDecision))
+	}
+	release()
+	if err := <-outcome; err != nil {
+		t.Fatalf("copyTo: %v", err)
+	}
+	rep.pollOnce((*wal.Log).DurableLSN)
+	if !mirrored(wal.KindDecision) {
+		t.Fatal("the decision was not mirrored after its named prepare shipped")
+	}
+}
+
+// gateSyncStorage holds the fsyncs of one named sub-storage, from the
+// holdFrom-th on, until gate is closed: a log device that stalls while the
+// others stay healthy.
+type gateSyncStorage struct {
+	wal.Storage
+	name, gateName string
+	holdFrom       int64
+	syncs          *atomic.Int64
+	gate           chan struct{}
+}
+
+func newGateSyncStorage(gateName string, holdFrom int64, gate chan struct{}) *gateSyncStorage {
+	return &gateSyncStorage{Storage: wal.NewMemStorage(), gateName: gateName, holdFrom: holdFrom, syncs: &atomic.Int64{}, gate: gate}
+}
+
+func (s *gateSyncStorage) Sub(name string) wal.Storage {
+	sub := *s
+	sub.Storage, sub.name = s.Storage.Sub(name), name
+	return &sub
+}
+
+func (s *gateSyncStorage) Create(index uint64) (wal.SegmentFile, error) {
+	f, err := s.Storage.Create(index)
+	if err != nil || s.name != s.gateName {
+		return f, err
+	}
+	return &gateSyncFile{SegmentFile: f, owner: s}, nil
+}
+
+type gateSyncFile struct {
+	wal.SegmentFile
+	owner *gateSyncStorage
+}
+
+func (f *gateSyncFile) Sync() error {
+	if f.owner.syncs.Add(1) >= f.owner.holdFrom {
+		<-f.owner.gate
+	}
+	return f.SegmentFile.Sync()
 }
 
 // --- Satellite: differential primary-vs-replica query workload -------------

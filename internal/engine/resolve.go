@@ -14,25 +14,29 @@ import (
 // feed has passed (fedThrough), and the checkpoint floor at or below which
 // records are covered by a snapshot (setFloors). Floors change only in whole
 // checkpoint rounds, so a 2PC group is entirely at or below them or entirely
-// above. Each decision comes with a fence: per shard, an LSN the feed must
-// pass before a participant prepare not fed by then is proven absent
-// (read-only, covered or retracted) rather than in flight. A prepare is
-// durable before its decision is appended, so any per-shard durable LSN read
-// after the decision shipped is a fence; recovery uses the logs' ends.
+// above.
+//
+// The commit rule is parallel commit's: a group commits iff its decision and
+// the prepare of every participant the decision names (its writers) have been
+// fed. The coordinator forces all of them in one round, so they reach their
+// logs in any order; a named prepare not fed yet is in flight, never absent.
+// A group aborts only when one of its prepares is retracted by a tombstone
+// (the coordinator's prepare shares the decision's TID and batch, so its
+// tombstone retracts both) or, at recovery, from close.
 //
 // Outputs: records to install (ready, apply) and — only from close, which
 // recovery calls once every log is fed — the prepares presumed aborted. The
-// replica never closes: an undecided prepare waits for its decision.
+// replica never closes: an incomplete group waits for its missing prepares or
+// for a tombstone.
 //
 // A commit never jumps anything queued ahead of it on its shard, so a commit
 // that read a 2PC participant's write never installs before that prepare
-// resolves. A decided group whose fence has passed installs on all its
-// participants in one apply round, together with everything queued ahead of
-// each of its prepares. Installs are newest-TID-wins, so a round converges in
-// any order, and a reader committing between rounds sees a consistent
-// committed prefix. Retraction is LSN-ordered, as in wal.Log.Replay: an abort
-// voids its shard's records with its TID fed so far, and a voided decision
-// resolves its group as aborted (its prepares are dropped).
+// resolves. A settled group installs on all its participants in one apply
+// round, together with everything queued ahead of each of its prepares.
+// Installs are newest-TID-wins, so a round converges in any order, and a
+// reader committing between rounds sees a consistent committed prefix.
+// Retraction is LSN-ordered, as in wal.Log.Replay: an abort voids its shard's
+// records with its TID fed so far.
 type resolver struct {
 	shards []resolverShard
 	groups map[uint64]*group // 2PC groups by global id, until resolved and mirrored
@@ -59,12 +63,11 @@ type resolvedRecord struct {
 // has been fed, the decision itself.
 type group struct {
 	prep     []uint64 // per shard: the LSN of this group's prepare, 0 if none fed
-	parts    []uint64
-	fence    []uint64
-	tid      uint64 // the decision's TID
-	coord    int    // the decision's shard
+	parts    []uint64 // the participants the decision names
+	coord    int      // the decision's shard
+	dec      uint64   // the decision's LSN
 	decided  bool
-	aborted  bool // the decision was retracted
+	aborted  bool // one of its prepares was retracted
 	mirrored bool
 }
 
@@ -85,25 +88,27 @@ func (r *resolver) group(gid uint64) *group {
 	return g
 }
 
-// feed takes shard s's next record. fence is read only for decisions, and is
-// kept: the caller must not modify it afterwards.
-func (r *resolver) feed(s int, rec *wal.Record, fence []uint64) {
+// feed takes shard s's next record.
+func (r *resolver) feed(s int, rec *wal.Record) {
 	sh := &r.shards[s]
 	switch {
 	case rec.Kind == wal.KindAbort:
-		sh.queue = slices.DeleteFunc(sh.queue, func(q wal.Record) bool { return q.TID == rec.TID })
-		r.out = slices.DeleteFunc(r.out, func(o resolvedRecord) bool { return o.shard == s && o.rec.TID == rec.TID })
-		for _, g := range r.groups {
-			if g.decided && g.coord == s && g.tid == rec.TID {
-				g.aborted = true
+		sh.queue = slices.DeleteFunc(sh.queue, func(q wal.Record) bool {
+			if q.TID != rec.TID {
+				return false
 			}
-		}
+			if q.Kind == wal.KindPrepare {
+				r.groups[q.GlobalID].aborted = true
+			}
+			return true
+		})
+		r.out = slices.DeleteFunc(r.out, func(o resolvedRecord) bool { return o.shard == s && o.rec.TID == rec.TID })
 	case rec.Kind == wal.KindDecision:
 		// Registered even at or below the floor: a decision whose prepare sits
 		// above another shard's floor still decides it.
 		if g := r.group(rec.GlobalID); !g.decided {
 			g.decided, g.mirrored = true, !r.shipping
-			g.parts, g.fence, g.tid, g.coord = rec.Participants, fence, rec.TID, s
+			g.parts, g.coord, g.dec = rec.Participants, s, rec.LSN
 		}
 	case rec.Kind == wal.KindPrepare:
 		// A covered prepare never installs, but it has been fed: its decision
@@ -139,36 +144,39 @@ func (r *resolver) setFloors(floors []uint64) {
 }
 
 // mirrorSafe reports whether group gid's decision frame may be made durable
-// in the replica's mirror: every other participant's prepare must be durably
-// mirrored first, or be proven absent (the coordinator's own precedes the
-// decision in its log), so recovery on a crashed mirror never commits a torn
-// group.
+// in the replica's mirror: the prepare of every other named participant must
+// be durably mirrored first (the coordinator's own precedes the decision in
+// its log). Otherwise a mirror that crashed with the decision, and with later
+// commits that read the group's writes, would recover the group as aborted
+// under those commits. A prepare not fed yet is waited for unless the group
+// was retracted, and a group a checkpoint round covers needs no wait at all.
 func (r *resolver) mirrorSafe(gid uint64) bool {
 	g := r.groups[gid]
 	if g == nil || g.mirrored {
 		return true
 	}
-	for _, p := range g.parts {
-		if p >= uint64(len(r.shards)) || int(p) == g.coord {
-			continue
-		}
-		sh := &r.shards[p]
-		if lsn := g.prep[p]; lsn > sh.mirrored || lsn == 0 && sh.fed < g.fence[p] {
-			return false
+	if g.dec > r.shards[g.coord].floor {
+		for _, p := range g.parts {
+			if p >= uint64(len(r.shards)) || int(p) == g.coord {
+				continue
+			}
+			if lsn := g.prep[p]; lsn == 0 && !g.aborted || lsn > r.shards[p].mirrored {
+				return false
+			}
 		}
 	}
 	g.mirrored = true
 	return true
 }
 
-// resolvable reports whether g's outcome is known: decided, and every
-// participant's prepare fed or proven absent.
-func (r *resolver) resolvable(g *group) bool {
-	if !g.decided {
-		return false
+// settled reports whether g's outcome is known: decided, and either retracted
+// or complete — every named participant's prepare fed.
+func (r *resolver) settled(g *group) bool {
+	if !g.decided || g.aborted {
+		return g.decided
 	}
 	for _, p := range g.parts {
-		if p < uint64(len(r.shards)) && g.prep[p] == 0 && r.shards[p].fed < g.fence[p] {
+		if p < uint64(len(r.shards)) && g.prep[p] == 0 {
 			return false
 		}
 	}
@@ -177,7 +185,7 @@ func (r *resolver) resolvable(g *group) bool {
 
 // ready settles the queues and reports whether there is anything to apply.
 // Settling finds, per shard, the longest queue prefix that may install now:
-// it ends at the first prepare whose group is not resolvable, or whose
+// it ends at the first prepare whose group is not settled, or whose
 // prepare on another shard lies beyond that shard's prefix — cut until no
 // group straddles a cut.
 func (r *resolver) ready() bool {
@@ -189,7 +197,7 @@ func (r *resolver) ready() bool {
 		for s := range r.shards {
 			q := r.shards[s].queue
 			for i := 0; i < r.cut[s]; i++ {
-				if g := r.groups[q[i].GlobalID]; q[i].Kind == wal.KindPrepare && (!r.resolvable(g) || r.straddles(g)) {
+				if g := r.groups[q[i].GlobalID]; q[i].Kind == wal.KindPrepare && (!r.settled(g) || r.straddles(g)) {
 					r.cut[s], changed = i, true
 					break
 				}
@@ -207,13 +215,14 @@ func (r *resolver) ready() bool {
 		sh.queue = slices.Delete(sh.queue, 0, r.cut[s])
 		r.cut[s] = 0
 	}
-	// With every cut at zero, straddles means "still queued". A group is done
-	// once resolved with nothing queued, and forgotten once its decision needs
-	// no more mirroring either. An undecided group with nothing queued —
+	// With every cut at zero, straddles means "still queued". A group with
+	// nothing queued is done once its decision needs no more mirroring: its
+	// coordinator's prepare, which a decision always follows, installed,
+	// was retracted or is covered. An undecided group with nothing queued —
 	// presumed aborted, retracted or covered — is forgotten too: its decision,
 	// if one ever ships, has nothing left to decide.
 	for gid, g := range r.groups {
-		if (g.mirrored && r.resolvable(g) || !g.decided) && !r.straddles(g) {
+		if (g.mirrored || !g.decided) && !r.straddles(g) {
 			delete(r.groups, gid)
 		}
 	}
@@ -245,14 +254,15 @@ func (r *resolver) apply(install func(s int, rec *wal.Record)) int {
 	return n
 }
 
-// close ends the feed: every queued prepare without a decision is presumed
-// aborted (reported through abort and dropped), so the next ready settles
-// everything else.
+// close ends the feed: every queued prepare whose group is not settled —
+// undecided, or decided with a named prepare that never arrived — is
+// presumed aborted (reported through abort and dropped), so the next ready
+// settles everything else.
 func (r *resolver) close(abort func(s int, tid uint64)) {
 	for s := range r.shards {
 		sh := &r.shards[s]
 		sh.queue = slices.DeleteFunc(sh.queue, func(q wal.Record) bool {
-			if q.Kind == wal.KindPrepare && !r.groups[q.GlobalID].decided {
+			if q.Kind == wal.KindPrepare && !r.settled(r.groups[q.GlobalID]) {
 				abort(s, q.TID)
 				return true
 			}

@@ -16,12 +16,13 @@ const resolveSeeds = 256
 
 // TestResolverStreamingEqualsBatch is the property both users of the resolver
 // rest on. For a random multi-shard history — single-shard commits, 2PC
-// groups whose coordinator is the lowest participant (some participants
-// read-only, some coordinators read-only), groups that fail with their
-// prepares retracted, decisions retracted by the failed-force salvage path,
-// salvaged commits, checkpoint rounds cut where no group is in flight, and an
-// undecided group torn off at a crash — two feeds must install the committed
-// history and nothing else:
+// rounds whose shares land in any order (the coordinator's prepare and
+// decision glued in one write, the other writers' prepares before or after
+// it), rounds that fail with whatever they appended retracted (some shares
+// salvaged by the log itself), salvaged commits, checkpoint rounds cut where
+// no round is in flight, and a round torn off at a crash — undecided, or
+// decided with a named prepare that never arrived — two feeds must install
+// the committed history and nothing else:
 //
 //   - streaming, as the replica does: raw records including aborts, shards
 //     fed a few records at a time in random order, fed-through watermarks
@@ -34,14 +35,26 @@ const resolveSeeds = 256
 // after every streaming apply round no committed group may be torn, no
 // commit may be installed ahead of anything committed before it on its shard
 // (nor a prepare ahead of a commit), and no record outside the committed
-// history may have been installed.
+// history may have been installed. Close must presume exactly the torn
+// round's prepares aborted. Across the seeds, some committed round must have
+// its decision appended before one of its prepares, and some crash tail must
+// be a decided round missing a named prepare.
 func TestResolverStreamingEqualsBatch(t *testing.T) {
 	if *resolveSeed >= 0 {
 		resolveOneSeed(t, *resolveSeed)
 		return
 	}
+	var early, tornDecided int
 	for seed := int64(0); seed < resolveSeeds; seed++ {
-		resolveOneSeed(t, seed)
+		h := resolveOneSeed(t, seed)
+		early += h.earlyDecisions
+		if h.tornDecided {
+			tornDecided++
+		}
+	}
+	t.Logf("%d seeds: %d committed rounds decided before a prepare, %d decided crash tails", resolveSeeds, early, tornDecided)
+	if early == 0 || tornDecided == 0 {
+		t.Fatalf("the generator missed a case: %d decision-before-prepare rounds, %d decided crash tails", early, tornDecided)
 	}
 }
 
@@ -49,19 +62,23 @@ func TestResolverStreamingEqualsBatch(t *testing.T) {
 // i+1), which records commit, and the checkpoint rounds.
 type resolveHistory struct {
 	logs      [][]wal.Record
-	glued     [][]bool            // record i and i+1 become durable together
-	fences    map[uint64][]uint64 // decision gid -> log ends when it was appended
-	committed map[[2]uint64]bool  // (shard, LSN) of every committed record
-	groups    [][][2]uint64       // committed groups' write participants (shard, LSN)
+	glued     [][]bool           // record i and i+1 become durable together
+	committed map[[2]uint64]bool // (shard, LSN) of every committed record
+	groups    [][][2]uint64      // committed groups' write participants (shard, LSN)
 	rounds    [][]uint64
-	undecided map[[2]uint64]bool // the crash tail: (shard, TID) of undecided prepares
+	torn      map[[2]uint64]bool // the crash tail: (shard, TID) of an incomplete round's prepares
+	// earlyDecisions counts committed rounds whose decision was appended
+	// before one of their prepares; tornDecided marks a crash tail that holds
+	// its decision.
+	earlyDecisions int
+	tornDecided    bool
 }
 
 func genResolveHistory(rng *rand.Rand) *resolveHistory {
 	n := 2 + rng.Intn(3)
 	h := &resolveHistory{
 		logs: make([][]wal.Record, n), glued: make([][]bool, n),
-		fences: map[uint64][]uint64{}, committed: map[[2]uint64]bool{}, undecided: map[[2]uint64]bool{},
+		committed: map[[2]uint64]bool{}, torn: map[[2]uint64]bool{},
 	}
 	var tid, gid uint64
 	ends := func() []uint64 {
@@ -81,66 +98,62 @@ func genResolveHistory(rng *rand.Rand) *resolveHistory {
 		return rec.LSN
 	}
 	write := func(key string) []wal.Write { return []wal.Write{{Key: key}} }
+	// A round names only its writers (read-only participants append nothing
+	// and are not named); the lowest one coordinates.
 	type genGroup struct {
 		id      uint64
 		parts   []uint64
-		tids    map[int]uint64 // write participants' prepare TIDs
-		todo    []int          // write participants not yet prepared
+		tids    map[int]uint64 // writers' prepare TIDs
+		todo    []int          // writers whose share is not appended yet
 		prepLSN map[int]uint64
+		decided bool
+		early   bool // decided before its last share was appended
 	}
-	start := func() *genGroup {
+	start := func(minWriters int) *genGroup {
 		gid++
 		g := &genGroup{id: gid, tids: map[int]uint64{}, prepLSN: map[int]uint64{}}
 		for s := 0; s < n; s++ {
-			if len(g.parts) < 2 && n-s <= 2-len(g.parts) || rng.Intn(2) == 0 {
+			if n-s <= minWriters-len(g.parts) || rng.Intn(2) == 0 {
 				g.parts = append(g.parts, uint64(s))
-				if rng.Intn(4) > 0 || s == n-1 && len(g.tids) == 0 {
-					tid++
-					g.tids[s] = tid
-					g.todo = append(g.todo, s)
-				}
+				tid++
+				g.tids[s] = tid
+				g.todo = append(g.todo, s)
 			}
 		}
 		rng.Shuffle(len(g.todo), func(i, j int) { g.todo[i], g.todo[j] = g.todo[j], g.todo[i] })
 		return g
 	}
-	prepare := func(g *genGroup) {
+	// prepare appends the next writer's share of the round: its prepare, and
+	// on the coordinator the decision glued to it.
+	prepare := func(g *genGroup) int {
 		s := g.todo[0]
 		g.todo = g.todo[1:]
 		g.prepLSN[s] = add(s, wal.Record{Kind: wal.KindPrepare, TID: g.tids[s], GlobalID: g.id,
 			Writes: write(fmt.Sprintf("g%d", g.id))}, false)
+		if s == int(g.parts[0]) {
+			add(s, wal.Record{Kind: wal.KindDecision, TID: g.tids[s], GlobalID: g.id, Participants: g.parts}, true)
+			g.decided, g.early = true, len(g.todo) > 0
+		}
+		return s
 	}
-	finish := func(g *genGroup, outcome int) {
-		if len(g.tids) == 0 {
-			return // read-only everywhere: nothing to decide
+	commit := func(g *genGroup) {
+		if len(g.todo) > 0 {
+			panic("commit of an incomplete round")
 		}
-		coord := int(g.parts[0])
-		decTID, ok := g.tids[coord]
-		if !ok {
-			tid++
-			decTID = tid
+		if g.early {
+			h.earlyDecisions++
 		}
-		dec := wal.Record{Kind: wal.KindDecision, TID: decTID, GlobalID: g.id, Participants: g.parts}
-		h.fences[g.id] = ends()
-		switch outcome {
-		case 0: // a participant's prepare force failed: no decision
-		case 1: // the decision's force failed: salvaged with its retraction
-			add(coord, dec, false)
-			add(coord, wal.Record{Kind: wal.KindAbort, TID: decTID}, true)
-		default:
-			add(coord, dec, false)
-			var members [][2]uint64
-			for s, lsn := range g.prepLSN {
-				h.committed[[2]uint64{uint64(s), lsn}] = true
-				members = append(members, [2]uint64{uint64(s), lsn})
-			}
-			h.groups = append(h.groups, members)
-			return
+		var members [][2]uint64
+		for s, lsn := range g.prepLSN {
+			h.committed[[2]uint64{uint64(s), lsn}] = true
+			members = append(members, [2]uint64{uint64(s), lsn})
 		}
+		h.groups = append(h.groups, members)
+	}
+	// fail retracts every share the round appended; the rest never is.
+	fail := func(g *genGroup) {
 		for s := range g.prepLSN {
-			if outcome == 0 || s != coord {
-				add(s, wal.Record{Kind: wal.KindAbort, TID: g.tids[s]}, false)
-			}
+			add(s, wal.Record{Kind: wal.KindAbort, TID: g.tids[s]}, false)
 		}
 	}
 
@@ -152,7 +165,7 @@ func genResolveHistory(rng *rand.Rand) *resolveHistory {
 			for len(g.todo) > 0 {
 				prepare(g)
 			}
-			finish(g, 2)
+			commit(g)
 			inflight = inflight[1:]
 		case k < 4:
 			s := rng.Intn(n)
@@ -164,25 +177,37 @@ func genResolveHistory(rng *rand.Rand) *resolveHistory {
 				h.committed[[2]uint64{uint64(s), lsn}] = true
 			}
 		case k < 6 && len(inflight) < 3:
-			inflight = append(inflight, start())
+			inflight = append(inflight, start(1))
 		case k < 9 && len(inflight) > 0:
 			i := rng.Intn(len(inflight))
-			if g := inflight[i]; len(g.todo) > 0 {
+			g := inflight[i]
+			switch outcome := rng.Intn(8); {
+			case len(g.todo) > 0 && outcome == 0: // a force failed: the rest never lands
+				fail(g)
+			case len(g.todo) > 0 && outcome == 1: // this share's append failed and was salvaged
+				s := prepare(g)
+				add(s, wal.Record{Kind: wal.KindAbort, TID: g.tids[s]}, true)
+				fail(g)
+			case len(g.todo) > 0:
 				prepare(g)
-			} else {
-				finish(g, rng.Intn(6))
-				inflight = append(inflight[:i], inflight[i+1:]...)
+				continue
+			default:
+				commit(g)
 			}
+			inflight = append(inflight[:i], inflight[i+1:]...)
 		case len(inflight) == 0:
 			h.rounds = append(h.rounds, ends())
 		}
 	}
 	if rng.Intn(3) == 0 {
-		g := start()
-		for len(g.todo) > 0 {
-			h.undecided[[2]uint64{uint64(g.todo[0]), g.tids[g.todo[0]]}] = true
-			prepare(g)
+		// The crash tail: some shares of a round of at least two writers are
+		// durable, at least one is not, and nothing was retracted.
+		g := start(2)
+		for k := 1 + rng.Intn(len(g.todo)-1); k > 0; k-- {
+			s := prepare(g)
+			h.torn[[2]uint64{uint64(s), g.tids[s]}] = true
 		}
+		h.tornDecided = g.decided
 	}
 	return h
 }
@@ -211,7 +236,7 @@ func (h *resolveHistory) checkpoint(st resolveState, installed map[[2]uint64]boo
 	}
 }
 
-func resolveOneSeed(t *testing.T, seed int64) {
+func resolveOneSeed(t *testing.T, seed int64) *resolveHistory {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	fail := func(format string, args ...any) {
@@ -292,8 +317,7 @@ func resolveOneSeed(t *testing.T, seed int64) {
 		} else {
 			s := open[rng.Intn(len(open))]
 			for k := 1 + rng.Intn(4); pos[s] < len(h.logs[s]) && (k > 0 || h.glued[s][pos[s]-1]); k-- {
-				rec := &h.logs[s][pos[s]]
-				res.feed(s, rec, h.fences[rec.GlobalID])
+				res.feed(s, &h.logs[s][pos[s]])
 				pos[s]++
 			}
 			if rng.Intn(3) > 0 {
@@ -312,7 +336,7 @@ func resolveOneSeed(t *testing.T, seed int64) {
 	res.apply(install)
 	check()
 	for s := range res.shards {
-		if q := res.shards[s].queue; len(q) > 0 && !h.undecided[[2]uint64{uint64(s), q[0].TID}] {
+		if q := res.shards[s].queue; len(q) > 0 && !h.torn[[2]uint64{uint64(s), q[0].TID}] {
 			fail("streaming feed left shard %d with %d records queued behind LSN %d", s, len(q), q[0].LSN)
 		}
 	}
@@ -321,15 +345,12 @@ func resolveOneSeed(t *testing.T, seed int64) {
 	}
 
 	// Batch, behind the newest round.
-	batch, ends := resolveState{}, make([]uint64, n)
+	batch := resolveState{}
 	res = newResolver(n)
 	if len(h.rounds) > 0 {
 		floors := h.rounds[len(h.rounds)-1]
 		h.checkpoint(batch, map[[2]uint64]bool{}, floors)
 		res.setFloors(floors)
-	}
-	for s := range ends {
-		ends[s] = uint64(len(h.logs[s]))
 	}
 	for s, log := range h.logs {
 		retracted := map[uint64]uint64{}
@@ -340,11 +361,10 @@ func resolveOneSeed(t *testing.T, seed int64) {
 		}
 		for i := range log {
 			if log[i].Kind != wal.KindAbort && retracted[log[i].TID] <= log[i].LSN {
-				res.feed(s, &log[i], ends)
+				res.feed(s, &log[i])
 				res.apply(batch.install)
 			}
 		}
-		res.fedThrough(s, ends[s])
 	}
 	presumed := map[[2]uint64]bool{}
 	res.close(func(s int, tid uint64) { presumed[[2]uint64{uint64(s), tid}] = true })
@@ -353,10 +373,11 @@ func resolveOneSeed(t *testing.T, seed int64) {
 	if !reflect.DeepEqual(batch, want) {
 		fail("batch feed installed\n%v\nwant the committed history\n%v", batch, want)
 	}
-	if !reflect.DeepEqual(presumed, h.undecided) && len(presumed)+len(h.undecided) > 0 {
-		fail("close presumed %v aborted, want the undecided crash tail %v", presumed, h.undecided)
+	if !reflect.DeepEqual(presumed, h.torn) && len(presumed)+len(h.torn) > 0 {
+		fail("close presumed %v aborted, want the torn crash tail %v", presumed, h.torn)
 	}
 	if len(res.groups) > 0 {
 		fail("batch feed left %d groups behind", len(res.groups))
 	}
+	return h
 }

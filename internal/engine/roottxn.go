@@ -247,24 +247,34 @@ func (r *rootTxn) commit(session *coreSession) error {
 }
 
 // commitTwoPhase runs the atomic commit protocol for a multi-container
-// transaction over the participants' write-ahead logs (presumed abort):
+// transaction over the participants' write-ahead logs (presumed abort, with
+// CockroachDB's parallel commits):
 //
 //  1. Vote: OCC-prepare (lock + validate) every participant.
-//  2. Force a prepare record — the participant's staged write set, tagged
-//     with the root's global id — into every participant's log, through each
-//     container's group committer when one is running. Read-only
-//     participants append nothing; they wait inline until every write they
-//     observed is durable and shipped (awaitObserved) before the transaction
-//     can commit.
-//  3. Force one decision record carrying the full participant set to the
-//     coordinator's log (the lowest-numbered participant). This is the commit
-//     point: recovery commits a prepared transaction iff its decision record
-//     is durable, and presumes abort otherwise.
+//  2. Read-only participants append nothing; each waits inline until every
+//     write it observed is durable and shipped (awaitObserved), which on a
+//     log that is not mid-force costs nothing.
+//  3. One forced round: every writing participant's prepare record — its
+//     staged write set, tagged with the root's global id — goes to its
+//     container's commit pipeline, and the decision record, naming the
+//     writing participants, rides in the same batch as the coordinator's
+//     prepare (the coordinator is the lowest-numbered writer; the decision
+//     shares its TID). Every share is submitted before any is waited for,
+//     and the round waits once, then for its shipping to semi-sync
+//     replicas. Under group commit the shares ride their committers'
+//     batches and are forced concurrently; without it each is a batch of
+//     one forced inline by submit, so they are forced one after the other,
+//     one fsync per writer. The commit point is "the decision and every
+//     prepare it names are durable": recovery and replicas commit a group
+//     iff they hold all of them, and presume abort otherwise.
 //  4. Install every participant's writes and release its locks.
 //
-// Any failure before the decision is durable aborts every participant: no
-// write was installed yet, and durable prepare records are retracted
-// best-effort (presumed abort covers them regardless). After step 3 the
+// Any failure before step 4 aborts every participant: no write was installed
+// yet, and every record the round may have appended is retracted with a
+// tombstone, best-effort — the coordinator's retracts the decision with it —
+// so a failed round never becomes a complete one. Presumed abort covers a
+// round whose tombstones are lost too, unless every one of its records became
+// durable (an outcome the client was never promised). Once step 3 succeeds the
 // transaction is committed and step 4 must run on every participant —
 // returning early would leave the remaining prepared participants holding
 // their OCC locks forever.
@@ -275,13 +285,9 @@ func (r *rootTxn) commitTwoPhase(touched []touch, session *coreSession) error {
 	// the other's — a cross-container deadlock Prepare's per-container lock
 	// sorting cannot see. A deterministic global order makes the latch
 	// acquisition graph cycle-free; it also fixes the coordinator (the
-	// lowest-numbered participant) independently of touch order.
+	// lowest-numbered writer) independently of touch order.
 	touched = append([]touch(nil), touched...)
 	sort.Slice(touched, func(i, j int) bool { return touched[i].c.id < touched[j].c.id })
-	containers := make([]*Container, len(touched))
-	for i, t := range touched {
-		containers[i] = t.c
-	}
 
 	// Phase one: prepare (lock + validate) every participant — the vote.
 	prepared := make([]*occ.Txn, 0, len(touched))
@@ -300,27 +306,33 @@ func (r *rootTxn) commitTwoPhase(touched []touch, session *coreSession) error {
 		prepared = append(prepared, t.txn)
 	}
 
-	// Build every participant's prepare record before appending anywhere: an
-	// AssignTID failure here can still abort with no record written. Entries
-	// stay nil for read-only participants and without a WAL (every container
-	// of a database has one, or none does).
-	useWAL := containers[0].wal != nil
-	recs := make([]*wal.Record, len(prepared))
-	hasWrites := false
-	for i, txn := range prepared {
-		if !useWAL || txn.ReadOnly() {
-			continue
+	// Build the round's records before appending anywhere, so an AssignTID
+	// failure still aborts with nothing written: each writer's share is its
+	// prepare, and the coordinator's also the decision. Without a WAL (every
+	// container of a database has one, or none does) there are none.
+	writers := make([]*Container, 0, len(touched))
+	shares := make([][]wal.Record, 0, len(touched))
+	if touched[0].c.wal != nil {
+		for i, txn := range prepared {
+			if txn.ReadOnly() {
+				continue
+			}
+			rec, err := walRecordPrepared(txn)
+			if err != nil {
+				r.abortPrepared(prepared)
+				return err
+			}
+			writers = append(writers, touched[i].c)
+			rec.Kind, rec.GlobalID, rec.Coordinator = wal.KindPrepare, r.id, uint64(writers[0].id)
+			shares = append(shares, append(make([]wal.Record, 0, 2), rec))
 		}
-		rec, err := walRecordPrepared(txn)
-		if err != nil {
-			r.abortPrepared(prepared)
-			return err
+	}
+	if len(writers) > 0 {
+		parts := make([]uint64, len(writers))
+		for i, c := range writers {
+			parts[i] = uint64(c.id)
 		}
-		rec.Kind = wal.KindPrepare
-		rec.GlobalID = r.id
-		rec.Coordinator = uint64(containers[0].id)
-		recs[i] = &rec
-		hasWrites = true
+		shares[0] = append(shares[0], wal.Record{Kind: wal.KindDecision, TID: shares[0][0].TID, GlobalID: r.id, Participants: parts})
 	}
 
 	// The executor core is released for the rest of the protocol whenever a
@@ -330,84 +342,53 @@ func (r *rootTxn) commitTwoPhase(touched []touch, session *coreSession) error {
 	// spinning on one of our prepared record latches while holding the core;
 	// re-acquiring first would deadlock the two (single-container commits
 	// follow the same rule, see commit).
-	yield := useWAL && session != nil
-	if yield {
+	if session != nil && touched[0].c.wal != nil {
 		session.release()
 		defer session.acquire()
 	}
 
-	// Phase two: submit every writing participant's prepare record to its
-	// commit pipeline, then — while those forces run — wait inline for every
-	// read-only participant's observed writes.
-	waits := make([]<-chan error, 0, len(prepared))
-	var forceErr error
-	for i, rec := range recs {
-		if rec == nil {
-			continue
+	// Phase two: the read-only participants' waits, before any record exists,
+	// so a failed one has nothing to retract.
+	for i, txn := range prepared {
+		if txn.ReadOnly() {
+			if err := touched[i].c.awaitObserved(nil); err != nil {
+				r.abortPrepared(prepared)
+				return err
+			}
 		}
-		ch, err := containers[i].submit(gcEntry{rec: rec})
-		if err != nil {
-			forceErr = cmp.Or(forceErr, err)
-			continue
-		}
-		waits = append(waits, ch)
 	}
-	for i, rec := range recs {
-		if rec == nil && forceErr == nil {
-			forceErr = containers[i].awaitObserved(nil)
+
+	// Phase three: submit every writer's share of the round, wait once for
+	// the forces, then for the mirrors.
+	waits := make([]<-chan error, len(writers))
+	var forceErr error
+	for i, c := range writers {
+		if waits[i], forceErr = c.submit(gcEntry{recs: shares[i]}); forceErr != nil {
+			break
 		}
 	}
 	for _, ch := range waits {
-		forceErr = cmp.Or(forceErr, <-ch)
+		if ch != nil {
+			forceErr = cmp.Or(forceErr, <-ch)
+		}
+	}
+	for _, c := range writers {
+		if forceErr == nil {
+			forceErr = c.db.repl.waitShipped(c.id, c.wal.DurableLSN())
+		}
 	}
 	if forceErr != nil {
-		r.retractPrepares(containers, recs)
+		for i, c := range writers {
+			c.retractRecord(shares[i][0].TID)
+		}
 		r.abortPrepared(prepared)
 		return forceErr
 	}
 
-	// Phase three: the commit point. One decision record, carrying the full
-	// participant set, forced to the coordinator's log. Its TID is the
-	// coordinator participant's TID so a retraction (failed append salvage)
-	// stays precise. A fully read-only transaction has nothing to decide:
-	// the inline waits above already made its antecedents durable.
-	if hasWrites {
-		decTID, err := prepared[0].AssignTID()
-		if err != nil {
-			r.retractPrepares(containers, recs)
-			r.abortPrepared(prepared)
-			return err
-		}
-		parts := make([]uint64, len(containers))
-		for i, c := range containers {
-			parts[i] = uint64(c.id)
-		}
-		dec := &wal.Record{Kind: wal.KindDecision, TID: decTID, GlobalID: r.id, Participants: parts}
-		ch, err := containers[0].submit(gcEntry{rec: dec})
-		if err == nil {
-			err = <-ch
-		}
-		if err != nil {
-			// Retract the decision record first: it may sit unfsynced in the
-			// coordinator's log, and a later commit's fsync would make it
-			// durable — recovery would then commit the prepares of this
-			// failed transaction wherever their own tombstones didn't land.
-			// A write coordinator's prepare retraction below shares the
-			// decision's TID and covers it; a read-only coordinator has no
-			// prepare record, so the decision needs its own tombstone.
-			if recs[0] == nil {
-				containers[0].retractRecord(decTID)
-			}
-			r.retractPrepares(containers, recs)
-			r.abortPrepared(prepared)
-			return err
-		}
-	}
-
-	// Phase four: the decision is durable — install every participant's
-	// writes and release its locks. Every participant must run its write
-	// phase even if an earlier one reports an error; the first error is
-	// remembered and reported after the loop completes.
+	// Phase four: the round is durable — install every participant's writes
+	// and release its locks. Every participant must run its write phase even
+	// if an earlier one reports an error; the first error is remembered and
+	// reported after the loop completes.
 	var firstErr error
 	for _, txn := range prepared {
 		if _, err := txn.CommitPrepared(); err != nil && firstErr == nil {
@@ -423,20 +404,6 @@ func (r *rootTxn) commitTwoPhase(touched []touch, session *coreSession) error {
 func (r *rootTxn) abortPrepared(prepared []*occ.Txn) {
 	for _, p := range prepared {
 		_ = p.AbortPrepared()
-	}
-}
-
-// retractPrepares appends best-effort abort tombstones for every prepare
-// record the failed commit may have put into a participant log. Presumed
-// abort already keeps recovery from committing the transaction (its decision
-// record does not exist); the tombstones resolve the in-doubt records
-// eagerly. A tombstone for a record whose append never succeeded is a no-op:
-// abort records only retract earlier LSNs carrying the same TID.
-func (r *rootTxn) retractPrepares(containers []*Container, recs []*wal.Record) {
-	for i, rec := range recs {
-		if rec != nil {
-			containers[i].retractRecord(rec.TID)
-		}
 	}
 }
 

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -144,20 +145,20 @@ func (f *failNthSegmentFile) Write(p []byte) (int, error) {
 }
 
 // TestTwoPCDecisionFailurePresumedAbort fails the coordinator's decision
-// append after every participant's prepare record is already durable: the
-// hardest abort case. The client gets an error, every lock is released, and
-// recovery — finding durable prepares on both participants but no decision —
-// presumes abort on both, never a subset.
+// append while the other participant's prepare is forced in the same round:
+// the hardest abort case. The client gets an error, every lock is released,
+// and recovery — finding the other participant's prepare retracted and no
+// decision — presumes abort on both, never a subset.
 func TestTwoPCDecisionFailurePresumedAbort(t *testing.T) {
 	mem := wal.NewMemStorage()
 	var writes atomic.Int64
-	// On container 0 (the coordinator: kv0 is the root), write 1 is the
-	// prepare record and write 2 the decision record.
+	// On container 0 (the coordinator: the lowest writer), write 1 carries
+	// the prepare record and the decision record together.
 	storage := &failNthWriteStorage{
 		Storage:  wal.Storage(mem),
 		failName: "container-0",
 		writes:   &writes,
-		failOn:   2,
+		failOn:   1,
 		errVal:   errors.New("injected decision append failure"),
 	}
 	def := kvDef("kv0", "kv1")
@@ -200,61 +201,86 @@ func TestTwoPCDecisionFailurePresumedAbort(t *testing.T) {
 
 // TestTwoPCRecoveryCommitsDecidedTransaction checks the commit side of
 // presumed abort end to end: an acknowledged multi-container transaction
-// leaves durable prepare records on both participants and a decision record
-// carrying the full participant set on the coordinator's log, and a machine
-// crash immediately after the ack recovers it on every participant.
+// leaves a durable prepare record on every writing participant and a decision
+// record naming exactly the writing participants on the coordinator's log
+// (the lowest writer), and a machine crash immediately after the ack recovers
+// it on every participant. A read-only participant appends nothing and is
+// left out of the decision.
 func TestTwoPCRecoveryCommitsDecidedTransaction(t *testing.T) {
-	mem := wal.NewMemStorage()
-	cfg := twoContainerCfg(mem)
-	cfg.GroupCommit = GroupCommitConfig{Enabled: true, MaxBatch: 4, Window: 200 * time.Microsecond}
-	def := kvDef("kv0", "kv1")
-	db := MustOpen(def, cfg)
-	if _, err := db.Execute("kv0", "copyTo", "kv1", int64(2), int64(20)); err != nil {
-		t.Fatalf("copyTo: %v", err)
-	}
-	// Machine crash right after the ack: only fsynced bytes survive; the
-	// wedged instance is abandoned without Close.
-	crashed := mem.CrashCopy()
-	defer db.Close()
+	for _, arm := range []struct {
+		name, proc  string
+		coordinator string   // the log holding the decision
+		parts       []uint64 // the participants the decision names
+		written     []string // the reactors the transaction wrote
+	}{
+		{name: "writers", proc: "copyTo", coordinator: "container-0", parts: []uint64{0, 1}, written: []string{"kv0", "kv1"}},
+		{name: "read-only-participant", proc: "putRemote", coordinator: "container-1", parts: []uint64{1}, written: []string{"kv1"}},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			mem := wal.NewMemStorage()
+			cfg := twoContainerCfg(mem)
+			cfg.GroupCommit = GroupCommitConfig{Enabled: true, MaxBatch: 4, Window: 200 * time.Microsecond}
+			def := kvDef("kv0", "kv1")
+			db := MustOpen(def, cfg)
+			db.MustLoad("kv0", "store", rel.Row{int64(1), int64(1)}) // putRemote's local read marker, not logged
+			if _, err := db.Execute("kv0", arm.proc, "kv1", int64(2), int64(20)); err != nil {
+				t.Fatalf("%s: %v", arm.proc, err)
+			}
+			// Machine crash right after the ack: only fsynced bytes survive; the
+			// wedged instance is abandoned without Close.
+			crashed := mem.CrashCopy()
+			defer db.Close()
 
-	// The surviving coordinator log must hold the protocol's records.
-	log, err := wal.Open(crashed.Sub("container-0"), wal.Options{})
-	if err != nil {
-		t.Fatalf("open coordinator log: %v", err)
-	}
-	var prepares, decisions int
-	var participants []uint64
-	if err := log.Replay(func(rec wal.Record) error {
-		switch rec.Kind {
-		case wal.KindPrepare:
-			prepares++
-		case wal.KindDecision:
-			decisions++
-			participants = rec.Participants
-		}
-		return nil
-	}); err != nil {
-		t.Fatalf("replay coordinator log: %v", err)
-	}
-	if prepares != 1 || decisions != 1 {
-		t.Fatalf("coordinator log holds %d prepare and %d decision records, want 1 and 1", prepares, decisions)
-	}
-	if len(participants) != 2 || participants[0] != 0 || participants[1] != 1 {
-		t.Fatalf("decision participants = %v, want [0 1]", participants)
-	}
+			// The surviving coordinator log must hold the protocol's records.
+			log, err := wal.Open(crashed.Sub(arm.coordinator), wal.Options{})
+			if err != nil {
+				t.Fatalf("open coordinator log: %v", err)
+			}
+			var prepares, decisions int
+			var participants []uint64
+			if err := log.Replay(func(rec wal.Record) error {
+				switch rec.Kind {
+				case wal.KindPrepare:
+					prepares++
+				case wal.KindDecision:
+					decisions++
+					participants = rec.Participants
+				}
+				return nil
+			}); err != nil {
+				t.Fatalf("replay coordinator log: %v", err)
+			}
+			if prepares != 1 || decisions != 1 {
+				t.Fatalf("coordinator log holds %d prepare and %d decision records, want 1 and 1", prepares, decisions)
+			}
+			if !reflect.DeepEqual(participants, arm.parts) {
+				t.Fatalf("decision participants = %v, want %v", participants, arm.parts)
+			}
+			if arm.coordinator != "container-0" {
+				// The read-only participant's log holds nothing of the
+				// transaction.
+				segs, err := crashed.Sub("container-0").List()
+				if err != nil {
+					t.Fatalf("List: %v", err)
+				}
+				if len(segs) != 0 {
+					t.Fatalf("the read-only participant's log has %d segments, want none", len(segs))
+				}
+			}
 
-	cfg2 := twoContainerCfg(crashed)
-	cfg2.GroupCommit = cfg.GroupCommit
-	db2 := MustOpen(def, cfg2)
-	t.Cleanup(db2.Close)
-	if _, err := db2.Recover(); err != nil {
-		t.Fatalf("Recover: %v", err)
-	}
-	if v, present := readV(t, db2, "kv0", 2); !present || v != 20 {
-		t.Fatalf("acknowledged 2PC write lost on kv0: (%d, %v)", v, present)
-	}
-	if v, present := readV(t, db2, "kv1", 2); !present || v != 20 {
-		t.Fatalf("acknowledged 2PC write lost on kv1: (%d, %v)", v, present)
+			cfg2 := twoContainerCfg(crashed)
+			cfg2.GroupCommit = cfg.GroupCommit
+			db2 := MustOpen(def, cfg2)
+			t.Cleanup(db2.Close)
+			if _, err := db2.Recover(); err != nil {
+				t.Fatalf("Recover: %v", err)
+			}
+			for _, r := range arm.written {
+				if v, present := readV(t, db2, r, 2); !present || v != 20 {
+					t.Fatalf("acknowledged 2PC write lost on %s: (%d, %v)", r, v, present)
+				}
+			}
+		})
 	}
 }
 
@@ -307,35 +333,31 @@ func (f *failNthSyncFile) Sync() error {
 // TestTwoPCReadOnlyCoordinatorDecisionFsyncFailure covers the abort corners
 // of a two-phase commit with a read-only participant.
 //
-// The decision arm is the nastiest: the coordinator participant is read-only
-// (no prepare record of its own), the decision record's fsync fails, and the
-// remote participant's retraction fsync fails too. The orphan decision must
-// still be tombstoned on the coordinator's log — otherwise a later commit's
-// fsync makes it durable, and recovery (finding the remote prepare durable
-// and its tombstone lost) would resurrect the failed transaction's remote
-// write.
+// The decision arm is the nastiest: the lowest-numbered participant is
+// read-only, so the writer coordinates, and the force of its prepare and
+// decision fails — and so does the fsync of their retraction tombstone. The
+// orphan decision must still be tombstoned on the coordinator's log —
+// otherwise a later commit's fsync makes it durable together with its
+// prepare, and recovery would resurrect the failed transaction's write.
 //
 // The barrier arms cover the read-only participant's inline barrier: the
 // local marker putRemote reads was installed by a write whose fsync failed,
 // so the read-only participant must force it before the transaction may
 // commit. When that force fails too, the transaction aborts before its
-// commit point — no decision record reaches the coordinator's log — and
-// recovery finds no trace of it. The read-only participant is the
-// coordinator (lowest container) in one arm and the other participant in the
-// second.
+// commit point — no decision record reaches container 0's log — and recovery
+// finds no trace of it. The read-only participant is the lowest container in
+// one arm and the other participant in the second.
 func TestTwoPCReadOnlyCoordinatorDecisionFsyncFailure(t *testing.T) {
 	t.Run("decision", func(t *testing.T) {
 		mem := wal.NewMemStorage()
 		storage := &failNthSyncStorage{
 			Storage: wal.Storage(mem),
 			spec: map[string]map[int64]bool{
-				// container-0 (coordinator): sync 1 is the decision force (the
-				// read-only coordinator's inline barrier is absorbed by the
-				// empty log without IO).
-				"container-0": {1: true},
-				// container-1: sync 1 covers the prepare record (must succeed so
-				// the prepare is durable); sync 2 is its retraction tombstone.
-				"container-1": {2: true},
+				// container-1 (the coordinator: the only writer): sync 1 is the
+				// force of the prepare and the decision, sync 2 their
+				// retraction tombstone's. Container 0's inline barrier is
+				// absorbed by its empty log without IO.
+				"container-1": {1: true, 2: true},
 			},
 			counts: &sync.Map{},
 			errVal: errors.New("injected fsync failure"),
@@ -349,11 +371,13 @@ func TestTwoPCReadOnlyCoordinatorDecisionFsyncFailure(t *testing.T) {
 		}
 		// A later acknowledged commit on the coordinator fsyncs its log — with
 		// it, the orphan decision bytes and (the fix) their tombstone.
+		if err := execWithWatchdog(t, db, "kv1", "put", int64(4), int64(40)); err != nil {
+			t.Fatalf("put on the coordinator after failed decision: %v", err)
+		}
 		if err := execWithWatchdog(t, db, "kv0", "put", int64(3), int64(30)); err != nil {
 			t.Fatalf("put after failed decision: %v", err)
 		}
-		// Machine crash: only fsynced bytes survive. Container 1 keeps its
-		// durable prepare but lost its tombstone (that fsync failed).
+		// Machine crash: only fsynced bytes survive.
 		crashed := mem.CrashCopy()
 		db.Close()
 

@@ -87,9 +87,10 @@ func TestEpochStateTornWriteReadsAsZero(t *testing.T) {
 	}
 }
 
-// TestRecordEpochRoundTrip: records stamped with a non-zero epoch carry it
-// through encode and decode; epoch-zero records omit the field entirely so
-// pre-failover logs stay byte-identical.
+// TestRecordEpochRoundTrip: every record carries its epoch through encode and
+// decode, epoch zero included — the epoch uvarint is always present, so the
+// flag bit that once announced it is an unknown flag and decodes as
+// corruption.
 func TestRecordEpochRoundTrip(t *testing.T) {
 	for _, epoch := range []uint64{0, 1, 2, 1 << 40} {
 		rec := testRecord(9, 2)
@@ -108,15 +109,22 @@ func TestRecordEpochRoundTrip(t *testing.T) {
 		}
 	}
 
-	// An epoch-zero frame must be byte-identical to one encoded before the
-	// epoch field existed: same length as a frame hand-built without the bit.
+	// Epochs 0 and 1 both cost one uvarint byte: one frame shape for all.
 	zero := testRecord(9, 1)
 	zero.LSN = 1
 	stamped := zero
 	stamped.Epoch = 1
 	zf, sf := appendFrame(nil, &zero), appendFrame(nil, &stamped)
-	if len(sf) != len(zf)+1 {
-		t.Fatalf("stamped frame is %d bytes, zero frame %d: epoch must cost exactly its uvarint", len(sf), len(zf))
+	if len(sf) != len(zf) {
+		t.Fatalf("epoch-1 frame is %d bytes, epoch-0 frame %d: the epoch field must always be present", len(sf), len(zf))
+	}
+	// Bit 3 of the flag byte (after the one-byte LSN and TID uvarints) is
+	// unknown: a CRC-valid frame carrying it is corrupt.
+	bad := append([]byte(nil), zf...)
+	bad[frameHeaderSize+2] |= 1 << 3
+	binary.LittleEndian.PutUint32(bad[4:], crc32.ChecksumIEEE(bad[frameHeaderSize:]))
+	if _, _, err := decodeRecord(bad, 0); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("frame with flag bit 3 decoded with %v, want ErrCorrupt", err)
 	}
 }
 

@@ -2,9 +2,9 @@ package wal
 
 import (
 	"fmt"
-	"time"
-
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"reactdb/internal/stats"
 )
@@ -26,19 +26,25 @@ const DefaultSegmentSize = 1 << 20
 // far durable with one fsync. Concurrent Sync callers batch: whoever fsyncs
 // first covers every record appended before it, and later callers whose
 // records are already durable return without touching the disk (group-fsync
-// absorption).
+// absorption). The watermarks are written under mu but read without it, so
+// LastLSN, DurableLSN and an absorbed Sync never wait out an fsync in flight.
 type Log struct {
 	storage Storage
 	segSize int
+
+	appended atomic.Uint64 // last LSN appended
+	durable  atomic.Uint64 // last LSN made durable by fsync
+	// refusing is set while the log refuses appends and syncs — closed,
+	// wedged or fenced — so the lock-free absorbed Sync refuses too.
+	refusing atomic.Bool
+	absorbed atomic.Uint64 // Sync calls satisfied by an earlier fsync
 
 	mu        sync.Mutex
 	active    SegmentFile // nil until the first append (lazy creation)
 	activeIdx uint64
 	nextIdx   uint64 // index the next created segment will get
 	activeLen int
-	appended  uint64 // last LSN appended
-	durable   uint64 // last LSN made durable by fsync
-	unsynced  int    // bytes appended since the last successful fsync
+	unsynced  int // bytes appended since the last successful fsync
 	closed    bool
 	broken    error // set on a failed segment write: the tail may be torn
 
@@ -54,7 +60,6 @@ type Log struct {
 	appends         uint64
 	appendedBytes   uint64
 	fsyncs          uint64
-	absorbed        uint64
 	segments        uint64
 	truncations     uint64
 	segmentsDeleted uint64
@@ -94,7 +99,8 @@ func Open(storage Storage, opts Options) (*Log, error) {
 			return nil, err
 		}
 	}
-	if _, l.appended, err = tailSegment(storage, indexes); err != nil {
+	_, tail, err := tailSegment(storage, indexes)
+	if err != nil {
 		return nil, err
 	}
 	// A checkpoint may cover — and truncation may have deleted — every record
@@ -110,10 +116,11 @@ func Open(storage Storage, opts Options) (*Log, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: open: newest checkpoint: %w", err)
 	}
-	if cp != nil && cp.LowLSN > l.appended {
-		l.appended = cp.LowLSN
+	if cp != nil {
+		tail = max(tail, cp.LowLSN)
 	}
-	l.durable = l.appended // everything recovered from storage is durable
+	l.appended.Store(tail)
+	l.durable.Store(tail) // everything recovered from storage is durable
 	return l, nil
 }
 
@@ -146,6 +153,12 @@ func TailLSN(s Storage) (uint64, error) {
 	}
 	_, lsn, err := tailSegment(s, indexes)
 	return lsn, err
+}
+
+// refreshRefusingLocked republishes refusing after closed, broken, epoch or
+// fenceBelow changed.
+func (l *Log) refreshRefusingLocked() {
+	l.refusing.Store(l.closed || l.broken != nil || l.fenceBelow > l.epoch)
 }
 
 // usableLocked refuses a closed log, and one wedged by a failed write: its
@@ -206,7 +219,7 @@ func (l *Log) AppendBatch(recs []Record) (uint64, error) {
 	// segment and sets durable to the watermark, so counting this batch's
 	// LSNs early would let a rotation-triggering append's Sync be absorbed
 	// without its bytes ever being fsynced.
-	lsn := l.appended
+	lsn := l.appended.Load()
 	var buf []byte
 	for i := range recs {
 		lsn++
@@ -229,18 +242,19 @@ func (l *Log) AppendBatch(recs []Record) (uint64, error) {
 		// transactions, and the log can keep serving. If the retraction
 		// fails too, wedge: every further append and sync fails until a
 		// restart cuts the tail.
-		l.appended = lsn
+		l.appended.Store(lsn)
 		if rerr := l.retractBatchLocked(recs); rerr != nil {
 			l.broken = err
+			l.refreshRefusingLocked()
 		}
 		return 0, err
 	}
-	l.appended = lsn
+	l.appended.Store(lsn)
 	l.activeLen += len(buf)
 	l.unsynced += len(buf)
 	l.appends += uint64(len(recs))
 	l.appendedBytes += uint64(len(buf))
-	return l.appended, nil
+	return lsn, nil
 }
 
 // rotateLocked seals the active segment (fsyncing its contents so a sealed
@@ -276,8 +290,7 @@ func (l *Log) retractBatchLocked(recs []Record) error {
 	}
 	var buf []byte
 	for _, r := range recs {
-		l.appended++
-		ab := Record{LSN: l.appended, TID: r.TID, Kind: KindAbort, Epoch: l.epoch}
+		ab := Record{LSN: l.appended.Add(1), TID: r.TID, Kind: KindAbort, Epoch: l.epoch}
 		buf = appendFrame(buf, &ab)
 	}
 	if _, err := l.active.Write(buf); err != nil {
@@ -292,7 +305,17 @@ func (l *Log) retractBatchLocked(recs []Record) error {
 
 // Sync makes every appended record durable. A call whose records were already
 // covered by an earlier fsync returns immediately without touching storage.
-func (l *Log) Sync() error {
+func (l *Log) Sync() error { return l.SyncThrough(l.appended.Load()) }
+
+// SyncThrough makes every record up to lsn durable, fsyncing everything
+// appended when it must. A call that an earlier fsync already covers is
+// absorbed without taking the log's lock, so it does not wait out an fsync in
+// flight; a closed, wedged or fenced log refuses it all the same.
+func (l *Log) SyncThrough(lsn uint64) error {
+	if !l.refusing.Load() && l.durable.Load() >= lsn {
+		l.absorbed.Add(1)
+		return nil
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.usableLocked(); err != nil {
@@ -305,8 +328,8 @@ func (l *Log) Sync() error {
 		// truncate.
 		return fmt.Errorf("%w (syncing at epoch %d, fenced below %d)", ErrFenced, l.epoch, l.fenceBelow)
 	}
-	if l.durable >= l.appended {
-		l.absorbed++
+	if l.durable.Load() >= lsn {
+		l.absorbed.Add(1)
 		return nil
 	}
 	return l.fsyncLocked()
@@ -320,7 +343,8 @@ func (l *Log) fsyncLocked() error {
 	if l.broken != nil {
 		return fmt.Errorf("wal: log wedged after failed write: %w", l.broken)
 	}
-	if l.durable >= l.appended && l.unsynced == 0 {
+	appended := l.appended.Load()
+	if l.durable.Load() >= appended && l.unsynced == 0 {
 		return nil
 	}
 	start := time.Now()
@@ -332,7 +356,7 @@ func (l *Log) fsyncLocked() error {
 	l.fsyncs++
 	l.flushBytes.Observe(float64(l.unsynced))
 	l.unsynced = 0
-	l.durable = l.appended
+	l.durable.Store(appended)
 	return nil
 }
 
@@ -343,6 +367,7 @@ func (l *Log) SetEpoch(epoch uint64) {
 	l.mu.Lock()
 	if epoch > l.epoch {
 		l.epoch = epoch
+		l.refreshRefusingLocked()
 	}
 	l.mu.Unlock()
 }
@@ -365,6 +390,7 @@ func (l *Log) Fence(belowEpoch uint64) {
 	l.mu.Lock()
 	if belowEpoch > l.fenceBelow {
 		l.fenceBelow = belowEpoch
+		l.refreshRefusingLocked()
 	}
 	l.mu.Unlock()
 }
@@ -378,17 +404,18 @@ func (l *Log) Fenced() bool {
 }
 
 // LastLSN returns the highest LSN assigned (appended), durable or not.
-func (l *Log) LastLSN() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.appended
-}
+func (l *Log) LastLSN() uint64 { return l.appended.Load() }
 
 // DurableLSN returns the highest LSN covered by a successful fsync.
-func (l *Log) DurableLSN() uint64 {
+func (l *Log) DurableLSN() uint64 { return l.durable.Load() }
+
+// SettledDurableLSN is DurableLSN once any append or fsync in flight has
+// finished: it waits for the log's lock (a shipper polling on a timer waits
+// out a force in flight with it).
+func (l *Log) SettledDurableLSN() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.durable
+	return l.durable.Load()
 }
 
 // Replay iterates every decodable committed record in LSN order. A torn or
@@ -540,6 +567,7 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
+	l.refreshRefusingLocked()
 	if l.active == nil {
 		return nil
 	}
@@ -578,7 +606,7 @@ func (l *Log) Stats() Stats {
 		Appends:         l.appends,
 		AppendedBytes:   l.appendedBytes,
 		Fsyncs:          l.fsyncs,
-		SyncsAbsorbed:   l.absorbed,
+		SyncsAbsorbed:   l.absorbed.Load(),
 		Segments:        l.segments,
 		Truncations:     l.truncations,
 		SegmentsDeleted: l.segmentsDeleted,

@@ -33,12 +33,14 @@ const (
 	// KindPrepare is a two-phase-commit participant record: the participant's
 	// full write set, staged but undecided. Recovery applies it only if a
 	// decision record for its GlobalID is durable in some log (the
-	// coordinator's); otherwise the transaction is presumed aborted.
+	// coordinator's) together with the prepare of every participant that
+	// decision names; otherwise the transaction is presumed aborted.
 	KindPrepare
 	// KindDecision is the coordinator's commit decision for a multi-container
-	// transaction: once it is durable the transaction is committed on every
-	// participant. It carries the full participant set (container ids) and is
-	// appended only after every participant's prepare record is durable.
+	// transaction. It names the participants that wrote (container ids) and
+	// is forced in the same round as their prepares, in the same write as the
+	// coordinator's own: the transaction is committed once the decision and
+	// every prepare it names are durable.
 	KindDecision
 )
 
@@ -51,8 +53,8 @@ type Record struct {
 	LSN  uint64
 	TID  uint64
 	Kind Kind
-	// Epoch is the primary term under which the record was appended (0 for
-	// logs that predate supervised failover). A promoted primary appends at a
+	// Epoch is the primary term under which the record was appended (0 on a
+	// node no failover has promoted). A promoted primary appends at a
 	// strictly higher epoch than its predecessor, so a record's epoch tells
 	// re-attach tooling which regime produced it; fencing rejects appends at
 	// the Log layer before a record with a stale epoch can form.
@@ -65,8 +67,8 @@ type Record struct {
 	// decision record (prepare records only; diagnostic — recovery scans
 	// every log for decisions).
 	Coordinator uint64
-	// Participants lists the container ids of every 2PC participant
-	// (decision records only).
+	// Participants lists the container ids of the 2PC participants that
+	// wrote, each holding a prepare record (decision records only).
 	Participants []uint64
 	Writes       []Write
 }
@@ -76,9 +78,8 @@ type Record struct {
 //
 //	uvarint LSN | uvarint TID |
 //	1 record flag byte (bit0 = abort, bit1 = prepare, bit2 = decision;
-//	                    at most one kind bit set, commit otherwise;
-//	                    bit3 = an epoch uvarint follows) |
-//	bit3 only:     uvarint Epoch |
+//	                    at most one kind bit set, commit otherwise) |
+//	uvarint Epoch |
 //	prepare only:  uvarint GlobalID | uvarint Coordinator |
 //	decision only: uvarint GlobalID | uvarint #participants | participants |
 //	uvarint #writes |
@@ -106,12 +107,7 @@ const (
 	flagAbort    = 1 << 0
 	flagPrepare  = 1 << 1
 	flagDecision = 1 << 2
-	// flagEpoch marks a record stamped with a non-zero primary epoch: an
-	// epoch uvarint follows the flag byte. Epoch-zero records omit both the
-	// bit and the field, so pre-failover logs stay byte-identical.
-	flagEpoch = 1 << 3
-	flagKind  = flagAbort | flagPrepare | flagDecision
-	flagKnown = flagKind | flagEpoch
+	flagKind     = flagAbort | flagPrepare | flagDecision
 )
 
 // appendFrame encodes rec as one CRC-framed record appended to buf.
@@ -130,13 +126,8 @@ func appendFrame(buf []byte, rec *Record) []byte {
 	case KindDecision:
 		recFlags |= flagDecision
 	}
-	if rec.Epoch != 0 {
-		recFlags |= flagEpoch
-	}
 	buf = append(buf, recFlags)
-	if rec.Epoch != 0 {
-		buf = binary.AppendUvarint(buf, rec.Epoch)
-	}
+	buf = binary.AppendUvarint(buf, rec.Epoch)
 	switch rec.Kind {
 	case KindPrepare:
 		buf = binary.AppendUvarint(buf, rec.GlobalID)
@@ -203,7 +194,7 @@ func decodeRecord(buf []byte, off int) (Record, int, error) {
 	}
 	recFlags := p[0]
 	p = p[1:]
-	if recFlags&^byte(flagKnown) != 0 {
+	if recFlags&^byte(flagKind) != 0 {
 		return Record{}, 0, fmt.Errorf("%w: unknown record flags %#x", ErrCorrupt, recFlags)
 	}
 	switch recFlags & flagKind {
@@ -218,15 +209,8 @@ func decodeRecord(buf []byte, off int) (Record, int, error) {
 	default:
 		return Record{}, 0, fmt.Errorf("%w: conflicting record flags %#x", ErrCorrupt, recFlags)
 	}
-	if recFlags&flagEpoch != 0 {
-		if rec.Epoch, p, err = readUvarint(p); err != nil {
-			return Record{}, 0, err
-		}
-		if rec.Epoch == 0 {
-			// A zero epoch is encoded by omitting the bit; an explicit zero is
-			// a non-canonical frame no writer produces.
-			return Record{}, 0, fmt.Errorf("%w: explicit zero epoch", ErrCorrupt)
-		}
+	if rec.Epoch, p, err = readUvarint(p); err != nil {
+		return Record{}, 0, err
 	}
 	switch rec.Kind {
 	case KindPrepare:

@@ -136,7 +136,7 @@ func (l *Log) AppendShipped(lsn uint64, frame []byte) error {
 	if err := l.usableLocked(); err != nil {
 		return err
 	}
-	if lsn <= l.appended {
+	if lsn <= l.appended.Load() {
 		return nil
 	}
 	if err := l.ensureActiveLocked(); err != nil {
@@ -149,9 +149,10 @@ func (l *Log) AppendShipped(lsn uint64, frame []byte) error {
 	}
 	if _, err := l.active.Write(frame); err != nil {
 		l.broken = err
+		l.refreshRefusingLocked()
 		return err
 	}
-	l.appended = lsn
+	l.appended.Store(lsn)
 	l.activeLen += len(frame)
 	l.unsynced += len(frame)
 	l.appends++

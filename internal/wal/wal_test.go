@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 )
 
 func testRecord(tid uint64, n int) Record {
@@ -666,4 +667,80 @@ func TestDecodeRejectsStructuralCorruption(t *testing.T) {
 	mutate("unknown flag bit", func(b []byte) []byte { b[flagOff] |= 0x80; return b })
 	mutate("conflicting kind bits", func(b []byte) []byte { b[flagOff] |= flagAbort; return b })
 	mutate("trailing bytes", func(b []byte) []byte { return append(b, 0xEE) })
+}
+
+// TestLogWatermarksDoNotWaitOutFsync holds an fsync inside the storage: the
+// watermark reads and a sync that an earlier fsync already covers return at
+// once, while a sync of the held records waits for it. An absorbed sync still
+// fails on a fenced log, and on a closed one.
+func TestLogWatermarksDoNotWaitOutFsync(t *testing.T) {
+	mem := NewMemStorage()
+	l, err := Open(mem, Options{})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	if _, err := l.Append(testRecord(1, 1)); err != nil {
+		t.Fatalf("append: %v", err)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatalf("sync: %v", err)
+	}
+	gate := make(chan struct{})
+	mem.GateSyncs(gate)
+	if _, err := l.Append(testRecord(2, 1)); err != nil {
+		t.Fatalf("append: %v", err)
+	}
+	started := mem.SyncsStarted()
+	held := make(chan error, 1)
+	go func() { held <- l.Sync() }()
+	for mem.SyncsStarted() == started {
+		time.Sleep(time.Millisecond)
+	}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if got := l.DurableLSN(); got != 1 {
+			t.Errorf("DurableLSN during the held fsync = %d, want 1", got)
+		}
+		if got := l.LastLSN(); got != 2 {
+			t.Errorf("LastLSN during the held fsync = %d, want 2", got)
+		}
+		if err := l.SyncThrough(1); err != nil {
+			t.Errorf("SyncThrough(1) during the held fsync: %v", err)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a watermark read or an absorbed sync waited out the held fsync")
+	}
+	select {
+	case err := <-held:
+		t.Fatalf("the held sync returned (%v) before its fsync was released", err)
+	default:
+	}
+	close(gate)
+	if err := <-held; err != nil {
+		t.Fatalf("held sync: %v", err)
+	}
+	if got := l.DurableLSN(); got != 2 {
+		t.Fatalf("DurableLSN after the fsync = %d, want 2", got)
+	}
+
+	// Nothing new is appended, so these syncs take the absorbed path.
+	l.Fence(1)
+	if err := l.Sync(); !errors.Is(err, ErrFenced) {
+		t.Fatalf("absorbed sync on a fenced log = %v, want ErrFenced", err)
+	}
+	l.SetEpoch(1)
+	if err := l.Sync(); err != nil {
+		t.Fatalf("absorbed sync after adopting the term: %v", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if err := l.Sync(); err == nil {
+		t.Fatal("absorbed sync on a closed log succeeded")
+	}
 }
