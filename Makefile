@@ -76,9 +76,12 @@ crash-ckpt:
 # cursor-to-mirror property test and the AppendShipped unit cases. So do the
 # 2PC resolver's seeded streaming-versus-batch property test and the
 # stranded-prepare regression (a replica restarted after truncation past a
-# decision).
+# decision). So do the fsync wake-up that feeds the tailing loop (one wake-up
+# per physical fsync, never blocking one, Unwatch not waiting one out) and the
+# loop's two wake tests: Close does not wait for a primary fsync in flight,
+# and a failed segment read is retried without a further fsync.
 crash-repl:
-	$(GO) test -race -run 'CrashRepl|Ship|Resolver|ReplicaRestartAfterTruncatedDecision' -count=1 ./internal/engine/... ./internal/wal/...
+	$(GO) test -race -run 'CrashRepl|Ship|Resolver|ReplicaRestartAfterTruncatedDecision|Watch|ReplicaWake' -count=1 ./internal/engine/... ./internal/wal/...
 
 # Supervised-failover crash matrix under the race detector: kill the primary
 # at every commit/ship boundary, let the supervisor detect + fence + promote

@@ -1,7 +1,8 @@
 // Command reactdb-server runs a reactdb node fleet in one process: a WAL
 // primary preloaded with the smallbank workload, plus any number of read
-// replicas tailing its log, each node exposed on its own TCP listener via the
-// length-prefixed wire protocol. Remote clients dial the printed addresses
+// replicas tailing its log (each ships what the primary's fsyncs make durable,
+// woken by the fsync itself), each node exposed on its own TCP listener via
+// the length-prefixed wire protocol. Remote clients dial the printed addresses
 // with server.Dial, or hand the whole list to server.NewRouter, which sends
 // writes to the primary, rotates reads over every node and follows the
 // primary across a failover.
@@ -70,10 +71,7 @@ func main() {
 	var engineReps []*engine.Replica
 	repServers := make(map[*engine.Replica]*server.Server)
 	for i := 0; i < *replicas; i++ {
-		rep, err := engine.OpenReplica(db, engine.ReplicaOptions{
-			Ack:          ackMode,
-			PollInterval: 200 * time.Microsecond,
-		})
+		rep, err := engine.OpenReplica(db, engine.ReplicaOptions{Ack: ackMode})
 		if err != nil {
 			log.Fatalf("open replica %d: %v", i, err)
 		}

@@ -19,10 +19,10 @@ import (
 // the replica to promote it. The detach releases the waiter; the commit must
 // come back as an error (outcome unknown), never as an acknowledgment — the
 // promoted mirror does not hold it. Nothing here depends on timing: the
-// replica's tailing never runs on its own (hour-long poll interval), and
-// every wait below is on a state the primary cannot leave without the test's
-// next step, except the read arm's one bounded check that a read has not
-// returned yet.
+// replica's tailing loop never starts (newReplica), so it ships only when the
+// test polls it, and every wait below is on a state the primary cannot leave
+// without the test's next step, except the read arm's one bounded check that
+// a read has not returned yet.
 //
 // The read arm holds a read-only commit to the same rule: a read of a write
 // that is installed and durable but not yet mirrored waits for the mirror
@@ -47,9 +47,9 @@ func TestFencedPrimaryDoesNotAckUnshippedCommit(t *testing.T) {
 			cfg.GroupCommit = arm.gc
 			primary := MustOpen(kvDef("kv0", "kv1"), cfg)
 			t.Cleanup(primary.Close)
-			rep, err := OpenReplica(primary, ReplicaOptions{Ack: AckSemiSync, PollInterval: time.Hour})
+			rep, err := newReplica(primary, ReplicaOptions{Ack: AckSemiSync})
 			if err != nil {
-				t.Fatalf("OpenReplica: %v", err)
+				t.Fatalf("newReplica: %v", err)
 			}
 			t.Cleanup(rep.Close)
 			durable := func(container int, lsn uint64) {
@@ -76,7 +76,7 @@ func TestFencedPrimaryDoesNotAckUnshippedCommit(t *testing.T) {
 					t.Fatalf("read of an unshipped write returned (%v) before the replica mirrored it", err)
 				case <-time.After(20 * time.Millisecond):
 				}
-				rep.pollOnce((*wal.Log).DurableLSN)
+				rep.pollOnce()
 				if err := <-read; err != nil {
 					t.Fatalf("read after the mirror caught up: %v", err)
 				}

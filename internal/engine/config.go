@@ -89,12 +89,11 @@ const (
 type DurabilityConfig struct {
 	// Mode is the durability mode (default DurabilityModeled).
 	Mode DurabilityMode
-	// Dir, when set under DurabilityWAL, stores WAL segments as files under
-	// this directory (one subdirectory per container). Empty means in-memory
-	// segments, durable only for the lifetime of the Storage object.
-	Dir string
-	// Storage overrides Dir with an explicit segment store. Recovery tests
-	// pass a wal.MemStorage here so the log outlives the Database instance.
+	// Storage is the segment store under DurabilityWAL: wal.NewFileStorage
+	// writes real files and fsyncs (one subdirectory per container). Nil
+	// means a fresh wal.MemStorage, durable only for the lifetime of that
+	// object; recovery tests pass their own so the log outlives the Database
+	// instance.
 	Storage wal.Storage
 	// SegmentSize is the WAL segment rotation threshold in bytes
 	// (default wal.DefaultSegmentSize).
@@ -225,11 +224,7 @@ func (c *Config) Validate() error {
 	}
 	if c.Durability.Mode == DurabilityWAL {
 		if c.Durability.Storage == nil {
-			if c.Durability.Dir != "" {
-				c.Durability.Storage = wal.NewFileStorage(c.Durability.Dir)
-			} else {
-				c.Durability.Storage = wal.NewMemStorage()
-			}
+			c.Durability.Storage = wal.NewMemStorage()
 		}
 		if c.Durability.SegmentSize <= 0 {
 			c.Durability.SegmentSize = wal.DefaultSegmentSize

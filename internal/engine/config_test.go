@@ -26,7 +26,6 @@ func TestConfigSurface(t *testing.T) {
 			"DisableCC",
 			"Durability.CheckpointBytes",
 			"Durability.CheckpointInterval",
-			"Durability.Dir",
 			"Durability.Mode",
 			"Durability.SegmentSize",
 			"Durability.Storage",
@@ -41,7 +40,6 @@ func TestConfigSurface(t *testing.T) {
 		}},
 		{ReplicaOptions{}, []string{
 			"Ack",
-			"PollInterval",
 			"SegmentSize",
 			"Storage",
 		}},

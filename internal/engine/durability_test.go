@@ -336,7 +336,7 @@ func TestFileBackedWALRecovery(t *testing.T) {
 		Containers:            2,
 		ExecutorsPerContainer: 1,
 		GroupCommit:           GroupCommitConfig{Enabled: true, MaxBatch: 4, Window: 500 * time.Microsecond},
-		Durability:            DurabilityConfig{Mode: DurabilityWAL, Dir: dir},
+		Durability:            DurabilityConfig{Mode: DurabilityWAL, Storage: wal.NewFileStorage(dir)},
 	}
 	reactors := make([]string, 8)
 	for i := range reactors {
@@ -357,7 +357,7 @@ func TestFileBackedWALRecovery(t *testing.T) {
 		Containers:            2,
 		ExecutorsPerContainer: 1,
 		GroupCommit:           cfg.GroupCommit,
-		Durability:            DurabilityConfig{Mode: DurabilityWAL, Dir: dir},
+		Durability:            DurabilityConfig{Mode: DurabilityWAL, Storage: wal.NewFileStorage(dir)},
 	})
 	t.Cleanup(db2.Close)
 	replayed, err := db2.Recover()

@@ -276,14 +276,11 @@ func repairStorage(s wal.Storage, newPrimary *Database) error {
 // closed, each shard's mirror is divergence-repaired against the new
 // primary's durable LSNs, and a fresh replica is opened over the same storage
 // — resuming from the repaired mirror where possible, re-bootstrapping from
-// the new primary's checkpoint where not. Ack mode, poll interval and segment
-// size carry over unless overridden in opts.
+// the new primary's checkpoint where not. Ack mode and segment size carry
+// over unless overridden in opts.
 func Repoint(rep *Replica, newPrimary *Database, opts ReplicaOptions) (*Replica, error) {
 	if opts.Ack == "" {
 		opts.Ack = rep.mode
-	}
-	if opts.PollInterval <= 0 {
-		opts.PollInterval = rep.poll
 	}
 	if opts.SegmentSize <= 0 {
 		opts.SegmentSize = rep.segSize

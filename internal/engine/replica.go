@@ -58,9 +58,6 @@ type ReplicaOptions struct {
 	// Ack selects the acknowledgment mode this replica imposes on the
 	// primary's commit path (default AckAsync).
 	Ack AckMode
-	// PollInterval is how often the replica polls the primary's logs for new
-	// durable records (default 500µs).
-	PollInterval time.Duration
 	// Storage is the replica's own mirror store, laid out exactly like a
 	// primary's durability storage (one sub-store per container) so the
 	// replica can be promoted by opening this storage under DurabilityWAL
@@ -80,15 +77,17 @@ type Replica struct {
 	primary *Database
 	db      *Database // the read-serving inner database
 	mode    AckMode
-	poll    time.Duration
 	storage wal.Storage
 	segSize int
 
 	shards []*replicaShard
 	res    *resolver
 
+	// wake is watched on every primary log (wal.Log.Watch): its one slot
+	// holds a pending "a primary fsync raised a durable watermark".
+	wake   chan struct{}
 	stopCh chan struct{}
-	doneCh chan struct{}
+	doneCh chan struct{} // nil until the tailing loop starts
 
 	// mu guards everything below plus the shipping state above against
 	// concurrent Stats/WaitCaughtUp snapshots; the poll loop holds it for
@@ -127,6 +126,19 @@ type replicaShard struct {
 // resumes shipping where it left off. The replica starts tailing immediately
 // on a background goroutine; use WaitCaughtUp to synchronize with it.
 func OpenReplica(primary *Database, opts ReplicaOptions) (*Replica, error) {
+	r, err := newReplica(primary, opts)
+	if err != nil {
+		return nil, err
+	}
+	r.doneCh = make(chan struct{})
+	go r.run()
+	return r, nil
+}
+
+// newReplica is OpenReplica without the tailing loop: it attaches, bootstraps
+// and watches the primary's logs, and ships nothing more until pollOnce is
+// called.
+func newReplica(primary *Database, opts ReplicaOptions) (*Replica, error) {
 	if primary.cfg.Durability.Mode != DurabilityWAL {
 		return nil, fmt.Errorf("engine: replication requires the primary to run under DurabilityWAL")
 	}
@@ -138,9 +150,6 @@ func OpenReplica(primary *Database, opts ReplicaOptions) (*Replica, error) {
 	}
 	if opts.Ack != AckAsync && opts.Ack != AckSemiSync {
 		return nil, fmt.Errorf("engine: unknown ack mode %q", opts.Ack)
-	}
-	if opts.PollInterval <= 0 {
-		opts.PollInterval = 500 * time.Microsecond
 	}
 	if opts.Storage == nil {
 		opts.Storage = wal.NewMemStorage()
@@ -165,12 +174,11 @@ func OpenReplica(primary *Database, opts ReplicaOptions) (*Replica, error) {
 		primary: primary,
 		db:      inner,
 		mode:    opts.Ack,
-		poll:    opts.PollInterval,
 		storage: opts.Storage,
 		segSize: opts.SegmentSize,
 		res:     newResolver(len(primary.containers)),
+		wake:    make(chan struct{}, 1),
 		stopCh:  make(chan struct{}),
-		doneCh:  make(chan struct{}),
 	}
 	// The primary's checkpointer is held off for the whole bootstrap, so the
 	// blobs copied are one round and nothing is truncated under the attach.
@@ -185,7 +193,11 @@ func OpenReplica(primary *Database, opts ReplicaOptions) (*Replica, error) {
 		inner.Close()
 		return nil, err
 	}
-	go r.run()
+	// Watching starts after the bootstrap and before the first poll, which
+	// ships whatever became durable in between.
+	for _, s := range r.shards {
+		s.primary.wal.Watch(r.wake)
+	}
 	return r, nil
 }
 
@@ -278,36 +290,46 @@ func (r *Replica) fastForward() (moved bool, err error) {
 	return moved, nil
 }
 
-// run is the tailing loop: every poll interval, ship newly durable records,
-// mirror them (decision-safely), and apply.
+// shipRetry is how soon the tailing loop polls again after a poll that
+// could not ship a shard through its primary's durable watermark (a failed
+// segment read, a shipping gap): no primary fsync may come to wake it.
+const shipRetry = time.Millisecond
+
+// run is the tailing loop: ship newly durable records, mirror them
+// (decision-safely) and apply, then sleep until a primary fsync raises a
+// durable watermark. The mirror's fsync is the batching window: primary
+// fsyncs landing during a poll leave one pending wake-up, and the next poll
+// ships all they covered.
 func (r *Replica) run() {
 	defer close(r.doneCh)
-	ticker := time.NewTicker(r.poll)
-	defer ticker.Stop()
 	for {
+		var retry <-chan time.Time
+		if !r.pollOnce() {
+			retry = time.After(shipRetry)
+		}
 		select {
 		case <-r.stopCh:
 			return
-		case <-ticker.C:
-			// A tick landing during a primary force waits it out, so that
-			// the poll ships the forced records instead of leaving them,
-			// and the semi-sync commits waiting on them, to the next tick.
-			r.pollOnce((*wal.Log).SettledDurableLSN)
+		case <-r.wake:
+		case <-retry:
 		}
 	}
 }
 
 // pollOnce is one ship → mirror → apply cycle across all shards, shipping
-// each shard up to bound of its primary log (a durable watermark). An apply
-// round runs only when the resolver has something to install.
-func (r *Replica) pollOnce(bound func(*wal.Log) uint64) {
+// each shard up to its primary log's durable watermark. An apply round runs
+// only when the resolver has something to install. It reports whether every
+// shard shipped through that watermark; one whose cursor failed (a segment
+// read, or a gap, fast-forwarded or not) needs another poll.
+func (r *Replica) pollOnce() (shippedAll bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
-		return
+		return true
 	}
+	shippedAll = true
 	for _, s := range r.shards {
-		durable := bound(s.primary.wal)
+		durable := s.primary.wal.DurableLSN()
 		recs, err := s.cursor.Poll(durable, s.scratch)
 		// Records returned alongside an error are real progress the cursor
 		// has committed to; dropping them would lose log records forever.
@@ -318,6 +340,9 @@ func (r *Replica) pollOnce(bound func(*wal.Log) uint64) {
 			r.res.feed(s.id, &sr.Record)
 		}
 		s.scratch = recs[:0]
+		if err != nil {
+			shippedAll = false
+		}
 		switch {
 		case err == nil:
 			r.res.fedThrough(s.id, durable)
@@ -344,6 +369,7 @@ func (r *Replica) pollOnce(bound func(*wal.Log) uint64) {
 	if r.res.ready() {
 		r.applyRound()
 	}
+	return shippedAll
 }
 
 // mirrorPass writes staged frames into each shard's mirror and fsyncs,
@@ -423,9 +449,9 @@ func (r *Replica) applyRound() {
 }
 
 // Close detaches the replica from the primary (releasing any semi-sync
-// waiter), stops the tailing loop, seals the mirror and closes the inner
-// database. Staged-but-unmirrored frames are simply re-shipped by the next
-// incarnation.
+// waiter), stops watching the primary's logs, stops the tailing loop, seals
+// the mirror and closes the inner database. Staged-but-unmirrored frames are
+// simply re-shipped by the next incarnation.
 func (r *Replica) Close() {
 	r.mu.Lock()
 	if r.closed {
@@ -435,8 +461,13 @@ func (r *Replica) Close() {
 	r.closed = true
 	r.mu.Unlock()
 	r.primary.repl.detach(r)
+	for _, s := range r.shards {
+		s.primary.wal.Unwatch(r.wake)
+	}
 	close(r.stopCh)
-	<-r.doneCh
+	if r.doneCh != nil {
+		<-r.doneCh
+	}
 	for _, s := range r.shards {
 		if err := s.mirror.Close(); err != nil {
 			r.mu.Lock()
@@ -485,13 +516,6 @@ func (r *Replica) Mode() AckMode { return r.mode }
 // otherwise the target moves.
 func (r *Replica) WaitCaughtUp(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
-	// Re-check faster than the shipping poll when that poll is slow: the
-	// sleep bounds how far past the deadline this can run, and a long
-	// PollInterval must not turn a short timeout into an hour-long wait.
-	step := r.poll
-	if max := 5 * time.Millisecond; step > max {
-		step = max
-	}
 	for {
 		if r.caughtUp() {
 			return nil
@@ -500,7 +524,7 @@ func (r *Replica) WaitCaughtUp(timeout time.Duration) error {
 			st := r.Stats()
 			return fmt.Errorf("engine: replica not caught up after %v: %+v", timeout, st.Shards)
 		}
-		time.Sleep(step)
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -574,11 +574,11 @@ func TestRebootstrapAdvancesAppliedWatermark(t *testing.T) {
 	db := MustOpen(kvDef("kv0"), walCfg(storage))
 	t.Cleanup(db.Close)
 
-	// A replica that never polls: its cursor and applied watermark stay at
-	// zero while the primary's history grows.
-	rep, err := OpenReplica(db, ReplicaOptions{PollInterval: time.Hour})
+	// A replica whose tailing loop never starts: its cursor and applied
+	// watermark stay at zero while the primary's history grows.
+	rep, err := newReplica(db, ReplicaOptions{})
 	if err != nil {
-		t.Fatalf("OpenReplica: %v", err)
+		t.Fatalf("newReplica: %v", err)
 	}
 	t.Cleanup(rep.Close)
 	for i := 0; i < 40; i++ {
@@ -645,10 +645,10 @@ func TestReplicaRestartAfterTruncatedDecision(t *testing.T) {
 	}
 
 	mirror := wal.NewMemStorage()
-	opts := ReplicaOptions{Ack: AckSemiSync, PollInterval: time.Hour, Storage: mirror}
-	rep, err := OpenReplica(primary, opts)
+	opts := ReplicaOptions{Ack: AckSemiSync, Storage: mirror}
+	rep, err := newReplica(primary, opts)
 	if err != nil {
-		t.Fatalf("OpenReplica: %v", err)
+		t.Fatalf("newReplica: %v", err)
 	}
 	durable := func(container int, lsn uint64) {
 		t.Helper()
@@ -662,7 +662,7 @@ func TestReplicaRestartAfterTruncatedDecision(t *testing.T) {
 	// Ship the coordinator's prepare and decision while the other prepare is
 	// not durable: the mirror takes the prepare and holds the decision.
 	durable(0, 3)
-	rep.pollOnce((*wal.Log).DurableLSN)
+	rep.pollOnce()
 	rep.Close()
 	release()
 	if err := <-outcome; err != nil {
@@ -679,7 +679,6 @@ func TestReplicaRestartAfterTruncatedDecision(t *testing.T) {
 		}
 	}
 
-	opts.PollInterval = time.Millisecond
 	rep2, err := OpenReplica(primary, opts)
 	if err != nil {
 		t.Fatalf("reopen replica: %v", err)
@@ -724,9 +723,9 @@ func TestReplicaRoundsCountOnlyApplies(t *testing.T) {
 	primary := MustOpen(kvDef("kv0", "kv1"), twoContainerCfg(newGateSyncStorage("container-1", 1, gate)))
 	t.Cleanup(primary.Close)
 	t.Cleanup(release) // before Close, which waits for the held commit
-	rep, err := OpenReplica(primary, ReplicaOptions{PollInterval: time.Hour})
+	rep, err := newReplica(primary, ReplicaOptions{})
 	if err != nil {
-		t.Fatalf("OpenReplica: %v", err)
+		t.Fatalf("newReplica: %v", err)
 	}
 	t.Cleanup(rep.Close)
 	base := rep.Stats().Rounds
@@ -738,7 +737,7 @@ func TestReplicaRoundsCountOnlyApplies(t *testing.T) {
 	}()
 	waitFor(t, replicaWait, func() bool { return primary.containers[0].wal.DurableLSN() >= 1 })
 	for i := 0; i < 5; i++ {
-		rep.pollOnce((*wal.Log).DurableLSN)
+		rep.pollOnce()
 	}
 	if st := rep.Stats(); st.Rounds != base || st.Shards[0].Pending != 1 {
 		t.Fatalf("a prepare waiting for its decision: %d rounds (want %d), shards %+v", st.Rounds, base, st.Shards)
@@ -748,7 +747,7 @@ func TestReplicaRoundsCountOnlyApplies(t *testing.T) {
 	if err := <-outcome; err != nil {
 		t.Fatalf("copyTo: %v", err)
 	}
-	rep.pollOnce((*wal.Log).DurableLSN)
+	rep.pollOnce()
 	if st := rep.Stats(); st.Rounds != base+1 || st.Applied != 2 {
 		t.Fatalf("after the decision: %d rounds, %d applied; want %d and 2", st.Rounds, st.Applied, base+1)
 	}
@@ -768,9 +767,9 @@ func TestReplicaMirrorHoldsDecisionUntilNamedPrepares(t *testing.T) {
 	t.Cleanup(primary.Close)
 	t.Cleanup(release) // before Close, which waits for the held commit
 	mirror := wal.NewMemStorage()
-	rep, err := OpenReplica(primary, ReplicaOptions{PollInterval: time.Hour, Storage: mirror})
+	rep, err := newReplica(primary, ReplicaOptions{Storage: mirror})
 	if err != nil {
-		t.Fatalf("OpenReplica: %v", err)
+		t.Fatalf("newReplica: %v", err)
 	}
 	t.Cleanup(rep.Close)
 	mirrored := func(kind wal.Kind) bool {
@@ -800,7 +799,7 @@ func TestReplicaMirrorHoldsDecisionUntilNamedPrepares(t *testing.T) {
 		outcome <- err
 	}()
 	waitFor(t, replicaWait, func() bool { return primary.containers[0].wal.DurableLSN() >= 2 })
-	rep.pollOnce((*wal.Log).DurableLSN)
+	rep.pollOnce()
 	if !mirrored(wal.KindPrepare) || mirrored(wal.KindDecision) {
 		t.Fatalf("with the named prepare unshipped the mirror holds prepare %v, decision %v; want the prepare alone",
 			mirrored(wal.KindPrepare), mirrored(wal.KindDecision))
@@ -809,10 +808,129 @@ func TestReplicaMirrorHoldsDecisionUntilNamedPrepares(t *testing.T) {
 	if err := <-outcome; err != nil {
 		t.Fatalf("copyTo: %v", err)
 	}
-	rep.pollOnce((*wal.Log).DurableLSN)
+	rep.pollOnce()
 	if !mirrored(wal.KindDecision) {
 		t.Fatal("the decision was not mirrored after its named prepare shipped")
 	}
+}
+
+// TestReplicaWakeCloseDuringHeldFsync: neither a poll nor closing a tailing
+// replica waits for a primary fsync in flight. A poll reads the durable
+// watermark without the primary log's lock, and Close stops watching the
+// primary's logs without it too.
+func TestReplicaWakeCloseDuringHeldFsync(t *testing.T) {
+	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	storage := newGateSyncStorage("container-0", 2, gate)
+	primary := MustOpen(kvDef("kv0"), walCfg(storage))
+	t.Cleanup(primary.Close)
+	t.Cleanup(release) // before Close, which waits for the held commit
+	if _, err := primary.Execute("kv0", "put", int64(1), int64(10)); err != nil {
+		t.Fatalf("put: %v", err)
+	}
+	rep, err := OpenReplica(primary, ReplicaOptions{})
+	if err != nil {
+		t.Fatalf("OpenReplica: %v", err)
+	}
+	if err := rep.WaitCaughtUp(replicaWait); err != nil {
+		t.Fatal(err)
+	}
+
+	outcome := make(chan error, 1)
+	go func() {
+		_, err := primary.Execute("kv0", "put", int64(2), int64(20))
+		outcome <- err
+	}()
+	waitFor(t, replicaWait, func() bool { return storage.syncs.Load() >= 2 })
+	polled := make(chan struct{})
+	go func() {
+		rep.pollOnce()
+		close(polled)
+	}()
+	select {
+	case <-polled:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a replica poll waited out a primary fsync in flight")
+	}
+	closed := make(chan struct{})
+	go func() {
+		rep.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Replica.Close waited out a primary fsync in flight")
+	}
+	release()
+	if err := <-outcome; err != nil {
+		t.Fatalf("put behind the held fsync: %v", err)
+	}
+}
+
+// TestReplicaWakeRetriesFailedShip: a poll that fails to read the primary's
+// segments is retried without another primary fsync to wake it, so a
+// semi-sync commit on an otherwise idle primary is still acknowledged.
+func TestReplicaWakeRetriesFailedShip(t *testing.T) {
+	injected := errors.New("injected segment read failure")
+	storage := &failReadStorage{Storage: wal.NewMemStorage(), fails: &atomic.Int64{}, err: injected}
+	primary := MustOpen(kvDef("kv0"), walCfg(storage))
+	t.Cleanup(primary.Close)
+	if _, err := primary.Execute("kv0", "put", int64(1), int64(10)); err != nil {
+		t.Fatalf("put: %v", err)
+	}
+	rep, err := OpenReplica(primary, ReplicaOptions{Ack: AckSemiSync})
+	if err != nil {
+		t.Fatalf("OpenReplica: %v", err)
+	}
+	t.Cleanup(rep.Close) // before the primary's Close: releases a stuck commit
+	if err := rep.WaitCaughtUp(replicaWait); err != nil {
+		t.Fatal(err)
+	}
+
+	storage.fails.Store(1)
+	outcome := make(chan error, 1)
+	go func() {
+		_, err := primary.Execute("kv0", "put", int64(2), int64(20))
+		outcome <- err
+	}()
+	select {
+	case err := <-outcome:
+		if err != nil {
+			t.Fatalf("semi-sync put: %v", err)
+		}
+	case <-time.After(replicaWait):
+		t.Fatal("a semi-sync commit on an idle primary was not acknowledged after one failed ship")
+	}
+	if st := rep.Stats(); !strings.Contains(st.Err, injected.Error()) {
+		t.Fatalf("replica error %q: the segment read did not fail, so the retry went untested", st.Err)
+	}
+	// The ack follows the mirror's fsync; the apply round follows the ack.
+	waitFor(t, replicaWait, func() bool {
+		v, present := readReplicaV(t, rep, "kv0", 2)
+		return present && v == 20
+	})
+}
+
+// failReadStorage fails the next fails segment reads with err: a log that a
+// replica's cursor briefly cannot read while its writer goes on unaware.
+type failReadStorage struct {
+	wal.Storage
+	fails *atomic.Int64
+	err   error
+}
+
+func (s *failReadStorage) Sub(name string) wal.Storage {
+	sub := *s
+	sub.Storage = s.Storage.Sub(name)
+	return &sub
+}
+
+func (s *failReadStorage) ReadSegment(index uint64) ([]byte, error) {
+	if s.fails.Add(-1) >= 0 {
+		return nil, s.err
+	}
+	return s.Storage.ReadSegment(index)
 }
 
 // gateSyncStorage holds the fsyncs of one named sub-storage, from the

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -453,34 +455,76 @@ func TestWireOverloadedIsRetryableStatus(t *testing.T) {
 	}
 }
 
-// laggedFixture opens a WAL primary with a caught-up-then-frozen replica: the
-// replica bootstraps from a checkpoint and then never polls, so every
-// subsequent primary commit widens its lag deterministically.
+// laggedFixture opens a WAL primary, and a caught-up-then-frozen replica of a
+// second primary: the replica bootstraps from its primary's checkpoint, then
+// that primary's segments stop being readable (cutStorage), so the replica
+// ships nothing more, its status carries the read error, and every later
+// commit on its primary widens its lag deterministically.
 func laggedFixture(t *testing.T) (*engine.Database, *engine.Replica) {
 	t.Helper()
 	db := engine.MustOpen(kvDef(nil, "kv0"), walCfg())
 	t.Cleanup(db.Close)
+
+	cut := &atomic.Bool{}
+	cfg := walCfg()
+	cfg.Durability.Storage = cutStorage{Storage: wal.NewMemStorage(), cut: cut}
+	frozenPrimary := engine.MustOpen(kvDef(nil, "kv0"), cfg)
+	t.Cleanup(frozenPrimary.Close)
 	for i := 0; i < 10; i++ {
-		if _, err := db.Execute("kv0", "put", int64(i), int64(i)); err != nil {
+		if _, err := frozenPrimary.Execute("kv0", "put", int64(i), int64(i)); err != nil {
 			t.Fatalf("seed put %d: %v", i, err)
 		}
 	}
-	if err := db.Checkpoint(); err != nil {
+	if err := frozenPrimary.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
-	rep, err := engine.OpenReplica(db, engine.ReplicaOptions{PollInterval: time.Hour})
+	rep, err := engine.OpenReplica(frozenPrimary, engine.ReplicaOptions{})
 	if err != nil {
 		t.Fatalf("open replica: %v", err)
 	}
 	t.Cleanup(rep.Close)
+	if err := rep.WaitCaughtUp(10 * time.Second); err != nil {
+		t.Fatalf("replica catch-up: %v", err)
+	}
+	cut.Store(true)
 	// Widen the lag: these commits are durable on the primary but the frozen
 	// replica never applies them.
 	for i := 0; i < 5; i++ {
-		if _, err := db.Execute("kv0", "put", int64(100+i), int64(100+i)); err != nil {
+		if _, err := frozenPrimary.Execute("kv0", "put", int64(100+i), int64(100+i)); err != nil {
 			t.Fatalf("lag put %d: %v", i, err)
 		}
 	}
+	deadline := time.Now().Add(10 * time.Second)
+	for rep.Stats().Err == "" {
+		if time.Now().After(deadline) {
+			t.Fatal("the frozen replica recorded no shipping error")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	return db, rep
+}
+
+// errCut is what a cutStorage's segment reads return once it is cut.
+var errCut = errors.New("segment reads cut off")
+
+// cutStorage is a log store whose segments stop being readable once cut is
+// set. The primary writing it goes on appending and fsyncing (it reads its
+// segments only to open, recover and truncate), but a replica shipping the
+// log fails every read.
+type cutStorage struct {
+	wal.Storage
+	cut *atomic.Bool
+}
+
+func (s cutStorage) Sub(name string) wal.Storage {
+	return cutStorage{Storage: s.Storage.Sub(name), cut: s.cut}
+}
+
+func (s cutStorage) ReadSegment(index uint64) ([]byte, error) {
+	if s.cut.Load() {
+		return nil, errCut
+	}
+	return s.Storage.ReadSegment(index)
 }
 
 // TestReplicaFreshnessBoundAndWriteRejection drives a frozen replica over the
@@ -511,19 +555,19 @@ func TestReplicaFreshnessBoundAndWriteRejection(t *testing.T) {
 	if err != nil {
 		t.Fatalf("stats: %v", err)
 	}
-	if h.Role != RoleReplica || h.LagRecords == 0 {
-		t.Fatalf("status = %+v, want replica role with nonzero lag", h)
+	if h.Role != RoleReplica || h.LagRecords == 0 || !strings.Contains(h.Err, errCut.Error()) {
+		t.Fatalf("status = %+v, want replica role with nonzero lag and the shipping error", h)
 	}
 }
 
 // TestRouterRoutesAroundLaggingReplica runs the router against a primary, a
-// fresh replica and a frozen replica: writes land on the primary, and every
-// bounded read returns the freshest value no matter which endpoint was tried
-// first — a read rotated onto the frozen replica pays the Stale-retry round
-// trip to the primary.
+// fresh replica of it and a frozen replica: writes land on the primary, and
+// every bounded read returns the freshest value no matter which endpoint was
+// tried first — a read rotated onto the frozen replica pays the Stale-retry
+// round trip to the primary.
 func TestRouterRoutesAroundLaggingReplica(t *testing.T) {
 	db, frozen := laggedFixture(t)
-	fresh, err := engine.OpenReplica(db, engine.ReplicaOptions{PollInterval: 100 * time.Microsecond})
+	fresh, err := engine.OpenReplica(db, engine.ReplicaOptions{})
 	if err != nil {
 		t.Fatalf("open fresh replica: %v", err)
 	}

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -65,6 +66,12 @@ type Log struct {
 	segmentsDeleted uint64
 	fsyncLat        *stats.Histogram
 	flushBytes      *stats.Histogram
+
+	// watchers are woken after every fsync that raises durable (Watch). They
+	// have their own lock, never mu, so registering and unregistering never
+	// wait out an fsync in flight.
+	watchMu  sync.Mutex
+	watchers []chan<- struct{}
 }
 
 // Open opens a log on the given storage: it finds the last assigned LSN (the
@@ -357,7 +364,35 @@ func (l *Log) fsyncLocked() error {
 	l.flushBytes.Observe(float64(l.unsynced))
 	l.unsynced = 0
 	l.durable.Store(appended)
+	l.watchMu.Lock()
+	for _, ch := range l.watchers {
+		select {
+		case ch <- struct{}{}:
+		default: // a wake-up is already pending; it covers this fsync too
+		}
+	}
+	l.watchMu.Unlock()
 	return nil
+}
+
+// Watch registers ch to receive a non-blocking send after every fsync that
+// raises DurableLSN — a sync, a rotation, a failed append's retraction or
+// Close: the one place the durable watermark moves. A send finding ch full is
+// dropped, so a 1-slot channel coalesces the fsyncs between two reads of it,
+// and a slow watcher never holds up a commit. A replica tailing the log
+// watches it to ship what each fsync made durable.
+func (l *Log) Watch(ch chan<- struct{}) {
+	l.watchMu.Lock()
+	l.watchers = append(l.watchers, ch)
+	l.watchMu.Unlock()
+}
+
+// Unwatch removes a channel registered with Watch. It does not wait for an
+// fsync in flight.
+func (l *Log) Unwatch(ch chan<- struct{}) {
+	l.watchMu.Lock()
+	l.watchers = slices.DeleteFunc(l.watchers, func(w chan<- struct{}) bool { return w == ch })
+	l.watchMu.Unlock()
 }
 
 // SetEpoch sets the primary term stamped on every subsequent append. It only
@@ -408,15 +443,6 @@ func (l *Log) LastLSN() uint64 { return l.appended.Load() }
 
 // DurableLSN returns the highest LSN covered by a successful fsync.
 func (l *Log) DurableLSN() uint64 { return l.durable.Load() }
-
-// SettledDurableLSN is DurableLSN once any append or fsync in flight has
-// finished: it waits for the log's lock (a shipper polling on a timer waits
-// out a force in flight with it).
-func (l *Log) SettledDurableLSN() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.durable.Load()
-}
 
 // Replay iterates every decodable committed record in LSN order. A torn or
 // corrupt frame ends that *segment's* valid prefix but not the whole

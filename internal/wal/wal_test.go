@@ -744,3 +744,114 @@ func TestLogWatermarksDoNotWaitOutFsync(t *testing.T) {
 		t.Fatal("absorbed sync on a closed log succeeded")
 	}
 }
+
+// TestWatchWakesOncePerFsync: a watcher gets one wake-up per physical fsync
+// — a sync, a rotation, a failed append's retraction and Close included — and
+// none for a sync an earlier fsync absorbed. A full channel never holds up an
+// fsync, and Unwatch returns while an fsync is held.
+func TestWatchWakesOncePerFsync(t *testing.T) {
+	mem := NewMemStorage()
+	l, err := Open(mem, Options{SegmentSize: 256})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	ch := make(chan struct{}, 8) // room for every wake-up a step sends: none is dropped
+	l.Watch(ch)
+	fsyncs := uint64(0)
+	// step runs do and checks that it issued wantFsyncs fsyncs and sent ch
+	// wantWakes wake-ups.
+	step := func(what string, wantFsyncs, wantWakes int, do func() error) {
+		t.Helper()
+		if err := do(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		now := l.Stats().Fsyncs
+		if got := int(now - fsyncs); got != wantFsyncs {
+			t.Fatalf("%s issued %d fsyncs, want %d", what, got, wantFsyncs)
+		}
+		if len(ch) != wantWakes {
+			t.Fatalf("%s sent %d wake-ups, want %d", what, len(ch), wantWakes)
+		}
+		fsyncs = now
+		for len(ch) > 0 {
+			<-ch
+		}
+	}
+	appendSync := func(tid uint64) func() error {
+		return func() error {
+			if _, err := l.Append(testRecord(tid, 1)); err != nil {
+				return err
+			}
+			return l.Sync()
+		}
+	}
+
+	step("append and sync", 1, 1, appendSync(1))
+	step("absorbed syncs", 0, 0, func() error {
+		if err := l.Sync(); err != nil {
+			return err
+		}
+		return l.SyncThrough(l.DurableLSN())
+	})
+	step("rotation", 2, 2, func() error {
+		if _, err := l.Append(testRecord(2, 1)); err != nil {
+			return err
+		}
+		// This record does not fit the segment: the append seals it with an
+		// fsync of its own, and the sync covers the new segment.
+		if _, err := l.Append(testRecord(3, 8)); err != nil {
+			return err
+		}
+		return l.Sync()
+	})
+	step("failed append's retraction", 1, 1, func() error {
+		injected := errors.New("transient disk error")
+		mem.FailNextWrite(injected)
+		if _, err := l.Append(testRecord(4, 1)); !errors.Is(err, injected) {
+			return fmt.Errorf("append = %v, want the injected error", err)
+		}
+		return nil
+	})
+
+	full := make(chan struct{}, 1)
+	full <- struct{}{}
+	l.Watch(full)
+	done := make(chan error, 1)
+	go func() { done <- appendSync(5)() }()
+	select {
+	case err := <-done:
+		step("sync with a full watcher", 1, 1, func() error { return err })
+	case <-time.After(5 * time.Second):
+		t.Fatal("an fsync blocked on a full watcher channel")
+	}
+
+	gate := make(chan struct{})
+	mem.GateSyncs(gate)
+	if _, err := l.Append(testRecord(6, 1)); err != nil {
+		t.Fatalf("append: %v", err)
+	}
+	started := mem.SyncsStarted()
+	held := make(chan error, 1)
+	go func() { held <- l.Sync() }()
+	for mem.SyncsStarted() == started {
+		time.Sleep(time.Millisecond)
+	}
+	unwatched := make(chan struct{})
+	go func() {
+		l.Unwatch(ch)
+		close(unwatched)
+	}()
+	select {
+	case <-unwatched:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Unwatch waited out the held fsync")
+	}
+	close(gate)
+	step("sync after Unwatch", 1, 0, func() error { return <-held })
+
+	l.Watch(ch)
+	if _, err := l.Append(testRecord(7, 1)); err != nil {
+		t.Fatalf("append: %v", err)
+	}
+	step("close", 1, 1, l.Close)
+}
