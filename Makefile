@@ -79,9 +79,11 @@ crash-ckpt:
 # decision). So do the fsync wake-up that feeds the tailing loop (one wake-up
 # per physical fsync, never blocking one, Unwatch not waiting one out) and the
 # loop's two wake tests: Close does not wait for a primary fsync in flight,
-# and a failed segment read is retried without a further fsync.
+# and a failed segment read is retried without a further fsync. So does the
+# feed-order test: a replica promoted in place, holding a decision with a
+# commit staged behind it, equals a cold recovery of its mirror.
 crash-repl:
-	$(GO) test -race -run 'CrashRepl|Ship|Resolver|ReplicaRestartAfterTruncatedDecision|Watch|ReplicaWake' -count=1 ./internal/engine/... ./internal/wal/...
+	$(GO) test -race -run 'CrashRepl|Ship|Resolver|ReplicaRestartAfterTruncatedDecision|Watch|ReplicaWake|PromoteInPlace' -count=1 ./internal/engine/... ./internal/wal/...
 
 # Supervised-failover crash matrix under the race detector: kill the primary
 # at every commit/ship boundary, let the supervisor detect + fence + promote
@@ -89,12 +91,14 @@ crash-repl:
 # the promoted node. The black-box history checker rides along: no
 # acknowledged commit lost, no committed read un-happens, and the fenced
 # zombie's writes are rejected at both the WAL and wire layers (proven by the
-# fence-ablation arm, which shows the lost-update the fence prevents). The
-# primary-kill matrix then runs 50 more times: its interleavings ride
+# fence-ablation arm, which shows the lost-update the fence prevents). So do
+# the in-place promotion tests: a promoted replica equals a cold recovery of
+# its mirror, and promotion reads no more than each mirror's tail segment.
+# The primary-kill matrix then runs 50 more times: its interleavings ride
 # goroutine timing, and the lost acknowledged commit it once caught showed in
 # about one run in six.
 crash-failover:
-	$(GO) test -race -run CrashFailover -count=1 ./internal/engine/...
+	$(GO) test -race -run 'CrashFailover|PromoteInPlace|PromoteDoesNoReplay' -count=1 ./internal/engine/...
 	$(GO) test -race -run TestCrashFailoverPrimaryKillMatrix -count=50 ./internal/engine/
 
 # Fuzz smoke for the decoders of untrusted bytes. WAL record and checkpoint

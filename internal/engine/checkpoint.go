@@ -3,7 +3,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"reactdb/internal/kv"
 	"reactdb/internal/wal"
@@ -49,15 +48,18 @@ type checkpointCounters struct {
 // container's log below its snapshot's low-water mark. It is safe to call
 // concurrently with a running workload (commits stall only for the
 // microsecond-scale quiesce read) and is a no-op under durability modes
-// without a WAL. The background checkpointer (Durability.CheckpointInterval)
-// calls it on a timer; on-demand callers use it before a planned shutdown to
-// make the next recovery near-instant.
+// without a WAL. Callers checkpoint after a bulk load (FinishLoad) and before
+// a planned shutdown, to make the next recovery near-instant. A replica's
+// database refuses with ErrReplicaRead: truncation would cut its mirror.
 func (db *Database) Checkpoint() error {
 	if db.cfg.Durability.Mode != DurabilityWAL {
 		return nil
 	}
 	if db.closed.Load() {
 		return errCheckpointClosed
+	}
+	if db.replica.Load() {
+		return ErrReplicaRead
 	}
 	db.ckptMu.Lock()
 	defer db.ckptMu.Unlock()
@@ -258,42 +260,6 @@ func (db *Database) acquireCommitGate(session *coreSession) {
 		defer session.acquire()
 	}
 	db.commitGate.RLock()
-}
-
-// checkpointLoop is the background checkpointer, started by Open when
-// Durability.CheckpointInterval is positive. Every tick it checkpoints the
-// database, unless Durability.CheckpointBytes is set and the logs grew less
-// than that since the last checkpoint.
-func (db *Database) checkpointLoop() {
-	defer db.ckptWG.Done()
-	ticker := time.NewTicker(db.cfg.Durability.CheckpointInterval)
-	defer ticker.Stop()
-	var lastBytes uint64
-	for {
-		select {
-		case <-db.ckptStop:
-			return
-		case <-ticker.C:
-			total := uint64(0)
-			if min := db.cfg.Durability.CheckpointBytes; min > 0 {
-				for _, c := range db.containers {
-					if c.wal != nil {
-						total += c.wal.Stats().AppendedBytes
-					}
-				}
-				if total-lastBytes < uint64(min) {
-					continue
-				}
-			}
-			// A failed checkpoint (e.g. storage trouble) is retried on the
-			// next tick — lastBytes only advances on success, so the byte
-			// threshold cannot swallow the retry; the previous checkpoint
-			// remains the recovery plan meanwhile.
-			if err := db.Checkpoint(); err == nil {
-				lastBytes = total
-			}
-		}
-	}
 }
 
 // CheckpointStats is a snapshot of one container's checkpoint activity.

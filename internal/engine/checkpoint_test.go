@@ -351,52 +351,9 @@ func TestCorruptCheckpointFallsBackToFullReplay(t *testing.T) {
 	}
 }
 
-// TestBackgroundCheckpointer runs the timer-driven checkpointer under load
-// and checks that checkpoints happen on their own, respect the byte
-// threshold bookkeeping, and leave a recoverable state behind.
-func TestBackgroundCheckpointer(t *testing.T) {
-	storage := wal.NewMemStorage()
-	cfg := ckptCfg(storage)
-	cfg.Durability.CheckpointInterval = 2 * time.Millisecond
-	cfg.Durability.CheckpointBytes = 64
-	def := kvDef("kv0")
-
-	db := MustOpen(def, cfg)
-	const n = 50
-	for i := 0; i < n; i++ {
-		if _, err := db.Execute("kv0", "put", int64(i), int64(i)); err != nil {
-			t.Fatalf("put %d: %v", i, err)
-		}
-	}
-	waitFor(t, 10*time.Second, func() bool {
-		return db.CheckpointStats()[0].Checkpoints >= 1
-	})
-	db.Close()
-
-	db2 := MustOpen(def, ckptCfg(storage))
-	t.Cleanup(db2.Close)
-	replayed, err := db2.Recover()
-	if err != nil {
-		t.Fatalf("Recover: %v", err)
-	}
-	if replayed >= n {
-		t.Fatalf("recovery replayed %d of %d transactions despite a background checkpoint", replayed, n)
-	}
-	for i := 0; i < n; i++ {
-		if v, present := readV(t, db2, "kv0", int64(i)); !present || v != int64(i) {
-			t.Fatalf("key %d = (%d, %v), want %d", i, v, present, i)
-		}
-	}
-}
-
-// TestCheckpointRequiresWALMode ensures the config knobs cannot be combined
-// with the modeled ablation, and that on-demand Checkpoint is a no-op there.
+// TestCheckpointRequiresWALMode ensures on-demand Checkpoint is a no-op under
+// the modeled ablation.
 func TestCheckpointRequiresWALMode(t *testing.T) {
-	cfg := Config{Containers: 1, ExecutorsPerContainer: 1,
-		Durability: DurabilityConfig{CheckpointInterval: time.Second}}
-	if _, err := Open(kvDef("kv0"), cfg); err == nil {
-		t.Fatal("Open accepted CheckpointInterval without DurabilityWAL")
-	}
 	db := MustOpen(kvDef("kv0"), Config{Containers: 1, ExecutorsPerContainer: 1})
 	t.Cleanup(db.Close)
 	if err := db.Checkpoint(); err != nil {

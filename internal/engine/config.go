@@ -98,18 +98,6 @@ type DurabilityConfig struct {
 	// SegmentSize is the WAL segment rotation threshold in bytes
 	// (default wal.DefaultSegmentSize).
 	SegmentSize int
-	// CheckpointInterval, when positive under DurabilityWAL, runs a
-	// background checkpointer: every interval it snapshots each container's
-	// committed catalog state into a durable checkpoint and truncates log
-	// segments wholly below the checkpoint's low-water mark, bounding both
-	// log size and recovery time. Zero disables the background checkpointer;
-	// Database.Checkpoint still works on demand.
-	CheckpointInterval time.Duration
-	// CheckpointBytes, when positive, makes the background checkpointer skip
-	// a tick unless at least this many bytes were appended across all
-	// container logs since the last checkpoint, so an idle database is not
-	// re-snapshotted. Zero checkpoints on every tick.
-	CheckpointBytes int
 }
 
 // Config describes a ReactDB deployment: how many containers and executors to
@@ -177,12 +165,6 @@ type Config struct {
 	// empty transactions, as in Appendix F.3, and must not be used with
 	// workloads that write data.
 	DisableCC bool
-
-	// replica marks the inner database of a Replica: procedures run read-only
-	// (Insert/Update/Delete fail with ErrReplicaRead) while the replica's
-	// apply loop installs the primary's writes underneath. Unexported on
-	// purpose — only OpenReplica sets it.
-	replica bool
 }
 
 // Validate checks the configuration and applies defaults for zero fields.
@@ -229,9 +211,6 @@ func (c *Config) Validate() error {
 		if c.Durability.SegmentSize <= 0 {
 			c.Durability.SegmentSize = wal.DefaultSegmentSize
 		}
-	}
-	if c.Durability.Mode != DurabilityWAL && (c.Durability.CheckpointInterval > 0 || c.Durability.CheckpointBytes > 0) {
-		return fmt.Errorf("engine: checkpointing requires Durability.Mode == DurabilityWAL")
 	}
 	if c.Strategy == "" {
 		c.Strategy = Strategy(fmt.Sprintf("custom-%dx%d-%s", c.Containers, c.ExecutorsPerContainer, c.Router))

@@ -24,8 +24,6 @@ func TestConfigSurface(t *testing.T) {
 			"Costs.Receive",
 			"Costs.Send",
 			"DisableCC",
-			"Durability.CheckpointBytes",
-			"Durability.CheckpointInterval",
 			"Durability.Mode",
 			"Durability.SegmentSize",
 			"Durability.Storage",

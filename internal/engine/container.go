@@ -74,17 +74,8 @@ func newContainer(db *Database, id int) (*Container, error) {
 		if fence := db.walFence.Load(); fence > 0 {
 			log.Fence(fence)
 		}
-		// Seed the checkpoint sequence past anything already on storage so a
-		// fresh incarnation never overwrites a predecessor's checkpoint, even
-		// when Recover is skipped. A listing failure must fail Open: silently
-		// restarting at sequence 0 would let a later truncation strand a
-		// stale higher-sequence checkpoint that recovery then prefers.
-		seqs, err := storage.ListCheckpoints()
-		if err != nil {
-			return nil, fmt.Errorf("engine: container %d: list checkpoints: %w", id, err)
-		}
-		if len(seqs) > 0 {
-			c.ckptSeq = seqs[len(seqs)-1]
+		if err := c.seedCheckpointSeq(); err != nil {
+			return nil, err
 		}
 	}
 	for i := 0; i < db.cfg.ExecutorsPerContainer; i++ {
@@ -94,6 +85,23 @@ func newContainer(db *Database, id int) (*Container, error) {
 		c.committer = newGroupCommitter(c)
 	}
 	return c, nil
+}
+
+// seedCheckpointSeq moves the checkpoint sequence past every blob on storage,
+// so no checkpoint overwrites a predecessor's, even when Recover is skipped.
+// A listing failure must fail: restarting at sequence 0 would let a later
+// truncation strand a stale higher-sequence checkpoint recovery prefers.
+func (c *Container) seedCheckpointSeq() error {
+	seqs, err := c.walStorage.ListCheckpoints()
+	if err != nil {
+		return fmt.Errorf("engine: container %d: list checkpoints: %w", c.id, err)
+	}
+	if len(seqs) > 0 {
+		c.ckptMu.Lock()
+		c.ckptSeq = max(c.ckptSeq, seqs[len(seqs)-1])
+		c.ckptMu.Unlock()
+	}
+	return nil
 }
 
 // shutdown stops the container's executors (draining their request queues),
@@ -289,10 +297,11 @@ func (c *Container) appendSync(recs ...wal.Record) error {
 // the force is absorbed without IO and without the log's lock; a fenced or
 // wedged log, or a fenced primary, fails the commit. The core is released
 // only around a wait that can block; session is nil when the caller already
-// released it.
+// released it. A replica read waits on nothing: it must never take the
+// mirror's lock.
 func (c *Container) awaitObserved(session *coreSession) error {
 	w := c.wal
-	if w == nil {
+	if w == nil || c.db.replica.Load() {
 		return nil
 	}
 	lsn := w.LastLSN()

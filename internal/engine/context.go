@@ -149,7 +149,7 @@ func (c *execContext) GetView(relation string, keyVals ...any) (rel.RowView, boo
 
 // Insert implements core.Context.
 func (c *execContext) Insert(relation string, row rel.Row) error {
-	if c.db.cfg.replica {
+	if c.db.replica.Load() {
 		return ErrReplicaRead
 	}
 	tbl, err := c.table(relation)
@@ -184,7 +184,7 @@ func (c *execContext) Insert(relation string, row rel.Row) error {
 
 // Update implements core.Context.
 func (c *execContext) Update(relation string, row rel.Row) error {
-	if c.db.cfg.replica {
+	if c.db.replica.Load() {
 		return ErrReplicaRead
 	}
 	tbl, err := c.table(relation)
@@ -228,7 +228,7 @@ func (c *execContext) Update(relation string, row rel.Row) error {
 
 // Delete implements core.Context.
 func (c *execContext) Delete(relation string, keyVals ...any) error {
-	if c.db.cfg.replica {
+	if c.db.replica.Load() {
 		return ErrReplicaRead
 	}
 	tbl, err := c.table(relation)

@@ -35,11 +35,9 @@ type Database struct {
 	// nothing is between "appended" and "installed". See checkpoint.go.
 	commitGate sync.RWMutex
 
-	// ckptMu serializes whole-database checkpoints (background timer vs
-	// on-demand Checkpoint calls).
-	ckptMu   sync.Mutex
-	ckptStop chan struct{}
-	ckptWG   sync.WaitGroup
+	// ckptMu serializes whole-database checkpoints, and holds them off while
+	// a replica bootstraps from this database's blobs.
+	ckptMu sync.Mutex
 
 	// walEpoch and walFence mirror the durable failover EpochState loaded at
 	// Open (wal.ReadEpochState): the primary term this node's logs append
@@ -63,6 +61,12 @@ type Database struct {
 	// replication.go.
 	repl *replicationHub
 
+	// replica marks the inner database of a Replica, whose logs are its
+	// mirrors: writes fail with ErrReplicaRead, read-only commits wait on no
+	// log, and Checkpoint, Heartbeat and Recover refuse. PromoteReplica
+	// clears it with reads running.
+	replica atomic.Bool
+
 	closed atomic.Bool
 }
 
@@ -70,6 +74,13 @@ type Database struct {
 // same definition can be opened under any configuration — the paper's central
 // virtualization property: database architecture is a deployment decision.
 func Open(def *core.DatabaseDef, cfg Config) (*Database, error) {
+	return open(def, cfg, false)
+}
+
+// open is Open, as a replica's inner database when replica is set: a mirror
+// appends no record of its own, so it ignores the storage's failover term — a
+// fence left by the node this storage once served would refuse its appends.
+func open(def *core.DatabaseDef, cfg Config, replica bool) (*Database, error) {
 	if err := def.Validate(); err != nil {
 		return nil, err
 	}
@@ -80,10 +91,10 @@ func Open(def *core.DatabaseDef, cfg Config) (*Database, error) {
 		def:       def,
 		cfg:       cfg,
 		placement: make(map[string]*Container),
-		ckptStop:  make(chan struct{}),
 	}
+	db.replica.Store(replica)
 	db.repl = newReplicationHub(db.Fenced)
-	if cfg.Durability.Mode == DurabilityWAL {
+	if cfg.Durability.Mode == DurabilityWAL && !replica {
 		// Load the node's failover term before any container log opens so the
 		// very first append already carries the right epoch — and a fenced
 		// deposed primary refuses writes from the moment it restarts.
@@ -117,10 +128,6 @@ func Open(def *core.DatabaseDef, cfg Config) (*Database, error) {
 		}
 		db.placement[reactor] = c
 	}
-	if cfg.Durability.CheckpointInterval > 0 {
-		db.ckptWG.Add(1)
-		go db.checkpointLoop()
-	}
 	return db, nil
 }
 
@@ -138,10 +145,6 @@ func MustOpen(def *core.DatabaseDef, cfg Config) *Database {
 // Execute must not be called after Close.
 func (db *Database) Close() {
 	if db.closed.CompareAndSwap(false, true) {
-		// Stop the background checkpointer before tearing containers down: a
-		// checkpoint racing shutdown would truncate against a closing log.
-		close(db.ckptStop)
-		db.ckptWG.Wait()
 		db.inflight.Wait()
 		for _, c := range db.containers {
 			c.shutdown()

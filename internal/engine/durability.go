@@ -54,19 +54,36 @@ import (
 // It returns the number of transactions replayed, counting a multi-container
 // transaction once per participant whose log contributed writes; transactions
 // restored via a checkpoint snapshot are not counted (see CheckpointStats
-// for RestoredRows).
+// for RestoredRows). A replica's database refuses with ErrReplicaRead: it
+// loads at OpenReplica and finishes at PromoteReplica.
 func (db *Database) Recover() (int, error) {
 	if db.cfg.Durability.Mode != DurabilityWAL {
 		return 0, nil
 	}
-	// Checkpoint pass: each container's newest valid checkpoint is installed
-	// and sets its floor.
-	var maxGid uint64
+	if db.replica.Load() {
+		return 0, ErrReplicaRead
+	}
+	res := newResolver(len(db.containers))
+	_, loaded, err := db.load(res)
+	if err != nil {
+		return loaded, err
+	}
+	finished, err := db.finish(res)
+	return loaded + finished, err
+}
+
+// load is recovery's read half, shared by Recover and a replica opening over
+// its mirror: each container's newest valid checkpoint is installed and sets
+// its floor (and global-id watermark) in res, then each log is replayed into
+// res once, installing whatever settles as it goes. It reports which
+// containers installed a checkpoint and how many records it installed.
+func (db *Database) load(res *resolver) (blobs []bool, installed int, err error) {
+	blobs = make([]bool, len(db.containers))
 	floors := make([]uint64, len(db.containers))
 	for i, c := range db.containers {
 		cp, skipped, err := wal.LatestCheckpoint(c.walStorage)
 		if err != nil {
-			return 0, err
+			return nil, 0, err
 		}
 		c.ckptMu.Lock()
 		c.ckptStats.corruptSkipped = skipped
@@ -75,61 +92,69 @@ func (db *Database) Recover() (int, error) {
 			continue
 		}
 		if err := c.installCheckpoint(cp); err != nil {
-			return 0, err
+			return nil, 0, err
 		}
-		floors[i] = cp.LowLSN
-		maxGid = max(maxGid, cp.MaxGlobalID)
+		blobs[i], floors[i] = true, cp.LowLSN
+		res.maxGid = max(res.maxGid, cp.MaxGlobalID)
 	}
-	// Replay pass: one Replay per log into the resolver, installing whatever
-	// it settles as it goes. Checkpoints contributed their global-id watermark
-	// above, covering ids whose records truncation already deleted.
-	res := newResolver(len(db.containers))
 	res.setFloors(floors)
-	total := 0
-	var installErr error
-	install := func(s int, rec *wal.Record) {
-		if err := db.containers[s].installRecord(rec); err != nil && installErr == nil {
-			installErr = fmt.Errorf("engine: recovery: %w", err)
-		}
-		total++
-	}
 	for i, c := range db.containers {
 		if err := c.wal.Replay(func(rec wal.Record) error {
-			maxGid = max(maxGid, rec.GlobalID)
 			res.feed(i, &rec)
-			res.apply(install)
-			return installErr
+			n, err := db.installSettled(res)
+			installed += n
+			return err
 		}); err != nil {
-			return total, err
+			return nil, installed, err
 		}
 	}
+	return blobs, installed, nil
+}
+
+// finish is recovery's write half, run once every log is fed into res: each
+// incomplete group is presumed aborted, what settles is installed under the
+// commit gate (a promoted replica serves reads meanwhile), the presumed
+// aborts are tombstoned durably — one write and one fsync per log — and the
+// transaction id sequence moves past every global id res has seen.
+func (db *Database) finish(res *resolver) (int, error) {
 	presumed := make([][]wal.Record, len(db.containers))
 	res.close(func(s int, tid uint64) {
 		presumed[s] = append(presumed[s], wal.Record{TID: tid, Kind: wal.KindAbort})
 		db.containers[s].domain.ObserveRecoveredAbort(tid)
 	})
+	db.commitGate.Lock()
 	res.ready()
-	res.apply(install)
-	if installErr != nil {
-		return total, installErr
+	installed, err := db.installSettled(res)
+	db.commitGate.Unlock()
+	if err != nil {
+		return installed, err
 	}
-	// Tombstone the presumed aborts once replay is over (a log must not grow
-	// mid-Replay) and make them durable: one write and one fsync per log.
 	for i, tombstones := range presumed {
 		if len(tombstones) == 0 {
 			continue
 		}
 		if err := db.containers[i].appendSync(tombstones...); err != nil {
-			return total, fmt.Errorf("engine: recovery: tombstoning presumed aborts in container %d: %w", i, err)
+			return installed, fmt.Errorf("engine: recovery: tombstoning presumed aborts in container %d: %w", i, err)
 		}
 	}
 	for {
 		cur := db.nextTxnID.Load()
-		if cur >= maxGid || db.nextTxnID.CompareAndSwap(cur, maxGid) {
-			break
+		if cur >= res.maxGid || db.nextTxnID.CompareAndSwap(cur, res.maxGid) {
+			return installed, nil
 		}
 	}
-	return total, nil
+}
+
+// installSettled installs every record res has settled — what recovery does
+// with a replayed record and a replica with a shipped one — and reports how
+// many and the first error.
+func (db *Database) installSettled(res *resolver) (n int, err error) {
+	n = res.apply(func(s int, rec *wal.Record) {
+		if ierr := db.containers[s].installRecord(rec); ierr != nil && err == nil {
+			err = fmt.Errorf("engine: install: %w", ierr)
+		}
+	})
+	return n, err
 }
 
 // WALStats is a snapshot of one container's write-ahead log activity.

@@ -430,8 +430,23 @@ func TestConflictingTransactionsReportErrConflict(t *testing.T) {
 }
 
 func TestProfileComponentsPopulated(t *testing.T) {
+	costs := vclock.Costs{Send: 200 * time.Microsecond, Receive: 400 * time.Microsecond}
+	// receiveCharged is the engine's rule (installWaitHooks, paper §4.2.1):
+	// the receive cost is charged once when the caller blocked on the remote
+	// result, and not at all when the result was there before it waited.
+	receiveCharged := func(t *testing.T, p Profile) {
+		t.Helper()
+		want := time.Duration(0)
+		if p.BlockedWait > 0 {
+			want = costs.Receive
+		}
+		if p.Cr != want {
+			t.Fatalf("Cr = %v with BlockedWait = %v, want %v", p.Cr, p.BlockedWait, want)
+		}
+	}
+
 	cfg := NewSharedNothing(4)
-	cfg.Costs = vclock.Costs{Send: 200 * time.Microsecond, Receive: 400 * time.Microsecond}
+	cfg.Costs = costs
 	db := openAccounts(t, 4, 100, cfg)
 	_, profile, err := db.ExecuteProfiled("acct-0", "transfer", "acct-2", 5.0)
 	if err != nil {
@@ -440,9 +455,10 @@ func TestProfileComponentsPopulated(t *testing.T) {
 	if profile.RemoteCalls != 1 {
 		t.Fatalf("RemoteCalls = %d, want 1", profile.RemoteCalls)
 	}
-	if profile.Cs < 200*time.Microsecond || profile.Cr < 400*time.Microsecond {
-		t.Fatalf("communication costs not charged: Cs=%v Cr=%v", profile.Cs, profile.Cr)
+	if profile.Cs < costs.Send {
+		t.Fatalf("send cost not charged: Cs=%v", profile.Cs)
 	}
+	receiveCharged(t, profile)
 	if profile.Containers != 2 {
 		t.Fatalf("Containers = %d, want 2", profile.Containers)
 	}
@@ -452,6 +468,56 @@ func TestProfileComponentsPopulated(t *testing.T) {
 	if profile.Aborted {
 		t.Fatalf("profile should not be marked aborted")
 	}
+
+	// The blocking arm: the remote procedure holds its result until a root on
+	// the caller's one-executor container has run, which it can only do once
+	// the caller released that core — blocked in Get, since the result it
+	// waits for is not there yet.
+	gate, started := make(chan struct{}), make(chan struct{}, 1)
+	typ := core.NewType("Gate").AddRelation(rel.MustSchema("balance",
+		[]rel.Column{{Name: "id", Type: rel.Int64}, {Name: "amount", Type: rel.Float64}}, "id"))
+	typ.AddProcedure("call", func(ctx core.Context, args core.Args) (any, error) {
+		fut, err := ctx.Call(args.String(0), "wait")
+		if err != nil {
+			return nil, err
+		}
+		return fut.Get()
+	})
+	typ.AddProcedure("wait", func(ctx core.Context, args core.Args) (any, error) {
+		started <- struct{}{}
+		<-gate
+		return nil, nil
+	})
+	typ.AddProcedure("noop", func(ctx core.Context, args core.Args) (any, error) { return nil, nil })
+	def := core.NewDatabaseDef().MustAddType(typ)
+	def.MustDeclareReactors("Gate", "g0", "g1")
+	cfg = NewSharedNothing(2)
+	cfg.Costs = costs
+	cfg.Placement = func(reactor string) int { return int(reactor[1] - '0') }
+	gated := MustOpen(def, cfg)
+	t.Cleanup(gated.Close)
+	type outcome struct {
+		p   Profile
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		_, p, err := gated.ExecuteProfiled("g0", "call", "g1")
+		done <- outcome{p, err}
+	}()
+	<-started
+	if _, err := gated.Execute("g0", "noop"); err != nil {
+		t.Fatalf("noop beside the blocked caller: %v", err)
+	}
+	close(gate)
+	out := <-done
+	if out.err != nil {
+		t.Fatalf("call: %v", out.err)
+	}
+	if out.p.BlockedWait <= 0 || out.p.Cr < costs.Receive {
+		t.Fatalf("a caller that blocked: BlockedWait = %v, Cr = %v; want both charged", out.p.BlockedWait, out.p.Cr)
+	}
+	receiveCharged(t, out.p)
 }
 
 func TestRemoteCallsOnlyWhenCrossingContainers(t *testing.T) {

@@ -11,10 +11,10 @@ import (
 // This file is supervised failover over the promotion substrate of
 // replica.go: detect a dead primary (missed heartbeats), fence it behind a
 // new epoch (durably, so even a restarted zombie refuses writes), promote the
-// freshest semi-sync replica by opening its mirror under DurabilityWAL and
-// recovering, re-point surviving replicas at the promoted log after a
-// divergence repair, and optionally re-attach the deposed primary's storage
-// as a fresh replica the same way.
+// freshest semi-sync replica by finishing its recovery in place, re-point
+// surviving replicas at the promoted log after a divergence repair, and
+// optionally re-attach the deposed primary's storage as a fresh replica the
+// same way.
 //
 // The fencing order is the load-bearing part. Before anything is promoted the
 // supervisor (1) fences the old primary in memory — every container log
@@ -23,7 +23,7 @@ import (
 // writes the fence into the old primary's storage, the shared-storage analog
 // of STONITH: a zombie that restarts over that storage loads the fence at
 // Open and comes up read-only. Only then is the new epoch stamped into the
-// chosen replica's mirror and the mirror opened as the new primary. An
+// chosen replica's mirror and the replica's database made the new primary. An
 // in-memory fence on a live handle cannot fail; the durable write can (the
 // storage may be the very thing that died), which is safe: that storage is
 // equally unreadable to a restarting zombie.
@@ -99,10 +99,14 @@ func FenceStorage(s wal.Storage, belowEpoch uint64) error {
 // exactly the signal that this node can no longer acknowledge commits, which
 // is what a failover supervisor needs to know; in-memory execution health is
 // irrelevant if nothing can be made durable. Under durability modes without a
-// WAL it degrades to a liveness check.
+// WAL it degrades to a liveness check. A replica's database refuses with
+// ErrReplicaRead: its logs are a mirror.
 func (db *Database) Heartbeat() error {
 	if db.closed.Load() {
 		return errDatabaseClosed
+	}
+	if db.replica.Load() {
+		return ErrReplicaRead
 	}
 	if db.cfg.Durability.Mode != DurabilityWAL {
 		return nil
@@ -157,64 +161,88 @@ func FreshestReplica(replicas []*Replica) *Replica {
 	return best
 }
 
-// PromoteReplica turns a replica into a primary: the replica is closed, its
-// mirror storage is stamped with the new epoch (durably, before the first
-// record can append under it), and the storage is opened as a normal
-// DurabilityWAL database — same definition and deployment shape as the old
-// primary — with Recover replaying mirror + checkpoint into a serving state.
-// The semi-sync contract makes this lossless for acknowledged commits: every
-// acked commit is durably in this mirror.
+// PromoteReplica turns a replica into a primary in place, with no reopen and
+// no replay: it stops tailing, drops the staged frames (never fed), stamps the
+// new epoch durably into the replica's storage and finishes the recovery the
+// replica began when it opened. The resolver holds exactly what the mirror
+// durably holds, so this leaves the state a restart over the mirror would
+// recover. It returns the replica's database, now a writable primary holding
+// every commit a semi-sync replica acknowledged. A degraded or closed replica
+// is refused; a failure after that closes the database.
 func PromoteReplica(rep *Replica, newEpoch uint64) (*Database, error) {
-	def := rep.primary.def
-	cfg := rep.primary.cfg
-	cfg.Durability.Storage = rep.storage
-	cfg.Durability.SegmentSize = rep.segSize
-	rep.Close()
+	rep.mu.Lock()
+	if rep.closed || rep.degraded {
+		rep.mu.Unlock()
+		return nil, fmt.Errorf("engine: promote: replica is closed or degraded")
+	}
+	rep.closed = true
+	rep.mu.Unlock()
+	rep.halt()
+	rep.mu.Lock()
+	defer rep.mu.Unlock()
+	if err := rep.promote(newEpoch); err != nil {
+		rep.db.Close()
+		return nil, fmt.Errorf("engine: promote: %w", err)
+	}
+	return rep.db, nil
+}
 
-	st, err := wal.ReadEpochState(rep.storage)
-	if err != nil {
-		return nil, fmt.Errorf("engine: promote: read epoch state: %w", err)
-	}
-	if newEpoch < st.FenceBelow {
-		return nil, fmt.Errorf("engine: promote: epoch %d is below this node's fence %d", newEpoch, st.FenceBelow)
-	}
-	st.Epoch = newEpoch
-	if err := wal.WriteEpochState(rep.storage, st); err != nil {
-		return nil, fmt.Errorf("engine: promote: stamp epoch %d: %w", newEpoch, err)
-	}
-
-	db, err := Open(def, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("engine: promote: open mirror as primary: %w", err)
+// promote is PromoteReplica once tailing stopped; the caller holds rep.mu.
+func (rep *Replica) promote(newEpoch uint64) error {
+	db := rep.db
+	for _, s := range rep.shards {
+		s.staged = nil
 	}
 	// Record the promotion cut — the physical tail of each shard's mirror,
-	// captured before Recover appends presume-abort tombstones and before any
+	// captured before finish appends presume-abort tombstones and before any
 	// new-epoch commit. Everything at or below the cut is a byte-identical
 	// prefix of the old primary's log, shared with every other mirror of it;
 	// everything this node appends above the cut is a new timeline. If the
-	// log's notion of its last LSN runs ahead of the physical tail (a copied
-	// checkpoint blob can cover records the mirror never shipped), there is no
-	// LSN below which other nodes' records are provably identical — record a
-	// zero cut so repairStorage wipes them into a fresh bootstrap.
+	// log's last LSN runs ahead of the physical tail (a copied checkpoint
+	// blob can cover records the mirror never shipped), there is no LSN below
+	// which other nodes' records are provably identical — record a zero cut
+	// so repairStorage wipes them into a fresh bootstrap — and the log
+	// continues above the blob, where a restart would start it.
 	for i, c := range db.containers {
+		floor := rep.res.shards[i].floor
+		phys, err := wal.TailLSN(c.walStorage)
+		if err != nil {
+			return fmt.Errorf("tail of container %d: %w", i, err)
+		}
 		cut := uint64(0)
-		if c.wal != nil {
-			phys, terr := wal.TailLSN(rep.storage.Sub(fmt.Sprintf("container-%d", i)))
-			if terr != nil {
-				db.Close()
-				return nil, fmt.Errorf("engine: promote: tail of container %d: %w", i, terr)
-			}
-			if phys == c.wal.LastLSN() {
-				cut = phys
-			}
+		if phys == max(c.wal.LastLSN(), floor) {
+			cut = phys
 		}
 		db.promoCut = append(db.promoCut, cut)
+		if err := c.wal.Cover(floor); err != nil {
+			return fmt.Errorf("container %d: %w", i, err)
+		}
 	}
-	if _, err := db.Recover(); err != nil {
-		db.Close()
-		return nil, fmt.Errorf("engine: promote: recover: %w", err)
+	st, err := wal.ReadEpochState(rep.Storage())
+	if err != nil {
+		return fmt.Errorf("read epoch state: %w", err)
 	}
-	return db, nil
+	if newEpoch < st.FenceBelow {
+		return fmt.Errorf("epoch %d is below this node's fence %d", newEpoch, st.FenceBelow)
+	}
+	st.Epoch = newEpoch
+	if err := wal.WriteEpochState(rep.Storage(), st); err != nil {
+		return fmt.Errorf("stamp epoch %d: %w", newEpoch, err)
+	}
+	db.walEpoch.Store(newEpoch)
+	db.walFence.Store(st.FenceBelow)
+	for _, c := range db.containers {
+		c.wal.SetEpoch(newEpoch)
+		// Blobs copied from the old primary carry its sequence numbers.
+		if err := c.seedCheckpointSeq(); err != nil {
+			return err
+		}
+	}
+	if _, err := db.finish(rep.res); err != nil {
+		return err
+	}
+	db.replica.Store(false)
+	return nil
 }
 
 // repairDivergence reconciles one shard's log storage with the new primary's
@@ -283,10 +311,10 @@ func Repoint(rep *Replica, newPrimary *Database, opts ReplicaOptions) (*Replica,
 		opts.Ack = rep.mode
 	}
 	if opts.SegmentSize <= 0 {
-		opts.SegmentSize = rep.segSize
+		opts.SegmentSize = rep.db.cfg.Durability.SegmentSize
 	}
 	rep.Close()
-	return ReattachStorage(rep.storage, newPrimary, opts)
+	return ReattachStorage(rep.Storage(), newPrimary, opts)
 }
 
 // ReattachStorage attaches a node's log storage — typically the deposed
@@ -479,8 +507,8 @@ func (s *Supervisor) probe() {
 //     further commit can be acknowledged — and best-effort durably in its
 //     storage, so a restarted zombie stays read-only);
 //  2. pick the freshest non-degraded semi-sync replica by durable mirror LSN;
-//  3. stamp its mirror with the new epoch and open it as the new primary
-//     (Recover over the mirror);
+//  3. stamp its mirror with the new epoch and finish its recovery in place
+//     (PromoteReplica);
 //  4. divergence-repair and re-point every surviving replica at the new
 //     primary, preserving its ack mode.
 //

@@ -11,35 +11,38 @@ import (
 	"reactdb/internal/wal"
 )
 
-// This file is the replica role: a read-only database whose every shard keeps
-// a mirror of one primary container's log. The mirror is a log — a wal.Log on
-// the replica's own storage, beside a byte-for-byte copy of a primary
-// checkpoint blob — so "replay the log", "mirror the log" and "promote the
-// mirror" are one object seen three ways: a shard opens by installing its blob
-// and replaying its mirror exactly as recovery would, tails by appending the
-// frames a wal.ShipCursor reads off the primary's segments
-// (wal.Log.AppendShipped) and installing their records through the function
-// recovery uses (Container.installRecord) — so base relations AND secondary
-// indexes stay maintained — and is promoted by opening its storage as a
-// normal database and running Recover. Every route to a tailing shard (first
-// bootstrap, restart on an old mirror, re-point, re-attach, a shipping gap in
-// mid-run) is open, and every checkpoint it takes from the primary enters
-// through fastForward, one round across all shards.
+// This file is the replica role: a read-only database whose every container
+// log mirrors one primary container's log. The replica's inner database runs
+// under DurabilityWAL over the replica's own storage, so each of its logs is
+// a mirror — beside a byte-for-byte copy of a primary checkpoint blob — and
+// "replay the log", "mirror the log" and "promote the mirror" are one object
+// seen three ways: the replica opens by running recovery's load half over its
+// storage (Database.load), tails by appending the frames a wal.ShipCursor
+// reads off the primary's segments to its own log (wal.Log.AppendShipped) and
+// installing their records through the function recovery uses
+// (Container.installRecord) — so base relations AND secondary indexes stay
+// maintained — and is promoted by running recovery's finish half in place
+// (PromoteReplica). Every route to a tailing shard (first bootstrap, restart
+// on an old mirror, re-point, re-attach, a shipping gap in mid-run) is open,
+// and every checkpoint it takes from the primary enters through fastForward,
+// one round across all shards.
 //
 // What to install, in what order, and when a 2PC decision frame may enter the
 // mirror (so a promoted mirror never recovers a torn group) is the resolver's
-// (resolve.go) — the one recovery uses, fed what shipped and never closed.
-// Under AckSemiSync the commit path waits for the mirror's durable watermark,
-// so an acknowledged commit — a 2PC decision and all its prepares included —
-// survives the loss of either side. Beyond that, correctness rests on two
-// rules:
+// (resolve.go) — the one recovery uses, fed exactly what the mirror durably
+// holds, so that closing it at promotion recovers what a restart over the
+// mirror would. Under AckSemiSync the commit path waits for the mirror's
+// durable watermark, so an acknowledged commit — a 2PC decision and all its
+// prepares included — survives the loss of either side. Beyond that,
+// correctness rests on two rules:
 //
 //  1. Shipping is gated by the primary's durable LSN. The failed-append
 //     salvage path can leave complete orphan frames in a sealed segment, but
 //     they become durable-covered only in the same fsync as their abort
 //     records — so a durable-gated cursor always ships an orphan and its
-//     retraction in the same poll, and the resolver sees a poll's aborts
-//     before anything from it is applied.
+//     retraction in the same poll, a mirror pass feeds them together (a
+//     decision between them is safe: its retraction follows it), and the
+//     resolver sees the aborts before anything from them is applied.
 //
 //  2. Apply rounds run under the replica database's commit gate (the same
 //     exclusive lock the primary's checkpointer quiesces with), and read-only
@@ -58,12 +61,12 @@ type ReplicaOptions struct {
 	// Ack selects the acknowledgment mode this replica imposes on the
 	// primary's commit path (default AckAsync).
 	Ack AckMode
-	// Storage is the replica's own mirror store, laid out exactly like a
-	// primary's durability storage (one sub-store per container) so the
-	// replica can be promoted by opening this storage under DurabilityWAL
-	// and running Recover. Default: a fresh in-memory store. Pass the same
-	// storage across restarts to resume from the local mirror instead of
-	// re-bootstrapping.
+	// Storage is the replica's own store: its inner database's durability
+	// storage, laid out exactly like a primary's (one sub-store per
+	// container), whose logs are the mirrors. Opening it under DurabilityWAL
+	// and running Recover recovers what PromoteReplica would promote.
+	// Default: a fresh in-memory store. Pass the same storage across restarts
+	// to resume from the local mirror instead of re-bootstrapping.
 	Storage wal.Storage
 	// SegmentSize is the mirror's rotation threshold (default: the primary's).
 	SegmentSize int
@@ -75,10 +78,8 @@ type ReplicaOptions struct {
 // and declarative queries against its applied watermark.
 type Replica struct {
 	primary *Database
-	db      *Database // the read-serving inner database
+	db      *Database // the read-serving inner database; its logs are the mirrors
 	mode    AckMode
-	storage wal.Storage
-	segSize int
 
 	shards []*replicaShard
 	res    *resolver
@@ -93,7 +94,7 @@ type Replica struct {
 	// concurrent Stats/WaitCaughtUp snapshots; the poll loop holds it for
 	// each full poll-mirror-apply cycle.
 	mu           sync.Mutex
-	closed       bool
+	closed       bool // closed or promoted: no longer tailing
 	degraded     bool // mirror failed; detached from the hub
 	lastErr      error
 	rounds       uint64
@@ -102,20 +103,21 @@ type Replica struct {
 }
 
 // replicaShard is the replica's view of one primary container: a cursor over
-// the primary's log and a mirror of its own.
+// the primary's log, and the local container whose log mirrors it.
 type replicaShard struct {
 	id      int
 	primary *Container // primary-side container (log + storage)
-	local   *Container // replica-side container (catalogs + domain)
-	sub     wal.Storage
+	local   *Container // replica-side container (catalogs, domain, mirror log)
 	cursor  *wal.ShipCursor
-	mirror  *wal.Log
 	scratch []wal.ShippedRecord
-	// staged holds shipped frames not yet durably mirrored (a decision frame
-	// may wait here for its participants' prepares).
+	// staged holds shipped frames not yet mirrored, and so not yet fed (a
+	// decision frame may wait here for its participants' prepares).
 	staged []wal.ShippedRecord
+	// through is the primary durable LSN the cursor last shipped through:
+	// once nothing is staged, the resolver's feed has passed it.
+	through uint64
 
-	blob        bool   // sub holds a checkpoint blob
+	blob        bool   // the mirror store holds a checkpoint blob
 	lastShipped uint64 // highest LSN shipped off the primary
 }
 
@@ -159,13 +161,12 @@ func newReplica(primary *Database, opts ReplicaOptions) (*Replica, error) {
 	}
 
 	// The inner database reuses the primary's deployment shape (placement
-	// must match: shipped records are applied shard-for-shard) but owns no
-	// WAL — the replica manages the mirror itself — and rejects writes.
+	// must match: shipped records are applied shard-for-shard) and group
+	// commit, whose committers sit idle until promotion. Its logs, on the
+	// replica's own storage, are the mirrors; it rejects writes.
 	cfg := primary.cfg
-	cfg.Durability = DurabilityConfig{Mode: DurabilityModeled}
-	cfg.GroupCommit = GroupCommitConfig{}
-	cfg.replica = true
-	inner, err := Open(primary.def, cfg)
+	cfg.Durability = DurabilityConfig{Mode: DurabilityWAL, Storage: opts.Storage, SegmentSize: opts.SegmentSize}
+	inner, err := open(primary.def, cfg, true)
 	if err != nil {
 		return nil, fmt.Errorf("engine: open replica database: %w", err)
 	}
@@ -174,8 +175,6 @@ func newReplica(primary *Database, opts ReplicaOptions) (*Replica, error) {
 		primary: primary,
 		db:      inner,
 		mode:    opts.Ack,
-		storage: opts.Storage,
-		segSize: opts.SegmentSize,
 		res:     newResolver(len(primary.containers)),
 		wake:    make(chan struct{}, 1),
 		stopCh:  make(chan struct{}),
@@ -201,44 +200,24 @@ func newReplica(primary *Database, opts ReplicaOptions) (*Replica, error) {
 	return r, nil
 }
 
-// open brings every shard from whatever its storage holds to tailing: install
-// the local checkpoint blob if there is one, open and replay the mirror into
-// the resolver, fast-forward through the primary's newest checkpoint round,
-// seat the cursors, and apply what resolved before serving the first read.
+// open brings every shard from whatever its storage holds to tailing: load
+// the local checkpoint blob and mirror into the resolver as recovery would,
+// fast-forward through the primary's newest checkpoint round, seat the
+// cursors, and apply what resolved before serving the first read.
 func (r *Replica) open() error {
-	n := len(r.primary.containers)
-	floors := make([]uint64, n)
+	blobs, _, err := r.db.load(r.res)
+	if err != nil {
+		return fmt.Errorf("engine: replica bootstrap: %w", err)
+	}
 	for i, pc := range r.primary.containers {
-		s := &replicaShard{id: i, primary: pc, local: r.db.containers[i], sub: r.storage.Sub(fmt.Sprintf("container-%d", i))}
-		cp, _, err := wal.LatestCheckpoint(s.sub)
-		if err == nil && cp != nil {
-			s.blob, floors[i] = true, cp.LowLSN
-			err = s.local.installCheckpoint(cp)
-		}
-		if err == nil {
-			s.mirror, err = wal.Open(s.sub, wal.Options{SegmentSize: r.segSize})
-		}
-		if err != nil {
-			return fmt.Errorf("engine: replica bootstrap container %d: %w", i, err)
-		}
-		// Blob and mirror cover every record up to the log's last LSN (wal.Open
-		// starts it no lower than the blob's low-water mark).
-		s.lastShipped = s.mirror.LastLSN()
+		s := &replicaShard{id: i, primary: pc, local: r.db.containers[i], blob: blobs[i]}
+		// Blob and mirror cover every record up to the log's last LSN (a log
+		// opens no lower than its blob's low-water mark).
+		s.lastShipped = s.local.wal.LastLSN()
 		s.cursor = wal.NewShipCursor(pc.walStorage, s.lastShipped)
+		r.res.fedThrough(i, s.lastShipped)
 		r.shards = append(r.shards, s)
 	}
-	r.res.setFloors(floors)
-	for i, s := range r.shards {
-		if err := s.mirror.Replay(func(rec wal.Record) error {
-			r.res.feed(i, &rec)
-			return nil
-		}); err != nil {
-			return fmt.Errorf("engine: replica bootstrap container %d: %w", i, err)
-		}
-		r.res.fedThrough(i, s.lastShipped)
-		r.res.shards[i].mirrored = s.lastShipped
-	}
-	r.res.shipping = true
 	// While this replica was down the primary may have checkpointed and
 	// truncated past its mirrors. (While attached it cannot — truncation is
 	// clamped to the replication floor.)
@@ -268,7 +247,7 @@ func (r *Replica) fastForward() (moved bool, err error) {
 		if s.blob {
 			minLowLSN = r.res.shards[i].floor + 1
 		}
-		if cps[i], err = wal.CopyLatestCheckpoint(s.primary.walStorage, s.sub, minLowLSN); err != nil {
+		if cps[i], err = wal.CopyLatestCheckpoint(s.primary.walStorage, s.local.walStorage, minLowLSN); err != nil {
 			return false, fmt.Errorf("container %d: %w", i, err)
 		}
 	}
@@ -284,6 +263,7 @@ func (r *Replica) fastForward() (moved bool, err error) {
 			return false, err
 		}
 		s.blob, floors[i], moved = true, cp.LowLSN, true
+		r.res.maxGid = max(r.res.maxGid, cp.MaxGlobalID)
 		s.cursor = wal.NewShipCursor(s.primary.walStorage, s.lastShipped)
 	}
 	r.res.setFloors(floors)
@@ -333,11 +313,9 @@ func (r *Replica) pollOnce() (shippedAll bool) {
 		recs, err := s.cursor.Poll(durable, s.scratch)
 		// Records returned alongside an error are real progress the cursor
 		// has committed to; dropping them would lose log records forever.
-		for i := range recs {
-			sr := &recs[i]
-			s.lastShipped = sr.LSN
-			s.staged = append(s.staged, *sr)
-			r.res.feed(s.id, &sr.Record)
+		if len(recs) > 0 {
+			s.lastShipped = recs[len(recs)-1].LSN
+			s.staged = append(s.staged, recs...)
 		}
 		s.scratch = recs[:0]
 		if err != nil {
@@ -345,7 +323,7 @@ func (r *Replica) pollOnce() (shippedAll bool) {
 		}
 		switch {
 		case err == nil:
-			r.res.fedThrough(s.id, durable)
+			s.through = durable
 		case errors.Is(err, wal.ErrShipGap):
 			// Truncation outran this cursor (it fell behind while detached, a
 			// degraded mirror): fast-forward through a checkpoint round. A
@@ -372,37 +350,34 @@ func (r *Replica) pollOnce() (shippedAll bool) {
 	return shippedAll
 }
 
-// mirrorPass writes staged frames into each shard's mirror and fsyncs,
-// holding back any decision frame the resolver does not yet call safe.
-// Held decisions block the frames behind them — the mirror must stay an
-// ascending-LSN prefix — and are retried after the prepares land: in this
-// pass's outer loop when they are staged, on a later poll when they have not
-// shipped yet. No two held decisions wait on each other: the coordinator is
-// the lowest-numbered writer, so a decision waits only on prepares of
-// higher-numbered shards. Each successful sync advances the replication hub,
-// releasing semi-sync commit acknowledgments.
+// mirrorPass moves staged frames into each shard's mirror and fsyncs, then
+// feeds them to the resolver — so the resolver only ever holds what the
+// mirror durably holds — holding back any decision frame the resolver does
+// not yet call safe (feedable). Held decisions block the frames behind them
+// — the mirror must stay an ascending-LSN prefix — and are retried after the
+// prepares are fed: in this pass's outer loop when they are staged, on a
+// later poll when they have not shipped yet. No two held decisions wait on
+// each other: the coordinator is the lowest-numbered writer, so a decision
+// waits only on prepares of higher-numbered shards. Each successful sync
+// advances the replication hub, releasing semi-sync commit acknowledgments.
+// A degraded replica feeds what it ships without mirroring it, for read
+// availability.
 func (r *Replica) mirrorPass() {
-	if r.degraded {
-		return
-	}
-	for {
-		progressed := false
+	for progressed := true; progressed && !r.degraded; {
+		progressed = false
 		for _, s := range r.shards {
-			n := 0
-			for n < len(s.staged) && (s.staged[n].Kind != wal.KindDecision || r.res.mirrorSafe(s.staged[n].GlobalID)) {
-				n++
-			}
+			n := r.res.feedable(s.id, s.staged)
 			if n == 0 {
 				continue
 			}
 			var err error
-			for i := 0; i < n; i++ {
-				if err = s.mirror.AppendShipped(s.staged[i].LSN, s.staged[i].Frame); err != nil {
+			for _, f := range s.staged[:n] {
+				if err = s.local.wal.AppendShipped(f.LSN, f.Frame); err != nil {
 					break
 				}
 			}
 			if err == nil {
-				err = s.mirror.Sync()
+				err = s.local.wal.Sync()
 			}
 			if err != nil {
 				// The mirror is broken: stop promising durability. Seal what is
@@ -412,23 +387,36 @@ func (r *Replica) mirrorPass() {
 				// and unfreezes primary truncation; the replica keeps applying
 				// for read availability and re-ships after a restart.
 				err = fmt.Errorf("engine: replica: mirror container %d failed, degraded to async: %w", s.id, err)
-				if cerr := s.mirror.Close(); cerr != nil {
+				if cerr := s.local.wal.Close(); cerr != nil {
 					err = errors.Join(err, fmt.Errorf("engine: replica: seal degraded mirror container %d: %w", s.id, cerr))
 				}
 				r.degraded = true
 				r.lastErr = err
 				r.primary.repl.detach(r)
-				return
+				break
 			}
-			s.staged = slices.Delete(s.staged, 0, n) // zeroes the vacated tail
-			r.res.shards[s.id].mirrored = s.mirror.DurableLSN()
-			r.primary.repl.advance(r, s.id, r.res.shards[s.id].mirrored)
+			r.feed(s, n)
+			r.primary.repl.advance(r, s.id, s.local.wal.DurableLSN())
 			progressed = true
 		}
-		if !progressed {
-			return
+	}
+	for _, s := range r.shards {
+		if r.degraded {
+			r.feed(s, len(s.staged))
+		}
+		if len(s.staged) == 0 {
+			r.res.fedThrough(s.id, s.through)
 		}
 	}
+}
+
+// feed hands shard s's first n staged frames to the resolver and unstages
+// them.
+func (r *Replica) feed(s *replicaShard, n int) {
+	for i := range s.staged[:n] {
+		r.res.feed(s.id, &s.staged[i].Record)
+	}
+	s.staged = slices.Delete(s.staged, 0, n) // zeroes the vacated tail
 }
 
 // applyRound installs what the resolver settled, the way recovery installs a
@@ -439,27 +427,34 @@ func (r *Replica) mirrorPass() {
 // Stats and skipped; the replica keeps serving what it can.
 func (r *Replica) applyRound() {
 	r.db.commitGate.Lock()
-	r.applied += uint64(r.res.apply(func(s int, rec *wal.Record) {
-		if err := r.shards[s].local.installRecord(rec); err != nil {
-			r.lastErr = fmt.Errorf("engine: replica: %w", err)
-		}
-	}))
-	r.rounds++
+	n, err := r.db.installSettled(r.res)
 	r.db.commitGate.Unlock()
+	r.applied += uint64(n)
+	r.rounds++
+	if err != nil {
+		r.lastErr = err
+	}
 }
 
 // Close detaches the replica from the primary (releasing any semi-sync
-// waiter), stops watching the primary's logs, stops the tailing loop, seals
-// the mirror and closes the inner database. Staged-but-unmirrored frames are
-// simply re-shipped by the next incarnation.
+// waiter), stops watching the primary's logs, stops the tailing loop and
+// closes the inner database, sealing the mirror logs. Staged-but-unmirrored
+// frames are simply re-shipped by the next incarnation. After PromoteReplica
+// it does nothing: the inner database is the promoted primary.
 func (r *Replica) Close() {
 	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return
-	}
+	closed := r.closed
 	r.closed = true
 	r.mu.Unlock()
+	if !closed {
+		r.halt()
+		r.db.Close()
+	}
+}
+
+// halt stops tailing once the replica is marked closed: it detaches from the
+// primary's hub, stops watching the primary's logs and stops the loop.
+func (r *Replica) halt() {
 	r.primary.repl.detach(r)
 	for _, s := range r.shards {
 		s.primary.wal.Unwatch(r.wake)
@@ -468,14 +463,6 @@ func (r *Replica) Close() {
 	if r.doneCh != nil {
 		<-r.doneCh
 	}
-	for _, s := range r.shards {
-		if err := s.mirror.Close(); err != nil {
-			r.mu.Lock()
-			r.lastErr = fmt.Errorf("engine: replica: close mirror container %d: %w", s.id, err)
-			r.mu.Unlock()
-		}
-	}
-	r.db.Close()
 }
 
 // Query runs a declarative read-only query against the replica's applied
@@ -500,12 +487,13 @@ func (r *Replica) ReadRow(reactor, relation string, keyVals ...any) (rel.Row, er
 }
 
 // Database returns the replica's inner read-serving database, for inspection
-// (TableLen, Stats) — never for writes, which it rejects.
+// (TableLen, Stats) — never for writes, which it rejects until PromoteReplica
+// makes it the primary.
 func (r *Replica) Database() *Database { return r.db }
 
 // Storage returns the replica's mirror store. Opening it under DurabilityWAL
-// and running Recover promotes the replica's durable state to a primary.
-func (r *Replica) Storage() wal.Storage { return r.storage }
+// and running Recover recovers the replica's durable state as a primary.
+func (r *Replica) Storage() wal.Storage { return r.db.cfg.Durability.Storage }
 
 // Mode returns the replica's acknowledgment mode.
 func (r *Replica) Mode() AckMode { return r.mode }
@@ -617,7 +605,7 @@ func (r *Replica) Stats() ReplicaStats {
 			Container:      s.id,
 			PrimaryDurable: durable,
 			Shipped:        max(s.lastShipped, rs.floor),
-			Mirrored:       max(s.mirror.DurableLSN(), rs.floor),
+			Mirrored:       max(s.local.wal.DurableLSN(), rs.floor),
 			Applied:        applied,
 			Lag:            lagRecords(durable, applied),
 			Pending:        len(rs.queue),

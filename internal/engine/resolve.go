@@ -25,9 +25,11 @@ import (
 // tombstone retracts both) or, at recovery, from close.
 //
 // Outputs: records to install (ready, apply) and — only from close, which
-// recovery calls once every log is fed — the prepares presumed aborted. The
-// replica never closes: an incomplete group waits for its missing prepares or
-// for a tombstone.
+// recovery calls once every log is fed — the prepares presumed aborted. A
+// tailing replica never closes: an incomplete group waits for its missing
+// prepares or for a tombstone. A replica feeds only what its mirror durably
+// holds (see feedable), so closing it at promotion recovers exactly what a
+// restart over the mirror would.
 //
 // A commit never jumps anything queued ahead of it on its shard, so a commit
 // that read a 2PC participant's write never installs before that prepare
@@ -39,19 +41,18 @@ import (
 // records with its TID fed so far.
 type resolver struct {
 	shards []resolverShard
-	groups map[uint64]*group // 2PC groups by global id, until resolved and mirrored
+	groups map[uint64]*group // 2PC groups by global id, until resolved
 	out    []resolvedRecord
 	cut    []int // ready's scratch: per shard, how much of the queue installs now
-	// shipping marks decisions fed from now on as not yet in the replica's
-	// mirror (see mirrorSafe); recovery and mirror replay leave it false.
-	shipping bool
+	// maxGid is the highest global id fed or covered by an installed
+	// checkpoint: recovery moves the transaction id sequence past it.
+	maxGid uint64
 }
 
 type resolverShard struct {
-	queue    []wal.Record // commits and prepares waiting to install, ascending LSN
-	fed      uint64       // every record at or below has been fed or is covered
-	floor    uint64       // checkpoint floor
-	mirrored uint64       // the replica mirror's durable LSN (set by the replica)
+	queue []wal.Record // commits and prepares waiting to install, ascending LSN
+	fed   uint64       // every record at or below has been fed or is covered
+	floor uint64       // checkpoint floor
 }
 
 type resolvedRecord struct {
@@ -62,13 +63,10 @@ type resolvedRecord struct {
 // group is one 2PC transaction: where its prepares sit and, once its decision
 // has been fed, the decision itself.
 type group struct {
-	prep     []uint64 // per shard: the LSN of this group's prepare, 0 if none fed
-	parts    []uint64 // the participants the decision names
-	coord    int      // the decision's shard
-	dec      uint64   // the decision's LSN
-	decided  bool
-	aborted  bool // one of its prepares was retracted
-	mirrored bool
+	prep    []uint64 // per shard: the LSN of this group's prepare, 0 if none fed
+	parts   []uint64 // the participants the decision names
+	decided bool
+	aborted bool // one of its prepares was retracted
 }
 
 func newResolver(shards int) *resolver {
@@ -91,6 +89,7 @@ func (r *resolver) group(gid uint64) *group {
 // feed takes shard s's next record.
 func (r *resolver) feed(s int, rec *wal.Record) {
 	sh := &r.shards[s]
+	r.maxGid = max(r.maxGid, rec.GlobalID)
 	switch {
 	case rec.Kind == wal.KindAbort:
 		sh.queue = slices.DeleteFunc(sh.queue, func(q wal.Record) bool {
@@ -107,12 +106,11 @@ func (r *resolver) feed(s int, rec *wal.Record) {
 		// Registered even at or below the floor: a decision whose prepare sits
 		// above another shard's floor still decides it.
 		if g := r.group(rec.GlobalID); !g.decided {
-			g.decided, g.mirrored = true, !r.shipping
-			g.parts, g.coord, g.dec = rec.Participants, s, rec.LSN
+			g.decided, g.parts = true, rec.Participants
 		}
 	case rec.Kind == wal.KindPrepare:
-		// A covered prepare never installs, but it has been fed: its decision
-		// frame still waits for it to reach the mirror.
+		// A covered prepare never installs, but it has been fed: a decision
+		// naming it may be fed now (feedable).
 		r.group(rec.GlobalID).prep[s] = rec.LSN
 		if rec.LSN > sh.floor {
 			sh.queue = append(sh.queue, *rec)
@@ -143,30 +141,31 @@ func (r *resolver) setFloors(floors []uint64) {
 	}
 }
 
-// mirrorSafe reports whether group gid's decision frame may be made durable
-// in the replica's mirror: the prepare of every other named participant must
-// be durably mirrored first (the coordinator's own precedes the decision in
-// its log). Otherwise a mirror that crashed with the decision, and with later
-// commits that read the group's writes, would recover the group as aborted
-// under those commits. A prepare not fed yet is waited for unless the group
-// was retracted, and a group a checkpoint round covers needs no wait at all.
-func (r *resolver) mirrorSafe(gid uint64) bool {
-	g := r.groups[gid]
-	if g == nil || g.mirrored {
-		return true
-	}
-	if g.dec > r.shards[g.coord].floor {
-		for _, p := range g.parts {
-			if p >= uint64(len(r.shards)) || int(p) == g.coord {
-				continue
-			}
-			if lsn := g.prep[p]; lsn == 0 && !g.aborted || lsn > r.shards[p].mirrored {
-				return false
+// feedable returns how many of shard s's next records, held back by a
+// replica until its mirror holds them, may be mirrored and then fed. It stops
+// at a decision naming another participant whose prepare has not been fed:
+// mirrored before that prepare, a decision could survive a mirror crash with
+// later commits that read the group's writes, while recovery, missing the
+// prepare, aborts the group under them. A decision a checkpoint round covers
+// needs no wait, nor does one whose group was retracted — by a fed tombstone,
+// or by the coordinator's own further down recs (its prepare shares the
+// decision's TID) — since a retracted group installs nowhere.
+func (r *resolver) feedable(s int, recs []wal.ShippedRecord) int {
+	for n := range recs {
+		dec := &recs[n].Record
+		if dec.Kind != wal.KindDecision || dec.LSN <= r.shards[s].floor {
+			continue
+		}
+		g := r.groups[dec.GlobalID]
+		retracted := func(l wal.ShippedRecord) bool { return l.Kind == wal.KindAbort && l.TID == dec.TID }
+		for _, p := range dec.Participants {
+			if p < uint64(len(r.shards)) && int(p) != s && (g == nil || g.prep[p] == 0 && !g.aborted) &&
+				!slices.ContainsFunc(recs[n+1:], retracted) {
+				return n
 			}
 		}
 	}
-	g.mirrored = true
-	return true
+	return len(recs)
 }
 
 // settled reports whether g's outcome is known: decided, and either retracted
@@ -216,13 +215,11 @@ func (r *resolver) ready() bool {
 		r.cut[s] = 0
 	}
 	// With every cut at zero, straddles means "still queued". A group with
-	// nothing queued is done once its decision needs no more mirroring: its
-	// coordinator's prepare, which a decision always follows, installed,
-	// was retracted or is covered. An undecided group with nothing queued —
-	// presumed aborted, retracted or covered — is forgotten too: its decision,
-	// if one ever ships, has nothing left to decide.
+	// nothing queued is done: decided, its prepares installed, retracted or
+	// covered; undecided — presumed aborted, retracted or covered — its
+	// decision, if one is ever fed, has nothing left to decide.
 	for gid, g := range r.groups {
-		if (g.mirrored || !g.decided) && !r.straddles(g) {
+		if !r.straddles(g) {
 			delete(r.groups, gid)
 		}
 	}

@@ -24,10 +24,12 @@ const resolveSeeds = 256
 // decided with a named prepare that never arrived — two feeds must install
 // the committed history and nothing else:
 //
-//   - streaming, as the replica does: raw records including aborts, shards
-//     fed a few records at a time in random order, fed-through watermarks
-//     lagging at random, checkpoint rounds taken (with or without skipping
-//     the covered records) at random, apply rounds at random — never closed;
+//   - streaming, as the replica does: raw records including aborts, shipped
+//     a few at a time per shard in random order into a stage that feeds only
+//     the prefix feedable allows (a decision waits for the prepares it
+//     names), fed-through watermarks lagging at random, checkpoint rounds
+//     taken (with or without skipping the covered records) at random, apply
+//     rounds at random — never closed;
 //   - batch, as recovery does: each log filtered the way wal.Log.Replay
 //     filters it, fed whole behind the newest round's floors, then closed.
 //
@@ -291,8 +293,22 @@ func resolveOneSeed(t *testing.T, seed int64) *resolveHistory {
 		}
 	}
 	res := newResolver(n)
-	res.shipping = true
 	pos := make([]int, n)
+	staged := make([][]wal.ShippedRecord, n)
+	// feed is the replica's mirror pass: each shard's feedable prefix, until
+	// no shard moves.
+	feed := func() {
+		for moved := true; moved; {
+			moved = false
+			for s := range staged {
+				k := res.feedable(s, staged[s])
+				for i := range staged[s][:k] {
+					res.feed(s, &staged[s][i].Record)
+				}
+				staged[s], moved = staged[s][k:], moved || k > 0
+			}
+		}
+	}
 	for round := 0; ; {
 		var open []int
 		for s := range pos {
@@ -314,13 +330,15 @@ func resolveOneSeed(t *testing.T, seed int64) *resolveHistory {
 					pos[s] = max(pos[s], int(floors[s]))
 				}
 			}
+			feed() // the new floors may release a held decision
 		} else {
 			s := open[rng.Intn(len(open))]
 			for k := 1 + rng.Intn(4); pos[s] < len(h.logs[s]) && (k > 0 || h.glued[s][pos[s]-1]); k-- {
-				res.feed(s, &h.logs[s][pos[s]])
+				staged[s] = append(staged[s], wal.ShippedRecord{Record: h.logs[s][pos[s]]})
 				pos[s]++
 			}
-			if rng.Intn(3) > 0 {
+			feed()
+			if rng.Intn(3) > 0 && len(staged[s]) == 0 {
 				res.fedThrough(s, uint64(pos[s]))
 			}
 		}
@@ -330,7 +348,9 @@ func resolveOneSeed(t *testing.T, seed int64) *resolveHistory {
 		}
 	}
 	for s := range pos {
-		res.fedThrough(s, uint64(pos[s]))
+		if len(staged[s]) == 0 {
+			res.fedThrough(s, uint64(pos[s]))
+		}
 	}
 	res.ready()
 	res.apply(install)

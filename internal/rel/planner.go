@@ -17,16 +17,13 @@ type plan struct {
 // predicate, deferring disconnected leaves (cross products) until no
 // connected leaf remains. Ties break by declaration order, so plans are
 // deterministic.
-//
-// naive switches to pure declaration order (the classic left-deep strawman),
-// kept as the ablation baseline for the query benchmark sweep.
-func planJoins(leaves []*leaf, joins []JoinPred, naive bool) (*plan, error) {
+func planJoins(leaves []*leaf, joins []JoinPred) (*plan, error) {
 	if len(leaves) == 1 && len(joins) > 0 {
 		return nil, fmt.Errorf("rel: query: joins declared over a single source")
 	}
 
 	order := make([]*leaf, 0, len(leaves))
-	if naive || len(leaves) == 1 {
+	if len(leaves) == 1 {
 		order = append(order, leaves...)
 	} else {
 		chosen := make(map[string]bool, len(leaves))
@@ -76,9 +73,13 @@ func planJoins(leaves []*leaf, joins []JoinPred, naive bool) (*plan, error) {
 			remaining = append(remaining[:best], remaining[best+1:]...)
 		}
 	}
+	return buildJoins(order, joins)
+}
 
-	// Build the left-deep tree: each join applies every predicate between the
-	// current set and the incoming leaf as one multi-column hash join.
+// buildJoins builds the left-deep tree joining the leaves in the given order:
+// each join applies every predicate between the current set and the incoming
+// leaf as one multi-column hash join.
+func buildJoins(order []*leaf, joins []JoinPred) (*plan, error) {
 	var root Operator = &sliceScan{cols: order[0].cols, rows: order[0].rows}
 	aliases := []string{order[0].alias}
 	inSet := map[string]bool{order[0].alias: true}
@@ -110,7 +111,7 @@ func planJoins(leaves []*leaf, joins []JoinPred, naive bool) (*plan, error) {
 	// Reject join predicates that never applied (referencing the same alias
 	// pair twice is fine; referencing aliases outside the query was caught by
 	// Execute's validation, so this guards planner bugs only).
-	if len(leaves) > 1 {
+	if len(order) > 1 {
 		for _, j := range joins {
 			if !inSet[j.LeftAlias] || !inSet[j.RightAlias] {
 				return nil, fmt.Errorf("rel: query: join references alias outside the query (%s, %s)", j.LeftAlias, j.RightAlias)

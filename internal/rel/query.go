@@ -96,8 +96,7 @@ type OrderSpec struct {
 // checks; execution surfaces the recorded error.
 //
 // Join orders are chosen by a statistics-free greedy planner over the actual
-// materialized input sizes (see planner.go); Naive switches to the
-// declaration-order left-deep plan for ablations.
+// materialized input sizes (see planner.go).
 type Query struct {
 	sources []Source
 	filters []Filter
@@ -107,7 +106,6 @@ type Query struct {
 	project []string
 	order   []OrderSpec
 	limit   int
-	naive   bool
 	err     error
 }
 
@@ -232,16 +230,6 @@ func (q *Query) Limit(n int) *Query {
 	return q
 }
 
-// Naive disables the greedy join planner and joins sources in declaration
-// order (left-deep), for ablations and benchmarks.
-func (q *Query) Naive() *Query {
-	if q.err != nil {
-		return q
-	}
-	q.naive = true
-	return q
-}
-
 // Err returns the first error recorded by the builder, if any.
 func (q *Query) Err() error { return q.err }
 
@@ -284,9 +272,6 @@ func (q *Query) Ordering() []OrderSpec { return q.order }
 
 // LimitCount returns the output row cap (zero means unlimited).
 func (q *Query) LimitCount() int { return q.limit }
-
-// IsNaive reports whether the greedy join planner is disabled.
-func (q *Query) IsNaive() bool { return q.naive }
 
 // Result is the materialized output of a query.
 type Result struct {
@@ -370,7 +355,7 @@ func (q *Query) Execute(fetch FetchFunc) (*Result, error) {
 		}
 	}
 
-	plan, err := planJoins(leaves, q.joins, q.naive)
+	plan, err := planJoins(leaves, q.joins)
 	if err != nil {
 		return nil, err
 	}

@@ -308,7 +308,7 @@ func TestGreedyPlannerReordersBySize(t *testing.T) {
 		{LeftAlias: "a", LeftCol: "k", RightAlias: "b", RightCol: "k"},
 		{LeftAlias: "b", LeftCol: "v", RightAlias: "c", RightCol: "v"},
 	}
-	p, err := planJoins(leaves, joins, false)
+	p, err := planJoins(leaves, joins)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,14 +317,6 @@ func TestGreedyPlannerReordersBySize(t *testing.T) {
 	if !reflect.DeepEqual(p.order, []string{"c", "b", "a"}) {
 		t.Fatalf("greedy order = %v, want [c b a]", p.order)
 	}
-
-	naive, err := planJoins(leaves, joins, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(naive.order, []string{"a", "b", "c"}) {
-		t.Fatalf("naive order = %v, want declaration order [a b c]", naive.order)
-	}
 }
 
 func TestGreedyPlannerPrefersConnectedOverSmaller(t *testing.T) {
@@ -332,19 +324,20 @@ func TestGreedyPlannerPrefersConnectedOverSmaller(t *testing.T) {
 	// connected c before crossing with b.
 	leaves, _ := plannerFixture(map[string]int{"a": 5, "b": 1, "c": 50})
 	joins := []JoinPred{{LeftAlias: "a", LeftCol: "k", RightAlias: "c", RightCol: "k"}}
-	p, err := planJoins(leaves, joins, false)
+	p, err := planJoins(leaves, joins)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(p.order, []string{"b", "a", "c"}) && !reflect.DeepEqual(p.order, []string{"a", "c", "b"}) {
 		t.Fatalf("order = %v: cross product must not interleave the connected pair", p.order)
 	}
-	// Equivalence: greedy and naive must produce identical result sets.
+	// Equivalence: greedy and declaration order must produce identical result
+	// sets.
 	got, err := drain(p.root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	np, err := planJoins(leaves, joins, true)
+	np, err := buildJoins(leaves, joins)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,6 +346,6 @@ func TestGreedyPlannerPrefersConnectedOverSmaller(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(got) != len(want) {
-		t.Fatalf("greedy produced %d rows, naive %d", len(got), len(want))
+		t.Fatalf("greedy produced %d rows, declaration order %d", len(got), len(want))
 	}
 }

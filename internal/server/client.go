@@ -45,8 +45,8 @@ func (p RedialPolicy) withDefaults() RedialPolicy {
 // request id, so many goroutines can share one Conn without head-of-line
 // round-trips.
 //
-// With a RedialPolicy (DialRedial), a broken socket is redialed in the
-// background with bounded exponential backoff: requests in flight when the
+// A Router's connections carry its RedialPolicy: a broken socket is redialed
+// in the background with bounded exponential backoff: requests in flight when the
 // socket died still fail with ErrConnClosed (their outcome is unknowable —
 // the server may or may not have executed them), but later requests block
 // until the redial succeeds or the policy's attempt budget is exhausted, at
@@ -103,14 +103,14 @@ func putCall(cl *call) {
 }
 
 // Dial connects to a server, performs the connect/hello handshake and starts
-// the response reader. The connection does not recover from failures; see
-// DialRedial.
+// the response reader. The connection does not recover from failures; a
+// Router's connections redial (RouterOptions.Redial).
 func Dial(addr string) (*Conn, error) {
-	return DialRedial(addr, RedialPolicy{})
+	return dialRedial(addr, RedialPolicy{})
 }
 
-// DialRedial is Dial with automatic reconnection under the given policy.
-func DialRedial(addr string, policy RedialPolicy) (*Conn, error) {
+// dialRedial is Dial with automatic reconnection under the given policy.
+func dialRedial(addr string, policy RedialPolicy) (*Conn, error) {
 	sock, fr, role, err := dialSocket(addr)
 	if err != nil {
 		return nil, err

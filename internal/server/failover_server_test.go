@@ -37,7 +37,7 @@ func TestConnRedialReconnect(t *testing.T) {
 		t.Fatalf("start: %v", err)
 	}
 
-	c, err := DialRedial(addr.String(), RedialPolicy{
+	c, err := dialRedial(addr.String(), RedialPolicy{
 		Attempts: 100, Backoff: 2 * time.Millisecond, MaxBackoff: 10 * time.Millisecond,
 	})
 	if err != nil {

@@ -142,7 +142,7 @@ func FuzzDecodeExecuteReq(f *testing.F) {
 
 func FuzzDecodeQueryReq(f *testing.F) {
 	f.Add(body((&queryReq{ID: 8, MaxLagRecords: 16, Query: goldenQuery()}).appendFrame(nil)))
-	f.Add(body((&queryReq{ID: 1, Query: rel.NewQuery().From("s", "store", "kv0").Avg("s.v", "a").Min("s.v", "lo").Max("s.v", "hi").Naive()}).appendFrame(nil)))
+	f.Add(body((&queryReq{ID: 1, Query: rel.NewQuery().From("s", "store", "kv0").Avg("s.v", "a").Min("s.v", "lo").Max("s.v", "hi")}).appendFrame(nil)))
 	f.Add(append([]byte{1, 0}, hugeCount...))
 	f.Add(append([]byte{1, 0, 1, 1, 'a', 1, 't'}, hugeCount...))
 

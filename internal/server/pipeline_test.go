@@ -168,7 +168,7 @@ func TestDroppedPipelineFailsCallsAndDeliversNothingStale(t *testing.T) {
 		}
 	})
 
-	conn, err := DialRedial(addr, RedialPolicy{Attempts: 100, Backoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond})
+	conn, err := dialRedial(addr, RedialPolicy{Attempts: 100, Backoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}

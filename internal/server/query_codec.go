@@ -10,7 +10,7 @@ import (
 // The query codec serializes a built rel.Query component-by-component through
 // its read accessors and rebuilds it on the far side with the same builder
 // calls, so a wire query plans and executes exactly as its in-process
-// counterpart would (including the Naive ablation switch). Filter values ride
+// counterpart would. Filter values ride
 // the value codec; a query holding a builder error is refused at encode time
 // rather than shipped broken.
 
@@ -71,7 +71,6 @@ func appendQuery(dst []byte, q *rel.Query) ([]byte, error) {
 		dst = appendBool(dst, o.Desc)
 	}
 	dst = appendUvarint(dst, uint64(q.LimitCount()))
-	dst = appendBool(dst, q.IsNaive())
 	return dst, nil
 }
 
@@ -119,9 +118,6 @@ func (r *reader) query() *rel.Query {
 	}
 	if limit := r.uvarint(); limit > 0 && limit <= math.MaxInt {
 		q.Limit(int(limit))
-	}
-	if r.bool() {
-		q.Naive()
 	}
 	return q
 }

@@ -66,7 +66,7 @@ type Router struct {
 func NewRouter(endpoints []string, opts RouterOptions) (*Router, error) {
 	r := &Router{opts: opts.withDefaults()}
 	for _, addr := range endpoints {
-		c, err := DialRedial(addr, r.opts.Redial)
+		c, err := dialRedial(addr, r.opts.Redial)
 		if err != nil {
 			r.Close()
 			return nil, fmt.Errorf("server: router dial %s: %w", addr, err)

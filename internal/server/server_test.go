@@ -231,9 +231,8 @@ func TestQueryCodecRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got.Ordering(), q.Ordering()) {
 		t.Fatalf("ordering = %#v, want %#v", got.Ordering(), q.Ordering())
 	}
-	if got.LimitCount() != q.LimitCount() || got.IsNaive() != q.IsNaive() {
-		t.Fatalf("limit/naive = %d/%v, want %d/%v",
-			got.LimitCount(), got.IsNaive(), q.LimitCount(), q.IsNaive())
+	if got.LimitCount() != q.LimitCount() {
+		t.Fatalf("limit = %d, want %d", got.LimitCount(), q.LimitCount())
 	}
 
 	// A query carrying a builder error must be refused at encode time.

@@ -47,8 +47,9 @@ const (
 
 // protocolVersion is echoed in the hello frame; a server refuses a connect
 // frame carrying a version it does not speak. Version 2 took the load hints
-// out of every result frame and made node status the reply to a stats frame.
-const protocolVersion = 2
+// out of every result frame and made node status the reply to a stats frame;
+// version 3 took the planner-ablation flag out of the query frame.
+const protocolVersion = 3
 
 // maxFrameSize bounds a frame's payload so a corrupted length prefix cannot
 // make a session allocate unboundedly.

@@ -45,9 +45,10 @@ func goldenQuery() *rel.Query {
 }
 
 // TestWireBytesGolden holds the wire format still: one frame of every kind
-// must equal byte for byte the hex captured when protocolVersion became 2,
-// the version that took the load hints out of result frames and made node
-// status the reply to a stats frame. Any difference here is a protocol break:
+// must equal byte for byte the hex captured when protocolVersion became 3,
+// the version that took the planner-ablation flag out of query frames
+// (version 2 took the load hints out of result frames and made node status
+// the reply to a stats frame). Any difference here is a protocol break:
 // change the bytes only together with protocolVersion.
 func TestWireBytesGolden(t *testing.T) {
 	must := func(b []byte, err error) []byte {
@@ -74,7 +75,7 @@ func TestWireBytesGolden(t *testing.T) {
 		{"execute", must(execute.appendFrame(nil)),
 			"540000003d879f6c030780200b637573742d303030303432106465706f7369745f636865636b696e670b03000000000000f83f010504017805010006020102020a070201610262630802010204017209020101040105000a02011200"},
 		{"query", must(query.appendFrame(nil)),
-			"93000000d940b94b04081002016f066f7264657273020673686f702d310673686f702d320163056375737473010673686f702d3102016f066272616e63680004056e6f727468016f05746f74616c0503000000000000254001016f0463757374016307637573745f696401086f2e6272616e63680201076f2e746f74616c0973756d5f746f74616c0000016e00010973756d5f746f74616c010300"},
+			"9200000003eefeb204081002016f066f7264657273020673686f702d310673686f702d320163056375737473010673686f702d3102016f066272616e63680004056e6f727468016f05746f74616c0503000000000000254001016f0463757374016307637573745f696401086f2e6272616e63680201076f2e746f74616c0973756d5f746f74616c0000016e00010973756d5f746f74616c0103"},
 		{"stats", appendIDFrame(nil, frameStats, 9),
 			"020000001e5e72450509"},
 		{"result-value", must(value.appendFrame(nil)),
@@ -86,9 +87,9 @@ func TestWireBytesGolden(t *testing.T) {
 		{"result-status", must(status.appendFrame(nil)),
 			"24000000e3410fe60609000003010111031a6d6972726f722077726974653a206469736b206f6e2066697265"},
 		{"connect", appendIDFrame(nil, frameConnect, protocolVersion),
-			"020000009242ccb60102"},
+			"020000000472cbc10103"},
 		{"hello", appendHelloFrame(nil, RoleReplica),
-			"03000000115dd00b020102"},
+			"03000000876dd77c020103"},
 	} {
 		if got := hex.EncodeToString(tc.frame); got != tc.want {
 			t.Errorf("%s frame changed:\n got  %s\n want %s", tc.name, got, tc.want)

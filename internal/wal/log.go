@@ -438,6 +438,24 @@ func (l *Log) Fenced() bool {
 	return l.fenceBelow > l.epoch
 }
 
+// Cover raises the log's last LSN to lsn when it is lower, with everything up
+// to it durable: a checkpoint beside the log covers those records, so the next
+// append continues above it, where Open would start the log. What the log
+// holds unsynced is forced first.
+func (l *Log) Cover(lsn uint64) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if lsn <= l.appended.Load() {
+		return nil
+	}
+	if err := l.fsyncLocked(); err != nil {
+		return err
+	}
+	l.appended.Store(lsn)
+	l.durable.Store(lsn)
+	return nil
+}
+
 // LastLSN returns the highest LSN assigned (appended), durable or not.
 func (l *Log) LastLSN() uint64 { return l.appended.Load() }
 

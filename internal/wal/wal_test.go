@@ -471,6 +471,44 @@ func TestIdleReopenCreatesNoSegments(t *testing.T) {
 	}
 }
 
+// TestCoverContinuesAboveCheckpoint: a log raised past a checkpoint it never
+// held forces its unsynced tail, appends above the checkpoint and survives a
+// crash with both; covering below its last LSN changes nothing.
+func TestCoverContinuesAboveCheckpoint(t *testing.T) {
+	st := NewMemStorage()
+	l, err := Open(st, Options{})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := l.Append(testRecord(uint64(1+i), 1)); err != nil {
+			t.Fatalf("Append: %v", err)
+		}
+	}
+	if err := l.Cover(10); err != nil {
+		t.Fatalf("Cover: %v", err)
+	}
+	if err := l.Cover(5); err != nil {
+		t.Fatalf("Cover below: %v", err)
+	}
+	if l.LastLSN() != 10 || l.DurableLSN() != 10 {
+		t.Fatalf("after Cover(10): last %d, durable %d; want 10, 10", l.LastLSN(), l.DurableLSN())
+	}
+	if lsn, err := l.Append(testRecord(3, 1)); err != nil || lsn != 11 {
+		t.Fatalf("append after Cover: lsn=%d err=%v, want 11", lsn, err)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatalf("Sync: %v", err)
+	}
+	var lsns []uint64
+	for _, rec := range collect(t, Open2(t, st.CrashCopy())) {
+		lsns = append(lsns, rec.LSN)
+	}
+	if fmt.Sprint(lsns) != "[1 2 11]" {
+		t.Fatalf("crash copy replays LSNs %v, want [1 2 11]", lsns)
+	}
+}
+
 // TestOpenMakesInheritedTailDurable: a predecessor killed before its fsync
 // leaves appended-but-unsynced bytes behind (page cache survives process
 // death). Open must fsync them before treating the records as durable, or a
