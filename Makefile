@@ -93,12 +93,15 @@ crash-repl:
 # zombie's writes are rejected at both the WAL and wire layers (proven by the
 # fence-ablation arm, which shows the lost-update the fence prevents). So do
 # the in-place promotion tests: a promoted replica equals a cold recovery of
-# its mirror, and promotion reads no more than each mirror's tail segment.
+# its mirror, and promotion reads no more than each mirror's tail segment;
+# the re-point tests: a clean survivor re-pointed in place equals a reopen of
+# its mirror, and a diverged or degraded one is reopened; and a failover after
+# a failed promotion, which must promote another replica.
 # The primary-kill matrix then runs 50 more times: its interleavings ride
 # goroutine timing, and the lost acknowledged commit it once caught showed in
 # about one run in six.
 crash-failover:
-	$(GO) test -race -run 'CrashFailover|PromoteInPlace|PromoteDoesNoReplay' -count=1 ./internal/engine/...
+	$(GO) test -race -run 'CrashFailover|PromoteInPlace|PromoteDoesNoReplay|RepointInPlace|RepointDiverged|FailedPromotion' -count=1 ./internal/engine/...
 	$(GO) test -race -run TestCrashFailoverPrimaryKillMatrix -count=50 ./internal/engine/
 
 # Fuzz smoke for the decoders of untrusted bytes. WAL record and checkpoint

@@ -5,7 +5,10 @@
 // the length-prefixed wire protocol. Remote clients dial the printed addresses
 // with server.Dial, or hand the whole list to server.NewRouter, which sends
 // writes to the primary, rotates reads over every node and follows the
-// primary across a failover.
+// primary across a failover. Each listener fronts its node for life: after a
+// failover the promoted replica's listener answers as the primary, the
+// deposed primary's answers NotPrimary, and the others keep serving their
+// re-pointed replicas.
 package main
 
 import (
@@ -31,7 +34,7 @@ func main() {
 	executors := flag.Int("executors", 4, "executors in the primary's container")
 	ack := flag.String("ack", "async", "replication ack mode: async or semisync")
 	maxInFlight := flag.Int("max-inflight", 64, "per-session pipelining window")
-	supervise := flag.Bool("supervise", false, "run a failover supervisor: heartbeat the primary and, on persistent failure, fence it and promote the freshest semi-sync replica (requires -ack=semisync and -replicas >= 1)")
+	supervise := flag.Bool("supervise", false, "run a failover supervisor: heartbeat the primary and, on persistent failure, fence it, promote the freshest semi-sync replica in place and re-point the others; every listener keeps fronting its node (requires -ack=semisync and -replicas >= 1)")
 	flag.Parse()
 
 	ackMode := engine.AckAsync
@@ -69,7 +72,6 @@ func main() {
 	fmt.Printf("listening role=primary addr=%s customers=%d executors=%d\n", pAddr, *customers, *executors)
 
 	var engineReps []*engine.Replica
-	repServers := make(map[*engine.Replica]*server.Server)
 	for i := 0; i < *replicas; i++ {
 		rep, err := engine.OpenReplica(db, engine.ReplicaOptions{Ack: ackMode})
 		if err != nil {
@@ -87,33 +89,18 @@ func main() {
 		}
 		fmt.Printf("listening role=replica addr=%s ack=%s\n", rAddr, strings.ToLower(*ack))
 		engineReps = append(engineReps, rep)
-		repServers[rep] = rs
 	}
 
 	if *supervise {
 		if ackMode != engine.AckSemiSync || len(engineReps) == 0 {
 			log.Fatalf("-supervise requires -ack=semisync and -replicas >= 1 (failover is lossless only for semi-sync acks)")
 		}
-		// On failover every listener stays up and follows its node: the
-		// primary listener and the promoted replica's listener both swap to
-		// the new primary, surviving replica listeners swap to their
-		// re-pointed successors. Clients keep their addresses; the router
-		// re-points writes by epoch.
+		// On failover every listener stays up and keeps fronting its node,
+		// which changes role in place: no listener is touched. Clients keep
+		// their addresses; the router re-points writes by epoch.
 		sup := engine.NewSupervisor(db, engineReps, engine.SupervisorOptions{
-			OnPromote: func(promoted *engine.Database, from *engine.Replica) {
-				primary.Promote(promoted)
-				if rs := repServers[from]; rs != nil {
-					rs.Promote(promoted)
-					delete(repServers, from)
-				}
+			OnPromote: func(promoted *engine.Database) {
 				fmt.Printf("failover: promoted replica to primary at epoch %d\n", promoted.Epoch())
-			},
-			OnRepoint: func(old, next *engine.Replica) {
-				if rs := repServers[old]; rs != nil {
-					rs.Swap(next)
-					delete(repServers, old)
-					repServers[next] = rs
-				}
 			},
 		})
 		sup.Start()

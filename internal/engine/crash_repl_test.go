@@ -349,7 +349,7 @@ func TestCrashReplShippingGapRebootstrap(t *testing.T) {
 		if v, p := readReplicaV(t, rep2, "kv0", i); !p || v != 100+i {
 			t.Fatalf("kv0[%d] = (%d, %v), want %d", i, v, p, 100+i)
 		}
-		if row, err := rep2.ReadRow("kv1", "store", i); err != nil || row == nil || row.Int64(1) != 200+i {
+		if row, err := rep2.Database().ReadRow("kv1", "store", i); err != nil || row == nil || row.Int64(1) != 200+i {
 			t.Fatalf("kv1[%d] = (%v, %v), want %d", i, row, err, 200+i)
 		}
 	}

@@ -152,6 +152,10 @@ func (db *Database) Close() {
 	}
 }
 
+// IsReplica reports whether this is a replica's database, whose logs mirror
+// a primary's and which rejects writes; PromoteReplica makes it a primary.
+func (db *Database) IsReplica() bool { return db.replica.Load() }
+
 // Definition returns the logical database declaration.
 func (db *Database) Definition() *core.DatabaseDef { return db.def }
 
@@ -379,8 +383,11 @@ func (db *Database) MustLoad(reactor, relation string, row rel.Row) {
 }
 
 // ReadRow performs a non-transactional read of a row by primary key, for
-// verification in tests and examples. It returns nil if the row is absent.
+// verification in tests and examples, between commits (on a replica, between
+// apply rounds). It returns nil if the row is absent.
 func (db *Database) ReadRow(reactor, relation string, keyVals ...any) (rel.Row, error) {
+	db.commitGate.RLock()
+	defer db.commitGate.RUnlock()
 	c := db.containerOf(reactor)
 	if c == nil {
 		return nil, fmt.Errorf("%w: %s", core.ErrUnknownReactor, reactor)

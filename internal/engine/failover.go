@@ -12,9 +12,9 @@ import (
 // replica.go: detect a dead primary (missed heartbeats), fence it behind a
 // new epoch (durably, so even a restarted zombie refuses writes), promote the
 // freshest semi-sync replica by finishing its recovery in place, re-point
-// surviving replicas at the promoted log after a divergence repair, and
-// optionally re-attach the deposed primary's storage as a fresh replica the
-// same way.
+// surviving replicas at the promoted log — in place, or after a divergence
+// repair and a reopen — and optionally re-attach the deposed primary's
+// storage as a fresh replica the same way.
 //
 // The fencing order is the load-bearing part. Before anything is promoted the
 // supervisor (1) fences the old primary in memory — every container log
@@ -130,22 +130,19 @@ func (db *Database) Heartbeat() error {
 }
 
 // FreshestReplica picks the failover candidate from a set of replicas:
-// non-degraded semi-sync replicas are preferred (their mirrors durably hold
-// every acknowledged commit — the semi-sync contract), ranked by total
-// durably mirrored LSN across shards; non-degraded async replicas are a last
-// resort. Returns nil if nothing is promotable.
+// semi-sync replicas are preferred (their mirrors durably hold every
+// acknowledged commit — the semi-sync contract), ranked by total durably
+// mirrored LSN across shards; async replicas are a last resort. A closed or
+// degraded replica is never picked. Returns nil if nothing is promotable.
 func FreshestReplica(replicas []*Replica) *Replica {
 	var best *Replica
 	var bestSum uint64
 	bestSemi := false
 	for _, r := range replicas {
-		if r == nil {
+		if r == nil || !r.promotable() {
 			continue
 		}
 		st := r.Stats()
-		if st.Degraded {
-			continue
-		}
 		semi := st.Mode == AckSemiSync
 		var sum uint64
 		for _, sh := range st.Shards {
@@ -167,8 +164,9 @@ func FreshestReplica(replicas []*Replica) *Replica {
 // replica began when it opened. The resolver holds exactly what the mirror
 // durably holds, so this leaves the state a restart over the mirror would
 // recover. It returns the replica's database, now a writable primary holding
-// every commit a semi-sync replica acknowledged. A degraded or closed replica
-// is refused; a failure after that closes the database.
+// every commit a semi-sync replica acknowledged, and rep.Database() keeps
+// returning it. A degraded or closed replica is refused; a failure after that
+// closes the replica.
 func PromoteReplica(rep *Replica, newEpoch uint64) (*Database, error) {
 	rep.mu.Lock()
 	if rep.closed || rep.degraded {
@@ -177,19 +175,28 @@ func PromoteReplica(rep *Replica, newEpoch uint64) (*Database, error) {
 	}
 	rep.closed = true
 	rep.mu.Unlock()
-	rep.halt()
+	rep.unfollow()
 	rep.mu.Lock()
 	defer rep.mu.Unlock()
-	if err := rep.promote(newEpoch); err != nil {
-		rep.db.Close()
+	db := rep.Database()
+	if err := rep.promote(db, newEpoch); err != nil {
+		db.Close()
 		return nil, fmt.Errorf("engine: promote: %w", err)
 	}
-	return rep.db, nil
+	return db, nil
 }
 
-// promote is PromoteReplica once tailing stopped; the caller holds rep.mu.
-func (rep *Replica) promote(newEpoch uint64) error {
-	db := rep.db
+// promotable reports whether the replica may still be promoted: neither
+// closed (or already promoted) nor degraded.
+func (rep *Replica) promotable() bool {
+	rep.mu.Lock()
+	defer rep.mu.Unlock()
+	return !rep.closed && !rep.degraded
+}
+
+// promote is PromoteReplica on rep's database db once tailing stopped; the
+// caller holds rep.mu.
+func (rep *Replica) promote(db *Database, newEpoch uint64) error {
 	for _, s := range rep.shards {
 		s.staged = nil
 	}
@@ -218,7 +225,7 @@ func (rep *Replica) promote(newEpoch uint64) error {
 			return fmt.Errorf("container %d: %w", i, err)
 		}
 	}
-	st, err := wal.ReadEpochState(rep.Storage())
+	st, err := wal.ReadEpochState(db.cfg.Durability.Storage)
 	if err != nil {
 		return fmt.Errorf("read epoch state: %w", err)
 	}
@@ -226,7 +233,7 @@ func (rep *Replica) promote(newEpoch uint64) error {
 		return fmt.Errorf("epoch %d is below this node's fence %d", newEpoch, st.FenceBelow)
 	}
 	st.Epoch = newEpoch
-	if err := wal.WriteEpochState(rep.Storage(), st); err != nil {
+	if err := wal.WriteEpochState(db.cfg.Durability.Storage, st); err != nil {
 		return fmt.Errorf("stamp epoch %d: %w", newEpoch, err)
 	}
 	db.walEpoch.Store(newEpoch)
@@ -288,33 +295,75 @@ func repairStorage(s wal.Storage, newPrimary *Database) error {
 		if c.wal == nil {
 			continue
 		}
-		horizon := c.wal.DurableLSN()
-		if i < len(newPrimary.promoCut) {
-			horizon = newPrimary.promoCut[i]
-		}
 		sub := s.Sub(fmt.Sprintf("container-%d", i))
-		if err := repairDivergence(sub, horizon); err != nil {
+		if err := repairDivergence(sub, repairHorizon(newPrimary, i)); err != nil {
 			return fmt.Errorf("engine: repoint container %d: %w", i, err)
 		}
 	}
 	return nil
 }
 
-// Repoint switches a surviving replica to a new primary: the replica is
-// closed, each shard's mirror is divergence-repaired against the new
-// primary's durable LSNs, and a fresh replica is opened over the same storage
-// — resuming from the repaired mirror where possible, re-bootstrapping from
-// the new primary's checkpoint where not. Ack mode and segment size carry
-// over unless overridden in opts.
-func Repoint(rep *Replica, newPrimary *Database, opts ReplicaOptions) (*Replica, error) {
-	if opts.Ack == "" {
-		opts.Ack = rep.mode
+// repairHorizon is the LSN of container i's log up to which other nodes'
+// logs are a prefix of newPrimary's: its promotion cut, or for a primary
+// never promoted its durable LSN.
+func repairHorizon(newPrimary *Database, i int) uint64 {
+	if i < len(newPrimary.promoCut) {
+		return newPrimary.promoCut[i]
 	}
-	if opts.SegmentSize <= 0 {
-		opts.SegmentSize = rep.db.cfg.Durability.SegmentSize
+	return newPrimary.containers[i].wal.DurableLSN()
+}
+
+// Repoint makes the replica follow a new primary, with its ack mode. When
+// repairStorage would leave its mirror untouched, it keeps its database and
+// resolver, which hold exactly what the mirror durably holds, and follows
+// from the end of its mirror, serving reads throughout: the state a reopen
+// reaches. One that holds records the new timeline does not — above a
+// promotion cut, or fed unmirrored while degraded — is reopened: its
+// database closed, its mirror repaired and a new database loaded over it. A
+// replica that fails to re-point is closed (ReattachStorage can re-join its
+// storage). Repoint must not run concurrently with Close.
+func Repoint(rep *Replica, newPrimary *Database) error {
+	rep.mu.Lock()
+	closed := rep.closed
+	rep.mu.Unlock()
+	if closed {
+		return fmt.Errorf("engine: repoint: replica is closed")
 	}
-	rep.Close()
-	return ReattachStorage(rep.Storage(), newPrimary, opts)
+	rep.unfollow()
+	clean, err := rep.clean(newPrimary)
+	if err == nil && !clean {
+		old := rep.Database()
+		old.Close()
+		if err = repairStorage(old.cfg.Durability.Storage, newPrimary); err == nil {
+			err = rep.open(old.def, old.cfg)
+		}
+	}
+	if err == nil {
+		err = rep.follow(newPrimary)
+	}
+	if err != nil {
+		rep.Close()
+		return fmt.Errorf("engine: repoint: %w", err)
+	}
+	rep.start()
+	return nil
+}
+
+// clean reports whether repairStorage would leave the mirror of every shard
+// of a replica that is not degraded as it is against newPrimary.
+func (rep *Replica) clean(newPrimary *Database) (bool, error) {
+	rep.mu.Lock()
+	defer rep.mu.Unlock()
+	if rep.degraded {
+		return false, nil
+	}
+	for _, s := range rep.shards {
+		tail, err := wal.TailLSN(s.local.walStorage)
+		if err != nil || tail > repairHorizon(newPrimary, s.id) {
+			return false, err
+		}
+	}
+	return true, nil
 }
 
 // ReattachStorage attaches a node's log storage — typically the deposed
@@ -342,16 +391,9 @@ type SupervisorOptions struct {
 	// reconfiguration.
 	Misses int
 	// OnPromote, if set, is called after every failover with the newly
-	// promoted primary and the replica that was consumed to create it — the
-	// hook a wire front-end uses to swap its backends: the listener fronting
-	// the old primary and the one fronting the promoted replica both now
-	// speak for from's successor.
-	OnPromote func(promoted *Database, from *Replica)
-	// OnRepoint, if set, is called for every surviving replica re-pointed at
-	// the new primary during a failover: old has been closed, next tails the
-	// promoted node over the same storage. A wire front-end swaps the
-	// listener that fronted old over to next.
-	OnRepoint func(old, next *Replica)
+	// promoted primary. It only notifies: the promoted database is the
+	// candidate replica's own, and every replica handle survives.
+	OnPromote func(promoted *Database)
 }
 
 // Supervisor watches a primary and its replicas and drives failover: probe
@@ -402,7 +444,8 @@ func (s *Supervisor) Primary() *Database {
 }
 
 // Replicas returns the current replica set (it changes after a failover: the
-// promoted replica leaves it, survivors are re-pointed in place).
+// promoted replica leaves it, survivors are re-pointed in place and stay, and
+// a replica whose promotion or re-point failed is dropped).
 func (s *Supervisor) Replicas() []*Replica {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -508,9 +551,10 @@ func (s *Supervisor) probe() {
 //     storage, so a restarted zombie stays read-only);
 //  2. pick the freshest non-degraded semi-sync replica by durable mirror LSN;
 //  3. stamp its mirror with the new epoch and finish its recovery in place
-//     (PromoteReplica);
-//  4. divergence-repair and re-point every surviving replica at the new
-//     primary, preserving its ack mode.
+//     (PromoteReplica); a candidate that fails is dropped from the set, so
+//     the next attempt picks another;
+//  4. re-point every surviving replica handle at the new primary (Repoint),
+//     preserving its ack mode.
 //
 // The old primary is NOT closed or re-attached here — its process is
 // presumed dead; ReattachStorage re-joins its storage later if it comes
@@ -545,23 +589,22 @@ func (s *Supervisor) Failover() (*Database, error) {
 
 	promoted, err := PromoteReplica(candidate, newEpoch)
 	if err != nil {
+		// A failed promotion closed the candidate (or found it degraded):
+		// picking it again would fail again.
+		s.replicas = survivors
 		return nil, fmt.Errorf("engine: failover: %w", err)
 	}
 
-	repointed := make([]*Replica, 0, len(survivors))
+	repointed := survivors[:0]
 	for _, r := range survivors {
-		nr, err := Repoint(r, promoted, ReplicaOptions{})
-		if err != nil {
+		if err := Repoint(r, promoted); err != nil {
 			// A replica that cannot re-point is dropped from the set (its
 			// storage can be re-attached later); losing a replica must not
 			// fail the failover that restores write availability.
-			s.lastErr = fmt.Errorf("engine: failover: repoint replica: %w", err)
+			s.lastErr = fmt.Errorf("engine: failover: %w", err)
 			continue
 		}
-		repointed = append(repointed, nr)
-		if s.opts.OnRepoint != nil {
-			s.opts.OnRepoint(r, nr)
-		}
+		repointed = append(repointed, r)
 	}
 
 	s.primary = promoted
@@ -569,7 +612,7 @@ func (s *Supervisor) Failover() (*Database, error) {
 	s.misses = 0
 	s.failovers++
 	if s.opts.OnPromote != nil {
-		s.opts.OnPromote(promoted, candidate)
+		s.opts.OnPromote(promoted)
 	}
 	return promoted, nil
 }

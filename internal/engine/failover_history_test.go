@@ -266,7 +266,7 @@ func TestCrashFailoverHistoryBlackBox(t *testing.T) {
 			return false
 		}
 		for !killed.Load() && !transfersDone.Load() {
-			if audit(func() (any, error) { return rep.Execute(names[0], "audit", names) }) {
+			if audit(func() (any, error) { return rep.Database().Execute(names[0], "audit", names) }) {
 				return
 			}
 		}

@@ -5,9 +5,10 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"reactdb/internal/rel"
+	"reactdb/internal/core"
 	"reactdb/internal/wal"
 )
 
@@ -22,10 +23,12 @@ import (
 // installing their records through the function recovery uses
 // (Container.installRecord) — so base relations AND secondary indexes stay
 // maintained — and is promoted by running recovery's finish half in place
-// (PromoteReplica). Every route to a tailing shard (first bootstrap, restart
-// on an old mirror, re-point, re-attach, a shipping gap in mid-run) is open,
-// and every checkpoint it takes from the primary enters through fastForward,
-// one round across all shards.
+// (PromoteReplica). Every route to a tailing shard is follow, over the
+// database as it stands: open loads it first on a first bootstrap, a restart
+// on an old mirror, a re-attach and a re-point that had to repair
+// divergence; a clean re-point keeps it. Every checkpoint the replica takes
+// from the primary — in follow or after a shipping gap in mid-run — enters
+// through fastForward, one round across all shards.
 //
 // What to install, in what order, and when a 2PC decision frame may enter the
 // mirror (so a promoted mirror never recovers a torn group) is the resolver's
@@ -76,24 +79,30 @@ type ReplicaOptions struct {
 // copy of every reactor's relations (base rows and secondary indexes) by
 // shipping the primary's WAL, and serves serializable read-only transactions
 // and declarative queries against its applied watermark.
+//
+// The handle outlives role changes: Repoint makes it follow a new primary,
+// and PromoteReplica turns its database into a primary.
 type Replica struct {
-	primary *Database
-	db      *Database // the read-serving inner database; its logs are the mirrors
-	mode    AckMode
-
-	shards []*replicaShard
-	res    *resolver
+	// db is the read-serving inner database, whose logs are the mirrors. A
+	// re-point that has to repair divergence replaces it; it is read without
+	// a lock on every request a server fronting the replica runs.
+	db   atomic.Pointer[Database]
+	mode AckMode
 
 	// wake is watched on every primary log (wal.Log.Watch): its one slot
 	// holds a pending "a primary fsync raised a durable watermark".
-	wake   chan struct{}
+	wake chan struct{}
+	// stopCh and doneCh belong to the tailing loop; nil when none runs.
 	stopCh chan struct{}
-	doneCh chan struct{} // nil until the tailing loop starts
+	doneCh chan struct{}
 
-	// mu guards everything below plus the shipping state above against
-	// concurrent Stats/WaitCaughtUp snapshots; the poll loop holds it for
-	// each full poll-mirror-apply cycle.
+	// mu guards everything below against concurrent Stats/WaitCaughtUp
+	// snapshots; the poll loop holds it for each full poll-mirror-apply
+	// cycle.
 	mu           sync.Mutex
+	primary      *Database // the primary followed; nil when following none
+	shards       []*replicaShard
+	res          *resolver
 	closed       bool // closed or promoted: no longer tailing
 	degraded     bool // mirror failed; detached from the hub
 	lastErr      error
@@ -132,14 +141,12 @@ func OpenReplica(primary *Database, opts ReplicaOptions) (*Replica, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.doneCh = make(chan struct{})
-	go r.run()
+	r.start()
 	return r, nil
 }
 
-// newReplica is OpenReplica without the tailing loop: it attaches, bootstraps
-// and watches the primary's logs, and ships nothing more until pollOnce is
-// called.
+// newReplica is OpenReplica without the tailing loop: it opens, follows the
+// primary and ships nothing more until pollOnce is called.
 func newReplica(primary *Database, opts ReplicaOptions) (*Replica, error) {
 	if primary.cfg.Durability.Mode != DurabilityWAL {
 		return nil, fmt.Errorf("engine: replication requires the primary to run under DurabilityWAL")
@@ -166,68 +173,108 @@ func newReplica(primary *Database, opts ReplicaOptions) (*Replica, error) {
 	// replica's own storage, are the mirrors; it rejects writes.
 	cfg := primary.cfg
 	cfg.Durability = DurabilityConfig{Mode: DurabilityWAL, Storage: opts.Storage, SegmentSize: opts.SegmentSize}
-	inner, err := open(primary.def, cfg, true)
-	if err != nil {
-		return nil, fmt.Errorf("engine: open replica database: %w", err)
+	r := &Replica{mode: opts.Ack, wake: make(chan struct{}, 1)}
+	if err := r.open(primary.def, cfg); err != nil {
+		return nil, err
 	}
+	if err := r.follow(primary); err != nil {
+		r.Database().Close()
+		return nil, err
+	}
+	return r, nil
+}
 
-	r := &Replica{
-		primary: primary,
-		db:      inner,
-		mode:    opts.Ack,
-		res:     newResolver(len(primary.containers)),
-		wake:    make(chan struct{}, 1),
-		stopCh:  make(chan struct{}),
+// open opens the replica's database over its storage and loads the local
+// checkpoint blob and mirror into a fresh resolver as recovery would.
+func (r *Replica) open(def *core.DatabaseDef, cfg Config) error {
+	db, err := open(def, cfg, true)
+	if err != nil {
+		return fmt.Errorf("engine: open replica database: %w", err)
 	}
-	// The primary's checkpointer is held off for the whole bootstrap, so the
-	// blobs copied are one round and nothing is truncated under the attach.
-	// Nothing here waits on a primary commit, so a semi-sync commit waiting
-	// on this replica cannot deadlock a checkpoint through it.
+	res := newResolver(len(db.containers))
+	blobs, _, err := db.load(res)
+	if err != nil {
+		db.Close()
+		return fmt.Errorf("engine: replica bootstrap: %w", err)
+	}
+	shards := make([]*replicaShard, len(db.containers))
+	for i, c := range db.containers {
+		shards[i] = &replicaShard{id: i, local: c, blob: blobs[i]}
+	}
+	r.mu.Lock()
+	r.shards, r.res = shards, res
+	r.degraded, r.lastErr = false, nil
+	r.mu.Unlock()
+	r.db.Store(db)
+	return nil
+}
+
+// follow brings every shard from what its database holds to tailing primary:
+// seat each cursor at the mirror's last LSN (staged frames, never mirrored
+// nor fed, are dropped), attach, fast-forward through the primary's newest
+// checkpoint round, apply what resolved and watch the primary's logs.
+func (r *Replica) follow(primary *Database) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, s := range r.shards {
+		// Blob and mirror cover every record up to the log's last LSN (a log
+		// opens no lower than its blob's low-water mark).
+		s.primary, s.staged = primary.containers[s.id], nil
+		s.lastShipped = s.local.wal.LastLSN()
+		s.through = s.lastShipped
+		s.cursor = wal.NewShipCursor(s.primary.walStorage, s.lastShipped)
+		r.res.fedThrough(s.id, s.lastShipped)
+	}
+	// The primary's checkpointer is held off for the whole attach, so the
+	// blobs copied are one round and nothing is truncated under it (nothing
+	// here waits on a primary commit, so no semi-sync commit can deadlock a
+	// checkpoint through it); before the attach it may have truncated past
+	// the mirrors.
 	primary.ckptMu.Lock()
-	primary.repl.attach(r, opts.Ack, len(primary.containers))
-	err = r.open()
+	primary.repl.attach(r, r.mode, len(r.shards))
+	_, err := r.fastForward()
 	primary.ckptMu.Unlock()
 	if err != nil {
 		primary.repl.detach(r)
-		inner.Close()
-		return nil, err
+		return fmt.Errorf("engine: replica bootstrap: %w", err)
+	}
+	r.primary = primary
+	if r.res.ready() {
+		r.applyRound()
 	}
 	// Watching starts after the bootstrap and before the first poll, which
 	// ships whatever became durable in between.
 	for _, s := range r.shards {
 		s.primary.wal.Watch(r.wake)
 	}
-	return r, nil
+	return nil
 }
 
-// open brings every shard from whatever its storage holds to tailing: load
-// the local checkpoint blob and mirror into the resolver as recovery would,
-// fast-forward through the primary's newest checkpoint round, seat the
-// cursors, and apply what resolved before serving the first read.
-func (r *Replica) open() error {
-	blobs, _, err := r.db.load(r.res)
-	if err != nil {
-		return fmt.Errorf("engine: replica bootstrap: %w", err)
+// start runs the tailing loop on a background goroutine until unfollow.
+func (r *Replica) start() {
+	r.stopCh, r.doneCh = make(chan struct{}), make(chan struct{})
+	go r.run(r.stopCh, r.doneCh)
+}
+
+// unfollow stops tailing: it detaches from the primary's hub (releasing any
+// semi-sync waiter), stops watching the primary's logs and stops the loop.
+// It does nothing on a replica that follows no primary.
+func (r *Replica) unfollow() {
+	if r.primary == nil {
+		return
 	}
-	for i, pc := range r.primary.containers {
-		s := &replicaShard{id: i, primary: pc, local: r.db.containers[i], blob: blobs[i]}
-		// Blob and mirror cover every record up to the log's last LSN (a log
-		// opens no lower than its blob's low-water mark).
-		s.lastShipped = s.local.wal.LastLSN()
-		s.cursor = wal.NewShipCursor(pc.walStorage, s.lastShipped)
-		r.res.fedThrough(i, s.lastShipped)
-		r.shards = append(r.shards, s)
+	r.primary.repl.detach(r)
+	for _, s := range r.shards {
+		s.primary.wal.Unwatch(r.wake)
 	}
-	// While this replica was down the primary may have checkpointed and
-	// truncated past its mirrors. (While attached it cannot — truncation is
-	// clamped to the replication floor.)
-	if _, err := r.fastForward(); err != nil {
-		return fmt.Errorf("engine: replica bootstrap: %w", err)
+	if r.stopCh != nil {
+		close(r.stopCh)
+		<-r.doneCh
+		r.stopCh, r.doneCh = nil, nil
 	}
-	if r.res.ready() {
-		r.applyRound()
-	}
-	return nil
+	r.mu.Lock()
+	r.primary = nil
+	r.mu.Unlock()
 }
 
 // fastForward is the one place a primary checkpoint enters the replica. It
@@ -251,8 +298,9 @@ func (r *Replica) fastForward() (moved bool, err error) {
 			return false, fmt.Errorf("container %d: %w", i, err)
 		}
 	}
-	r.db.commitGate.Lock()
-	defer r.db.commitGate.Unlock()
+	db := r.Database()
+	db.commitGate.Lock()
+	defer db.commitGate.Unlock()
 	floors := make([]uint64, len(r.shards))
 	for i, cp := range cps {
 		if cp == nil {
@@ -280,15 +328,15 @@ const shipRetry = time.Millisecond
 // durable watermark. The mirror's fsync is the batching window: primary
 // fsyncs landing during a poll leave one pending wake-up, and the next poll
 // ships all they covered.
-func (r *Replica) run() {
-	defer close(r.doneCh)
+func (r *Replica) run(stop <-chan struct{}, done chan<- struct{}) {
+	defer close(done)
 	for {
 		var retry <-chan time.Time
 		if !r.pollOnce() {
 			retry = time.After(shipRetry)
 		}
 		select {
-		case <-r.stopCh:
+		case <-stop:
 			return
 		case <-r.wake:
 		case <-retry:
@@ -304,7 +352,7 @@ func (r *Replica) run() {
 func (r *Replica) pollOnce() (shippedAll bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.closed {
+	if r.closed || r.primary == nil {
 		return true
 	}
 	shippedAll = true
@@ -426,9 +474,10 @@ func (r *Replica) feed(s *replicaShard, n int) {
 // resolve (a placement or schema mismatch with the primary) is recorded for
 // Stats and skipped; the replica keeps serving what it can.
 func (r *Replica) applyRound() {
-	r.db.commitGate.Lock()
-	n, err := r.db.installSettled(r.res)
-	r.db.commitGate.Unlock()
+	db := r.Database()
+	db.commitGate.Lock()
+	n, err := db.installSettled(r.res)
+	db.commitGate.Unlock()
 	r.applied += uint64(n)
 	r.rounds++
 	if err != nil {
@@ -436,67 +485,26 @@ func (r *Replica) applyRound() {
 	}
 }
 
-// Close detaches the replica from the primary (releasing any semi-sync
-// waiter), stops watching the primary's logs, stops the tailing loop and
-// closes the inner database, sealing the mirror logs. Staged-but-unmirrored
-// frames are simply re-shipped by the next incarnation. After PromoteReplica
-// it does nothing: the inner database is the promoted primary.
+// Close stops tailing (unfollow) and closes the inner database, sealing the
+// mirror logs. Staged-but-unmirrored frames are simply re-shipped by the
+// next incarnation. After PromoteReplica it does nothing: the inner database
+// is the promoted primary. It must not run concurrently with Repoint.
 func (r *Replica) Close() {
 	r.mu.Lock()
 	closed := r.closed
 	r.closed = true
 	r.mu.Unlock()
 	if !closed {
-		r.halt()
-		r.db.Close()
+		r.unfollow()
+		r.Database().Close()
 	}
 }
 
-// halt stops tailing once the replica is marked closed: it detaches from the
-// primary's hub, stops watching the primary's logs and stops the loop.
-func (r *Replica) halt() {
-	r.primary.repl.detach(r)
-	for _, s := range r.shards {
-		s.primary.wal.Unwatch(r.wake)
-	}
-	close(r.stopCh)
-	if r.doneCh != nil {
-		<-r.doneCh
-	}
-}
-
-// Query runs a declarative read-only query against the replica's applied
-// watermark: the same serializable machinery as on a primary, validated
-// against the apply rounds, so the result is a consistent committed prefix of
-// the primary's history.
-func (r *Replica) Query(q *rel.Query) (*rel.Result, error) {
-	return r.db.Query(q)
-}
-
-// Execute runs a read-only procedure on the replica. Any write the procedure
-// attempts fails with ErrReplicaRead and aborts the transaction.
-func (r *Replica) Execute(reactor, procedure string, args ...any) (any, error) {
-	return r.db.Execute(reactor, procedure, args...)
-}
-
-// ReadRow reads one row non-transactionally at a round boundary.
-func (r *Replica) ReadRow(reactor, relation string, keyVals ...any) (rel.Row, error) {
-	r.db.commitGate.RLock()
-	defer r.db.commitGate.RUnlock()
-	return r.db.ReadRow(reactor, relation, keyVals...)
-}
-
-// Database returns the replica's inner read-serving database, for inspection
-// (TableLen, Stats) — never for writes, which it rejects until PromoteReplica
-// makes it the primary.
-func (r *Replica) Database() *Database { return r.db }
-
-// Storage returns the replica's mirror store. Opening it under DurabilityWAL
-// and running Recover recovers the replica's durable state as a primary.
-func (r *Replica) Storage() wal.Storage { return r.db.cfg.Durability.Storage }
-
-// Mode returns the replica's acknowledgment mode.
-func (r *Replica) Mode() AckMode { return r.mode }
+// Database returns the replica's inner read-serving database, which runs
+// read-only procedures and queries against the applied watermark (a write
+// fails with ErrReplicaRead) until PromoteReplica makes it the primary. A
+// Repoint that has to repair divergence replaces it.
+func (r *Replica) Database() *Database { return r.db.Load() }
 
 // WaitCaughtUp blocks until every shard has shipped, mirrored and applied the
 // primary's full durable prefix, or the timeout elapses. It is primarily a
@@ -582,6 +590,18 @@ func lagRecords(durable, applied uint64) uint64 {
 		return 0
 	}
 	return durable - applied
+}
+
+// Health returns the replica's freshness gap — the largest lag over its
+// shards, as in Stats — whether it is degraded, and its last replication
+// error, without allocating: a server reads it on every bounded read.
+func (r *Replica) Health() (lag uint64, degraded bool, err error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, s := range r.shards {
+		lag = max(lag, lagRecords(s.primary.wal.DurableLSN(), r.res.applied(s.id)))
+	}
+	return lag, r.degraded, r.lastErr
 }
 
 // Stats returns a consistent snapshot of the replica's progress.

@@ -107,7 +107,7 @@ func TestBlackBoxReplicaHistorySerializableBanking(t *testing.T) {
 	go func() {
 		defer close(auditorDone)
 		for !transfersDone.Load() {
-			res, err := rep.Execute(names[0], "audit", names)
+			res, err := rep.Database().Execute(names[0], "audit", names)
 			if err != nil {
 				if errors.Is(err, ErrConflict) {
 					continue
@@ -128,7 +128,7 @@ func TestBlackBoxReplicaHistorySerializableBanking(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A quiescent, caught-up audit always commits and joins the history.
-	res, err := rep.Execute(names[0], "audit", names)
+	res, err := rep.Database().Execute(names[0], "audit", names)
 	if err != nil {
 		t.Fatalf("quiescent replica audit: %v", err)
 	}
@@ -167,7 +167,7 @@ func TestBlackBoxReplicaHistorySerializableBanking(t *testing.T) {
 		if err != nil || prow == nil {
 			t.Fatalf("primary ReadRow(%s): %v", names[i], err)
 		}
-		rrow, err := rep.ReadRow(names[i], "bal", int64(0))
+		rrow, err := rep.Database().ReadRow(names[i], "bal", int64(0))
 		if err != nil || rrow == nil {
 			t.Fatalf("replica ReadRow(%s): %v", names[i], err)
 		}

@@ -18,7 +18,7 @@ const replicaWait = 10 * time.Second
 
 func readReplicaV(t *testing.T, r *Replica, reactor string, k int64) (int64, bool) {
 	t.Helper()
-	row, err := r.ReadRow(reactor, "store", k)
+	row, err := r.Database().ReadRow(reactor, "store", k)
 	if err != nil {
 		t.Fatalf("replica ReadRow(%s, %d): %v", reactor, k, err)
 	}
@@ -81,7 +81,7 @@ func TestReplicaShipsCommitsAndServesReads(t *testing.T) {
 	}
 
 	// Writes are rejected with the sentinel, reads through Execute work.
-	if _, err := rep.Execute("kv0", "put", int64(1), int64(2)); !errors.Is(err, ErrReplicaRead) {
+	if _, err := rep.Database().Execute("kv0", "put", int64(1), int64(2)); !errors.Is(err, ErrReplicaRead) {
 		t.Fatalf("replica write error = %v, want ErrReplicaRead", err)
 	}
 	if v, present := readReplicaV(t, rep, "kv0", 1); !present || v != 1001 {
@@ -557,7 +557,7 @@ func TestDegradedReplicaSurfacesMirrorFailureCause(t *testing.T) {
 	// Degraded means no durability promise, not no reads: the apply loop keeps
 	// tailing, so the writes made after the failure become visible.
 	waitFor(t, replicaWait, func() bool {
-		row, err := rep.ReadRow("kv0", "store", int64(19))
+		row, err := rep.Database().ReadRow("kv0", "store", int64(19))
 		return err == nil && row != nil && row.Int64(1) == 119
 	})
 	statsSane(t, rep.Stats())
@@ -1056,7 +1056,7 @@ func TestReplicaDifferentialQueryWorkload(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s on primary: %v", name, err)
 		}
-		rres, err := rep.Query(mk())
+		rres, err := rep.Database().Query(mk())
 		if err != nil {
 			t.Fatalf("%s on replica: %v", name, err)
 		}
@@ -1069,14 +1069,14 @@ func TestReplicaDifferentialQueryWorkload(t *testing.T) {
 	}
 	// Pin that the interesting paths really were index paths on BOTH sides —
 	// a silent fallback to full scans would hollow the test out.
-	res, err := rep.Query(queries["index-by-cust"]())
+	res, err := rep.Database().Query(queries["index-by-cust"]())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.AccessPaths["o"] != "index:by_cust" {
 		t.Fatalf("replica chose %q for cust equality, want index:by_cust", res.AccessPaths["o"])
 	}
-	res, err = rep.Query(queries["index-by-branch-moved"]())
+	res, err = rep.Database().Query(queries["index-by-branch-moved"]())
 	if err != nil {
 		t.Fatal(err)
 	}

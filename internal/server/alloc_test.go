@@ -131,3 +131,38 @@ func TestWireDepositAllocBudget(t *testing.T) {
 	})
 	checkBudget(t, "wire deposit", got, 30)
 }
+
+// TestWireReplicaReadAllocBudget pins one bounded-freshness smallbank balance
+// on a replica's listener, one caller, a semi-sync replica on real files as
+// the benchmark's repl-mixed runs it: 9.00 while the freshness check built a
+// ReplicaStats and its Shards slice per request, measured 8.00 now — the same
+// as on a primary (TestWireReadAllocBudget): reading the lag allocates
+// nothing.
+func TestWireReplicaReadAllocBudget(t *testing.T) {
+	const customers = 16
+	db, _ := realFleet(t, customers)
+	if err := db.Checkpoint(); err != nil { // the loaded rows reach a replica by the blob
+		t.Fatalf("checkpoint: %v", err)
+	}
+	rep, err := engine.OpenReplica(db, engine.ReplicaOptions{
+		Ack:     engine.AckSemiSync,
+		Storage: wal.NewFileStorage(filepath.Join(t.TempDir(), "replica")),
+	})
+	if err != nil {
+		t.Fatalf("open replica: %v", err)
+	}
+	t.Cleanup(rep.Close)
+	if err := rep.WaitCaughtUp(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	_, addr := startReplica(t, rep, Options{})
+	conn := dial(t, addr)
+	names := smallbankNames(customers)
+	got := mallocsPerOp(t, 2000, func(i int) {
+		v, err := conn.ExecuteFresh(1000, names[i%customers], smallbank.ProcBalance)
+		if b, ok := v.(float64); err != nil || !ok || b != 2e9 {
+			t.Fatalf("balance = %v, %v", v, err)
+		}
+	})
+	checkBudget(t, "wire replica read", got, 10)
+}

@@ -84,11 +84,12 @@ func TestConnRedialReconnect(t *testing.T) {
 }
 
 // TestRouterFailoverRedirect drives a planned failover under live wire
-// traffic: the old primary's server answers NotPrimary once its engine is
-// fenced, and the router rediscovers the promoted endpoint by epoch — the
-// same Execute call that hit the deposed node lands on its successor. The
-// node status carries the epoch that arbitrates the two nodes both claiming
-// the primary role.
+// traffic with no call on any server: the old primary's server answers
+// NotPrimary once its engine is fenced, the promoted replica's server
+// answers as the primary, and the router rediscovers the promoted endpoint by
+// epoch — the same Execute call that hit the deposed node lands on its
+// successor. The node status carries the epoch that arbitrates the two nodes
+// both claiming the primary role.
 func TestRouterFailoverRedirect(t *testing.T) {
 	db := engine.MustOpen(kvDef(nil, "kv0"), walCfg())
 	defer db.Close()
@@ -102,30 +103,10 @@ func TestRouterFailoverRedirect(t *testing.T) {
 		t.Fatalf("open repB: %v", err)
 	}
 
-	sp, pAddr := startPrimary(t, db, Options{})
-	servers := map[*engine.Replica]*Server{}
-	sa, aAddr := startReplica(t, repA, Options{})
-	sb, bAddr := startReplica(t, repB, Options{})
-	servers[repA], servers[repB] = sa, sb
-
-	var promotedDB *engine.Database
-	sup := engine.NewSupervisor(db, []*engine.Replica{repA, repB}, engine.SupervisorOptions{
-		OnPromote: func(promoted *engine.Database, from *engine.Replica) {
-			promotedDB = promoted
-			sp.Promote(promoted) // the old primary's listener follows the cluster
-			if rs := servers[from]; rs != nil {
-				rs.Promote(promoted)
-				delete(servers, from)
-			}
-		},
-		OnRepoint: func(old, next *engine.Replica) {
-			if rs := servers[old]; rs != nil {
-				rs.Swap(next)
-				delete(servers, old)
-				servers[next] = rs
-			}
-		},
-	})
+	_, pAddr := startPrimary(t, db, Options{})
+	_, aAddr := startReplica(t, repA, Options{})
+	_, bAddr := startReplica(t, repB, Options{})
+	sup := engine.NewSupervisor(db, []*engine.Replica{repA, repB}, engine.SupervisorOptions{})
 
 	r, err := NewRouter([]string{pAddr, aAddr, bAddr}, RouterOptions{
 		MaxRetries:   8,
@@ -149,21 +130,27 @@ func TestRouterFailoverRedirect(t *testing.T) {
 
 	// Planned switchover: fence the live primary, promote the freshest
 	// replica, re-point the survivor. Every listener stays up.
-	if _, err := sup.Failover(); err != nil {
+	promotedDB, err := sup.Failover()
+	if err != nil {
 		t.Fatalf("failover: %v", err)
 	}
 	if !db.Fenced() {
 		t.Fatalf("old primary not fenced after failover")
 	}
 
-	// A direct write to the deposed node is refused with NotPrimary...
+	// A direct write to the deposed node is refused with NotPrimary: its
+	// listener still fronts the fenced engine.
 	deposed := dial(t, pAddr)
-	// ...once its listener reports for the fenced engine: sp was promoted in
-	// the hook, so probe through a dedicated primary-role check instead —
-	// the wire answer for a fenced backend. sp now fronts the promoted
-	// database, so it must accept writes.
-	if _, err := deposed.Execute("kv0", "put", int64(8), int64(80)); err != nil {
-		t.Fatalf("write via old primary listener (now fronting the promoted db): %v", err)
+	if _, err := deposed.Execute("kv0", "put", int64(8), int64(80)); !errors.Is(err, ErrNotPrimary) {
+		t.Fatalf("write via the deposed primary's listener = %v, want ErrNotPrimary", err)
+	}
+	// The promoted replica's listener takes writes as the primary.
+	promotedAddr := aAddr
+	if promotedDB != repA.Database() {
+		promotedAddr = bAddr
+	}
+	if _, err := dial(t, promotedAddr).Execute("kv0", "put", int64(8), int64(80)); err != nil {
+		t.Fatalf("write via the promoted replica's listener: %v", err)
 	}
 
 	// The router's next write rediscovers by epoch and succeeds regardless of
@@ -178,8 +165,8 @@ func TestRouterFailoverRedirect(t *testing.T) {
 	if h.Role != RolePrimary || h.Epoch != 1 {
 		t.Fatalf("new primary status = role %v epoch %d, want primary epoch 1", h.Role, h.Epoch)
 	}
-	if promotedDB == nil || promotedDB.Epoch() != 1 {
-		t.Fatalf("promotion hook saw db epoch %v, want 1", promotedDB)
+	if promotedDB.Epoch() != 1 {
+		t.Fatalf("promoted db epoch %d, want 1", promotedDB.Epoch())
 	}
 
 	// Reads of pre- and post-failover writes both resolve through the router.
@@ -193,9 +180,9 @@ func TestRouterFailoverRedirect(t *testing.T) {
 }
 
 // TestServerFencedAnswersNotPrimary pins the wire status itself: a primary
-// server whose engine database is fenced (deposed, but its listener not yet
-// swapped — the zombie window) refuses execute and query with NotPrimary, and
-// the client reconstructs ErrNotPrimary via errors.Is.
+// server whose engine database is fenced (deposed; its listener fronts it
+// for life) refuses execute and query with NotPrimary, and the client
+// reconstructs ErrNotPrimary via errors.Is.
 func TestServerFencedAnswersNotPrimary(t *testing.T) {
 	db := engine.MustOpen(kvDef(nil, "kv0"), walCfg())
 	defer db.Close()
@@ -265,9 +252,9 @@ func TestReplicaHintsCarryErr(t *testing.T) {
 // TestRouterRediscoversPastSilentDeposedPrimary: rediscovery classifies each
 // endpoint from its answer to the sweep, and an endpoint that does not answer
 // by the role of its last hello. The router spans a primary and two replicas.
-// A failover promotes one replica and re-points the other, but the deposed
-// primary's listener is not re-pointed: it is shut down instead, so it is
-// silent when the next write fails on it and triggers the sweep. The write
+// A failover promotes one replica and re-points the other, and the deposed
+// primary's listener is shut down, so it is silent when the next write fails
+// on it and triggers the sweep. The write
 // must land on the promoted node, and the silent endpoint, whose last hello
 // said primary, must stay out of the read set.
 func TestRouterRediscoversPastSilentDeposedPrimary(t *testing.T) {
@@ -282,27 +269,9 @@ func TestRouterRediscoversPastSilentDeposedPrimary(t *testing.T) {
 		t.Fatalf("open repB: %v", err)
 	}
 	sp, pAddr := startPrimary(t, db, Options{})
-	sa, aAddr := startReplica(t, repA, Options{})
-	sb, bAddr := startReplica(t, repB, Options{})
-
-	var promoted *engine.Database
-	sup := engine.NewSupervisor(db, []*engine.Replica{repA, repB}, engine.SupervisorOptions{
-		OnPromote: func(p *engine.Database, from *engine.Replica) {
-			promoted = p
-			if from == repA {
-				sa.Promote(p)
-			} else {
-				sb.Promote(p)
-			}
-		},
-		OnRepoint: func(old, next *engine.Replica) {
-			if old == repA {
-				sa.Swap(next)
-			} else {
-				sb.Swap(next)
-			}
-		},
-	})
+	_, aAddr := startReplica(t, repA, Options{})
+	_, bAddr := startReplica(t, repB, Options{})
+	sup := engine.NewSupervisor(db, []*engine.Replica{repA, repB}, engine.SupervisorOptions{})
 
 	r, err := NewRouter([]string{pAddr, aAddr, bAddr}, RouterOptions{MaxRetries: 8, RetryBackoff: time.Millisecond})
 	if err != nil {
@@ -318,7 +287,8 @@ func TestRouterRediscoversPastSilentDeposedPrimary(t *testing.T) {
 	if err := repB.WaitCaughtUp(10 * time.Second); err != nil {
 		t.Fatalf("repB catch-up: %v", err)
 	}
-	if _, err := sup.Failover(); err != nil {
+	promoted, err := sup.Failover()
+	if err != nil {
 		t.Fatalf("failover: %v", err)
 	}
 	sp.Close() // the deposed primary goes silent
@@ -336,5 +306,72 @@ func TestRouterRediscoversPastSilentDeposedPrimary(t *testing.T) {
 			addrs[i] = c.Addr()
 		}
 		t.Fatalf("replicas after rediscovery = %v (primary %s, silent %s)", addrs, r.Primary().Addr(), pAddr)
+	}
+}
+
+// TestReplicaServerFollowsReopenedReplica: a NewReplica server fronts its
+// replica handle for life. The handle is re-pointed at a primary recovered
+// cold from an older mirror, so it holds a write the new timeline lacks and
+// Repoint reopens its database: with no call on the server, it serves the
+// new database — the write gone — and then what the new primary commits.
+func TestReplicaServerFollowsReopenedReplica(t *testing.T) {
+	db := engine.MustOpen(kvDef(nil, "kv0"), walCfg())
+	defer db.Close()
+	older := wal.NewMemStorage()
+	early, err := engine.OpenReplica(db, engine.ReplicaOptions{Storage: older})
+	if err != nil {
+		t.Fatalf("open early replica: %v", err)
+	}
+	rep, err := engine.OpenReplica(db, engine.ReplicaOptions{})
+	if err != nil {
+		t.Fatalf("open replica: %v", err)
+	}
+	defer rep.Close()
+	_, addr := startReplica(t, rep, Options{})
+	c := dial(t, addr)
+
+	if _, err := db.Execute("kv0", "put", int64(1), int64(10)); err != nil {
+		t.Fatalf("put: %v", err)
+	}
+	if err := early.WaitCaughtUp(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	early.Close()
+	if _, err := db.Execute("kv0", "put", int64(5), int64(50)); err != nil {
+		t.Fatalf("put: %v", err)
+	}
+	if err := rep.WaitCaughtUp(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := c.Execute("kv0", "get", int64(5)); err != nil || v != int64(50) {
+		t.Fatalf("get(5) via the replica's listener = (%v, %v), want 50", v, err)
+	}
+
+	cfg := walCfg()
+	cfg.Durability.Storage = older
+	next := engine.MustOpen(kvDef(nil, "kv0"), cfg)
+	defer next.Close()
+	if _, err := next.Recover(); err != nil {
+		t.Fatalf("recover the older mirror: %v", err)
+	}
+	before := rep.Database()
+	if err := engine.Repoint(rep, next); err != nil {
+		t.Fatalf("repoint: %v", err)
+	}
+	if rep.Database() == before {
+		t.Fatalf("the re-point kept the database that applied get(5)")
+	}
+	if v, err := c.Execute("kv0", "get", int64(5)); err != nil || v != nil {
+		t.Fatalf("get(5) via the replica's listener after the re-point = (%v, %v), want nil", v, err)
+	}
+	if _, err := next.Execute("kv0", "put", int64(6), int64(60)); err != nil {
+		t.Fatalf("put on the new primary: %v", err)
+	}
+	waitCond(t, 10*time.Second, func() bool {
+		v, err := c.Execute("kv0", "get", int64(6))
+		return err == nil && v == int64(60)
+	})
+	if h, err := c.Stats(); err != nil || h.Role != RoleReplica {
+		t.Fatalf("status after the re-point = (%+v, %v), want the replica role", h, err)
 	}
 }

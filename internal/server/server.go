@@ -4,11 +4,8 @@ import (
 	"errors"
 	"net"
 	"sync"
-	"sync/atomic"
 
-	"reactdb/internal/core"
 	"reactdb/internal/engine"
-	"reactdb/internal/rel"
 )
 
 // Options tune a Server. The zero value is usable.
@@ -28,50 +25,17 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// backend is the engine node a Server currently speaks for. It is immutable
-// once built; a failover swaps the whole backend atomically (Promote), so a
-// request observes one coherent node, never a half-switched one.
-type backend struct {
-	role    Role
-	def     *core.DatabaseDef
-	exec    func(reactor, procedure string, args ...any) (any, error)
-	query   func(q *rel.Query) (*rel.Result, error)
-	lag     func() (lag uint64, degraded bool)
-	epoch   func() uint64
-	fenced  func() bool
-	lastErr func() string
-}
-
-// deposed reports that this node claims the primary role but has been fenced
-// by a newer epoch: a supervisor promoted a replica over it. It must not serve
-// anything — writes would be rejected by the WAL fence anyway (losing the
-// race is not an option, the fence is the guarantee), and reads could miss
-// every commit acknowledged by its successor. Both are answered NotPrimary so
-// the router re-points.
-func (b *backend) deposed() bool {
-	return b.role == RolePrimary && b.fenced != nil && b.fenced()
-}
-
-// status collects the node's status for a stats frame.
-func (b *backend) status() NodeStatus {
-	st := NodeStatus{Role: b.role, Epoch: b.epoch()}
-	if b.lag != nil {
-		st.LagRecords, st.Degraded = b.lag()
-	}
-	if b.lastErr != nil {
-		st.Err = b.lastErr()
-	}
-	return st
-}
-
 // Server exposes one engine node — a primary Database or a Replica — on the
 // wire protocol. A process typically runs one Server per node it hosts, each
-// on its own listener. The node behind a Server can be swapped at runtime
-// (Promote): after a supervised failover the listener and its client
-// connections survive, only the engine underneath changes.
+// on its own listener. A Server fronts the node it was built with for life
+// and reads its role, epoch, fence and lag off that node on every request,
+// so a failover needs no call on it: a replica promoted in place answers as
+// the primary, a deposed primary answers NotPrimary, and a re-pointed replica
+// keeps serving from the database its handle holds now.
 type Server struct {
-	backend atomic.Pointer[backend]
-	opts    Options
+	db   *engine.Database // the node of a NewPrimary server
+	rep  *engine.Replica  // the node of a NewReplica server
+	opts Options
 
 	mu        sync.Mutex
 	listeners []net.Listener
@@ -80,43 +44,9 @@ type Server struct {
 	wg        sync.WaitGroup
 }
 
-func primaryBackend(db *engine.Database) *backend {
-	return &backend{
-		role:   RolePrimary,
-		def:    db.Definition(),
-		exec:   db.Execute,
-		query:  db.Query,
-		epoch:  db.Epoch,
-		fenced: db.Fenced,
-	}
-}
-
-func replicaBackend(rep *engine.Replica) *backend {
-	return &backend{
-		role:  RoleReplica,
-		def:   rep.Database().Definition(),
-		exec:  rep.Execute,
-		query: rep.Query,
-		epoch: rep.Database().Epoch,
-		lag: func() (uint64, bool) {
-			st := rep.Stats()
-			var lag uint64
-			for _, sh := range st.Shards {
-				if sh.Lag > lag {
-					lag = sh.Lag
-				}
-			}
-			return lag, st.Degraded
-		},
-		lastErr: func() string { return rep.Stats().Err },
-	}
-}
-
 // NewPrimary wraps a primary database.
 func NewPrimary(db *engine.Database, opts Options) *Server {
-	s := &Server{opts: opts.withDefaults(), conns: make(map[net.Conn]struct{})}
-	s.backend.Store(primaryBackend(db))
-	return s
+	return &Server{db: db, opts: opts.withDefaults(), conns: make(map[net.Conn]struct{})}
 }
 
 // NewReplica wraps a read-only replica. Its status carries the replica's
@@ -124,26 +54,23 @@ func NewPrimary(db *engine.Database, opts Options) *Server {
 // frames with a freshness bound the replica cannot meet are answered with the
 // Stale status without running.
 func NewReplica(rep *engine.Replica, opts Options) *Server {
-	s := &Server{opts: opts.withDefaults(), conns: make(map[net.Conn]struct{})}
-	s.backend.Store(replicaBackend(rep))
-	return s
+	return &Server{rep: rep, opts: opts.withDefaults(), conns: make(map[net.Conn]struct{})}
 }
 
-// Promote swaps the server's backend to a (newly promoted) primary database.
-// Existing sessions keep their sockets: in-flight requests finish against
-// whichever backend they started on, later ones run against the new primary.
-// This is the supervisor's OnPromote hook — the replica this server used to
-// wrap was consumed by the promotion, and the listener now fronts its
-// successor.
-func (s *Server) Promote(db *engine.Database) {
-	s.backend.Store(primaryBackend(db))
+// node returns the database the server answers for now: a replica's changes
+// when a re-point has to reopen it.
+func (s *Server) node() *engine.Database {
+	if s.rep != nil {
+		return s.rep.Database()
+	}
+	return s.db
 }
 
-// Swap points the server at a different replica, the re-point analog of
-// Promote for replica-role servers whose engine replica was re-attached to a
-// new primary (re-attachment closes the old Replica and returns a new one).
-func (s *Server) Swap(rep *engine.Replica) {
-	s.backend.Store(replicaBackend(rep))
+func roleOf(db *engine.Database) Role {
+	if db.IsReplica() {
+		return RoleReplica
+	}
+	return RolePrimary
 }
 
 // Start listens on addr ("host:port", ":0" for an ephemeral port) and serves
@@ -241,7 +168,7 @@ func (s *Server) session(c net.Conn) {
 	}
 	sess := &session{srv: s, conn: c, free: make(chan *request, s.opts.MaxInFlight)}
 	sess.w.init(c)
-	if err := sess.w.write(appendHelloFrame(nil, s.backend.Load().role)); err != nil {
+	if err := sess.w.write(appendHelloFrame(nil, roleOf(s.node()))); err != nil {
 		return
 	}
 
@@ -334,27 +261,22 @@ func (q *request) serve() {
 	q.sess.free <- q
 }
 
-// handle decodes the request and runs it against the current backend, leaving
-// the outcome in q.res.
+// handle decodes the request and runs it against the node's database as it
+// is now, leaving the outcome in q.res.
 func (s *Server) handle(q *request) {
-	b := s.backend.Load()
+	db := s.node()
 	m := &q.res
 	switch q.typ {
 	case frameExecute:
 		req := &q.exec
-		err := req.decode(q.in, b.def)
+		err := req.decode(q.in, db.Definition())
 		m.ID = req.ID // the id comes first: a body that fails further in still names its caller
 		if err != nil {
 			m.Status, m.ErrMsg = statusError, err.Error()
 			return
 		}
-		switch {
-		case b.deposed():
-			m.Status, m.ErrMsg = statusNotPrimary, ErrNotPrimary.Error()
-		case s.tooStale(b, req.MaxLagRecords):
-			m.Status, m.ErrMsg = statusStale, ErrStale.Error()
-		default:
-			v, err := b.exec(req.Reactor, req.Procedure, req.Args...)
+		if m.Status, m.ErrMsg = s.refusal(db, req.MaxLagRecords); m.Status == statusOK {
+			v, err := db.Execute(req.Reactor, req.Procedure, req.Args...)
 			m.Status, m.ErrMsg = statusOf(err)
 			if m.Status == statusOK {
 				m.Kind, m.Value = payloadValue, v
@@ -368,13 +290,8 @@ func (s *Server) handle(q *request) {
 			m.Status, m.ErrMsg = statusError, err.Error()
 			return
 		}
-		switch {
-		case b.deposed():
-			m.Status, m.ErrMsg = statusNotPrimary, ErrNotPrimary.Error()
-		case s.tooStale(b, req.MaxLagRecords):
-			m.Status, m.ErrMsg = statusStale, ErrStale.Error()
-		default:
-			res, err := b.query(req.Query)
+		if m.Status, m.ErrMsg = s.refusal(db, req.MaxLagRecords); m.Status == statusOK {
+			res, err := db.Query(req.Query)
 			m.Status, m.ErrMsg = statusOf(err)
 			if m.Status == statusOK {
 				m.Kind, m.Result = payloadQuery, res
@@ -383,23 +300,47 @@ func (s *Server) handle(q *request) {
 	case frameStats:
 		r := reader{buf: q.in}
 		m.ID, m.Status = r.uvarint(), statusOK
-		m.Kind, m.Node = payloadStatus, b.status()
+		m.Kind, m.Node = payloadStatus, s.status(db)
 	default:
 		m.Status, m.ErrMsg = statusError, "server: unknown frame type"
 	}
 }
 
-// tooStale reports whether a replica cannot meet the request's freshness
-// bound (0 = unbounded). A degraded replica fails any bound: its mirror is
-// gone, so its lag is no longer being promised to anyone. The lag is read
-// live: the bound is a promise to the client, and a cached value would let a
-// write land and be read back stale.
-func (s *Server) tooStale(b *backend, maxLag uint64) bool {
-	if b.role != RoleReplica || maxLag == 0 || b.lag == nil {
-		return false
+// refusal is the status of a request the node must not run, statusOK when it
+// may. A deposed primary — fenced by a newer epoch: a supervisor promoted a
+// replica over it — serves nothing: writes would be rejected by the WAL fence
+// anyway (the fence is the guarantee), and reads could miss every commit
+// acknowledged by its successor; both are answered NotPrimary so the router
+// re-points. A replica that cannot meet the request's freshness bound (0 =
+// unbounded) answers Stale; a degraded one fails any bound, since its mirror
+// is gone and its lag is no longer promised to anyone. The lag is read live:
+// the bound is a promise to the client, and a cached value would let a write
+// land and be read back stale.
+func (s *Server) refusal(db *engine.Database, maxLag uint64) (uint8, string) {
+	if !db.IsReplica() {
+		if db.Fenced() {
+			return statusNotPrimary, ErrNotPrimary.Error()
+		}
+		return statusOK, ""
 	}
-	lag, degraded := b.lag()
-	return degraded || lag > maxLag
+	if maxLag > 0 && s.rep != nil {
+		if lag, degraded, _ := s.rep.Health(); degraded || lag > maxLag {
+			return statusStale, ErrStale.Error()
+		}
+	}
+	return statusOK, ""
+}
+
+// status collects the node's status for a stats frame.
+func (s *Server) status(db *engine.Database) NodeStatus {
+	st := NodeStatus{Role: roleOf(db), Epoch: db.Epoch()}
+	if st.Role == RoleReplica && s.rep != nil {
+		var err error
+		if st.LagRecords, st.Degraded, err = s.rep.Health(); err != nil {
+			st.Err = err.Error()
+		}
+	}
+	return st
 }
 
 // statusOf maps an engine error to a wire status. Overloaded and Conflict are
