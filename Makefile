@@ -95,24 +95,29 @@ crash-repl:
 # the in-place promotion tests: a promoted replica equals a cold recovery of
 # its mirror, and promotion reads no more than each mirror's tail segment;
 # the re-point tests: a clean survivor re-pointed in place equals a reopen of
-# its mirror, and a diverged or degraded one is reopened; and a failover after
-# a failed promotion, which must promote another replica.
+# its mirror, and a diverged or degraded one is reopened, also against a
+# promoted primary that restarted since (its promotion cut is durable); a
+# failover after a failed promotion, which must promote another replica; and
+# a fence on a primary whose fsync hangs, which must return at once and let
+# the failover promote while the fsync is held.
 # The primary-kill matrix then runs 50 more times: its interleavings ride
 # goroutine timing, and the lost acknowledged commit it once caught showed in
 # about one run in six.
 crash-failover:
-	$(GO) test -race -run 'CrashFailover|PromoteInPlace|PromoteDoesNoReplay|RepointInPlace|RepointDiverged|FailedPromotion' -count=1 ./internal/engine/...
+	$(GO) test -race -run 'CrashFailover|PromoteInPlace|PromoteDoesNoReplay|RepointInPlace|RepointDiverged|FailedPromotion|RepointAfterPromotedRestart|FenceDoesNotWaitForHeldFsync' -count=1 ./internal/engine/...
 	$(GO) test -race -run TestCrashFailoverPrimaryKillMatrix -count=50 ./internal/engine/
 
 # Fuzz smoke for the decoders of untrusted bytes. WAL record and checkpoint
 # decoding: corrupt frames must be ErrCorrupt — forcing checkpoint fallback to
-# full replay — never a panic or a silent mis-decode. The wire codec (frame
+# full replay — never a panic or a silent mis-decode. The term blob: a corrupt
+# one reads as never written, and what decodes survives encode and decode. The wire codec (frame
 # reader, execute, query and result bodies): never a panic, never more
 # allocated than a small multiple of the input, and what decodes survives
 # encode and decode unchanged.
 fuzz:
 	$(GO) test -fuzz=FuzzDecodeRecord -fuzztime=10s ./internal/wal
 	$(GO) test -fuzz=FuzzDecodeCheckpoint -fuzztime=10s ./internal/wal
+	$(GO) test -fuzz=FuzzDecodeEpochState -fuzztime=10s ./internal/wal
 	$(GO) test -run='^$$' -fuzz='^FuzzReadFrame$$' -fuzztime=10s ./internal/server
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeExecuteReq$$' -fuzztime=10s ./internal/server
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeResultMsg$$' -fuzztime=10s ./internal/server

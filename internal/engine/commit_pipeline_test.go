@@ -240,3 +240,82 @@ func TestCommitPipelineEagerIsBatchOfOne(t *testing.T) {
 		t.Fatalf("group commit with MaxBatch 1 IO trace:\n got %v\nwant %v", got, want)
 	}
 }
+
+// TestFenceDoesNotWaitForHeldFsync holds a commit's fsync inside the
+// primary's storage — a disk that hangs — and fences the primary: Fence
+// returns at once, since it takes no log's lock; Supervisor.Failover promotes
+// the semi-sync replica while the fsync is still held; and the held commit,
+// once its fsync completes, fails with ErrFenced instead of being
+// acknowledged, and is not on the promoted primary.
+func TestFenceDoesNotWaitForHeldFsync(t *testing.T) {
+	mem := wal.NewMemStorage()
+	primary := MustOpen(kvDef("kv0"), walCfg(mem))
+	t.Cleanup(primary.Close)
+	rep, err := OpenReplica(primary, ReplicaOptions{Ack: AckSemiSync})
+	if err != nil {
+		t.Fatalf("OpenReplica: %v", err)
+	}
+	t.Cleanup(rep.Close)
+	if _, err := primary.Execute("kv0", "put", int64(1), int64(10)); err != nil {
+		t.Fatalf("put: %v", err)
+	}
+	gate := make(chan struct{})
+	var release sync.Once
+	t.Cleanup(func() { release.Do(func() { close(gate) }) }) // before the Closes
+	started := mem.SyncsStarted()
+	mem.GateSyncs(gate)
+	held := make(chan error, 1)
+	go func() {
+		_, err := primary.Execute("kv0", "put", int64(2), int64(20))
+		held <- err
+	}()
+	waitFor(t, replicaWait, func() bool { return mem.SyncsStarted() > started })
+
+	// promptly runs f and fails the test if it does not return in time.
+	promptly := func(what string, f func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			f()
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s waited out the held fsync", what)
+		}
+	}
+	promptly("Fence", func() {
+		if err := primary.Fence(1); err != nil {
+			t.Errorf("Fence: %v", err)
+		}
+	})
+	var promoted *Database
+	promptly("Failover", func() {
+		sup := NewSupervisor(primary, []*Replica{rep}, supTestOpts())
+		if promoted, err = sup.Failover(); err != nil {
+			t.Errorf("Failover: %v", err)
+		}
+	})
+	if t.Failed() {
+		t.FailNow()
+	}
+	select {
+	case err := <-held:
+		t.Fatalf("the held commit returned (%v) before its fsync completed", err)
+	default:
+	}
+	if promoted != rep.Database() || promoted.Epoch() != 1 || !primary.Fenced() {
+		t.Fatalf("failover did not promote the replica at epoch 1 over a fenced primary")
+	}
+	release.Do(func() { close(gate) })
+	if err := <-held; !errors.Is(err, ErrFenced) {
+		t.Fatalf("the held commit returned %v, want ErrFenced (not acknowledged)", err)
+	}
+	if _, present := readV(t, promoted, "kv0", 2); present {
+		t.Fatalf("the promoted primary holds the unacknowledged kv0[2]")
+	}
+	if v, present := readV(t, promoted, "kv0", 1); !present || v != 10 {
+		t.Fatalf("promoted kv0[1] = (%d, %v), want 10", v, present)
+	}
+}

@@ -61,19 +61,12 @@ func newContainer(db *Database, id int) (*Container, error) {
 	}
 	if db.cfg.Durability.Mode == DurabilityWAL {
 		storage := db.cfg.Durability.Storage.Sub(fmt.Sprintf("container-%d", id))
-		log, err := wal.Open(storage, wal.Options{SegmentSize: db.cfg.Durability.SegmentSize})
+		log, err := wal.Open(storage, wal.Options{SegmentSize: db.cfg.Durability.SegmentSize, Term: db.term})
 		if err != nil {
 			return nil, fmt.Errorf("engine: container %d: open wal: %w", id, err)
 		}
 		c.wal = log
 		c.walStorage = storage
-		// Stamp the log with the node's failover term: records append under
-		// the current epoch, and a fence recorded by a supervisor (this node
-		// was deposed) rejects appends before the first transaction runs.
-		log.SetEpoch(db.walEpoch.Load())
-		if fence := db.walFence.Load(); fence > 0 {
-			log.Fence(fence)
-		}
 		if err := c.seedCheckpointSeq(); err != nil {
 			return nil, err
 		}

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -619,7 +620,7 @@ func TestCrashTornEpochStateKeepsPrior(t *testing.T) {
 		t.Fatalf("overwrite past the crash point returned %v, want the injected crash", err)
 	}
 	got, err := wal.ReadEpochState(mem.CrashCopy())
-	if err != nil || got != prior {
+	if err != nil || !reflect.DeepEqual(got, prior) {
 		t.Fatalf("epoch state after a crash mid-overwrite = (%+v, %v), want the prior %+v", got, err, prior)
 	}
 }

@@ -39,22 +39,10 @@ type Database struct {
 	// a replica bootstraps from this database's blobs.
 	ckptMu sync.Mutex
 
-	// walEpoch and walFence mirror the durable failover EpochState loaded at
-	// Open (wal.ReadEpochState): the primary term this node's logs append
-	// under, and the term below which appends are fenced. Distinct from the
-	// OCC domains' TID epochs. See failover.go.
-	walEpoch atomic.Uint64
-	walFence atomic.Uint64
-
-	// promoCut, set only on databases created by PromoteReplica, is the
-	// per-container physical log tail at the instant of promotion — the last
-	// LSN of the old timeline this node holds. Records it appends above the
-	// cut (recovery tombstones, new-epoch commits) belong to the new timeline
-	// and may differ in content from what a surviving replica holds at the
-	// same LSNs, so repairStorage must reconcile survivors against the cut,
-	// not against the current durable LSN. Zero means "no safe cut known for
-	// this shard" and forces a wipe + fresh bootstrap.
-	promoCut []uint64
+	// term is the node's failover term — epoch, fence and promotion cut, one
+	// durable record on its storage — shared with every container log.
+	// Distinct from the OCC domains' TID epochs. See failover.go.
+	term *wal.Term
 
 	// repl tracks attached replicas: semi-sync commit acknowledgments wait on
 	// it, and checkpoint truncation clamps to its shipping floor. See
@@ -78,8 +66,9 @@ func Open(def *core.DatabaseDef, cfg Config) (*Database, error) {
 }
 
 // open is Open, as a replica's inner database when replica is set: a mirror
-// appends no record of its own, so it ignores the storage's failover term — a
-// fence left by the node this storage once served would refuse its appends.
+// appends no record of its own, so the storage's failover term is not in
+// force until promotion (wal.NewTerm) — a fence left by the node this storage
+// once served would refuse its syncs.
 func open(def *core.DatabaseDef, cfg Config, replica bool) (*Database, error) {
 	if err := def.Validate(); err != nil {
 		return nil, err
@@ -93,18 +82,20 @@ func open(def *core.DatabaseDef, cfg Config, replica bool) (*Database, error) {
 		placement: make(map[string]*Container),
 	}
 	db.replica.Store(replica)
-	db.repl = newReplicationHub(db.Fenced)
-	if cfg.Durability.Mode == DurabilityWAL && !replica {
-		// Load the node's failover term before any container log opens so the
-		// very first append already carries the right epoch — and a fenced
-		// deposed primary refuses writes from the moment it restarts.
-		st, err := wal.ReadEpochState(cfg.Durability.Storage)
-		if err != nil {
+	// The term is loaded before any container log opens, so a restarted
+	// deposed primary refuses writes from the start.
+	switch {
+	case cfg.Durability.Mode != DurabilityWAL:
+		db.term = new(wal.Term)
+	case replica:
+		db.term = wal.NewTerm(cfg.Durability.Storage)
+	default:
+		var err error
+		if db.term, err = wal.LoadTerm(cfg.Durability.Storage); err != nil {
 			return nil, fmt.Errorf("engine: read epoch state: %w", err)
 		}
-		db.walEpoch.Store(st.Epoch)
-		db.walFence.Store(st.FenceBelow)
 	}
+	db.repl = newReplicationHub(db.term.Fenced)
 	for i := 0; i < cfg.Containers; i++ {
 		c, err := newContainer(db, i)
 		if err != nil {

@@ -17,23 +17,23 @@ import (
 // storage as a fresh replica the same way.
 //
 // The fencing order is the load-bearing part. Before anything is promoted the
-// supervisor (1) fences the old primary in memory — every container log
-// rejects Append AND Sync with wal.ErrFenced from that instant, so no commit
-// can be acknowledged after the decision to fail over — and (2) best-effort
-// writes the fence into the old primary's storage, the shared-storage analog
-// of STONITH: a zombie that restarts over that storage loads the fence at
-// Open and comes up read-only. Only then is the new epoch stamped into the
-// chosen replica's mirror and the replica's database made the new primary. An
-// in-memory fence on a live handle cannot fail; the durable write can (the
-// storage may be the very thing that died), which is safe: that storage is
-// equally unreadable to a restarting zombie.
+// supervisor (1) fences the old primary's term (wal.Term.Fence) in memory —
+// from then on no commit is acknowledged, and an fsync already in flight is
+// not waited for — and (2) best-effort in its term record, the
+// shared-storage analog of STONITH: a zombie that restarts over that storage
+// loads the fence at Open and comes up read-only. Only then are the new epoch
+// and the promotion cut written into the chosen replica's term record and
+// its database made the new primary. The durable write can fail (the storage
+// may be the very thing that died), which is safe: that storage is equally
+// unreadable to a restarting zombie.
 //
-// Divergence repair (re-point / re-attach): the new primary's durable LSN T
-// per shard bounds what was acknowledged anywhere. A surviving log's suffix
-// above T was never acked and is unwound with wal.TruncateAbove — unless the
-// node's newest checkpoint may have fuzzily absorbed effects above T
-// (Checkpoint.HighLSN > T, or unknown), in which case the blob itself is
-// tainted and the log is wiped for a fresh bootstrap from the new primary.
+// Divergence repair (re-point / re-attach): per shard, the new primary's
+// promotion cut — or, never promoted, its durable LSN — T bounds what other
+// logs share with it. A surviving log's suffix above T was never acked and is
+// unwound with wal.TruncateAbove — unless the node's newest checkpoint may
+// have fuzzily absorbed effects above T (Checkpoint.HighLSN > T, or unknown),
+// in which case the blob itself is tainted and the log is wiped for a fresh
+// bootstrap from the new primary.
 
 // ErrFenced reports a write on a fenced (deposed) primary: a newer primary
 // epoch exists and this node must not make anything durable. It aliases
@@ -45,53 +45,20 @@ var errNoPromotable = fmt.Errorf("engine: failover: no promotable replica (none 
 
 // Epoch returns the primary term this node's logs append under (0 until a
 // first failover stamps one).
-func (db *Database) Epoch() uint64 { return db.walEpoch.Load() }
+func (db *Database) Epoch() uint64 { return db.term.Epoch() }
 
 // Fenced reports whether this node is fenced behind a newer primary epoch:
 // its WALs reject appends and syncs with ErrFenced.
-func (db *Database) Fenced() bool { return db.walFence.Load() > db.walEpoch.Load() }
+func (db *Database) Fenced() bool { return db.term.Fenced() }
 
-// Fence fences every epoch below belowEpoch on this node, in memory first —
-// from the moment Fence returns no commit can become durable or be
-// acknowledged — and then durably in the node's storage so a restart over the
-// same storage stays fenced. The durable write's error is returned; the
-// in-memory fence holds regardless. Fencing is monotonic and idempotent; a
-// node whose own epoch is at or above belowEpoch is unaffected.
-func (db *Database) Fence(belowEpoch uint64) error {
-	for {
-		cur := db.walFence.Load()
-		if cur >= belowEpoch {
-			break
-		}
-		if db.walFence.CompareAndSwap(cur, belowEpoch) {
-			break
-		}
-	}
-	for _, c := range db.containers {
-		if c.wal != nil {
-			c.wal.Fence(belowEpoch)
-		}
-	}
-	if db.cfg.Durability.Mode != DurabilityWAL {
-		return nil
-	}
-	return FenceStorage(db.cfg.Durability.Storage, belowEpoch)
-}
-
-// FenceStorage durably fences a node's storage without a live handle to the
-// node — the deposed primary's process is typically dead. The existing epoch
-// state is preserved; only the fence is raised (monotonically).
-func FenceStorage(s wal.Storage, belowEpoch uint64) error {
-	st, err := wal.ReadEpochState(s)
-	if err != nil {
-		return err
-	}
-	if st.FenceBelow >= belowEpoch {
-		return nil
-	}
-	st.FenceBelow = belowEpoch
-	return wal.WriteEpochState(s, st)
-}
+// Fence fences every epoch below belowEpoch on this node (wal.Term.Fence), in
+// memory first and then durably. No commit is acknowledged after Fence
+// returns — the commit pipeline's ship-wait re-checks the fence — but an
+// fsync in flight is not waited for: the suffix it makes durable, never
+// acknowledged, is what divergence repair truncates. The durable write's
+// error is returned; the in-memory fence holds regardless. A node whose own
+// epoch is at or above belowEpoch is unaffected.
+func (db *Database) Fence(belowEpoch uint64) error { return db.term.Fence(belowEpoch) }
 
 // Heartbeat probes the primary's durability path end to end: it appends an
 // empty commit record to every container's WAL and forces it durable,
@@ -160,7 +127,7 @@ func FreshestReplica(replicas []*Replica) *Replica {
 
 // PromoteReplica turns a replica into a primary in place, with no reopen and
 // no replay: it stops tailing, drops the staged frames (never fed), stamps the
-// new epoch durably into the replica's storage and finishes the recovery the
+// new epoch and its cut durably into the replica's term record and finishes the recovery the
 // replica began when it opened. The resolver holds exactly what the mirror
 // durably holds, so this leaves the state a restart over the mirror would
 // recover. It returns the replica's database, now a writable primary holding
@@ -200,50 +167,33 @@ func (rep *Replica) promote(db *Database, newEpoch uint64) error {
 	for _, s := range rep.shards {
 		s.staged = nil
 	}
-	// Record the promotion cut — the physical tail of each shard's mirror,
-	// captured before finish appends presume-abort tombstones and before any
-	// new-epoch commit. Everything at or below the cut is a byte-identical
-	// prefix of the old primary's log, shared with every other mirror of it;
-	// everything this node appends above the cut is a new timeline. If the
-	// log's last LSN runs ahead of the physical tail (a copied checkpoint
-	// blob can cover records the mirror never shipped), there is no LSN below
-	// which other nodes' records are provably identical — record a zero cut
-	// so repairStorage wipes them into a fresh bootstrap — and the log
-	// continues above the blob, where a restart would start it.
+	// Take the promotion cut (wal.EpochState.Cut): the physical tail of each
+	// shard's mirror, before finish appends presume-abort tombstones. If the
+	// log's last LSN runs ahead of it (a copied checkpoint blob can cover
+	// records the mirror never shipped), no LSN is known below which other
+	// nodes' records match — a zero cut makes repairStorage wipe them into a
+	// fresh bootstrap — and the log continues above the blob, where a restart
+	// would start it.
+	cuts := make([]uint64, len(db.containers))
 	for i, c := range db.containers {
 		floor := rep.res.shards[i].floor
 		phys, err := wal.TailLSN(c.walStorage)
 		if err != nil {
 			return fmt.Errorf("tail of container %d: %w", i, err)
 		}
-		cut := uint64(0)
 		if phys == max(c.wal.LastLSN(), floor) {
-			cut = phys
+			cuts[i] = phys
 		}
-		db.promoCut = append(db.promoCut, cut)
 		if err := c.wal.Cover(floor); err != nil {
 			return fmt.Errorf("container %d: %w", i, err)
 		}
-	}
-	st, err := wal.ReadEpochState(db.cfg.Durability.Storage)
-	if err != nil {
-		return fmt.Errorf("read epoch state: %w", err)
-	}
-	if newEpoch < st.FenceBelow {
-		return fmt.Errorf("epoch %d is below this node's fence %d", newEpoch, st.FenceBelow)
-	}
-	st.Epoch = newEpoch
-	if err := wal.WriteEpochState(db.cfg.Durability.Storage, st); err != nil {
-		return fmt.Errorf("stamp epoch %d: %w", newEpoch, err)
-	}
-	db.walEpoch.Store(newEpoch)
-	db.walFence.Store(st.FenceBelow)
-	for _, c := range db.containers {
-		c.wal.SetEpoch(newEpoch)
 		// Blobs copied from the old primary carry its sequence numbers.
 		if err := c.seedCheckpointSeq(); err != nil {
 			return err
 		}
+	}
+	if err := db.term.Promote(newEpoch, cuts); err != nil {
+		return err
 	}
 	if _, err := db.finish(rep.res); err != nil {
 		return err
@@ -270,7 +220,7 @@ func repairDivergence(sub wal.Storage, durable uint64) error {
 	if tail <= durable {
 		return nil
 	}
-	cp, _, err := wal.LatestCheckpoint(sub)
+	cp, err := wal.LatestCheckpointHeader(sub)
 	if err != nil {
 		return err
 	}
@@ -304,11 +254,11 @@ func repairStorage(s wal.Storage, newPrimary *Database) error {
 }
 
 // repairHorizon is the LSN of container i's log up to which other nodes'
-// logs are a prefix of newPrimary's: its promotion cut, or for a primary
-// never promoted its durable LSN.
+// logs are a prefix of newPrimary's: the promotion cut its term records
+// (restarts included), or for a primary never promoted its durable LSN.
 func repairHorizon(newPrimary *Database, i int) uint64 {
-	if i < len(newPrimary.promoCut) {
-		return newPrimary.promoCut[i]
+	if cut := newPrimary.term.Cut(); i < len(cut) {
+		return cut[i]
 	}
 	return newPrimary.containers[i].wal.DurableLSN()
 }
@@ -546,13 +496,14 @@ func (s *Supervisor) probe() {
 
 // Failover deposes the current primary and promotes the freshest replica:
 //
-//  1. fence the old primary below epoch+1 (in memory immediately — no
-//     further commit can be acknowledged — and best-effort durably in its
-//     storage, so a restarted zombie stays read-only);
+//  1. fence the old primary below the next epoch (in memory immediately — no
+//     commit is acknowledged after it, and it does not wait for an fsync in
+//     flight — and best-effort durably in its storage, so a restarted zombie
+//     stays read-only);
 //  2. pick the freshest non-degraded semi-sync replica by durable mirror LSN;
-//  3. stamp its mirror with the new epoch and finish its recovery in place
-//     (PromoteReplica); a candidate that fails is dropped from the set, so
-//     the next attempt picks another;
+//  3. stamp its term record with the new epoch and the promotion cut and
+//     finish its recovery in place (PromoteReplica); a candidate that fails
+//     is dropped from the set, so the next attempt picks another;
 //  4. re-point every surviving replica handle at the new primary (Repoint),
 //     preserving its ack mode.
 //
@@ -565,10 +516,7 @@ func (s *Supervisor) Failover() (*Database, error) {
 	defer s.mu.Unlock()
 
 	old := s.primary
-	newEpoch := old.Epoch() + 1
-	if f := old.walFence.Load(); f > newEpoch {
-		newEpoch = f
-	}
+	newEpoch := old.term.Next()
 	if err := old.Fence(newEpoch); err != nil {
 		// The storage that just failed heartbeats is expected to fail the
 		// durable fence write too; the in-memory fence already holds, and a

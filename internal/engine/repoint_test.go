@@ -260,8 +260,8 @@ func TestRepointDivergedReopens(t *testing.T) {
 		if err != nil {
 			t.Fatalf("PromoteReplica: %v", err)
 		}
-		if !reflect.DeepEqual(promoted.promoCut, []uint64{0}) {
-			t.Fatalf("promotion cut %v, want [0]", promoted.promoCut)
+		if !reflect.DeepEqual(promoted.term.Cut(), []uint64{0}) {
+			t.Fatalf("promotion cut %v, want [0]", promoted.term.Cut())
 		}
 		db := rep.Database()
 		if err := Repoint(rep, promoted); err != nil {
@@ -387,4 +387,114 @@ func TestFailoverAfterFailedPromotion(t *testing.T) {
 	if rs := sup.Replicas(); len(rs) != 0 {
 		t.Fatalf("%d replicas left after promoting y, want none", len(rs))
 	}
+}
+
+// TestRepointAfterPromotedRestart: the promotion cut is part of the node's
+// durable term, so divergence repair against a promoted primary that has
+// since restarted (Open + Recover) still reconciles other nodes' logs against
+// the cut, not against the restarted node's durable LSN — which its new
+// timeline can have grown to match an old-timeline suffix LSN for LSN.
+func TestRepointAfterPromotedRestart(t *testing.T) {
+	// setup opens a primary, a candidate that ships only when polled and a
+	// tailing survivor, all over storage the test keeps.
+	setup := func(t *testing.T) (primary *Database, memP, memA wal.Storage, candidate, survivor *Replica) {
+		t.Helper()
+		memP, memA = wal.NewMemStorage(), wal.NewMemStorage()
+		primary = MustOpen(kvDef("kv0"), walCfg(memP))
+		t.Cleanup(primary.Close)
+		candidate, err := newReplica(primary, ReplicaOptions{Storage: memA})
+		if err != nil {
+			t.Fatalf("newReplica: %v", err)
+		}
+		t.Cleanup(candidate.Close)
+		survivor, err = OpenReplica(primary, ReplicaOptions{})
+		if err != nil {
+			t.Fatalf("OpenReplica: %v", err)
+		}
+		t.Cleanup(survivor.Close)
+		return primary, memP, memA, candidate, survivor
+	}
+	put := func(t *testing.T, db *Database, k, v int64) {
+		t.Helper()
+		if _, err := db.Execute("kv0", "put", k, v); err != nil {
+			t.Fatalf("put kv0[%d]: %v", k, err)
+		}
+	}
+	// promoteAndRestart fences the primary, promotes the candidate, commits
+	// puts on it and restarts it over its storage.
+	promoteAndRestart := func(t *testing.T, primary *Database, memA wal.Storage, candidate *Replica, puts ...int64) *Database {
+		t.Helper()
+		if err := primary.Fence(1); err != nil {
+			t.Fatalf("Fence: %v", err)
+		}
+		promoted, err := PromoteReplica(candidate, 1)
+		if err != nil {
+			t.Fatalf("PromoteReplica: %v", err)
+		}
+		for _, k := range puts {
+			put(t, promoted, k, 10*k)
+		}
+		promoted.Close()
+		restarted := MustOpen(kvDef("kv0"), walCfg(memA))
+		t.Cleanup(restarted.Close)
+		if _, err := restarted.Recover(); err != nil {
+			t.Fatalf("Recover the promoted node: %v", err)
+		}
+		return restarted
+	}
+	// serves checks that r serves exactly want from keys.
+	serves := func(t *testing.T, name string, r *Replica, keys []int64, want map[int64]int64) {
+		t.Helper()
+		if err := r.WaitCaughtUp(replicaWait); err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range keys {
+			v, present := readReplicaV(t, r, "kv0", k)
+			if w, ok := want[k]; present != ok || v != w {
+				t.Errorf("%s serves kv0[%d] = (%d, %v), want (%d, %v)", name, k, v, present, w, ok)
+			}
+		}
+	}
+
+	t.Run("cut", func(t *testing.T) {
+		primary, memP, memA, candidate, survivor := setup(t)
+		put(t, primary, 1, 10)
+		candidate.pollOnce() // the candidate holds kv0[1] alone: cut [1]
+		put(t, primary, 2, 20)
+		put(t, primary, 3, 30)
+		keys := []int64{1, 2, 3, 7, 8}
+		serves(t, "the survivor before failover", survivor, keys, map[int64]int64{1: 10, 2: 20, 3: 30})
+
+		restarted := promoteAndRestart(t, primary, memA, candidate, 7, 8)
+		primary.Close()
+		want := map[int64]int64{1: 10, 7: 70, 8: 80}
+		for _, k := range keys {
+			v, present := readV(t, restarted, "kv0", k)
+			if w, ok := want[k]; present != ok || v != w {
+				t.Fatalf("restarted primary holds kv0[%d] = (%d, %v), want (%d, %v)", k, v, present, w, ok)
+			}
+		}
+		deposed, err := ReattachStorage(memP, restarted, ReplicaOptions{})
+		if err != nil {
+			t.Fatalf("ReattachStorage: %v", err)
+		}
+		t.Cleanup(deposed.Close)
+		if err := Repoint(survivor, restarted); err != nil {
+			t.Fatalf("Repoint: %v", err)
+		}
+		serves(t, "the re-attached deposed primary", deposed, keys, want)
+		serves(t, "the re-pointed survivor", survivor, keys, want)
+	})
+
+	t.Run("zero-cut", func(t *testing.T) {
+		primary, _, memA, candidate, survivor := setup(t)
+		put(t, primary, 5, 50) // the candidate ships nothing: cut [0]
+		keys := []int64{5, 6}
+		serves(t, "the survivor before failover", survivor, keys, map[int64]int64{5: 50})
+		restarted := promoteAndRestart(t, primary, memA, candidate, 6)
+		if err := Repoint(survivor, restarted); err != nil {
+			t.Fatalf("Repoint: %v", err)
+		}
+		serves(t, "the re-pointed survivor", survivor, keys, map[int64]int64{6: 60})
+	})
 }

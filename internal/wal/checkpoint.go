@@ -3,7 +3,6 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 )
 
@@ -102,9 +101,7 @@ func EncodeCheckpoint(cp *Checkpoint) []byte {
 		buf = binary.AppendUvarint(buf, uint64(len(r.Data)))
 		buf = append(buf, r.Data...)
 	}
-	payload := buf[frameHeaderSize:]
-	binary.LittleEndian.PutUint32(buf, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:], crc32.ChecksumIEEE(payload))
+	sealFrame(buf, 0)
 	return buf
 }
 
@@ -115,51 +112,45 @@ func EncodeCheckpoint(cp *Checkpoint) []byte {
 // such error as "this checkpoint does not exist" and falls back to an older
 // checkpoint or to full log replay.
 func DecodeCheckpoint(buf []byte) (*Checkpoint, error) {
-	if len(buf) < frameHeaderSize {
-		return nil, fmt.Errorf("%w: truncated checkpoint header", ErrCorrupt)
+	cp, rows, err := decodeCheckpointHeader(buf)
+	if err == nil {
+		err = cp.decodeRows(rows)
 	}
-	payloadLen := binary.LittleEndian.Uint32(buf)
-	sum := binary.LittleEndian.Uint32(buf[4:])
-	if payloadLen == 0 || payloadLen > maxPayload {
-		return nil, fmt.Errorf("%w: implausible checkpoint payload length %d", ErrCorrupt, payloadLen)
+	if err != nil {
+		return nil, err
 	}
-	if int(payloadLen) != len(buf)-frameHeaderSize {
-		return nil, fmt.Errorf("%w: checkpoint frame length %d does not span the %d-byte file",
-			ErrCorrupt, payloadLen, len(buf))
-	}
-	payload := buf[frameHeaderSize:]
-	if crc32.ChecksumIEEE(payload) != sum {
-		return nil, fmt.Errorf("%w: checkpoint crc mismatch", ErrCorrupt)
-	}
+	return cp, nil
+}
 
-	p := payload
+// decodeCheckpointHeader checks a checkpoint blob's frame, CRC and version and
+// decodes every field but the rows, which it returns still encoded: the part
+// of DecodeCheckpoint whose cost does not grow with the snapshot.
+func decodeCheckpointHeader(buf []byte) (*Checkpoint, []byte, error) {
+	p, err := openBlob(buf)
+	if err != nil {
+		return nil, nil, err
+	}
 	if p[0] != checkpointVersion {
-		return nil, fmt.Errorf("%w: unknown checkpoint version %d", ErrCorrupt, p[0])
+		return nil, nil, fmt.Errorf("%w: unknown checkpoint version %d", ErrCorrupt, p[0])
 	}
 	p = p[1:]
 	var cp Checkpoint
-	var err error
-	if cp.Seq, p, err = readUvarint(p); err != nil {
-		return nil, err
+	for _, f := range []*uint64{&cp.Seq, &cp.LowLSN, &cp.MaxTID, &cp.MaxGlobalID, &cp.HighLSN} {
+		if *f, p, err = readUvarint(p); err != nil {
+			return nil, nil, err
+		}
 	}
-	if cp.LowLSN, p, err = readUvarint(p); err != nil {
-		return nil, err
-	}
-	if cp.MaxTID, p, err = readUvarint(p); err != nil {
-		return nil, err
-	}
-	if cp.MaxGlobalID, p, err = readUvarint(p); err != nil {
-		return nil, err
-	}
-	if cp.HighLSN, p, err = readUvarint(p); err != nil {
-		return nil, err
-	}
-	var n uint64
-	if n, p, err = readUvarint(p); err != nil {
-		return nil, err
+	return &cp, p, nil
+}
+
+// decodeRows decodes a checkpoint's encoded row section into cp.Rows.
+func (cp *Checkpoint) decodeRows(p []byte) error {
+	n, p, err := readUvarint(p)
+	if err != nil {
+		return err
 	}
 	if n > uint64(len(p)) { // each row needs at least its flag byte
-		return nil, fmt.Errorf("%w: checkpoint row count %d exceeds payload", ErrCorrupt, n)
+		return fmt.Errorf("%w: checkpoint row count %d exceeds payload", ErrCorrupt, n)
 	}
 	if n > 0 {
 		cp.Rows = make([]CheckpointRow, 0, n)
@@ -168,33 +159,33 @@ func DecodeCheckpoint(buf []byte) (*Checkpoint, error) {
 		var r CheckpointRow
 		var keyLen, dataLen uint64
 		if len(p) == 0 {
-			return nil, fmt.Errorf("%w: truncated checkpoint row flags", ErrCorrupt)
+			return fmt.Errorf("%w: truncated checkpoint row flags", ErrCorrupt)
 		}
 		flags := p[0]
 		p = p[1:]
 		if flags&^byte(1) != 0 {
-			return nil, fmt.Errorf("%w: unknown checkpoint row flags %#x", ErrCorrupt, flags)
+			return fmt.Errorf("%w: unknown checkpoint row flags %#x", ErrCorrupt, flags)
 		}
 		r.Deleted = flags&1 != 0
 		if keyLen, p, err = readUvarint(p); err != nil {
-			return nil, err
+			return err
 		}
 		if keyLen > uint64(len(p)) {
-			return nil, fmt.Errorf("%w: truncated checkpoint key", ErrCorrupt)
+			return fmt.Errorf("%w: truncated checkpoint key", ErrCorrupt)
 		}
 		r.Key = string(p[:keyLen])
 		p = p[keyLen:]
 		if r.TID, p, err = readUvarint(p); err != nil {
-			return nil, err
+			return err
 		}
 		if dataLen, p, err = readUvarint(p); err != nil {
-			return nil, err
+			return err
 		}
 		if dataLen > uint64(len(p)) {
-			return nil, fmt.Errorf("%w: truncated checkpoint data", ErrCorrupt)
+			return fmt.Errorf("%w: truncated checkpoint data", ErrCorrupt)
 		}
 		if r.Deleted && dataLen > 0 {
-			return nil, fmt.Errorf("%w: checkpoint tombstone carries %d data bytes", ErrCorrupt, dataLen)
+			return fmt.Errorf("%w: checkpoint tombstone carries %d data bytes", ErrCorrupt, dataLen)
 		}
 		if dataLen > 0 {
 			r.Data = append([]byte(nil), p[:dataLen]...)
@@ -203,23 +194,45 @@ func DecodeCheckpoint(buf []byte) (*Checkpoint, error) {
 		cp.Rows = append(cp.Rows, r)
 	}
 	if len(p) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing checkpoint payload bytes", ErrCorrupt, len(p))
+		return fmt.Errorf("%w: %d trailing checkpoint payload bytes", ErrCorrupt, len(p))
 	}
-	return &cp, nil
+	return nil
 }
 
-// LatestCheckpoint loads the newest decodable checkpoint stored on s. Torn or
-// corrupt checkpoints (a crash mid-write, bit rot) are skipped — never loaded
-// partially — and the number skipped is reported so recovery can surface the
-// fallback; a checkpoint file that vanishes between listing and reading is
-// treated the same way. (nil, 0, nil) means no checkpoint exists at all and
-// recovery must replay the full log.
+// LatestCheckpoint loads the newest checkpoint on s (LatestCheckpointHeader),
+// rows included, and reports how many newer blobs it skipped so recovery can
+// surface the fallback. (nil, 0, nil) means no checkpoint exists at all and
+// recovery must replay the full log. Rows that do not decode in a blob whose
+// CRC held are an error, never a fall back past it.
 func LatestCheckpoint(s Storage) (*Checkpoint, int, error) {
+	cp, rows, _, skipped, err := latestCheckpoint(s)
+	if cp == nil || err != nil {
+		return nil, skipped, err
+	}
+	if err := cp.decodeRows(rows); err != nil {
+		return nil, skipped, err
+	}
+	return cp, skipped, nil
+}
+
+// LatestCheckpointHeader is LatestCheckpoint without decoding the rows (Rows
+// is nil), for callers that read only header fields. The newest checkpoint is
+// the highest-numbered blob whose frame, CRC and version check: torn or
+// corrupt blobs (a crash mid-write, bit rot) are skipped, never loaded
+// partially, and so is one that vanishes between listing and reading.
+func LatestCheckpointHeader(s Storage) (*Checkpoint, error) {
+	cp, _, _, _, err := latestCheckpoint(s)
+	return cp, err
+}
+
+// latestCheckpoint finds the newest checkpoint blob on s (see
+// LatestCheckpointHeader) and returns its decoded header, its encoded rows,
+// the whole blob and how many newer blobs it skipped.
+func latestCheckpoint(s Storage) (cp *Checkpoint, rows, blob []byte, skipped int, err error) {
 	seqs, err := s.ListCheckpoints()
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, nil, 0, err
 	}
-	skipped := 0
 	for i := len(seqs) - 1; i >= 0; i-- {
 		buf, err := s.ReadCheckpoint(seqs[i])
 		if err != nil {
@@ -227,14 +240,12 @@ func LatestCheckpoint(s Storage) (*Checkpoint, int, error) {
 				skipped++
 				continue
 			}
-			return nil, skipped, err
+			return nil, nil, nil, skipped, err
 		}
-		cp, err := DecodeCheckpoint(buf)
-		if err != nil {
-			skipped++
-			continue
+		if cp, rows, err := decodeCheckpointHeader(buf); err == nil {
+			return cp, rows, buf, skipped, nil
 		}
-		return cp, skipped, nil
+		skipped++
 	}
-	return nil, skipped, nil
+	return nil, nil, nil, skipped, nil
 }

@@ -4,18 +4,21 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
+	"slices"
+	"sync"
+	"sync/atomic"
 )
 
-// This file is the durable side of failover fencing: a per-node epoch/term
-// record stored next to the log, plus the log-surgery helpers a supervisor
-// needs to re-point or re-attach a node whose log diverged from the new
-// primary (suffix truncation, full wipe; the tail scan is TailLSN in log.go).
+// This file is a node's failover term — one durable record beside its logs
+// (EpochState) that a Term holds in force — plus the log-surgery helpers a
+// supervisor needs to re-point or re-attach a node whose log diverged from
+// the new primary (suffix truncation, full wipe; the tail scan is TailLSN in
+// log.go).
 //
-// The epoch state lives in a reserved "epoch" sub-storage as a single
-// CRC-framed blob, reusing the Storage checkpoint-blob machinery (atomic
-// durable overwrite, corruption detection via CRC) without widening the
-// Storage interface. The "epoch" namespace cannot collide with the engine's
+// The record lives in a reserved "epoch" sub-storage as a single CRC-framed
+// blob, reusing the Storage checkpoint-blob machinery (atomic durable
+// overwrite, corruption detection via CRC) without widening the Storage
+// interface. The "epoch" namespace cannot collide with the engine's
 // per-container subs ("container-%d").
 
 // ErrFenced is returned by Append and Sync on a fenced log: a newer primary
@@ -24,9 +27,7 @@ var ErrFenced = errors.New("wal: log fenced by a newer primary epoch")
 
 // EpochState is one node's durable failover term record.
 type EpochState struct {
-	// Epoch is the primary term this node's log appends under. A promoted
-	// replica's storage is stamped with the new term before the promoted
-	// database opens, so its first append already carries it.
+	// Epoch is the primary term this node's logs append under.
 	Epoch uint64
 	// FenceBelow fences every term below it: a node whose Epoch is lower
 	// opens with its WAL refusing appends (ErrFenced). The supervisor writes
@@ -34,28 +35,47 @@ type EpochState struct {
 	// STONITH — so even a restart of the zombie cannot resurrect it as a
 	// writable primary.
 	FenceBelow uint64
+	// Cut is the promotion cut where Epoch began, one LSN per container: the
+	// last record of the old timeline the node held when it was promoted (0
+	// when none is known to match other nodes' logs). Above it the node's log
+	// is a new timeline, so divergence repair reconciles other logs against
+	// the cut. nil on a node never promoted.
+	Cut []uint64
 }
 
-// epochSub is the reserved sub-storage name holding the epoch blob.
-const epochSub = "epoch"
+// The record is blob epochStateSeq of sub-storage epochSub, in format
+// version epochStateVersion.
+const (
+	epochSub          = "epoch"
+	epochStateSeq     = 0
+	epochStateVersion = 1
+)
 
-// epochStateSeq is the fixed checkpoint-blob sequence number of the state.
-const epochStateSeq = 0
-
-// epochStateVersion is the blob format version byte.
-const epochStateVersion = 1
+// encodeEpochState encodes st as one CRC-framed blob:
+//
+//	1 version byte | uvarint Epoch | uvarint FenceBelow |
+//	only with a cut: uvarint #cut (at least 1) | cut LSNs
+//
+// so a state without a cut encodes as the record did before it had one.
+func encodeEpochState(st EpochState) []byte {
+	buf := make([]byte, frameHeaderSize, frameHeaderSize+16+2*len(st.Cut))
+	buf = append(buf, epochStateVersion)
+	buf = binary.AppendUvarint(buf, st.Epoch)
+	buf = binary.AppendUvarint(buf, st.FenceBelow)
+	if len(st.Cut) > 0 {
+		buf = binary.AppendUvarint(buf, uint64(len(st.Cut)))
+		for _, lsn := range st.Cut {
+			buf = binary.AppendUvarint(buf, lsn)
+		}
+	}
+	sealFrame(buf, 0)
+	return buf
+}
 
 // WriteEpochState durably records st on s, overwriting any previous state.
 // On return the state survives a machine crash (the blob write fsyncs).
 func WriteEpochState(s Storage, st EpochState) error {
-	buf := make([]byte, frameHeaderSize, frameHeaderSize+16)
-	buf = append(buf, epochStateVersion)
-	buf = binary.AppendUvarint(buf, st.Epoch)
-	buf = binary.AppendUvarint(buf, st.FenceBelow)
-	payload := buf[frameHeaderSize:]
-	binary.LittleEndian.PutUint32(buf, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:], crc32.ChecksumIEEE(payload))
-	return s.Sub(epochSub).WriteCheckpoint(epochStateSeq, buf)
+	return s.Sub(epochSub).WriteCheckpoint(epochStateSeq, encodeEpochState(st))
 }
 
 // ReadEpochState loads the node's durable epoch state. A missing blob decodes
@@ -67,18 +87,8 @@ func WriteEpochState(s Storage, st EpochState) error {
 func ReadEpochState(s Storage) (EpochState, error) {
 	sub := s.Sub(epochSub)
 	seqs, err := sub.ListCheckpoints()
-	if err != nil {
+	if err != nil || !slices.Contains(seqs, epochStateSeq) {
 		return EpochState{}, err
-	}
-	found := false
-	for _, seq := range seqs {
-		if seq == epochStateSeq {
-			found = true
-			break
-		}
-	}
-	if !found {
-		return EpochState{}, nil
 	}
 	buf, err := sub.ReadCheckpoint(epochStateSeq)
 	if err != nil {
@@ -92,35 +102,139 @@ func ReadEpochState(s Storage) (EpochState, error) {
 }
 
 func decodeEpochState(buf []byte) (EpochState, error) {
-	if len(buf) < frameHeaderSize {
-		return EpochState{}, fmt.Errorf("%w: truncated epoch state header", ErrCorrupt)
+	p, err := openBlob(buf)
+	if err != nil {
+		return EpochState{}, err
 	}
-	payloadLen := binary.LittleEndian.Uint32(buf)
-	sum := binary.LittleEndian.Uint32(buf[4:])
-	if payloadLen == 0 || int(payloadLen) != len(buf)-frameHeaderSize {
-		return EpochState{}, fmt.Errorf("%w: epoch state frame length %d does not span the %d-byte blob",
-			ErrCorrupt, payloadLen, len(buf))
+	if p[0] != epochStateVersion {
+		return EpochState{}, fmt.Errorf("%w: unknown epoch state version %d", ErrCorrupt, p[0])
 	}
-	payload := buf[frameHeaderSize:]
-	if crc32.ChecksumIEEE(payload) != sum {
-		return EpochState{}, fmt.Errorf("%w: epoch state crc mismatch", ErrCorrupt)
-	}
-	if payload[0] != epochStateVersion {
-		return EpochState{}, fmt.Errorf("%w: unknown epoch state version %d", ErrCorrupt, payload[0])
-	}
-	p := payload[1:]
 	var st EpochState
-	var err error
-	if st.Epoch, p, err = readUvarint(p); err != nil {
-		return EpochState{}, err
+	p = p[1:]
+	for _, f := range []*uint64{&st.Epoch, &st.FenceBelow} {
+		if *f, p, err = readUvarint(p); err != nil {
+			return EpochState{}, err
+		}
 	}
-	if st.FenceBelow, p, err = readUvarint(p); err != nil {
-		return EpochState{}, err
+	if len(p) > 0 {
+		var n uint64
+		if n, p, err = readUvarint(p); err != nil {
+			return EpochState{}, err
+		}
+		if n == 0 || n > uint64(len(p)) { // each cut LSN needs at least one byte
+			return EpochState{}, fmt.Errorf("%w: cut count %d does not fit the payload", ErrCorrupt, n)
+		}
+		st.Cut = make([]uint64, n)
+		for i := range st.Cut {
+			if st.Cut[i], p, err = readUvarint(p); err != nil {
+				return EpochState{}, err
+			}
+		}
 	}
 	if len(p) != 0 {
 		return EpochState{}, fmt.Errorf("%w: %d trailing epoch state bytes", ErrCorrupt, len(p))
 	}
 	return st, nil
+}
+
+// Term is a node's failover term in force: its EpochState record, loaded
+// once when the node opens and shared with every container log
+// (Options.Term). Reads take no lock; Fence and Promote, its only writes,
+// take no log's lock, so fencing never waits on the disk it fences. The zero
+// Term is epoch 0, unfenced, with no record: Fence works in memory only.
+type Term struct {
+	storage      Storage
+	epoch, fence atomic.Uint64
+	mu           sync.Mutex // serializes the record's writes, across the blob write; guards cut
+	cut          []uint64
+}
+
+// LoadTerm loads the record on s and puts it in force, cut included.
+func LoadTerm(s Storage) (*Term, error) {
+	st, err := ReadEpochState(s)
+	if err != nil {
+		return nil, err
+	}
+	t := &Term{storage: s, cut: st.Cut}
+	t.epoch.Store(st.Epoch)
+	t.fence.Store(st.FenceBelow)
+	return t, nil
+}
+
+// NewTerm returns a term over the record on s that is not in force until
+// Promote, for a replica's mirror logs: they append no record of their own,
+// so a fence the storage holds from a node it once served must not refuse
+// their syncs. Promote still honours that fence.
+func NewTerm(s Storage) *Term { return &Term{storage: s} }
+
+// Epoch returns the term's epoch.
+func (t *Term) Epoch() uint64 { return t.epoch.Load() }
+
+// Fenced reports whether a newer primary term exists.
+func (t *Term) Fenced() bool { return t.fence.Load() > t.epoch.Load() }
+
+// Cut returns the promotion cut of the term's epoch (nil if never promoted),
+// not to be modified.
+func (t *Term) Cut() []uint64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.cut
+}
+
+// Next returns the epoch to promote a successor at: above the term's epoch
+// and at or above its fence.
+func (t *Term) Next() uint64 { return max(t.epoch.Load()+1, t.fence.Load()) }
+
+// check is a log's fence check: the epoch to stamp, or ErrFenced.
+func (t *Term) check() (uint64, error) {
+	fence, epoch := t.fence.Load(), t.epoch.Load()
+	if fence > epoch {
+		return 0, fmt.Errorf("%w (epoch %d, fenced below %d)", ErrFenced, epoch, fence)
+	}
+	return epoch, nil
+}
+
+// Fence fences every epoch below below, in memory first — every log sharing
+// the term refuses an append or sync not yet begun — then durably. An fsync
+// already in flight may still complete; what it made durable was never
+// acknowledged, and divergence repair truncates it. The durable write's error
+// is returned; the in-memory fence holds regardless. Fencing is monotonic.
+func (t *Term) Fence(below uint64) error {
+	for cur := t.fence.Load(); cur < below && !t.fence.CompareAndSwap(cur, below); cur = t.fence.Load() {
+	}
+	if t.storage == nil {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	st, err := ReadEpochState(t.storage)
+	if err != nil || st.FenceBelow >= below {
+		return err
+	}
+	st.FenceBelow = below
+	return WriteEpochState(t.storage, st)
+}
+
+// Promote makes epoch the term's epoch, beginning at cut (EpochState.Cut): it
+// refuses an epoch below the fence, in memory or on storage, writes the epoch
+// and the cut in one atomic blob write, and only then publishes them.
+func (t *Term) Promote(epoch uint64, cut []uint64) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	st, err := ReadEpochState(t.storage)
+	if err != nil {
+		return err
+	}
+	if st.FenceBelow = max(st.FenceBelow, t.fence.Load()); epoch < st.FenceBelow {
+		return fmt.Errorf("wal: epoch %d is below this node's fence %d", epoch, st.FenceBelow)
+	}
+	st.Epoch, st.Cut = epoch, cut
+	if err := WriteEpochState(t.storage, st); err != nil {
+		return fmt.Errorf("wal: stamp epoch %d: %w", epoch, err)
+	}
+	t.epoch.Store(epoch)
+	t.cut = cut
+	return nil
 }
 
 // TruncateAbove removes every record with LSN > lsn from a log's segments:

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"reflect"
 	"testing"
 )
 
@@ -31,7 +32,7 @@ func TestEpochStateRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("read on fresh storage: %v", err)
 			}
-			if st != (EpochState{}) {
+			if !reflect.DeepEqual(st, EpochState{}) {
 				t.Fatalf("fresh storage epoch state = %+v, want zero", st)
 			}
 			if err := WriteEpochState(s, EpochState{Epoch: 3, FenceBelow: 3}); err != nil {
@@ -54,6 +55,21 @@ func TestEpochStateRoundTrip(t *testing.T) {
 			}
 			if st.Epoch != 4 || st.FenceBelow != 4 {
 				t.Fatalf("epoch state after overwrite = %+v, want {4 4}", st)
+			}
+			// A promotion records its cut in the same write, and an overwrite
+			// without one drops it.
+			withCut := EpochState{Epoch: 5, FenceBelow: 4, Cut: []uint64{0, 7, 1 << 40}}
+			if err := WriteEpochState(s, withCut); err != nil {
+				t.Fatalf("write with cut: %v", err)
+			}
+			if st, err = ReadEpochState(s); err != nil || !reflect.DeepEqual(st, withCut) {
+				t.Fatalf("epoch state with cut = (%+v, %v), want %+v", st, err, withCut)
+			}
+			if err := WriteEpochState(s, EpochState{Epoch: 5, FenceBelow: 6}); err != nil {
+				t.Fatalf("write without cut: %v", err)
+			}
+			if st, err = ReadEpochState(s); err != nil || st.Cut != nil {
+				t.Fatalf("epoch state after a cut-less overwrite = (%+v, %v), want no cut", st, err)
 			}
 		})
 	}
@@ -82,7 +98,7 @@ func TestEpochStateTornWriteReadsAsZero(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read torn state: %v", err)
 	}
-	if st != (EpochState{}) {
+	if !reflect.DeepEqual(st, EpochState{}) {
 		t.Fatalf("torn epoch state = %+v, want zero", st)
 	}
 }
@@ -132,15 +148,18 @@ func TestRecordEpochRoundTrip(t *testing.T) {
 // layer: once a log is fenced below a newer term, both Append and Sync fail
 // with ErrFenced, and adopting the newer term (the re-attach path) lifts it.
 func TestLogFenceRejectsAppendAndSync(t *testing.T) {
-	l, err := Open(NewMemStorage(), Options{})
+	term := NewTerm(NewMemStorage())
+	l, err := Open(NewMemStorage(), Options{Term: term})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
 	if _, err := l.Append(testRecord(1, 1)); err != nil {
 		t.Fatalf("append before fence: %v", err)
 	}
-	l.Fence(1) // a new primary exists at epoch 1; this log still runs at 0
-	if !l.Fenced() {
+	if err := term.Fence(1); err != nil { // a new primary exists at epoch 1; this log still runs at 0
+		t.Fatalf("fence: %v", err)
+	}
+	if !term.Fenced() {
 		t.Fatalf("log not fenced after Fence(1)")
 	}
 	if _, err := l.Append(testRecord(2, 1)); !errors.Is(err, ErrFenced) {
@@ -150,8 +169,10 @@ func TestLogFenceRejectsAppendAndSync(t *testing.T) {
 		t.Fatalf("sync on fenced log = %v, want ErrFenced", err)
 	}
 	// Re-attach stamps the node with the new term; the fence no longer binds.
-	l.SetEpoch(1)
-	if l.Fenced() {
+	if err := term.Promote(1, nil); err != nil {
+		t.Fatalf("promote: %v", err)
+	}
+	if term.Fenced() {
 		t.Fatalf("log still fenced at the fence epoch")
 	}
 	if _, err := l.Append(testRecord(3, 1)); err != nil {

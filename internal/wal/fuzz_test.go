@@ -140,3 +140,61 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeEpochState checks the term blob's decoder on arbitrary input: it
+// never panics, a corrupt blob is ErrCorrupt and reads through
+// ReadEpochState as the zero state — never written — and the cut count is
+// bounded by the payload. A state that decodes survives an encode/decode
+// round trip.
+func FuzzDecodeEpochState(f *testing.F) {
+	for _, st := range []EpochState{
+		{},
+		{Epoch: 3, FenceBelow: 3},
+		{Epoch: 1, FenceBelow: 0, Cut: []uint64{0}},
+		{Epoch: 7, FenceBelow: 5, Cut: []uint64{41, 0, 1 << 40}},
+	} {
+		blob := encodeEpochState(st)
+		f.Add(blob)
+		f.Add(blob[:len(blob)-1])
+		flipped := append([]byte(nil), blob...)
+		flipped[len(flipped)-1] ^= 0x40
+		f.Add(flipped)
+		f.Add(append(append([]byte(nil), blob...), 0x00))
+	}
+	f.Add([]byte{})
+	f.Add(frameBlob([]byte{epochStateVersion, 1, 1, 0x80, 0x80, 0x80, 0x80, 0x01})) // a cut count far past the payload
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := NewMemStorage()
+		if err := s.Sub(epochSub).WriteCheckpoint(epochStateSeq, data); err != nil {
+			t.Fatal(err)
+		}
+		read, err := ReadEpochState(s)
+		if err != nil {
+			t.Fatalf("ReadEpochState: %v", err)
+		}
+		st, err := decodeEpochState(data)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("decode error does not wrap ErrCorrupt: %v", err)
+			}
+			if !reflect.DeepEqual(read, EpochState{}) {
+				t.Fatalf("a corrupt blob read as %+v, want the zero state", read)
+			}
+			return
+		}
+		if !reflect.DeepEqual(read, st) {
+			t.Fatalf("ReadEpochState = %+v, decodeEpochState = %+v", read, st)
+		}
+		if len(st.Cut) > len(data) {
+			t.Fatalf("decoded a %d-LSN cut from %d bytes", len(st.Cut), len(data))
+		}
+		st2, err := decodeEpochState(encodeEpochState(st))
+		if err != nil {
+			t.Fatalf("re-decode of re-encoded state failed: %v", err)
+		}
+		if !reflect.DeepEqual(st, st2) {
+			t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", st2, st)
+		}
+	})
+}

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -17,6 +18,10 @@ type Options struct {
 	// segments: rotation happens between batches, so every segment holds
 	// whole records.
 	SegmentSize int
+	// Term is the node's failover term, shared by its every log: records
+	// carry its epoch, and while it is fenced appends and syncs fail with
+	// ErrFenced. nil means epoch 0, never fenced.
+	Term *Term
 }
 
 // DefaultSegmentSize is used when Options.SegmentSize is zero.
@@ -35,8 +40,8 @@ type Log struct {
 
 	appended atomic.Uint64 // last LSN appended
 	durable  atomic.Uint64 // last LSN made durable by fsync
-	// refusing is set while the log refuses appends and syncs — closed,
-	// wedged or fenced — so the lock-free absorbed Sync refuses too.
+	// refusing is set while the log is closed or wedged, so the lock-free
+	// absorbed Sync refuses too (as it does while the term is fenced).
 	refusing atomic.Bool
 	absorbed atomic.Uint64 // Sync calls satisfied by an earlier fsync
 
@@ -49,13 +54,9 @@ type Log struct {
 	closed    bool
 	broken    error // set on a failed segment write: the tail may be torn
 
-	// epoch is the primary term stamped on every appended record; fenceBelow
-	// is the lowest epoch still allowed to append. When fenceBelow exceeds
-	// epoch the log is fenced: a newer primary exists, and accepting (or
-	// fsyncing) more records here would let a zombie acknowledge writes the
-	// cluster has already moved past. See SetEpoch and Fence.
-	epoch      uint64
-	fenceBelow uint64
+	// term is Options.Term, only read here: a fence never takes mu, so it
+	// does not wait out an fsync in flight.
+	term *Term
 
 	// stats (guarded by mu except the histograms, which are internally atomic)
 	appends         uint64
@@ -87,6 +88,7 @@ func Open(storage Storage, opts Options) (*Log, error) {
 	l := &Log{
 		storage:    storage,
 		segSize:    segSize,
+		term:       cmp.Or(opts.Term, new(Term)),
 		fsyncLat:   stats.NewHistogram(stats.DurationBounds()),
 		flushBytes: stats.NewHistogram(stats.ByteBounds()),
 	}
@@ -119,7 +121,7 @@ func Open(storage Storage, opts Options) (*Log, error) {
 	// replica mirror has exactly this shape, a copied blob beside a log that
 	// holds nothing above it yet: promoted, it appends above LowLSN; reopened
 	// by a replica, it resumes shipping there, not below what the blob covers.
-	cp, _, err := LatestCheckpoint(storage)
+	cp, err := LatestCheckpointHeader(storage)
 	if err != nil {
 		return nil, fmt.Errorf("wal: open: newest checkpoint: %w", err)
 	}
@@ -162,10 +164,9 @@ func TailLSN(s Storage) (uint64, error) {
 	return lsn, err
 }
 
-// refreshRefusingLocked republishes refusing after closed, broken, epoch or
-// fenceBelow changed.
+// refreshRefusingLocked republishes refusing after closed or broken changed.
 func (l *Log) refreshRefusingLocked() {
-	l.refusing.Store(l.closed || l.broken != nil || l.fenceBelow > l.epoch)
+	l.refusing.Store(l.closed || l.broken != nil)
 }
 
 // usableLocked refuses a closed log, and one wedged by a failed write: its
@@ -215,8 +216,9 @@ func (l *Log) AppendBatch(recs []Record) (uint64, error) {
 	if err := l.usableLocked(); err != nil {
 		return 0, err
 	}
-	if l.fenceBelow > l.epoch {
-		return 0, fmt.Errorf("%w (appending at epoch %d, fenced below %d)", ErrFenced, l.epoch, l.fenceBelow)
+	epoch, err := l.term.check()
+	if err != nil {
+		return 0, err
 	}
 	if err := l.ensureActiveLocked(); err != nil {
 		return 0, err
@@ -231,7 +233,7 @@ func (l *Log) AppendBatch(recs []Record) (uint64, error) {
 	for i := range recs {
 		lsn++
 		recs[i].LSN = lsn
-		recs[i].Epoch = l.epoch
+		recs[i].Epoch = epoch
 		buf = appendFrame(buf, &recs[i])
 	}
 	if l.activeLen > 0 && l.activeLen+len(buf) > l.segSize {
@@ -297,7 +299,7 @@ func (l *Log) retractBatchLocked(recs []Record) error {
 	}
 	var buf []byte
 	for _, r := range recs {
-		ab := Record{LSN: l.appended.Add(1), TID: r.TID, Kind: KindAbort, Epoch: l.epoch}
+		ab := Record{LSN: l.appended.Add(1), TID: r.TID, Kind: KindAbort, Epoch: l.term.Epoch()}
 		buf = appendFrame(buf, &ab)
 	}
 	if _, err := l.active.Write(buf); err != nil {
@@ -319,7 +321,7 @@ func (l *Log) Sync() error { return l.SyncThrough(l.appended.Load()) }
 // absorbed without taking the log's lock, so it does not wait out an fsync in
 // flight; a closed, wedged or fenced log refuses it all the same.
 func (l *Log) SyncThrough(lsn uint64) error {
-	if !l.refusing.Load() && l.durable.Load() >= lsn {
+	if !l.refusing.Load() && !l.term.Fenced() && l.durable.Load() >= lsn {
 		l.absorbed.Add(1)
 		return nil
 	}
@@ -328,12 +330,12 @@ func (l *Log) SyncThrough(lsn uint64) error {
 	if err := l.usableLocked(); err != nil {
 		return err
 	}
-	if l.fenceBelow > l.epoch {
+	if _, err := l.term.check(); err != nil {
 		// A fenced log refuses to make its tail durable: the unsynced suffix
 		// was never acknowledged, the cluster has promoted past it, and
 		// fsyncing it now would only widen the divergence a re-attach must
 		// truncate.
-		return fmt.Errorf("%w (syncing at epoch %d, fenced below %d)", ErrFenced, l.epoch, l.fenceBelow)
+		return err
 	}
 	if l.durable.Load() >= lsn {
 		l.absorbed.Add(1)
@@ -393,49 +395,6 @@ func (l *Log) Unwatch(ch chan<- struct{}) {
 	l.watchMu.Lock()
 	l.watchers = slices.DeleteFunc(l.watchers, func(w chan<- struct{}) bool { return w == ch })
 	l.watchMu.Unlock()
-}
-
-// SetEpoch sets the primary term stamped on every subsequent append. It only
-// raises: a log never returns to an older regime's epoch, so a fence laid at
-// epoch N stays effective against every term below N.
-func (l *Log) SetEpoch(epoch uint64) {
-	l.mu.Lock()
-	if epoch > l.epoch {
-		l.epoch = epoch
-		l.refreshRefusingLocked()
-	}
-	l.mu.Unlock()
-}
-
-// Epoch returns the term currently stamped on appends.
-func (l *Log) Epoch() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.epoch
-}
-
-// Fence rejects every further Append and Sync while the log's own epoch stays
-// below the given term (ErrFenced). It is the WAL-append half of failover
-// fencing: a supervisor that promoted a replica at term N fences the old
-// primary's log below N, so a zombie that is still alive — merely presumed
-// dead — can no longer make writes durable, let alone acknowledge them.
-// Fencing is monotonic; a later SetEpoch at or above the fence (re-promotion
-// of this node) lifts it.
-func (l *Log) Fence(belowEpoch uint64) {
-	l.mu.Lock()
-	if belowEpoch > l.fenceBelow {
-		l.fenceBelow = belowEpoch
-		l.refreshRefusingLocked()
-	}
-	l.mu.Unlock()
-}
-
-// Fenced reports whether the log is currently rejecting appends because a
-// newer primary term exists.
-func (l *Log) Fenced() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.fenceBelow > l.epoch
 }
 
 // Cover raises the log's last LSN to lsn when it is lower, with everything up

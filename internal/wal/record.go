@@ -112,9 +112,8 @@ const (
 
 // appendFrame encodes rec as one CRC-framed record appended to buf.
 func appendFrame(buf []byte, rec *Record) []byte {
-	payloadStart := len(buf) + frameHeaderSize
-	// Reserve the header; the payload length and CRC are patched in below.
-	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0)
+	start := len(buf)
+	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0) // the header, sealed below
 	buf = binary.AppendUvarint(buf, rec.LSN)
 	buf = binary.AppendUvarint(buf, rec.TID)
 	var recFlags byte
@@ -151,10 +150,53 @@ func appendFrame(buf []byte, rec *Record) []byte {
 		buf = binary.AppendUvarint(buf, uint64(len(w.Data)))
 		buf = append(buf, w.Data...)
 	}
-	payload := buf[payloadStart:]
-	binary.LittleEndian.PutUint32(buf[payloadStart-frameHeaderSize:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[payloadStart-4:], crc32.ChecksumIEEE(payload))
+	sealFrame(buf, start)
 	return buf
+}
+
+// sealFrame fills in the header the caller reserved at buf[start] for the
+// payload after it, which runs to the end of buf: with openFrame, the one
+// codec of the header that records, checkpoints and the term blob share.
+func sealFrame(buf []byte, start int) {
+	payload := buf[start+frameHeaderSize:]
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(payload))
+}
+
+// openFrame checks the frame starting at buf[off] — a plausible payload
+// length that fits in buf, and a matching CRC — and returns its payload and
+// the offset just past it. Any problem is an error wrapping ErrCorrupt.
+func openFrame(buf []byte, off int) (payload []byte, end int, err error) {
+	if off+frameHeaderSize > len(buf) {
+		return nil, 0, fmt.Errorf("%w: truncated frame header", ErrCorrupt)
+	}
+	payloadLen := binary.LittleEndian.Uint32(buf[off:])
+	sum := binary.LittleEndian.Uint32(buf[off+4:])
+	if payloadLen == 0 || payloadLen > maxPayload {
+		return nil, 0, fmt.Errorf("%w: implausible payload length %d", ErrCorrupt, payloadLen)
+	}
+	start := off + frameHeaderSize
+	end = start + int(payloadLen)
+	if end > len(buf) {
+		return nil, 0, fmt.Errorf("%w: truncated payload", ErrCorrupt)
+	}
+	payload = buf[start:end]
+	if crc32.ChecksumIEEE(payload) != sum {
+		return nil, 0, fmt.Errorf("%w: crc mismatch", ErrCorrupt)
+	}
+	return payload, end, nil
+}
+
+// openBlob is openFrame for a blob of exactly one frame.
+func openBlob(buf []byte) ([]byte, error) {
+	payload, end, err := openFrame(buf, 0)
+	if err != nil {
+		return nil, err
+	}
+	if end != len(buf) {
+		return nil, fmt.Errorf("%w: %d bytes after the blob's frame", ErrCorrupt, len(buf)-end)
+	}
+	return payload, nil
 }
 
 // decodeRecord decodes one framed record starting at buf[off]. It returns the
@@ -162,27 +204,11 @@ func appendFrame(buf []byte, rec *Record) []byte {
 // problem returns an error wrapping ErrCorrupt; replay treats it as the end
 // of the valid log prefix.
 func decodeRecord(buf []byte, off int) (Record, int, error) {
-	if off+frameHeaderSize > len(buf) {
-		return Record{}, 0, fmt.Errorf("%w: truncated frame header", ErrCorrupt)
+	p, end, err := openFrame(buf, off)
+	if err != nil {
+		return Record{}, 0, err
 	}
-	payloadLen := binary.LittleEndian.Uint32(buf[off:])
-	sum := binary.LittleEndian.Uint32(buf[off+4:])
-	if payloadLen == 0 || payloadLen > maxPayload {
-		return Record{}, 0, fmt.Errorf("%w: implausible payload length %d", ErrCorrupt, payloadLen)
-	}
-	start := off + frameHeaderSize
-	end := start + int(payloadLen)
-	if end > len(buf) {
-		return Record{}, 0, fmt.Errorf("%w: truncated payload", ErrCorrupt)
-	}
-	payload := buf[start:end]
-	if crc32.ChecksumIEEE(payload) != sum {
-		return Record{}, 0, fmt.Errorf("%w: crc mismatch", ErrCorrupt)
-	}
-
 	var rec Record
-	p := payload
-	var err error
 	if rec.LSN, p, err = readUvarint(p); err != nil {
 		return Record{}, 0, err
 	}

@@ -160,34 +160,25 @@ func (l *Log) AppendShipped(lsn uint64, frame []byte) error {
 	return nil
 }
 
-// CopyLatestCheckpoint copies the newest decodable checkpoint blob from src
-// to dst byte-for-byte (same sequence number, so a promoted replica's
-// recovery finds it exactly where a primary's would) if its LowLSN is at
-// least minLowLSN, returning the decoded checkpoint. A replica passes one past
-// its checkpoint floor — the blob is wanted whenever it is a newer round — or
-// 0 when it has no checkpoint of its own and wants whatever exists. (nil, nil) means src holds no such checkpoint and nothing
-// was copied. The primary may complete a checkpoint round and prune older
-// blobs between our listing and read; the copy retries against the
-// then-newest blob.
+// CopyLatestCheckpoint copies the newest checkpoint blob from src to dst
+// byte-for-byte (same sequence number, so a promoted replica's recovery finds
+// it exactly where a primary's would) if its LowLSN is at least minLowLSN,
+// returning the decoded checkpoint. A replica passes one past its checkpoint
+// floor — the blob is wanted whenever it is a newer round — or 0 when it has
+// no checkpoint of its own and wants whatever exists. (nil, nil) means src
+// holds no such checkpoint and nothing was copied; only the blob's header is
+// decoded to tell, and its rows only when it is copied. The blob copied is
+// the one decoded: it is read once.
 func CopyLatestCheckpoint(src, dst Storage, minLowLSN uint64) (*Checkpoint, error) {
-	var lastErr error
-	for attempt := 0; attempt < 3; attempt++ {
-		cp, _, err := LatestCheckpoint(src)
-		if err != nil {
-			return nil, err
-		}
-		if cp == nil || cp.LowLSN < minLowLSN {
-			return nil, nil
-		}
-		buf, err := src.ReadCheckpoint(cp.Seq)
-		if err != nil {
-			lastErr = err // pruned under us; retry against the newer round
-			continue
-		}
-		if err := dst.WriteCheckpoint(cp.Seq, buf); err != nil {
-			return nil, err
-		}
-		return cp, nil
+	cp, rows, blob, _, err := latestCheckpoint(src)
+	if err != nil || cp == nil || cp.LowLSN < minLowLSN {
+		return nil, err
 	}
-	return nil, lastErr
+	if err := cp.decodeRows(rows); err != nil {
+		return nil, err
+	}
+	if err := dst.WriteCheckpoint(cp.Seq, blob); err != nil {
+		return nil, err
+	}
+	return cp, nil
 }

@@ -713,7 +713,8 @@ func TestDecodeRejectsStructuralCorruption(t *testing.T) {
 // fails on a fenced log, and on a closed one.
 func TestLogWatermarksDoNotWaitOutFsync(t *testing.T) {
 	mem := NewMemStorage()
-	l, err := Open(mem, Options{})
+	term := NewTerm(NewMemStorage())
+	l, err := Open(mem, Options{Term: term})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -767,11 +768,15 @@ func TestLogWatermarksDoNotWaitOutFsync(t *testing.T) {
 	}
 
 	// Nothing new is appended, so these syncs take the absorbed path.
-	l.Fence(1)
+	if err := term.Fence(1); err != nil {
+		t.Fatalf("fence: %v", err)
+	}
 	if err := l.Sync(); !errors.Is(err, ErrFenced) {
 		t.Fatalf("absorbed sync on a fenced log = %v, want ErrFenced", err)
 	}
-	l.SetEpoch(1)
+	if err := term.Promote(1, nil); err != nil {
+		t.Fatalf("promote: %v", err)
+	}
 	if err := l.Sync(); err != nil {
 		t.Fatalf("absorbed sync after adopting the term: %v", err)
 	}
