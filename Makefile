@@ -41,10 +41,15 @@ race:
 # whose contended history must stay serializable and return every token, the
 # read-only commit's ack on the log's durable watermark, which releases and
 # re-acquires the executor core around a wait that can block (the read-ack
-# tests and the fenced-primary test's read arm), and two-phase commit, which
-# releases the core around its one concurrent forced round (the TwoPC tests).
+# tests and the fenced-primary test's read arm), two-phase commit, which
+# releases the core around its one concurrent forced round (the TwoPC tests,
+# among them the round whose shares are forced concurrently with no window),
+# and the commit queue: a leader's hold (StaleWindow), stop racing submits
+# and landing in a hold, a failed force handing the queue to a new leader,
+# and every submitter leading when a batch has nothing to share (the
+# GroupCommit tests).
 race-sched:
-	$(GO) test -race -count=2 -run 'Admission|SchedulerStress|ReadAck|FencedPrimaryDoesNotAck|TwoPC' ./internal/engine/
+	$(GO) test -race -count=2 -run 'Admission|SchedulerStress|ReadAck|FencedPrimaryDoesNotAck|TwoPC|GroupCommit|StaleWindow' ./internal/engine/
 
 # Crash-injection matrix: kill the database at every WAL append/fsync
 # boundary of a multi-container commit (including the checkpoint-write,

@@ -186,15 +186,14 @@ func (f *traceSegmentFile) Sync() error {
 // read-only commit writes nothing and its force is absorbed by the
 // already-durable log, and a two-container transfer is one forced write per
 // container, the coordinator's carrying its prepare and the decision
-// together. A group committer flushing batches of one issues the same IO per
-// commit.
+// together. A queue whose batches hold one entry (MaxBatch 1) issues the
+// same IO per commit.
 func TestCommitPipelineEagerIsBatchOfOne(t *testing.T) {
 	def := kvDef("kv0", "kv1")
 
 	// run executes the three commits and returns each one's IO, split per
-	// container: the two committers of a grouped 2PC force their shares of
-	// the round concurrently, so only per-container order is comparable
-	// across modes.
+	// container: the two containers of a 2PC round force their shares
+	// concurrently, so only per-container order is comparable.
 	run := func(t *testing.T, gc GroupCommitConfig) map[string][]string {
 		trace := &ioTrace{}
 		cfg := twoContainerCfg(&traceStorage{Storage: wal.NewMemStorage(), trace: trace})

@@ -54,18 +54,21 @@ const (
 	AdmissionFail AdmissionPolicy = "fail-fast"
 )
 
-// GroupCommitConfig enables batched group commit on each container: OCC
-// transactions with writes that validated successfully (Prepare) accumulate
-// in a batch and are committed together when the batch reaches MaxBatch
-// transactions or Window elapses, whichever comes first: under DurabilityWAL
-// one WAL append and one fsync cover the batch. The prepare and decision
-// records of two-phase commits ride the same batches. Disabled, every write
-// commit runs the same pipeline (Container.commitBatch) inline as a batch of
-// one. Read-only commits bypass it either way and never wait out a Window.
+// GroupCommitConfig shapes each container's commit queue. Every commit that
+// writes enters the queue, whatever the configuration: the first to find no
+// batch held or flushing leads, takes up to MaxBatch entries and runs the
+// commit pipeline (Container.commitBatch) over them, so under DurabilityWAL
+// one WAL append and one fsync cover the batch; what arrives during a flush
+// gets the next leader. Window is that leader's hold: it keeps the batch open
+// until its first entry has waited Window or MaxBatch entries wait. Enabled
+// false means no hold (Validate sets Window to 0); with no hold and no log a
+// batch shares nothing, so every writer leads its own flush. The prepare and
+// decision records of two-phase commits ride the same batches. Read-only
+// commits bypass the queue and never wait out a Window.
 type GroupCommitConfig struct {
 	Enabled  bool
-	MaxBatch int           // flush when this many transactions accumulated (default 32)
-	Window   time.Duration // flush at least this often (default 200µs)
+	MaxBatch int           // most entries one flush takes; a full batch ends the hold (default 32)
+	Window   time.Duration // the leader's hold (default 200µs; 0 when not Enabled)
 }
 
 // DurabilityMode selects how a commit becomes durable before it is
@@ -136,7 +139,7 @@ type Config struct {
 	// ErrOverloaded (AdmissionFail).
 	Admission AdmissionPolicy
 
-	// GroupCommit configures batched group commit (disabled by default).
+	// GroupCommit shapes the commit queue's batches (no hold by default).
 	GroupCommit GroupCommitConfig
 
 	// Durability selects how commits become durable: not at all (the
@@ -190,13 +193,13 @@ func (c *Config) Validate() error {
 	if c.Admission != AdmissionBlock && c.Admission != AdmissionFail {
 		return fmt.Errorf("engine: unknown admission policy %q", c.Admission)
 	}
-	if c.GroupCommit.Enabled {
-		if c.GroupCommit.MaxBatch <= 0 {
-			c.GroupCommit.MaxBatch = 32
-		}
-		if c.GroupCommit.Window <= 0 {
-			c.GroupCommit.Window = 200 * time.Microsecond
-		}
+	if !c.GroupCommit.Enabled {
+		c.GroupCommit.Window = 0
+	} else if c.GroupCommit.Window <= 0 {
+		c.GroupCommit.Window = 200 * time.Microsecond
+	}
+	if c.GroupCommit.MaxBatch <= 0 {
+		c.GroupCommit.MaxBatch = 32
 	}
 	if c.Durability.Mode == "" {
 		c.Durability.Mode = DurabilityModeled

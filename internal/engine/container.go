@@ -24,8 +24,8 @@ type Container struct {
 	executors []*Executor
 	// nextExecutor is the round-robin router's cursor (see route).
 	nextExecutor atomic.Uint64
-	committer    *groupCommitter // nil unless group commit is enabled
-	wal          *wal.Log        // nil unless Durability.Mode == DurabilityWAL
+	queue        commitQueue // every writing commit's way into commitBatch
+	wal          *wal.Log    // nil unless Durability.Mode == DurabilityWAL
 
 	// walStorage is the container's segment + checkpoint store (nil without a
 	// WAL); the checkpointer writes snapshot blobs to it and recovery loads
@@ -59,6 +59,7 @@ func newContainer(db *Database, id int) (*Container, error) {
 		catalogs:     make(map[string]*rel.Catalog),
 		lastExecutor: make(map[string]int),
 	}
+	c.queue.init(db.cfg.GroupCommit.Window, db.cfg.GroupCommit.MaxBatch, db.cfg.Durability.Mode == DurabilityWAL)
 	if db.cfg.Durability.Mode == DurabilityWAL {
 		storage := db.cfg.Durability.Storage.Sub(fmt.Sprintf("container-%d", id))
 		log, err := wal.Open(storage, wal.Options{SegmentSize: db.cfg.Durability.SegmentSize, Term: db.term})
@@ -73,9 +74,6 @@ func newContainer(db *Database, id int) (*Container, error) {
 	}
 	for i := 0; i < db.cfg.ExecutorsPerContainer; i++ {
 		c.executors = append(c.executors, newExecutor(c, i))
-	}
-	if db.cfg.GroupCommit.Enabled {
-		c.committer = newGroupCommitter(c)
 	}
 	return c, nil
 }
@@ -98,14 +96,12 @@ func (c *Container) seedCheckpointSeq() error {
 }
 
 // shutdown stops the container's executors (draining their request queues),
-// its group committer, and closes its write-ahead log.
+// its commit queue, and closes its write-ahead log.
 func (c *Container) shutdown() {
 	for _, e := range c.executors {
 		e.shutdown()
 	}
-	if c.committer != nil {
-		c.committer.stop()
-	}
+	c.queue.stop()
 	if c.wal != nil {
 		_ = c.wal.Close()
 	}
@@ -147,31 +143,8 @@ type gcEntry struct {
 	done chan error
 }
 
-// submit hands one entry to the commit pipeline and returns the channel its
-// outcome arrives on: with the group committer's next batch when one is
-// running, as a batch of one run right here on the caller's goroutine
-// otherwise (no committer goroutine, no window timer). The wait is log
-// latency, not CPU work, so a caller holding an executor core releases it:
-// before the call when the batch of one runs inline, after it — once the
-// entry is in the batch — when a committer takes it (see rootTxn.commit).
-//
-// errDatabaseClosed means a stopped committer did not accept the entry; the
-// caller still owns it and must abort. Failing fast closes the shutdown race
-// in which an entry appended concurrently with stop, after the loop's final
-// drain, would never be flushed and its waiter would block forever.
-func (c *Container) submit(e gcEntry) (<-chan error, error) {
-	e.done = make(chan error, 1)
-	if gc := c.committer; gc != nil {
-		if !gc.enqueue(e) {
-			return nil, errDatabaseClosed
-		}
-		return e.done, nil
-	}
-	c.commitBatch([]gcEntry{e})
-	return e.done, nil
-}
-
-// commitBatch is the commit pipeline — every commit that writes, in every
+// commitBatch is the commit pipeline, run by the commit queue's leader over
+// each batch it takes (see lead) — every commit that writes, in every
 // deployment, runs these five stages, and nothing else acknowledges one
 // (read-only commits append nothing, see awaitObserved):
 //

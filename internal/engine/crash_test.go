@@ -25,7 +25,7 @@ var errInjectedCrash = errors.New("injected crash: storage is dead")
 // fsync) a position in a total order and fails every operation past the
 // configured crash point, leaving no trace — the durable state frozen at the
 // boundary is exactly what MemStorage.CrashCopy returns afterwards. With
-// concurrent group committers the interleaving between containers is decided
+// containers forcing concurrently the interleaving between them is decided
 // by the scheduler, but any prefix of the total order is a consistent
 // machine-death cut, so the invariant must hold at every enumerated point.
 type crashCounter struct {
@@ -238,10 +238,10 @@ func TestCrashMatrixMultiContainerAtomicity(t *testing.T) {
 			}
 			if grouped {
 				// Acceptance: 2PC prepare and decision records went through
-				// each container's group committer.
+				// each container's commit queue.
 				for _, gs := range db.GroupCommitStats() {
 					if gs.Records == 0 {
-						t.Fatalf("container %d flushed no 2PC records through its group committer", gs.Container)
+						t.Fatalf("container %d flushed no 2PC records through its commit queue", gs.Container)
 					}
 				}
 			}

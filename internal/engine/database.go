@@ -110,7 +110,7 @@ func open(def *core.DatabaseDef, cfg Config, replica bool) (*Database, error) {
 		c := db.containers[cfg.placementFor(reactor)]
 		typ := def.TypeOf(reactor)
 		if err := c.addReactor(reactor, typ.Relations()); err != nil {
-			// Containers already spawned run-loop and committer goroutines;
+			// Containers already spawned run-loop goroutines and opened logs;
 			// reclaim them instead of leaking on a failed Open.
 			for _, created := range db.containers {
 				created.shutdown()

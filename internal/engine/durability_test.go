@@ -109,7 +109,7 @@ func readV(t *testing.T, db *Database, reactor string, k int64) (int64, bool) {
 }
 
 // TestRecoverReplaysAcknowledgedCommits commits a mixed workload through the
-// WAL-backed group committer, drops every byte of in-memory state (a new
+// WAL-backed commit queue, drops every byte of in-memory state (a new
 // Database instance), recovers, and checks that exactly the acknowledged
 // effects are visible — inserts, the newest version of updated rows, and the
 // absence of deleted rows.
@@ -207,7 +207,7 @@ func TestRecoverAfterLoaderBootstrap(t *testing.T) {
 }
 
 // TestRecoverAfterCommitterKilledMidBatch is the crash-consistency test: the
-// group committer is wedged inside its batch fsync (transactions installed in
+// queue's leader is wedged inside its batch fsync (transactions installed in
 // memory, appended to the log, but never durable and never acknowledged),
 // the machine "dies", and a fresh database recovers from the durable prefix.
 // Every acknowledged commit must be visible; no wedged, unacknowledged

@@ -136,7 +136,7 @@ func FreshestReplica(replicas []*Replica) *Replica {
 // closes the replica.
 func PromoteReplica(rep *Replica, newEpoch uint64) (*Database, error) {
 	rep.mu.Lock()
-	if rep.closed || rep.degraded {
+	if rep.closed || rep.degraded.Load() {
 		rep.mu.Unlock()
 		return nil, fmt.Errorf("engine: promote: replica is closed or degraded")
 	}
@@ -158,7 +158,7 @@ func PromoteReplica(rep *Replica, newEpoch uint64) (*Database, error) {
 func (rep *Replica) promotable() bool {
 	rep.mu.Lock()
 	defer rep.mu.Unlock()
-	return !rep.closed && !rep.degraded
+	return !rep.closed && !rep.degraded.Load()
 }
 
 // promote is PromoteReplica on rep's database db once tailing stopped; the
@@ -304,7 +304,7 @@ func Repoint(rep *Replica, newPrimary *Database) error {
 func (rep *Replica) clean(newPrimary *Database) (bool, error) {
 	rep.mu.Lock()
 	defer rep.mu.Unlock()
-	if rep.degraded {
+	if rep.degraded.Load() {
 		return false, nil
 	}
 	for _, s := range rep.shards {

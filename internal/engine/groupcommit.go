@@ -7,222 +7,203 @@ import (
 	"reactdb/internal/stats"
 )
 
-// groupCommitter decides *when* the commit pipeline (Container.commitBatch)
-// runs and over how many entries: it accumulates validated (prepared)
-// single-container transactions with writes — plus the pre-built
-// prepare/decision records of two-phase commits touching this container —
-// and hands them to the pipeline together. The motivation is the classic
-// one: the durable log write — a WAL append + fsync under DurabilityWAL — is
-// paid once per batch instead of once per transaction, so under concurrent
-// load commit cost amortizes across the batch. Prepared transactions hold
-// their OCC locks while waiting, so the Window also bounds the extra conflict
-// exposure group commit introduces.
-type groupCommitter struct {
-	container *Container
-	window    time.Duration
-	maxBatch  int
+// commitQueue is a container's one road to its commit pipeline
+// (Container.commitBatch): every commit that writes enters it — a prepared
+// transaction, or a two-phase commit's share of pre-built records. It has no
+// goroutine of its own. The first entry that finds no batch held or flushing
+// makes its submitter the leader (Container.lead), which holds the batch
+// open for the Window, takes up to MaxBatch entries and runs the pipeline
+// over them: under DurabilityWAL one append and one fsync cover the batch.
+// Entries that arrive during a flush get a leader once it is done. A
+// non-empty queue always has a leader, so stop can refuse new entries and
+// wait for the leaders without stranding any.
+type commitQueue struct {
+	window   time.Duration
+	maxBatch int
+	// share: a batch has a hold or a log force to share. Without either no
+	// entry queues behind another's flush: every submitter leads, and the
+	// executors of a shared-everything container commit side by side.
+	share bool
 
-	// mu guards the accumulating batch and its generation. gen identifies
-	// the batch currently accumulating; it bumps every time flush takes a
-	// batch, so a window timer armed for an earlier batch can recognize
-	// itself as stale and become a no-op instead of flushing a fresh batch
-	// before its window elapsed. flushGen is the highest generation a timer
-	// or full-batch signal has requested to flush.
-	mu       sync.Mutex
-	batch    []gcEntry
-	gen      uint64
-	flushGen uint64
-	stopped  bool
-
-	flushCh chan struct{}
-	stopCh  chan struct{}
-	done    chan struct{}
+	mu      sync.Mutex
+	entries []gcEntry
+	// spare is the backing array of the batch that flushed last; the next
+	// take queues what arrives behind its batch in it, so the queue and the
+	// flushing batch swap two arrays instead of allocating.
+	spare   []gcEntry
+	since   time.Time // when the waiting batch's hold began (its first entry's arrival)
+	leaders int       // leaders holding, taking or flushing; at most one when share
+	stopped bool
+	idle    sync.Cond // broadcast under mu when leaders drops to 0
+	// wake ends a leader's hold early: MaxBatch entries wait, or stop.
+	wake chan struct{}
+	// hold times the leader's hold; one leader at a time uses it.
+	hold *time.Timer
 
 	batchSize *stats.Histogram
 	// records counts pre-built records (2PC prepares and decisions) accepted
-	// by this committer — the amortized participant logging, observable next
-	// to the batch-size histogram. Guarded by mu.
+	// — the amortized participant logging, observable next to the batch-size
+	// histogram. Guarded by mu.
 	records uint64
 }
 
-func newGroupCommitter(c *Container) *groupCommitter {
-	cfg := &c.db.cfg
-	g := &groupCommitter{
-		container: c,
-		window:    cfg.GroupCommit.Window,
-		maxBatch:  cfg.GroupCommit.MaxBatch,
-		flushCh:   make(chan struct{}, 1),
-		stopCh:    make(chan struct{}),
-		done:      make(chan struct{}),
-		batchSize: stats.NewHistogram(stats.DepthBounds()),
-	}
-	go g.loop()
-	return g
+func (q *commitQueue) init(window time.Duration, maxBatch int, logged bool) {
+	q.window, q.maxBatch, q.share = window, maxBatch, window > 0 || logged
+	q.idle.L = &q.mu
+	q.wake = make(chan struct{}, 1)
+	q.batchSize = stats.NewHistogram(stats.DepthBounds())
 }
 
-// enqueue adds an entry to the accumulating batch (see Container.submit),
-// reporting false if the committer has been stopped. The first entry of a
-// fresh batch arms a one-shot window timer, so an idle committer costs
-// nothing.
-func (g *groupCommitter) enqueue(e gcEntry) bool {
-	g.mu.Lock()
-	if g.stopped {
-		g.mu.Unlock()
-		return false
-	}
-	g.batch = append(g.batch, e)
-	g.records += uint64(len(e.recs))
-	n := len(g.batch)
-	gen := g.gen
-	g.mu.Unlock()
-	if n >= g.maxBatch {
-		g.requestFlush(gen)
-	} else if n == 1 {
-		time.AfterFunc(g.window, func() { g.requestFlush(gen) })
-	}
-	return true
-}
-
-// requestFlush records that the batch of generation gen is due to flush and
-// nudges the loop. A request for a generation that has already been taken by
-// a flush is stale — the timer that fired belongs to a batch that is gone —
-// and is dropped, protecting the currently accumulating batch's window.
-func (g *groupCommitter) requestFlush(gen uint64) {
-	g.mu.Lock()
-	if g.stopped || gen < g.gen {
-		g.mu.Unlock()
-		return
-	}
-	if gen > g.flushGen {
-		g.flushGen = gen
-	}
-	g.mu.Unlock()
-	g.signalFlush()
-}
-
-// signalFlush nudges the loop; a nudge already pending absorbs the signal
-// (the due generation is recorded in flushGen, not in the channel).
-func (g *groupCommitter) signalFlush() {
+// nudge wakes a holding leader; the caller holds mu. A wake-up no leader
+// takes is dropped when the next hold begins (waitHold).
+func (q *commitQueue) nudge() {
 	select {
-	case g.flushCh <- struct{}{}:
+	case q.wake <- struct{}{}:
 	default:
 	}
 }
 
-// loop flushes the accumulated batch whenever it fills up or its window
-// timer fires, and drains any remainder on shutdown.
-func (g *groupCommitter) loop() {
-	defer close(g.done)
-	for {
-		select {
-		case <-g.stopCh:
-			for g.pending() > 0 {
-				g.flush(true)
-			}
-			return
-		case <-g.flushCh:
-			g.flush(false)
+// submit enqueues one entry and returns the channel its outcome arrives on,
+// and whether the caller must lead the queue: it then calls lead — at once
+// or, for a 2PC coordinator, after it enqueued every share of its round — or
+// nothing flushes the entry. Enqueuing is all submit does; the wait happens
+// in the leader's hold.
+//
+// errDatabaseClosed means a stopped queue did not accept the entry; the
+// caller still owns it and must abort.
+func (c *Container) submit(e gcEntry) (done <-chan error, lead bool, err error) {
+	q := &c.queue
+	ch := make(chan error, 1)
+	e.done = ch
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.stopped {
+		return nil, false, errDatabaseClosed
+	}
+	if len(q.entries) == 0 && q.window > 0 {
+		q.since = time.Now()
+	}
+	q.entries = append(q.entries, e)
+	q.records += uint64(len(e.recs))
+	if len(q.entries) >= q.maxBatch {
+		q.nudge()
+	}
+	lead = q.leaders == 0 || !q.share
+	if lead {
+		q.leaders++
+	}
+	return ch, lead, nil
+}
+
+// lead is the leader's turn: hold the batch until its first entry has waited
+// the Window or MaxBatch entries wait (no hold without a window), run the
+// pipeline over up to MaxBatch entries, and start the leader of what arrived
+// meanwhile on a fresh goroutine, so no caller's return waits on another's
+// batch. Only the last leader out leads again (without share, many lead).
+func (c *Container) lead() {
+	q := &c.queue
+	if q.window > 0 {
+		q.waitHold()
+	}
+	q.mu.Lock()
+	n := min(len(q.entries), q.maxBatch)
+	batch, rest := q.entries[:n], q.entries[n:]
+	q.entries = append(q.spare[:0], rest...)
+	q.spare = nil
+	clear(rest)
+	if len(q.entries) > 0 {
+		q.since = time.Now() // entries beyond MaxBatch start a fresh hold
+	}
+	q.mu.Unlock()
+
+	if n > 0 { // without share another leader may have taken this one's entry
+		q.batchSize.Observe(float64(n))
+		c.commitBatch(batch)
+		clear(batch) // the reused array must not pin committed read/write sets
+	}
+
+	q.mu.Lock()
+	q.spare = batch[:0]
+	next := len(q.entries) > 0 && q.leaders == 1
+	if !next {
+		if q.leaders--; q.leaders == 0 {
+			q.idle.Broadcast()
+		}
+	}
+	q.mu.Unlock()
+	if next {
+		go c.lead()
+	}
+}
+
+// waitHold is the leader's hold. A wake-up left over from an earlier batch is
+// dropped under mu before the queue is looked at, so only this batch's own
+// MaxBatch-th entry, or stop, ends the hold before the Window does.
+func (q *commitQueue) waitHold() {
+	q.mu.Lock()
+	select {
+	case <-q.wake:
+	default:
+	}
+	d := q.window - time.Since(q.since)
+	due := q.stopped || len(q.entries) >= q.maxBatch || d <= 0
+	q.mu.Unlock()
+	if due {
+		return
+	}
+	if q.hold == nil {
+		q.hold = time.NewTimer(d)
+	} else {
+		q.hold.Reset(d) // stopped and drained by the previous hold
+	}
+	select {
+	case <-q.hold.C:
+	case <-q.wake:
+		if !q.hold.Stop() {
+			<-q.hold.C
 		}
 	}
 }
 
-// flush runs the commit pipeline over up to maxBatch accumulated entries.
-// Anything beyond maxBatch stays queued: a further full batch flushes
-// immediately, a partial remainder gets a fresh window timer. Unless forced
-// (shutdown drain), a flush whose batch generation was never requested is a
-// spurious wakeup and is skipped.
-func (g *groupCommitter) flush(force bool) {
-	g.mu.Lock()
-	if !force && g.flushGen < g.gen {
-		g.mu.Unlock()
-		return
+// stop refuses every later entry and waits until no leader is active, which
+// — a non-empty queue always has a leader — leaves every accepted entry
+// flushed. A hold in progress ends at once. stop is idempotent.
+func (q *commitQueue) stop() {
+	q.mu.Lock()
+	q.stopped = true
+	q.nudge()
+	for q.leaders > 0 {
+		q.idle.Wait()
 	}
-	n := len(g.batch)
-	if n > g.maxBatch {
-		n = g.maxBatch
-	}
-	batch := g.batch[:n:n]
-	g.batch = g.batch[n:]
-	remainder := len(g.batch)
-	if n > 0 {
-		g.gen++
-	}
-	gen := g.gen
-	g.mu.Unlock()
-	if len(batch) == 0 {
-		return
-	}
-	if remainder >= g.maxBatch {
-		g.requestFlush(gen)
-	} else if remainder > 0 {
-		// The remainder's original window timer belongs to a flushed
-		// generation; arm a fresh one for the new batch.
-		time.AfterFunc(g.window, func() { g.requestFlush(gen) })
-	}
-	g.batchSize.Observe(float64(len(batch)))
-	g.container.commitBatch(batch)
-	// Zero the flushed slots so the shared backing array does not pin the
-	// committed transactions' read/write sets until append reallocates.
-	for i := range batch {
-		batch[i] = gcEntry{}
-	}
+	q.mu.Unlock()
 }
 
-// pending returns the number of transactions awaiting a flush.
-func (g *groupCommitter) pending() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.batch)
-}
-
-// stop shuts the committer down after flushing pending work. The stopped
-// flag is set under mu before stopCh closes, so every entry a concurrent
-// submit managed to append is visible to the loop's final drain, and every
-// later submit fails fast. stop is idempotent.
-func (g *groupCommitter) stop() {
-	g.mu.Lock()
-	if g.stopped {
-		g.mu.Unlock()
-		<-g.done
-		return
-	}
-	g.stopped = true
-	g.mu.Unlock()
-	close(g.stopCh)
-	<-g.done
-}
-
-// GroupCommitStats is a snapshot of one container's group-commit activity.
+// GroupCommitStats is a snapshot of one container's commit-queue activity.
 type GroupCommitStats struct {
 	Container int
 	// Batches and Txns count flushed batches and the transactions committed
 	// through them; Largest is the biggest batch seen. Read-only commits
-	// bypass the committer and are not counted.
+	// bypass the queue and are not counted.
 	Batches uint64
 	Txns    uint64
 	Largest uint64
 	// Records counts pre-built 2PC records (participant prepares and
-	// coordinator decisions) flushed through the committer, i.e. two-phase
+	// coordinator decisions) flushed through the queue, i.e. two-phase
 	// commit log writes that amortized with the container's batches.
 	Records uint64
 	// BatchSize is the distribution of flushed batch sizes.
 	BatchSize stats.HistogramSnapshot
 }
 
-// GroupCommitStats returns per-container group-commit statistics. Containers
-// without group commit enabled report zeros (their batches of one are not
-// group commits).
+// GroupCommitStats returns per-container commit-queue statistics.
 func (db *Database) GroupCommitStats() []GroupCommitStats {
 	out := make([]GroupCommitStats, 0, len(db.containers))
 	for _, c := range db.containers {
-		s := GroupCommitStats{Container: c.id}
-		if c.committer != nil {
-			s.Batches, s.Txns, s.Largest = c.domain.GroupCommitStats()
-			s.BatchSize = c.committer.batchSize.Snapshot()
-			c.committer.mu.Lock()
-			s.Records = c.committer.records
-			c.committer.mu.Unlock()
-		}
+		s := GroupCommitStats{Container: c.id, BatchSize: c.queue.batchSize.Snapshot()}
+		s.Batches, s.Txns, s.Largest = c.domain.GroupCommitStats()
+		c.queue.mu.Lock()
+		s.Records = c.queue.records
+		c.queue.mu.Unlock()
 		out = append(out, s)
 	}
 	return out

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -96,6 +97,13 @@ type Replica struct {
 	stopCh chan struct{}
 	doneCh chan struct{}
 
+	// Health reads these without mu, which a poll holds across the mirror
+	// fsync: the shards, published by follow and cleared by unfollow, and
+	// the degraded flag and last error, written under mu.
+	view     atomic.Pointer[[]*replicaShard]
+	degraded atomic.Bool // mirror failed; detached from the hub
+	lastErr  atomic.Pointer[error]
+
 	// mu guards everything below against concurrent Stats/WaitCaughtUp
 	// snapshots; the poll loop holds it for each full poll-mirror-apply
 	// cycle.
@@ -104,8 +112,6 @@ type Replica struct {
 	shards       []*replicaShard
 	res          *resolver
 	closed       bool // closed or promoted: no longer tailing
-	degraded     bool // mirror failed; detached from the hub
-	lastErr      error
 	rounds       uint64
 	applied      uint64
 	rebootstraps uint64
@@ -128,6 +134,10 @@ type replicaShard struct {
 
 	blob        bool   // the mirror store holds a checkpoint blob
 	lastShipped uint64 // highest LSN shipped off the primary
+	// Health reads the primary log followed and the applied watermark of the
+	// last round: never above the live one, so the lag is never below it.
+	primaryLog atomic.Pointer[wal.Log]
+	applied    atomic.Uint64
 }
 
 // OpenReplica attaches a new replica to a primary running under
@@ -168,8 +178,8 @@ func newReplica(primary *Database, opts ReplicaOptions) (*Replica, error) {
 	}
 
 	// The inner database reuses the primary's deployment shape (placement
-	// must match: shipped records are applied shard-for-shard) and group
-	// commit, whose committers sit idle until promotion. Its logs, on the
+	// must match: shipped records are applied shard-for-shard) and commit
+	// queues, which no write enters until promotion. Its logs, on the
 	// replica's own storage, are the mirrors; it rejects writes.
 	cfg := primary.cfg
 	cfg.Durability = DurabilityConfig{Mode: DurabilityWAL, Storage: opts.Storage, SegmentSize: opts.SegmentSize}
@@ -203,10 +213,22 @@ func (r *Replica) open(def *core.DatabaseDef, cfg Config) error {
 	}
 	r.mu.Lock()
 	r.shards, r.res = shards, res
-	r.degraded, r.lastErr = false, nil
+	r.degraded.Store(false)
+	r.lastErr.Store(nil)
 	r.mu.Unlock()
 	r.db.Store(db)
 	return nil
+}
+
+// fail records err as the last replication error; the caller holds mu.
+func (r *Replica) fail(err error) { r.lastErr.Store(&err) }
+
+// publishApplied publishes every shard's applied watermark for Health; the
+// caller holds mu.
+func (r *Replica) publishApplied() {
+	for _, s := range r.shards {
+		s.applied.Store(r.res.applied(s.id))
+	}
 }
 
 // follow brings every shard from what its database holds to tailing primary:
@@ -220,6 +242,7 @@ func (r *Replica) follow(primary *Database) error {
 		// Blob and mirror cover every record up to the log's last LSN (a log
 		// opens no lower than its blob's low-water mark).
 		s.primary, s.staged = primary.containers[s.id], nil
+		s.primaryLog.Store(s.primary.wal)
 		s.lastShipped = s.local.wal.LastLSN()
 		s.through = s.lastShipped
 		s.cursor = wal.NewShipCursor(s.primary.walStorage, s.lastShipped)
@@ -242,6 +265,9 @@ func (r *Replica) follow(primary *Database) error {
 	if r.res.ready() {
 		r.applyRound()
 	}
+	r.publishApplied()
+	view := r.shards // a copy: open rewrites r.shards under a stale reader
+	r.view.Store(&view)
 	// Watching starts after the bootstrap and before the first poll, which
 	// ships whatever became durable in between.
 	for _, s := range r.shards {
@@ -258,8 +284,10 @@ func (r *Replica) start() {
 
 // unfollow stops tailing: it detaches from the primary's hub (releasing any
 // semi-sync waiter), stops watching the primary's logs and stops the loop.
-// It does nothing on a replica that follows no primary.
+// It does nothing on a replica that follows no primary. Health reports an
+// unbounded lag from here until follow publishes the shards again.
 func (r *Replica) unfollow() {
+	r.view.Store(nil)
 	if r.primary == nil {
 		return
 	}
@@ -381,20 +409,21 @@ func (r *Replica) pollOnce() (shippedAll bool) {
 			r.primary.ckptMu.Unlock()
 			switch {
 			case ffErr != nil:
-				r.lastErr = ffErr
+				r.fail(ffErr)
 			case !moved:
-				r.lastErr = fmt.Errorf("engine: replica: shipping gap on container %d that no primary checkpoint covers", s.id)
+				r.fail(fmt.Errorf("engine: replica: shipping gap on container %d that no primary checkpoint covers", s.id))
 			default:
 				r.rebootstraps++
 			}
 		default:
-			r.lastErr = err
+			r.fail(err)
 		}
 	}
 	r.mirrorPass()
 	if r.res.ready() {
 		r.applyRound()
 	}
+	r.publishApplied()
 	return shippedAll
 }
 
@@ -411,7 +440,7 @@ func (r *Replica) pollOnce() (shippedAll bool) {
 // A degraded replica feeds what it ships without mirroring it, for read
 // availability.
 func (r *Replica) mirrorPass() {
-	for progressed := true; progressed && !r.degraded; {
+	for progressed := true; progressed && !r.degraded.Load(); {
 		progressed = false
 		for _, s := range r.shards {
 			n := r.res.feedable(s.id, s.staged)
@@ -438,8 +467,8 @@ func (r *Replica) mirrorPass() {
 				if cerr := s.local.wal.Close(); cerr != nil {
 					err = errors.Join(err, fmt.Errorf("engine: replica: seal degraded mirror container %d: %w", s.id, cerr))
 				}
-				r.degraded = true
-				r.lastErr = err
+				r.degraded.Store(true)
+				r.fail(err)
 				r.primary.repl.detach(r)
 				break
 			}
@@ -449,7 +478,7 @@ func (r *Replica) mirrorPass() {
 		}
 	}
 	for _, s := range r.shards {
-		if r.degraded {
+		if r.degraded.Load() {
 			r.feed(s, len(s.staged))
 		}
 		if len(s.staged) == 0 {
@@ -481,7 +510,7 @@ func (r *Replica) applyRound() {
 	r.applied += uint64(n)
 	r.rounds++
 	if err != nil {
-		r.lastErr = err
+		r.fail(err)
 	}
 }
 
@@ -527,7 +556,7 @@ func (r *Replica) WaitCaughtUp(timeout time.Duration) error {
 func (r *Replica) caughtUp() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.lastErr != nil && r.degraded {
+	if r.lastErr.Load() != nil && r.degraded.Load() {
 		return false
 	}
 	for _, s := range r.shards {
@@ -593,15 +622,22 @@ func lagRecords(durable, applied uint64) uint64 {
 }
 
 // Health returns the replica's freshness gap — the largest lag over its
-// shards, as in Stats — whether it is degraded, and its last replication
-// error, without allocating: a server reads it on every bounded read.
+// shards, against the last round's applied watermarks — whether it is
+// degraded, and its last replication error, without allocating or waiting
+// on a poll: a server reads it on every bounded read. A replica that follows
+// no primary (inside Repoint, or closed) reports the lag math.MaxUint64.
 func (r *Replica) Health() (lag uint64, degraded bool, err error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, s := range r.shards {
-		lag = max(lag, lagRecords(s.primary.wal.DurableLSN(), r.res.applied(s.id)))
+	if view := r.view.Load(); view == nil {
+		lag = math.MaxUint64
+	} else {
+		for _, s := range *view {
+			lag = max(lag, lagRecords(s.primaryLog.Load().DurableLSN(), s.applied.Load()))
+		}
 	}
-	return lag, r.degraded, r.lastErr
+	if p := r.lastErr.Load(); p != nil {
+		err = *p
+	}
+	return lag, r.degraded.Load(), err
 }
 
 // Stats returns a consistent snapshot of the replica's progress.
@@ -610,13 +646,13 @@ func (r *Replica) Stats() ReplicaStats {
 	defer r.mu.Unlock()
 	st := ReplicaStats{
 		Mode:         r.mode,
-		Degraded:     r.degraded,
+		Degraded:     r.degraded.Load(),
 		Rounds:       r.rounds,
 		Applied:      r.applied,
 		Rebootstraps: r.rebootstraps,
 	}
-	if r.lastErr != nil {
-		st.Err = r.lastErr.Error()
+	if p := r.lastErr.Load(); p != nil {
+		st.Err = (*p).Error()
 	}
 	for _, s := range r.shards {
 		durable, rs := s.primary.wal.DurableLSN(), &r.res.shards[s.id]

@@ -1121,3 +1121,55 @@ func TestInstallRecordInstallsWhatResolves(t *testing.T) {
 		t.Fatalf("TID watermark %d not past the installed record's TID %d", w, rec.TID)
 	}
 }
+
+// TestReplicaHealthDoesNotWaitForMirrorFsync holds a poll's mirror fsync — a
+// replica disk that hangs mid-round, with the poll holding the replica's lock
+// — and asks for Health, which a replica server runs on every bounded read
+// and stats frame: it answers at once, with the lag of the last finished
+// round, and the lag closes once the fsync completes.
+func TestReplicaHealthDoesNotWaitForMirrorFsync(t *testing.T) {
+	primary := MustOpen(kvDef("kv0"), walCfg(wal.NewMemStorage()))
+	t.Cleanup(primary.Close)
+	mirror := wal.NewMemStorage()
+	rep, err := OpenReplica(primary, ReplicaOptions{Storage: mirror})
+	if err != nil {
+		t.Fatalf("OpenReplica: %v", err)
+	}
+	t.Cleanup(rep.Close)
+	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(release) // before rep.Close, which waits for the held poll
+	started := mirror.SyncsStarted()
+	mirror.GateSyncs(gate)
+	if _, err := primary.Execute("kv0", "put", int64(1), int64(10)); err != nil {
+		t.Fatalf("put: %v", err)
+	}
+	waitFor(t, replicaWait, func() bool { return mirror.SyncsStarted() > started })
+
+	type health struct {
+		lag      uint64
+		degraded bool
+		err      error
+	}
+	answered := make(chan health, 1)
+	go func() {
+		var h health
+		h.lag, h.degraded, h.err = rep.Health()
+		answered <- h
+	}()
+	select {
+	case h := <-answered:
+		if h.lag != 1 || h.degraded || h.err != nil {
+			t.Fatalf("Health during the held mirror fsync = %+v, want lag 1, healthy", h)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Health waited out the replica's held mirror fsync")
+	}
+	release()
+	if err := rep.WaitCaughtUp(replicaWait); err != nil {
+		t.Fatal(err)
+	}
+	if lag, degraded, err := rep.Health(); lag != 0 || degraded || err != nil {
+		t.Fatalf("Health after the fsync = (%d, %v, %v), want lag 0, healthy", lag, degraded, err)
+	}
+}

@@ -2,10 +2,12 @@ package engine
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"reactdb/internal/core"
 	"reactdb/internal/rel"
@@ -221,6 +223,70 @@ func TestRepointInPlaceEqualsReopen(t *testing.T) {
 	}
 	if v, present := readV(t, rep.Database(), "kv1", 3); !present || v != 30 {
 		t.Fatalf("kv1[3] = (%d, %v), want the promoted primary's 30", v, present)
+	}
+}
+
+// TestRepointHealthUnboundedUntilFollowing holds a re-point inside its
+// reopen — the new database already serves reads, loaded from a mirror cut
+// back to the promotion cut, but follows no primary yet — and asks for
+// Health, which a replica server runs on every bounded read: the lag is
+// unbounded, so every bound is refused, until the replica follows again.
+func TestRepointHealthUnboundedUntilFollowing(t *testing.T) {
+	primary := MustOpen(kvDef("kv0"), walCfg(wal.NewMemStorage()))
+	t.Cleanup(primary.Close)
+	candidate, err := newReplica(primary, ReplicaOptions{})
+	if err != nil {
+		t.Fatalf("newReplica: %v", err)
+	}
+	t.Cleanup(candidate.Close)
+	rep, err := OpenReplica(primary, ReplicaOptions{})
+	if err != nil {
+		t.Fatalf("OpenReplica: %v", err)
+	}
+	t.Cleanup(rep.Close)
+	if _, err := primary.Execute("kv0", "put", int64(5), int64(50)); err != nil {
+		t.Fatalf("put: %v", err)
+	}
+	if err := rep.WaitCaughtUp(replicaWait); err != nil {
+		t.Fatal(err)
+	}
+	if err := primary.Fence(1); err != nil {
+		t.Fatalf("Fence: %v", err)
+	}
+	promoted, err := PromoteReplica(candidate, 1)
+	if err != nil {
+		t.Fatalf("PromoteReplica: %v", err)
+	}
+
+	// follow takes the new primary's checkpoint lock to attach: holding it
+	// stops Repoint after its reopen.
+	db := rep.Database()
+	promoted.ckptMu.Lock()
+	release := sync.OnceFunc(promoted.ckptMu.Unlock)
+	repointed := make(chan error, 1)
+	go func() { repointed <- Repoint(rep, promoted) }()
+	t.Cleanup(func() { release(); <-repointed }) // before rep.Close
+	waitFor(t, replicaWait, func() bool { return rep.Database() != db })
+	lags := make(chan uint64, 1)
+	go func() {
+		lag, _, _ := rep.Health()
+		lags <- lag
+	}()
+	select {
+	case lag := <-lags:
+		if lag != math.MaxUint64 {
+			t.Fatalf("Health inside the re-point reports lag %d, want unbounded", lag)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Health waited out the re-point")
+	}
+	release()
+	if err := <-repointed; err != nil {
+		t.Fatalf("Repoint: %v", err)
+	}
+	repointed <- nil // for the cleanup
+	if lag, degraded, err := rep.Health(); lag != 0 || degraded || err != nil {
+		t.Fatalf("Health after the re-point = (%d, %v, %v), want lag 0, healthy", lag, degraded, err)
 	}
 }
 

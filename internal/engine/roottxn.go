@@ -215,33 +215,25 @@ func (r *rootTxn) commit(session *coreSession) error {
 		_, err := txn.CommitPrepared()
 		return err
 	}
-	// Same core rule as commitTwoPhase: the core is released while the commit
-	// waits on a real log force or a group-commit window and re-acquired only
-	// after the pipeline ran the write phase. The prepared transaction keeps
-	// its OCC locks meanwhile. Without a log or a committer the batch of one
-	// installs inline and waits on nothing, so the core stays held.
-	yield := (c.wal != nil || c.committer != nil) && session != nil
-	if yield && c.committer == nil {
-		// The batch of one is forced right here, inside submit.
-		session.release()
-		defer session.acquire()
-	}
-	done, err := c.submit(gcEntry{txn: txn})
+	done, lead, err := c.submit(gcEntry{txn: txn})
 	if err != nil {
-		// The committer stopped before accepting the transaction (shutdown
-		// racing the tail of an in-flight commit); release its locks and
-		// report the closure instead of blocking on a flush that will never
-		// happen.
+		// The queue stopped before accepting the transaction (shutdown racing
+		// the tail of an in-flight commit); release its locks and report the
+		// closure instead of blocking on a flush that will never happen.
 		_ = txn.AbortPrepared()
 		return err
 	}
-	if yield && c.committer != nil {
-		// A committer has the entry — and its window timer armed — before the
-		// executor moves on: entries join the batch in the order their
-		// transactions ran, and the goroutine cannot lose the CPU to the next
-		// request while it holds OCC locks that no window is timing yet.
+	// Same core rule as commitTwoPhase: the core is released while the commit
+	// can wait (a log force, a hold or another's batch) and re-acquired after
+	// the write phase; the prepared transaction keeps its OCC locks. Queued
+	// first, entries join in the order their transactions ran. A queue with
+	// nothing to share has every submitter lead a flush that waits on nothing.
+	if session != nil && c.queue.share {
 		session.release()
 		defer session.acquire()
+	}
+	if lead {
+		c.lead()
 	}
 	return mapCommitErr(<-done)
 }
@@ -259,12 +251,11 @@ func (r *rootTxn) commit(session *coreSession) error {
 //     container's commit pipeline, and the decision record, naming the
 //     writing participants, rides in the same batch as the coordinator's
 //     prepare (the coordinator is the lowest-numbered writer; the decision
-//     shares its TID). Every share is submitted before any is waited for,
-//     and the round waits once, then for its shipping to semi-sync
-//     replicas. Under group commit the shares ride their committers'
-//     batches and are forced concurrently; without it each is a batch of
-//     one forced inline by submit, so they are forced one after the other,
-//     one fsync per writer. The commit point is "the decision and every
+//     shares its TID). Every share is queued before any is led, the shares
+//     the coordinator must lead are led concurrently (one on its own
+//     goroutine), so the round is one concurrent forced round in every
+//     configuration, and it waits once, then for its shipping to semi-sync
+//     replicas. The commit point is "the decision and every
 //     prepare it names are durable": recovery and replicas commit a group
 //     iff they hold all of them, and presume abort otherwise.
 //  4. Install every participant's writes and release its locks.
@@ -358,14 +349,28 @@ func (r *rootTxn) commitTwoPhase(touched []touch, session *coreSession) error {
 		}
 	}
 
-	// Phase three: submit every writer's share of the round, wait once for
-	// the forces, then for the mirrors.
+	// Phase three: queue every writer's share of the round, lead the queues
+	// this round found leaderless, wait once for the forces, then for the
+	// mirrors. A share queued before a refusal is still led: its queue has
+	// no other leader.
 	waits := make([]<-chan error, len(writers))
+	var inline [4]*Container
+	leaders := inline[:0]
 	var forceErr error
 	for i, c := range writers {
-		if waits[i], forceErr = c.submit(gcEntry{recs: shares[i]}); forceErr != nil {
+		var lead bool
+		if waits[i], lead, forceErr = c.submit(gcEntry{recs: shares[i]}); forceErr != nil {
 			break
 		}
+		if lead {
+			leaders = append(leaders, c)
+		}
+	}
+	if len(leaders) > 0 {
+		for _, c := range leaders[1:] {
+			go c.lead()
+		}
+		leaders[0].lead()
 	}
 	for _, ch := range waits {
 		if ch != nil {
@@ -419,7 +424,7 @@ func (r *rootTxn) abortAll() {
 // release returns every per-container OCC transaction to its domain's pool so
 // the next Begin on that domain reuses its read/write-set slices and key
 // arena. It must only run once the root transaction has fully committed or
-// aborted and nothing — group committer, 2PC coordinator, sub-transaction —
+// aborted and nothing — commit queue, 2PC coordinator, sub-transaction —
 // can touch the transactions again; Txn.Release itself refuses transactions
 // that still hold locks.
 func (r *rootTxn) release() {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -33,8 +34,10 @@ func execWithWatchdog(t *testing.T, db *Database, reactor, proc string, args ...
 }
 
 // twoContainerCfg places kv0 on container 0 and kv1 on container 1 over the
-// given storage, with group commit off so the 2PC record forcing uses the
-// eager append+fsync path (deterministic write counts for fault injection).
+// given storage, with no window, so each share of a serial test's 2PC round
+// is a batch of its own: the writes and fsyncs of each container are
+// deterministic for fault injection, though the two containers force
+// concurrently.
 func twoContainerCfg(storage wal.Storage) Config {
 	return Config{
 		Containers:            2,
@@ -443,6 +446,42 @@ func TestTwoPCReadOnlyCoordinatorDecisionFsyncFailure(t *testing.T) {
 			}
 			if v, present := readV(t, db2, arm.writer, 2); present {
 				t.Fatalf("failed transaction's write recovered on %s with %d", arm.writer, v)
+			}
+		})
+	}
+}
+
+// TestTwoPCRoundForcesSharesConcurrently holds one participant's fsync in a
+// two-container round with no window, the configuration that once forced the
+// shares one after the other: the other participant's share is forced while
+// the held one waits, whichever of the two is held, and the round commits
+// once the held fsync completes.
+func TestTwoPCRoundForcesSharesConcurrently(t *testing.T) {
+	for held := 0; held < 2; held++ {
+		t.Run(fmt.Sprintf("held-container-%d", held), func(t *testing.T) {
+			gate := make(chan struct{})
+			release := sync.OnceFunc(func() { close(gate) })
+			db := MustOpen(kvDef("kv0", "kv1"), twoContainerCfg(newGateSyncStorage(fmt.Sprintf("container-%d", held), 1, gate)))
+			t.Cleanup(db.Close)
+			t.Cleanup(release) // before Close, which waits for the held round
+			out := make(chan error, 1)
+			go func() {
+				_, err := db.Execute("kv0", "copyTo", "kv1", int64(1), int64(10))
+				out <- err
+			}()
+			other := db.containers[1-held].wal
+			waitFor(t, replicaWait, func() bool { return other.DurableLSN() > 0 })
+			select {
+			case err := <-out:
+				t.Fatalf("the round returned (%v) while container %d's fsync was held", err, held)
+			default:
+			}
+			release()
+			if err := <-out; err != nil {
+				t.Fatalf("copyTo: %v", err)
+			}
+			if v, present := readV(t, db, "kv1", 1); !present || v != 10 {
+				t.Fatalf("kv1[1] = (%d, %v), want 10", v, present)
 			}
 		})
 	}

@@ -88,9 +88,9 @@ func (d *Domain) Begin() *Txn {
 // phase of every prepared transaction in the batch and returns one error slot
 // per transaction (nil on success). Transactions not in the prepared state
 // get ErrTxnClosed in their slot; the rest of the batch still commits. The
-// caller (the engine's per-container group committer) is responsible for
-// making the batch durable — amortizing that cost over the batch is the point
-// of grouping.
+// caller (the leader of an engine container's commit queue) is responsible
+// for making the batch durable — amortizing that cost over the batch is the
+// point of grouping.
 func (d *Domain) CommitPreparedBatch(txns []*Txn) []error {
 	errs := make([]error, len(txns))
 	var committed uint64

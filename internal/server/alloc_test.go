@@ -110,16 +110,16 @@ func TestWireReadAllocBudget(t *testing.T) {
 }
 
 // TestWireDepositAllocBudget pins one smallbank deposit_checking(1.0) over the
-// wire, one caller: 60.09 before, measured 28.00 now. What remains:
+// wire, one caller: 60.09 before, 28.04 with a committer goroutine and its
+// window timers, measured 25.11 now. What remains:
 //
 //	 1  the server boxing the float64 argument it decoded
 //	 2  engine: the rootTxn and the closure of `go runTask`
 //	 9  the procedure: key-argument slices and boxed keys of its reads, the
 //	    row it decodes and the one it builds, normalised and encoded for Update
-//	16  commit, all of it per batch and here a batch of one: the outcome
-//	    channel, the group committer's batch, window timer and closure,
-//	    commitBatch's slices, the WAL record with its key copy and frame
-//	    buffers, the installed row version
+//	13  commit, all of it per batch and here a batch of one: the outcome
+//	    channel, commitBatch's slices, the WAL record with its key copy and
+//	    frame buffers, the installed row version
 func TestWireDepositAllocBudget(t *testing.T) {
 	const customers = 16
 	_, conn := realFleet(t, customers)

@@ -313,9 +313,9 @@ func (s *Server) handle(q *request) {
 // acknowledged by its successor; both are answered NotPrimary so the router
 // re-points. A replica that cannot meet the request's freshness bound (0 =
 // unbounded) answers Stale; a degraded one fails any bound, since its mirror
-// is gone and its lag is no longer promised to anyone. The lag is read live:
-// the bound is a promise to the client, and a cached value would let a write
-// land and be read back stale.
+// is gone and its lag is no longer promised to anyone. The lag takes the
+// applied side from the replica's last finished round, so it is never below
+// the live lag: a lag read low would let a write land and be read back stale.
 func (s *Server) refusal(db *engine.Database, maxLag uint64) (uint8, string) {
 	if !db.IsReplica() {
 		if db.Fenced() {

@@ -4,11 +4,11 @@
 // recovery.
 //
 // Each database container owns one Log, and so does each shard of a replica:
-// its mirror is a Log fed with the primary's frames (ship.go). The engine's
-// group committer appends a batch's commit records and fsyncs once per flush
+// its mirror is a Log fed with the primary's frames (ship.go). The leader of
+// an engine container's commit queue appends a batch's commit records — and
+// the two-phase commit records riding with them — and fsyncs once per flush
 // before any waiter is acknowledged, so the durable-write cost amortizes over
-// the batch; the unbatched commit paths (group commit disabled, two-phase
-// commit participants) append and fsync per transaction.
+// the batch.
 //
 // Segments are persisted through a Storage implementation. MemStorage keeps
 // segments in process memory with honest fsync semantics (bytes written but
